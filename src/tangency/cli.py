@@ -2,8 +2,8 @@
 
 One executable, `tangency`, dispatching to the symbolic Schubert engine,
 the enumerative bound pipelines, the deformation lab, and the
-finite-field counters.  Exit codes: 0 success, 2 validation or usage
-error, 3 internal assertion failure (a frozen identity or replication
+finite-field counters.  Exit codes: 0 success, 2 validation, usage or
+file error, 3 internal assertion failure (a frozen identity or replication
 target no longer holds).
 
 All JSON output conforms to the shipped schema
@@ -572,7 +572,7 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.handler(args)
-    except (ValueError, ZeroDivisionError) as ex:
+    except (ValueError, ZeroDivisionError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except AssertionError as ex:

@@ -5,15 +5,36 @@ p to order >= k.  Writing F(p + u*v) = sum_m G_m(p, v) u^m with G_m the
 divided (factorial-free) directional derivatives, contact >= k means
 G_0 = ... = G_{k-1} = 0; q > d keeps that expansion faithful.
 
-The counter enumerates p over X(F_q) and directions v over P(F_q^{n+1}/<p>)
-once each: every point gets canonical projective representatives per
-affine cell (first nonzero coordinate 1), and directions are taken with
-v_j = 0 at p's leading index j, a complement of <p>.  The G_1 condition
-is handled structurally (directions run over a parametrized kernel basis
-rather than being filtered), higher G_m by vectorized evaluation.
+The counter enumerates p over X(F_q) (canonical representatives: first
+nonzero coordinate 1) and the lines through p as directions v with
+v_lead = 0 at p's leading index, a complement of <p>.  G_1 = grad F(p).v
+is solved, not tested: a point's chart is (lead, pivot), the pivot being
+the first other coordinate where the gradient is nonzero, and its tangent
+directions are v_free = r, v_pivot = w.r with w = -grad_free / grad_pivot
+and r running over the grid projective_reps(n-2, q).  At a singular point
+every v with v_lead = 0 is tangent, and r runs over projective_reps(n-1, q).
 
-Counts are exact integers; worker parallelism only changes the chunking,
-never the sum, because chunk subtotals are combined in order.
+The higher orders are batched.  The points are sorted by chart; for each
+group and order j = 2..k-1, G_j(p, v) is pulled back to a form of degree j
+in r, vectorized over the group: each divided derivative d^alpha F /
+alpha! is evaluated at every point at once, and the powers (w.r)^a are
+expanded once per group through tables shared by all charts.  A direction
+survives when every pulled-back form vanishes at it, which one contraction
+per order and tile decides: (grid monomials, R x C(nfree-1+j, j)) times
+(coefficients, C(nfree-1+j, j) x points).  Everything that depends only on
+the form, k and q (the derivative matrices, the pullback tables, the grid
+monomials, the inverse table) is built once per count_vk call.
+
+Exactness.  Each sum adds products of residues in [0, q), so it is at
+most exactness_bound(n, d, k, q), and count_vk refuses, before it
+enumerates anything, a q for which that bound reaches 2^53.  Below it,
+the float64 contraction is exact and rint(V / q) * q == V is an exact
+divisibility test.  The contraction is an einsum, never a BLAS call: a
+forked pool worker that called BLAS would start its own BLAS threads on
+top of the other workers.
+
+Counts are exact integers; the worker count (capped by the CPUs and by the
+size of the count) only changes the chunking, never the sum.
 
 A full brute-force route (explicit row-echelon enumeration of all lines)
 exists for cross-checking at small q, and doubles as an exhaustive
@@ -24,6 +45,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -32,7 +54,7 @@ from math import comb
 import numpy as np
 
 from .fields import PrimeField
-from .forms import HyperForm, LineParam, s_valuation
+from .forms import HyperForm, LineParam, monomials, s_valuation
 
 
 def pp_count(m: int, q: int) -> int:
@@ -48,6 +70,8 @@ def projective_reps(m: int, q: int) -> np.ndarray:
     One affine cell per leading index; the union covers every point exactly
     once, which is what makes the pair counts exact.
     """
+    if m < 0:
+        return np.zeros((0, 0), dtype=np.int64)
     blocks = []
     for lead in range(m + 1):
         free = m - lead
@@ -147,73 +171,316 @@ def _divided_derivative_terms(terms, m: int):
     return sorted(out.items())
 
 
-def _count_chunk(payload) -> int:
-    terms, n, d, q, k, pts = payload
-    m = pts.shape[0]
-    if m == 0:
-        return 0
-    pows = _pow_tables(pts, d, q)
-    grad = np.stack(
-        [
-            _eval_terms(
-                [(c * e[i], e[:i] + (e[i] - 1,) + e[i + 1:]) for c, e in terms if e[i]],
-                pows, q, m,
-            )
-            for i in range(n + 1)
-        ],
-        axis=1,
-    )
-    higher = []
-    for order in range(2, k):
-        data = _divided_derivative_terms(terms, order)
-        higher.append([(alpha, _eval_terms(tl, pows, q, m)) for alpha, tl in data])
+# Every integer the counter's exact sums reach must stay below this: the
+# contraction runs in float64, whose integers are exact below 2^53.
+_EXACT = 1 << 53
 
-    reps_tangent = projective_reps(n - 2, q)
-    reps_all = None
+# One contraction tile: at most _BLOCK grid rows x points (512 KB of
+# float64), at most _TILE_POINTS of them points; small enough for the
+# tile's buffers to stay in cache.
+_BLOCK = 1 << 16
+_TILE_POINTS = 256
+
+# Contraction multiply-adds that pay for one more pool worker: about 0.1 s
+# of einsum, against the ~30 ms it takes to fork and feed one.
+_WORK_PER_WORKER = 1 << 27
+
+# Points whose jets are evaluated and pulled back at once, which bounds the
+# memory of the per-point work.
+_POINTS = 2048
+
+
+def exactness_bound(n: int, d: int, k: int, q: int) -> int:
+    """A bound on every integer a count_vk sum reaches for k >= 2 over F_q.
+
+    Every sum adds products of two residues in [0, q), so it is at most
+    (terms) * (q-1)^2.  The widest sums are the derivative evaluation
+    (monomials of degree d-j in n+1 variables), the pullback to a chart
+    (pairs of monomials in the n-1 chart variables) and the contraction
+    (monomials of degree j in the n variables of a singular point's chart).
+    """
+    terms = 1
+    for j in range(1, min(k - 1, d) + 1):
+        terms = max(terms, comb(n + d - j, d - j), comb(2 * n - 3 + j, j),
+                    comb(n - 1 + j, j))
+    return terms * (q - 1) ** 2
+
+
+def check_exact(n: int, d: int, k: int, q: int) -> None:
+    """Refuse a count whose sums could leave the exactly representable range."""
+    bound = exactness_bound(n, d, k, q)
+    if bound >= _EXACT:
+        raise ValueError(
+            f"q = {q} is too large for exact counting at n = {n}, d = {d}, "
+            f"k = {k}: sums reach {bound} >= 2^53"
+        )
+
+
+def worker_count(requested: int, work: int) -> int:
+    """Workers count_vk starts for `work` multiply-adds of contraction.
+
+    At least 1; at most the CPUs this process may run on; and one per
+    _WORK_PER_WORKER, since below that a forked pool costs more than it
+    saves.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, work // _WORK_PER_WORKER))
+
+
+def _exps(nvars: int, t: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of degree t in nvars variables, in the forms order."""
+    if nvars == 0:
+        return [()] if t == 0 else []
+    return monomials(nvars - 1, t)
+
+
+class _Monomials:
+    """The monomials of degree <= top in nvars variables.
+
+    Each monomial of degree t >= 1 is one of degree t-1 times its first
+    variable, so `values` builds a whole degree with one gather and one
+    product.
+    """
+
+    def __init__(self, nvars: int, top: int):
+        self.exps = [_exps(nvars, t) for t in range(top + 1)]
+        self.index = [{e: i for i, e in enumerate(es)} for es in self.exps]
+        self.offsets = np.cumsum([0] + [len(es) for es in self.exps])
+        self.steps = []
+        for t in range(1, top + 1):
+            parent, var = [], []
+            for e in self.exps[t]:
+                i = next(i for i, x in enumerate(e) if x)
+                parent.append(self.index[t - 1][e[:i] + (e[i] - 1,) + e[i + 1:]])
+                var.append(i)
+            self.steps.append((np.array(parent, dtype=np.intp), np.array(var, dtype=np.intp)))
+
+    def values(self, x: np.ndarray, q: int, top: int) -> list[np.ndarray]:
+        """[x^e mod q for e of degree t, as rows] for t = 0..top; x is (nvars, m)."""
+        out = [np.ones((1, x.shape[1]), dtype=np.int64)]
+        for parent, var in self.steps[:top]:
+            out.append(out[-1][parent] * x[var] % q)
+        return out
+
+
+class _Kind:
+    """The direction grid shared by the tangent charts of one kind of point.
+
+    A smooth point has n-1 chart variables r (the pivot coordinate is solved
+    from the gradient), a singular one has n.  All charts of a kind share
+    the grid projective_reps(nfree-1, q) of directions and, in lists that
+    follow the orders j:
+    - grid: the grid's monomials of degree j, R x C(nfree-1+j, j), float64;
+    - splits: the pairs (a, delta), |delta| = j-a, of v_pivot^a r^delta;
+    - tables: rows (beta, split, gamma, coef) of the expansion
+      (w.r)^a r^delta = sum_gamma coef w^gamma r^(delta+gamma), sorted by
+      the chart monomial beta = delta + gamma; gamma indexes the stacked
+      monomials of w.
+    """
+
+    def __init__(self, nfree: int, pivoted: bool, orders: list[int], q: int):
+        self.size = pp_count(nfree - 1, q)
+        top = max(orders, default=0)
+        self.mons = _Monomials(nfree, top)
+        self.wtop = top if pivoted else 0
+        self.splits, self.tables, self.grid = [], [], []
+        if not orders or not self.size:
+            return
+        grid = self.mons.values(projective_reps(nfree - 1, q).T, q, top)
+        for j in orders:
+            splits = [(a, delta) for a in range(min(j, self.wtop) + 1)
+                      for delta in self.mons.exps[j - a]]
+            rows = []
+            for s, (a, delta) in enumerate(splits):
+                for gamma in self.mons.exps[a]:
+                    beta = tuple(x + y for x, y in zip(delta, gamma))
+                    coef = math.factorial(a) // math.prod(map(math.factorial, gamma))
+                    rows.append((self.mons.index[j][beta], s,
+                                 self.mons.offsets[a] + self.mons.index[a][gamma], coef % q))
+            rows.sort()
+            self.splits.append(splits)
+            self.tables.append(np.array(rows, dtype=np.int64).T)
+            self.grid.append(np.ascontiguousarray(grid[j].T, dtype=np.float64))
+
+
+class _Chart:
+    """v_lead = 0, v_free = r, v_pivot = w.r: the tangent directions at the
+    points with this leading index and gradient pivot (pivot == lead marks a
+    singular point, where every direction with v_lead = 0 is tangent).
+
+    For each order whose pullback is not identically zero, `tables` holds
+    the kind's expansion rows restricted to the divided derivatives
+    d^alpha F / alpha! that do not vanish: (order position, jet row of
+    alpha, gamma, coef, first row of each beta, the betas).
+    """
+
+    def __init__(self, n: int, lead: int, pivot: int, kind: _Kind, jet_index: list[dict]):
+        self.pivot = pivot
+        self.free = np.array([c for c in range(n + 1) if c not in (lead, pivot)], dtype=np.intp)
+        self.kind = kind
+        self.tables = []
+        for pos, (index, splits, table) in enumerate(zip(jet_index, kind.splits, kind.tables)):
+            s_to_alpha = []
+            for a, delta in splits:
+                alpha = [0] * (n + 1)
+                for c, e in zip(self.free, delta):
+                    alpha[c] = e
+                alpha[pivot] += a
+                s_to_alpha.append(index.get(tuple(alpha), -1))
+            beta, split, gamma, coef = table
+            rows = np.array(s_to_alpha, dtype=np.intp)[split]
+            keep = rows >= 0
+            if not keep.any():
+                continue
+            beta = beta[keep]
+            starts = np.flatnonzero(np.r_[True, beta[1:] != beta[:-1]])
+            self.tables.append((pos, rows[keep], gamma[keep], coef[keep, None],
+                                starts, beta[starts]))
+
+
+class _Kernel:
+    """Everything the counter needs that depends only on the form, k and q.
+
+    Built once per count_vk call and shipped whole to the pool workers: the
+    divided-derivative matrices (one row per alpha whose d^alpha F / alpha!
+    is not zero, one column per monomial of degree d-j), the inverse table
+    of F_q, and the charts with their direction grids.  `count` does the
+    per-point work for a chunk of points sorted by chart key.
+    """
+
+    def __init__(self, F: HyperForm, k: int):
+        q, n, d = _prime_of(F), F.n, F.d
+        self.q, self.n, self.d = q, n, d
+        # G_j vanishes identically for j > d
+        self.orders = list(range(2, min(k - 1, d) + 1))
+        terms = [(int(c), e) for e, c in sorted(F.terms.items())]
+        self.points = _Monomials(n + 1, d - 1)
+        self.jet_index, self.jets = [], []
+        for j in [1] + self.orders:
+            cols = self.points.index[d - j]
+            rows = {}
+            for alpha, tl in _divided_derivative_terms(terms, j):
+                row = np.zeros(len(cols), dtype=np.int64)
+                for c, rest in tl:
+                    row[cols[rest]] += c
+                row %= q
+                if row.any():
+                    rows[alpha] = row
+            if j == 1:  # the whole gradient: the unit vectors, in coordinate order
+                rows = {e: rows.get(e, np.zeros(len(cols), dtype=np.int64))
+                        for e in _exps(n + 1, 1)}
+            self.jet_index.append({alpha: i for i, alpha in enumerate(rows)})
+            self.jets.append(np.array(list(rows.values()), dtype=np.int64).reshape(len(rows), len(cols)))
+        self.inverse = _inverses(q)
+        self.charts: dict[int, _Chart] = {}
+
+    def _jets(self, pts: np.ndarray, orders: int) -> list[np.ndarray]:
+        """[the gradient (n+1, m), then the live d^alpha F / alpha! (rows, m) per order]."""
+        pows = self.points.values(pts.T, self.q, self.d - 1)
+        return [np.einsum("ab,bm->am", K, pows[self.d - j], optimize=False) % self.q
+                for j, K in zip([1] + self.orders[:orders], self.jets)]
+
+    def chart_keys(self, pts: np.ndarray) -> np.ndarray:
+        """lead * (n+1) + pivot for every point: the leading index and the first
+        coordinate != lead where the gradient is nonzero (lead if none is)."""
+        keys = []
+        for lo in range(0, len(pts), _POINTS):
+            part = pts[lo:lo + _POINTS]
+            grad = self._jets(part, 0)[0].T
+            lead = np.argmax(part != 0, axis=1)
+            grad[np.arange(len(part)), lead] = 0
+            nonzero = grad != 0
+            pivot = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), lead)
+            keys.append(lead * (self.n + 1) + pivot)
+        return np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+
+    def add_charts(self, keys) -> None:
+        kinds: dict[bool, _Kind] = {}
+        for key in keys:
+            lead, pivot = divmod(int(key), self.n + 1)
+            pivoted = pivot != lead
+            if pivoted not in kinds:
+                nfree = self.n - 1 if pivoted else self.n
+                kinds[pivoted] = _Kind(nfree, pivoted, self.orders, self.q)
+            self.charts[int(key)] = _Chart(self.n, lead, pivot, kinds[pivoted],
+                                           self.jet_index[1:])
+
+    def count(self, pts: np.ndarray, keys: np.ndarray) -> int:
+        """Pairs (p, tangent direction) with G_2 = ... = G_{k-1} = 0 at p."""
+        total = 0
+        for start in range(0, len(pts), _POINTS):
+            part = keys[start:start + _POINTS]
+            jets = self._jets(pts[start:start + _POINTS], len(self.orders))
+            cuts = [0, *(np.flatnonzero(np.diff(part)) + 1), len(part)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                chart = self.charts[int(part[lo])]
+                total += self._survivors(chart, [h[:, lo:hi] for h in jets])
+        return total
+
+    def _survivors(self, chart: _Chart, jets: list[np.ndarray]) -> int:
+        """Pull every G_j back to the chart, then test the kind's grid."""
+        kind, q = chart.kind, self.q
+        grad = jets[0]
+        m = grad.shape[1]
+        if not chart.tables:
+            return kind.size * m
+        w = -grad[chart.free] * self.inverse[grad[chart.pivot]] % q
+        W = np.concatenate(kind.mons.values(w, q, kind.wtop))
+        grids, coefs = [], []
+        for pos, alpha_rows, gamma, coef, starts, betas in chart.tables:
+            terms = jets[1 + pos][alpha_rows] * W[gamma] % q * coef
+            C = np.zeros((kind.grid[pos].shape[1], m))
+            C[betas] = np.add.reduceat(terms, starts, axis=0) % q
+            grids.append(kind.grid[pos])
+            coefs.append(C)
+        return _grid_zeros(grids, coefs, q)
+
+
+def _inverses(q: int) -> np.ndarray:
+    """x^(q-2) mod q for x = 0..q-1: the inverse of every unit."""
+    base = np.arange(q, dtype=np.int64)
+    out = np.ones(q, dtype=np.int64)
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+def _grid_zeros(grid: list[np.ndarray], coefs: list[np.ndarray], q: int) -> int:
+    """Pairs (grid row r, point p) with sum_beta grid_j[r, beta] coefs_j[beta, p]
+    = 0 mod q for every order j, one contraction per order and tile.
+
+    einsum without optimize never calls BLAS, so a pool worker starts no
+    threads of its own.  The values are integers below 2^53 (check_exact),
+    so float64 holds them exactly and rint(V / q) * q == V tests
+    divisibility: V / q is correctly rounded, so it is an exact integer
+    when q | V, and otherwise no integer times q equals V.
+    """
+    R, m = len(grid[0]), coefs[0].shape[1]
+    cols = min(m, _TILE_POINTS)
+    rows = min(R, max(1, _BLOCK // cols))
+    V, T = np.empty((rows, cols)), np.empty((rows, cols))
+    ok, alive = np.empty((rows, cols), dtype=bool), np.empty((rows, cols), dtype=bool)
     count = 0
-    for r in range(m):
-        p = pts[r]
-        lead = int(np.flatnonzero(p)[0])
-        others = [i for i in range(n + 1) if i != lead]
-        g = grad[r]
-        g_rest = g[others]
-        if not g_rest.any():
-            # singular point: every direction is tangent
-            if reps_all is None:
-                reps_all = projective_reps(n - 1, q)
-            body = reps_all
-        else:
-            pos = int(np.flatnonzero(g_rest)[0])
-            inv = pow(int(g_rest[pos]), q - 2, q)
-            basis = np.zeros((n - 1, n), dtype=np.int64)
-            rr = 0
-            for cpos in range(n):
-                if cpos == pos:
-                    continue
-                basis[rr, cpos] = 1
-                basis[rr, pos] = (-(int(g_rest[cpos]) * inv)) % q
-                rr += 1
-            body = (reps_tangent @ basis) % q
-        if k == 2:
-            count += body.shape[0]
-            continue
-        alive = np.zeros((body.shape[0], n + 1), dtype=np.int64)
-        alive[:, others] = body
-        for data in higher:
-            if alive.shape[0] == 0:
-                break
-            val = np.zeros(alive.shape[0], dtype=np.int64)
-            for alpha, hv in data:
-                hval = int(hv[r])
-                if hval == 0:
-                    continue
-                t = None
-                for i, ai in enumerate(alpha):
-                    for _ in range(ai):
-                        t = alive[:, i] if t is None else (t * alive[:, i]) % q
-                val = (val + hval * t) % q
-            alive = alive[val == 0]
-        count += alive.shape[0]
+    for r in range(0, R, rows):
+        for c in range(0, m, cols):
+            nr, nc = min(rows, R - r), min(cols, m - c)
+            v, t, o, a = V[:nr, :nc], T[:nr, :nc], ok[:nr, :nc], alive[:nr, :nc]
+            for i, (M, C) in enumerate(zip(grid, coefs)):
+                np.einsum("rb,bp->rp", M[r:r + nr], C[:, c:c + nc], out=v, optimize=False)
+                np.divide(v, q, out=t)
+                np.rint(t, out=t)
+                t *= q
+                np.equal(t, v, out=a if i == 0 else o)
+                if i:
+                    a &= o
+            count += int(np.count_nonzero(a))
     return count
 
 
@@ -241,25 +508,35 @@ class CountRecord:
 
 
 def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
-    """Exact |V_k(X)(F_q)|: pairs (p, line through p) with contact >= k."""
+    """Exact |V_k(X)(F_q)|: pairs (p, line through p) with contact >= k.
+
+    `workers` is an upper bound: worker_count caps it by the CPUs this
+    process may run on and by the size of the count.
+    """
     q = _prime_of(F)
     if k < 1:
         raise ValueError("contact order k must be >= 1")
+    if k >= 2:
+        check_exact(F.n, F.d, k, q)
     t0 = time.perf_counter()
     pts = hypersurface_points(F)
     if k == 1:
         # every line through a point of X meets it: no direction condition
         count = pts.shape[0] * pp_count(F.n - 1, q)
     else:
-        terms = [(int(c), e) for e, c in sorted(F.terms.items())]
-        if workers <= 1:
-            count = _count_chunk((terms, F.n, F.d, q, k, pts))
+        kernel = _Kernel(F, k)
+        keys = kernel.chart_keys(pts)
+        order = np.argsort(keys, kind="stable")
+        pts, keys = pts[order], keys[order]
+        kernel.add_charts(np.unique(keys))
+        work = len(pts) * pp_count(F.n - 2, q) * sum(comb(F.n - 2 + j, j) for j in kernel.orders)
+        workers = worker_count(workers, work)
+        if workers == 1:
+            count = kernel.count(pts, keys)
         else:
-            chunks = np.array_split(pts, workers * 4)
-            payloads = [(terms, F.n, F.d, q, k, ch) for ch in chunks]
+            chunks = zip(np.array_split(pts, workers * 4), np.array_split(keys, workers * 4))
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_count_chunk, payloads)
-            count = sum(parts)
+                count = sum(pool.starmap(kernel.count, chunks))
     elapsed = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(q=q, k=k, count=count, n=F.n, d=F.d, elapsed_ms=elapsed)
 

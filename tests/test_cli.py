@@ -207,6 +207,16 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "deform", "contact", "--form", missing,
                        "--line", missing)
     assert code == 2 and "cannot read" in err
+    unwritable = str(tmp_path / "missing" / "x.json")
+    code, _, err = run(capsys, "fermat-planes", "--d", "3", "--emit", unwritable)
+    assert code == 2 and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_count_vk_inexact_q_exit_2(capsys, tmp_path):
+    path = fermat_file(tmp_path, 2, 3)
+    code, _, err = run(capsys, "count-vk", "--input", path, "--q", "2147483647", "--k", "3")
+    assert code == 2
+    assert "too large for exact counting" in err
 
 
 def test_seed_flag_accepted(capsys):

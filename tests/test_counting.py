@@ -1,23 +1,29 @@
 """Finite-field contact-pair counts: chart enumeration against brute
 force, closed forms, determinism under chunking, and the slope report."""
 
+import math
+import os
 import random
 
 import pytest
 
+from tangency import counting
 from tangency.counting import (
     CountRecord,
+    check_exact,
     closed_count_k1,
     closed_count_k2_smooth,
     count_vk,
     count_vk_bruteforce,
     dimension_slope,
+    exactness_bound,
     hypersurface_points,
     line_count,
     lines_in_hypersurface,
     pp_count,
     projective_reps,
     rational_singular_points,
+    worker_count,
 )
 from tangency.fields import QQ, PrimeField
 from tangency.forms import HyperForm, monomials
@@ -28,6 +34,10 @@ def test_pp_count():
     assert pp_count(1, 5) == 6
     assert pp_count(2, 3) == 13
     assert pp_count(-1, 7) == 0
+
+
+def test_projective_reps_of_empty_space():
+    assert projective_reps(-1, 7).shape[0] == 0
 
 
 def test_projective_reps_cover_exactly_once():
@@ -67,29 +77,61 @@ def cone_f3():
     )
 
 
+def reducible_forms():
+    f3, f5, f7 = PrimeField(3), PrimeField(5), PrimeField(7)
+    return [
+        # P^1: three simple roots; a double root and a simple one
+        HyperForm(1, 3, {(3, 0): 1, (0, 3): 1}, f7),
+        HyperForm(1, 3, {(2, 1): 1}, f7),
+        # P^2: a triangle of lines, a double line plus a line
+        HyperForm(2, 3, {(2, 1, 0): 1, (1, 2, 0): 1, (1, 1, 1): 1}, f5),
+        HyperForm(2, 3, {(2, 0, 1): 1, (1, 1, 1): 2, (0, 2, 1): 1}, f5),
+        # P^3: two planes, a double plane (every point singular)
+        HyperForm(3, 2, {(1, 1, 0, 0): 1}, f3),
+        HyperForm(3, 2, {(2, 0, 0, 0): 1}, f3),
+    ]
+
+
 def test_count_matches_bruteforce_smooth_and_singular():
-    for F in (quadric_f3(), cone_f3()):
-        for k in (1, 2, 3):
+    for F in [quadric_f3(), cone_f3()] + reducible_forms():
+        for k in range(1, F.d + 2):
             assert count_vk(F, k).count == count_vk_bruteforce(F, k)
+
+
+def test_count_on_the_projective_line():
+    # a smooth point of X in P^1 has no tangent direction; a multiple root
+    # has one, which the higher orders then filter
+    f7 = PrimeField(7)
+    assert count_vk(HyperForm(1, 3, {(3, 0): 1, (0, 3): 1}, f7), 2).count == 0
+    double = HyperForm(1, 3, {(2, 1): 1}, f7)
+    assert count_vk(double, 2).count == count_vk_bruteforce(double, 2) == 1
+    assert count_vk(double, 3).count == count_vk_bruteforce(double, 3) == 0
 
 
 def test_count_matches_bruteforce_random_forms():
+    # (n, q, largest d): the brute-force route walks every line, so P^3
+    # stays at small q and d
     rng = random.Random(19)
-    f = PrimeField(3)
-    done = 0
-    while done < 3:
-        n = rng.choice((2, 3))
-        terms = {}
-        for e in monomials(n, 2):
-            c = rng.randrange(3)
-            if c:
-                terms[e] = c
-        if not terms:
-            continue
-        F = HyperForm(n, 2, terms, f)
-        for k in (1, 2, 3):
-            assert count_vk(F, k).count == count_vk_bruteforce(F, k)
-        done += 1
+    for n, q, top in ((1, 3, 2), (1, 5, 4), (1, 7, 5), (2, 3, 2), (2, 5, 3),
+                      (2, 7, 3), (3, 3, 2), (3, 5, 2)):
+        f = PrimeField(q)
+        for _ in range(2 if n < 3 else 1):
+            d = rng.randint(1, top)
+            density = rng.choice((0.3, 1.0))
+            terms = {e: rng.randrange(1, q) for e in monomials(n, d) if rng.random() < density}
+            if not terms:
+                terms = {monomials(n, d)[0]: 1}
+            F = HyperForm(n, d, terms, f)
+            for k in range(1, d + 2):
+                assert count_vk(F, k).count == count_vk_bruteforce(F, k), (F, k)
+
+
+@pytest.mark.parametrize("q, expected", [(7, 49470), (11, 3507300)])
+def test_fermat_quintic_k5_counts(q, expected):
+    # computed by the earlier per-point counter
+    F = HyperForm.fermat(5, 5, PrimeField(q))
+    for workers in (1, 2):
+        assert count_vk(F, 5, workers=workers).count == expected
 
 
 def test_closed_forms():
@@ -107,11 +149,44 @@ def test_monotone_in_k():
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def test_worker_determinism():
+def test_worker_determinism(monkeypatch):
+    # a count this small would not fork: make every multiply-add worth a worker
+    monkeypatch.setattr(counting, "_WORK_PER_WORKER", 1)
     F = HyperForm.fermat(3, 3, PrimeField(7))
     baseline = count_vk(F, 3).count
-    for workers in (2, 3, 5):
+    for workers in (1, 2, 3, 5, len(os.sched_getaffinity(0))):
         assert count_vk(F, 3, workers=workers).count == baseline
+
+
+def test_worker_count_clamps():
+    cpus = len(os.sched_getaffinity(0))
+    plenty = 10 ** 6 * counting._WORK_PER_WORKER
+    assert worker_count(10 ** 6, plenty) == cpus
+    assert worker_count(1, plenty) == 1
+    assert worker_count(0, plenty) == 1
+    assert worker_count(-3, plenty) == 1
+    # small counts stay in-process
+    assert worker_count(cpus, 0) == 1
+    assert worker_count(cpus, counting._WORK_PER_WORKER - 1) == 1
+    assert worker_count(2, 2 * counting._WORK_PER_WORKER) == min(2, cpus)
+
+
+def test_exactness_guard_at_the_boundary():
+    # n = 2, d = 3, k = 3: the widest sum is the gradient's, over the
+    # C(4, 2) = 6 monomials of degree 2 in three variables
+    assert exactness_bound(2, 3, 3, 11) == 6 * 10 ** 2
+    last = math.isqrt((2 ** 53 - 1) // 6) + 1  # largest q with 6 (q-1)^2 < 2^53
+    assert exactness_bound(2, 3, 3, last) < 2 ** 53 <= exactness_bound(2, 3, 3, last + 1)
+    check_exact(2, 3, 3, last)
+    with pytest.raises(ValueError, match="too large for exact counting"):
+        check_exact(2, 3, 3, last + 1)
+
+
+def test_count_vk_refuses_inexact_q_before_enumerating():
+    # enumerating P^2(F_q) at this q would take exabytes; the guard comes first
+    F = HyperForm.fermat(2, 3, PrimeField(2147483647))
+    with pytest.raises(ValueError, match="too large for exact counting"):
+        count_vk(F, 3)
 
 
 def test_count_vk_validation():
