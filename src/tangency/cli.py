@@ -448,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "enumerative contact bounds, deformation checks, and "
                     "finite-field contact-locus counts.",
     )
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized experiments (current "
-                          "subcommands are deterministic; echoed for logs)")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def fmt(p, choices=("text", "json")):
@@ -574,6 +571,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, ZeroDivisionError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except MemoryError as ex:
+        print(f"error: {str(ex) or 'out of memory'}", file=sys.stderr)
         return 2
     except AssertionError as ex:
         print(f"internal assertion failure: {ex}", file=sys.stderr)

@@ -574,10 +574,6 @@ def _rref_lines(n: int, q: int):
                 yield tuple(r1), tuple(r2)
 
 
-def line_count(n: int, q: int) -> int:
-    return sum(1 for _ in _rref_lines(n, q))
-
-
 def count_vk_bruteforce(F: HyperForm, k: int) -> int:
     """Same count as count_vk, by walking every line and every marked point.
 

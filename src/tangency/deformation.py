@@ -16,9 +16,13 @@ whose kernel dimension (minus the Euler redundancy) is h0.  For a general
 smooth X and a line of exact contact k the expected value is 2n - k + 1.
 
 Two independent routes are kept deliberately: the truncated route
-differentiates an explicitly computed F_k, the direct route never forms
-F_k and instead pulls back the partials of F itself through the chain
-rule.  Tests compare them.
+differentiates an explicitly computed F_k (F.substitute(B, upto=k), then
+regrouped), the direct route never forms F_k and instead pulls back the
+partials dF/dx_j of F itself along the original line and combines them
+through the chain rule with the columns of B.  Both expand polynomials
+with forms.expand, written once and pinned against a sympy oracle in the
+tests; what the routes keep apart is the coordinates and the order of
+differentiation and truncation, so their agreement is still a check.
 """
 
 from __future__ import annotations
@@ -111,18 +115,15 @@ def canonical_line(n: int, field) -> LineParam:
 
 
 def _grouped_truncation(Fp: HyperForm, k: int) -> HyperForm:
-    # Fp is F in coordinates where the marked point is e0; homogenize the
-    # first k graded pieces of the local equation to degree k
-    f = Fp.field
+    # Fp is F in coordinates where the marked point is e0, already cut to
+    # order <= k there; homogenize its graded pieces to degree k
     out: dict[tuple[int, ...], object] = {}
     for e, c in Fp.terms.items():
         j = Fp.d - e[0]
         if j == 0:
             raise ValueError("form does not vanish at the marked point")
-        if j > k:
-            continue
         out[(k - j,) + e[1:]] = c
-    return HyperForm(Fp.n, k, out, f)
+    return HyperForm(Fp.n, k, out, Fp.field)
 
 
 @dataclass
@@ -141,7 +142,7 @@ def truncate(F: HyperForm, point, k: int) -> Truncation:
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
     B = point_completion_matrix(point, f)
-    return Truncation(_grouped_truncation(F.substitute(B), k), B, k)
+    return Truncation(_grouped_truncation(F.substitute(B, upto=k), k), B, k)
 
 
 def _chain_rule_pullbacks(F: HyperForm, L: LineParam, B, upto=None) -> list[list]:
@@ -187,7 +188,7 @@ def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) 
 
     lhs = _chain_rule_pullbacks(F, L, B, upto=k)
 
-    fk = _grouped_truncation(F.substitute(B), k)
+    fk = _grouped_truncation(F.substitute(B, upto=k), k)
     if corrupt:
         bump = (k - 1, 1) + (0,) * (F.n - 1)
         terms = dict(fk.terms)
@@ -261,7 +262,7 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
             rows = []
             used_truncation = False
         elif use_truncation:
-            fk = _grouped_truncation(F.substitute(B), k)
+            fk = _grouped_truncation(F.substitute(B, upto=k), k)
             pb = [pullback_of_partial(fk, i, Lc) for i in range(F.n + 1)]
             rows = _sections_matrix(pb, k, f)
             used_truncation = True

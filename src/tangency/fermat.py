@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import matrix_rank
-from .forms import HyperForm
+from .forms import HyperForm, expand
 
 
 class RootRing:
@@ -144,46 +144,6 @@ class FermatPlane:
         }
 
 
-def _substituted(terms: dict, points: list, ring) -> dict:
-    """F(u0*P0 + u1*P1 + u2*P2) as a dict over 3-variable exponents.
-
-    terms maps (n+1)-variable exponent tuples to coefficients understood
-    by ring.of when they are plain ints.  Only ring addition and
-    multiplication are used, so any exact commutative ring works.
-    """
-    nvars = len(points[0])
-    lin = []
-    for i in range(nvars):
-        row = {}
-        for m, pt in enumerate(points):
-            c = pt[i]
-            if not ring.is_zero(c):
-                exp = tuple(1 if t == m else 0 for t in range(3))
-                row[exp] = c
-        lin.append(row)
-
-    def mul3(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod = ring.mul(ca, cb)
-                out[key] = ring.add(out[key], prod) if key in out else prod
-        return {e: c for e, c in out.items() if not ring.is_zero(c)}
-
-    total: dict = {}
-    for e, c in sorted(terms.items()):
-        part = {(0, 0, 0): ring.of(c) if isinstance(c, int) else c}
-        for i, ei in enumerate(e):
-            for _ in range(ei):
-                if not part:
-                    break
-                part = mul3(part, lin[i])
-        for key, val in part.items():
-            total[key] = ring.add(total[key], val) if key in total else val
-    return {e: c for e, c in total.items() if not ring.is_zero(c)}
-
-
 def _certify_independent(points: list, ring) -> None:
     if hasattr(ring, "inv"):
         rows = [list(p) for p in points]
@@ -222,11 +182,11 @@ def verify_plane(F: HyperForm, points: list) -> bool:
     Raises if the points do not actually span a plane.
     """
     _certify_independent(points, F.field)
-    return not _substituted(F.terms, points, F.field)
+    return not expand(F.terms, points, F.field)
 
 
-def _fermat_terms(d: int) -> dict:
-    return {tuple(d if t == i else 0 for t in range(6)): 1 for i in range(6)}
+def _fermat_terms(ring: RootRing) -> dict:
+    return {tuple(ring.d if t == i else 0 for t in range(6)): ring.one for i in range(6)}
 
 
 def fermat_planes(d: int, verify: bool = True) -> list[FermatPlane]:
@@ -239,7 +199,7 @@ def fermat_planes(d: int, verify: bool = True) -> list[FermatPlane]:
     if d < 1:
         raise ValueError("degree must be >= 1")
     ring = RootRing(d)
-    terms = _fermat_terms(d)
+    terms = _fermat_terms(ring)
     out = []
     for pairing in pairings_of_six():
         for e1 in range(d):
@@ -249,7 +209,7 @@ def fermat_planes(d: int, verify: bool = True) -> list[FermatPlane]:
                     if verify:
                         pts = plane.spanning_points(ring)
                         _certify_independent(pts, ring)
-                        if _substituted(terms, pts, ring):
+                        if expand(terms, pts, ring):
                             raise AssertionError(
                                 f"plane {plane.key()} fails containment"
                             )

@@ -184,17 +184,6 @@ def random_kernel_vector(rows, ncols: int, field, rng):
     return v
 
 
-def invert_matrix(rows, field):
-    """Inverse of a square matrix; raises on singular input."""
-    m = len(rows)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(m)]
-           for i, r in enumerate(rows)]
-    rref, pivots = row_reduce(aug, 2 * m, field)
-    if pivots[:m] != list(range(m)) or len(rref) != m:
-        raise ValueError("matrix is singular")
-    return [r[m:] for r in rref]
-
-
 def mat_vec(rows, v, field):
     out = []
     for r in rows:

@@ -169,18 +169,6 @@ def reduce_class(x: FlagElt) -> FlagElt:
             return FlagElt(n, x.arity, terms)
 
 
-def drop_powers_at_least(x: FlagElt, bound: int, slot: int = 1) -> FlagElt:
-    """Discard terms whose H1 (or H2) exponent is >= bound.
-
-    Only sound when the dropped terms are known to die under the ring
-    relations anyway, e.g. H1^m for m > n after multiplying by s11.
-    """
-    pick = 0 if slot == 1 else 1
-    return FlagElt(
-        x.n, x.arity, {e: c for e, c in x.terms.items() if e[pick] < bound}
-    )
-
-
 def pushforward(x: FlagElt) -> SchubertElt:
     """Integrate over the P^1 fibers (both of them at arity 2)."""
     r = reduce_class(x)

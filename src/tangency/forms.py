@@ -5,14 +5,19 @@ field (QQ or F_p with p > d; the bound keeps every factorial up to d
 invertible, which the jet computations rely on).  A LineParam is a rank-2
 parametrization L(s, t) = s*u + t*p; the marked point is p = L([0:1]).
 
+One routine, expand, writes a form in new linear coordinates:
+F(y_0*c_0 + ... + y_m*c_m), optionally cut to degree <= top in y_1..y_m
+while it multiplies.  Along a line, F(t*p + s*u) = sum_m s^m t^(d-m) G_m(p, u),
+so contact order, HyperForm.pullback, pullback_of_partial (the same
+expansion of dF/dx_i) and the order-k substitution behind the truncation
+F_k are all this one expansion, over QQ, F_p or the Fermat root ring.
+
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
 of s^m t^(D-m).
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .fields import PrimeField
 
@@ -32,41 +37,75 @@ def monomials(n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
+    """F(y_0*cols[0] + ... + y_m*cols[m]) as a dict {y-exponent tuple: coefficient}.
+
+    terms maps x-exponent tuples to ring elements and cols[j][i] is the
+    coefficient of y_j in x_i.  With top set, every monomial of degree
+    > top in y_1..y_m is dropped while the products are formed: that
+    degree never falls as more linear factors are multiplied in, so a
+    truncated expansion costs only what it keeps.  Zero coefficients are
+    left out of the result.  Only ring.add, ring.mul and ring.is_zero are
+    used, so any exact commutative ring works.
+    """
+    if not terms or (top is not None and top < 0):
+        return {}
+    add, mul = ring.add, ring.mul
+    # a y-monomial is the packed integer sum_j a_j * base^j: no exponent
+    # reaches base, so a product is one integer add and key % base is a_0
+    base = 1 + max(map(sum, terms))
+    places = [base ** j for j in range(len(cols))]
+    lin = [{pl: col[i] for pl, col in zip(places, cols) if not ring.is_zero(col[i])}
+           for i in range(len(cols[0]))]
+
+    def times(a: dict, b: dict, deg: int) -> dict:
+        # deg is the degree of every product monomial; it has degree
+        # deg - a_0 in y_1..y_m
+        cut = -1 if top is None else deg - top
+        out: dict = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                if k % base < cut:
+                    continue
+                v = mul(ca, cb)
+                out[k] = add(out[k], v) if k in out else v
+        return out
+
+    powers: dict[tuple[int, int], dict] = {}
+
+    def power(i: int, e: int) -> dict:
+        got = powers.get((i, e))
+        if got is None:
+            got = lin[i] if e == 1 else times(power(i, e - 1), lin[i], e)
+            powers[(i, e)] = got
+        return got
+
+    total: dict = {}
+    for e, c in terms.items():
+        part = {0: c}
+        deg = 0
+        for i, ei in enumerate(e):
+            if ei:
+                deg += ei
+                part = times(part, power(i, ei), deg)
+        for k, v in part.items():
+            total[k] = add(total[k], v) if k in total else v
+
+    out = {}
+    for k, c in total.items():
+        if ring.is_zero(c):
+            continue
+        exps = []
+        for _ in places:
+            k, a = divmod(k, base)
+            exps.append(a)
+        out[tuple(exps)] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # binary forms in (s, t): list indexed by s-exponent
-
-
-def linear_power(cs, ct, e: int, field, upto: int | None = None) -> list:
-    """Coefficients of (cs*s + ct*t)^e, optionally truncated to s-degree < upto."""
-    top = e if upto is None else min(e, upto - 1)
-    out = []
-    for m in range(top + 1):
-        c = field.mul(field.of(comb(e, m)),
-                      field.mul(_pow(field, cs, m), _pow(field, ct, e - m)))
-        out.append(c)
-    return out
-
-
-def _pow(field, x, e: int):
-    acc = field.one
-    for _ in range(e):
-        acc = field.mul(acc, x)
-    return acc
-
-
-def binary_mul(a: list, b: list, field, upto: int | None = None) -> list:
-    n = len(a) + len(b) - 1
-    if upto is not None:
-        n = min(n, upto)
-    out = [field.zero] * n
-    for i, ca in enumerate(a):
-        if i >= n or field.is_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] = field.add(out[i + j], field.mul(ca, cb))
-    return out
 
 
 def binary_add(a: list, b: list, field) -> list:
@@ -80,10 +119,6 @@ def binary_add(a: list, b: list, field) -> list:
 
 def binary_scale(a: list, c, field) -> list:
     return [field.mul(c, v) for v in a]
-
-
-def binary_is_zero(a: list, field) -> bool:
-    return all(field.is_zero(c) for c in a)
 
 
 def s_valuation(a: list, field) -> int | None:
@@ -133,16 +168,6 @@ class LineParam:
     def direction(self) -> list:
         """L([1:0]) = u."""
         return [r[0] for r in self.rows]
-
-    def point_at(self, s, t) -> list:
-        f = self.field
-        return [f.add(f.mul(r[0], s), f.mul(r[1], t)) for r in self.rows]
-
-    def is_canonical(self) -> bool:
-        """True when L(s,t) = (t, s, 0, ..., 0)."""
-        f = self.field
-        want = [(f.zero, f.one), (f.one, f.zero)] + [(f.zero, f.zero)] * (self.n - 1)
-        return self.rows == want
 
     def text(self) -> str:
         return "\n".join(f"{r[0]} {r[1]}" for r in self.rows)
@@ -202,17 +227,9 @@ class HyperForm:
 
     def partial(self, i: int) -> "HyperForm":
         """d/dx_i, a form of degree d-1 (zero forms kept as empty term dicts)."""
-        f = self.field
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = f.mul(c, f.of(e[i]))
         if self.d == 1:
             raise ValueError("cannot differentiate a linear form to degree 0 here")
-        return HyperForm(self.n, self.d - 1, out, f)
+        return HyperForm(self.n, self.d - 1, _derivative_terms(self, i), self.field)
 
     def gradient(self, point) -> list:
         return [self.partial(i).evaluate(point) for i in range(self.n + 1)]
@@ -221,77 +238,21 @@ class HyperForm:
         """Restriction F(L(s,t)) as a binary form; upto truncates the s-degree."""
         if line.n != self.n:
             raise ValueError(f"line in P^{line.n} cannot pull back a form on P^{self.n}")
-        f = self.field
         width = self.d + 1 if upto is None else min(self.d + 1, upto)
-        acc = [f.zero] * width
-        for e, c in self.terms.items():
-            part = [c]
-            for (cs, ct), ei in zip(line.rows, e):
-                if ei == 0:
-                    continue
-                part = binary_mul(part, linear_power(cs, ct, ei, f, upto), f, upto)
-            for m, v in enumerate(part):
-                if m < width:
-                    acc[m] = f.add(acc[m], v)
-        return acc
+        return _along_line(self.terms, self.d, line, width)
 
-    def substitute(self, B) -> "HyperForm":
-        """Linear change of coordinates x_i = sum_j B[i][j] * y_j."""
+    def substitute(self, B, upto: int | None = None) -> "HyperForm":
+        """Linear change of coordinates x_i = sum_j B[i][j] * y_j.
+
+        upto keeps only the monomials of degree <= upto in y_1..y_n, the
+        order at the point whose coordinates are column 0 of B.
+        """
         f = self.field
         n1 = self.n + 1
         if len(B) != n1 or any(len(r) != n1 for r in B):
             raise ValueError("substitution matrix has wrong shape")
-        B = [[f.of(c) for c in row] for row in B]
-        lin = [[(j, c) for j, c in enumerate(row) if not f.is_zero(c)] for row in B]
-        zero_mono = (0,) * n1
-        pow_cache: dict[tuple[int, int], dict] = {}
-
-        def linpow(i: int, e: int) -> dict:
-            if e == 0:
-                return {zero_mono: f.one}
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is not None:
-                return got
-            prev = linpow(i, e - 1)
-            r: dict = {}
-            for mono, c in prev.items():
-                for j, cj in lin[i]:
-                    m2 = list(mono)
-                    m2[j] += 1
-                    m2 = tuple(m2)
-                    v = f.add(r.get(m2, f.zero), f.mul(c, cj))
-                    if f.is_zero(v):
-                        r.pop(m2, None)
-                    else:
-                        r[m2] = v
-            pow_cache[key] = r
-            return r
-
-        out: dict = {}
-        for e, c in self.terms.items():
-            part = {zero_mono: c}
-            for i, ei in enumerate(e):
-                if ei == 0:
-                    continue
-                factor = linpow(i, ei)
-                nxt: dict = {}
-                for m1, c1 in part.items():
-                    for m2, c2 in factor.items():
-                        m = tuple(a + b for a, b in zip(m1, m2))
-                        v = f.add(nxt.get(m, f.zero), f.mul(c1, c2))
-                        if f.is_zero(v):
-                            nxt.pop(m, None)
-                        else:
-                            nxt[m] = v
-                part = nxt
-            for m, v in part.items():
-                w = f.add(out.get(m, f.zero), v)
-                if f.is_zero(w):
-                    out.pop(m, None)
-                else:
-                    out[m] = w
-        return HyperForm(self.n, self.d, out, f)
+        cols = [[f.of(row[j]) for row in B] for j in range(n1)]
+        return HyperForm(self.n, self.d, expand(self.terms, cols, f, upto), f)
 
     def text(self) -> str:
         lines = []
@@ -308,28 +269,33 @@ class HyperForm:
         return f"HyperForm(n={self.n}, d={self.d}, {len(self.terms)} terms)"
 
 
+def _derivative_terms(F: HyperForm, i: int) -> dict:
+    f = F.field
+    out = {}
+    for e, c in F.terms.items():
+        if e[i] == 0:
+            continue
+        e2 = list(e)
+        e2[i] -= 1
+        out[tuple(e2)] = f.mul(c, f.of(e[i]))
+    return out
+
+
+def _along_line(terms: dict, deg: int, line: LineParam, width: int) -> list:
+    # the degree-deg form terms on L(s,t) = s*u + t*p, first width s-coefficients
+    f = line.field
+    got = expand(terms, [line.marked_point(), line.direction()], f, width - 1)
+    return [got.get((deg - m, m), f.zero) for m in range(width)]
+
+
 def pullback_of_partial(F: HyperForm, i: int, line: LineParam, upto: int | None = None) -> list:
     """Restriction of dF/dx_i to a line, as a binary form of degree d-1.
 
     Works for any d >= 1 (a linear form's partial is a constant, which a
     HyperForm cannot carry), so every jet computation routes through here.
     """
-    f = F.field
     width = F.d if upto is None else min(F.d, upto)
-    acc = [f.zero] * width
-    for e, c in F.terms.items():
-        if e[i] == 0:
-            continue
-        part = [f.mul(c, f.of(e[i]))]
-        for j, ((cs, ct), ej) in enumerate(zip(line.rows, e)):
-            ej = ej - 1 if j == i else ej
-            if ej == 0:
-                continue
-            part = binary_mul(part, linear_power(cs, ct, ej, f, upto), f, upto)
-        for m, v in enumerate(part):
-            if m < width:
-                acc[m] = f.add(acc[m], v)
-    return acc
+    return _along_line(_derivative_terms(F, i), F.d - 1, line, width)
 
 
 def parse_form(text: str, field) -> HyperForm:

@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from tangency import cli
 from tangency.cli import main, parse_expression
 
 
@@ -219,6 +220,13 @@ def test_count_vk_inexact_q_exit_2(capsys, tmp_path):
     assert "too large for exact counting" in err
 
 
-def test_seed_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "bound", "planes")
-    assert code == 0 and out.strip() == "35*d^4 - 150*d^3 + 120*d^2"
+def test_count_vk_out_of_memory_exit_2(capsys, tmp_path, monkeypatch):
+    path = fermat_file(tmp_path, 2, 3)
+    for ex, shown in ((MemoryError("Unable to allocate 4.00 GiB"), "Unable to allocate 4.00 GiB"),
+                      (MemoryError(), "out of memory")):
+        def exhausted(*args, ex=ex, **kwargs):
+            raise ex
+
+        monkeypatch.setattr(cli, "count_vk", exhausted)
+        got = run(capsys, "count-vk", "--input", path, "--q", "5", "--k", "1")
+        assert got == (2, "", f"error: {shown}\n")

@@ -18,7 +18,6 @@ from tangency.counting import (
     dimension_slope,
     exactness_bound,
     hypersurface_points,
-    line_count,
     lines_in_hypersurface,
     pp_count,
     projective_reps,
@@ -199,8 +198,8 @@ def test_count_vk_validation():
 
 
 def test_line_count_formulas():
-    assert line_count(2, 3) == 13
-    assert line_count(3, 3) == (3 ** 2 + 1) * (3 ** 2 + 3 + 1)
+    assert sum(1 for _ in counting._rref_lines(2, 3)) == 13
+    assert sum(1 for _ in counting._rref_lines(3, 3)) == (3 ** 2 + 1) * (3 ** 2 + 3 + 1)
 
 
 def test_lines_on_smooth_quadric_surface():

@@ -8,7 +8,6 @@ import pytest
 from tangency.dpoly import DPoly
 from tangency.flag import (
     FlagElt,
-    drop_powers_at_least,
     hclass,
     integrate,
     multiply_unreduced,
@@ -96,20 +95,6 @@ def test_mul_operator_reduces():
     assert sq == hclass(n, 1, 1).scale(sigma(n, 1)) - FlagElt.from_base(
         sigma(n, 1, 1), arity=1
     )
-
-
-def test_drop_powers_matches_full_reduction_in_pipelines():
-    # dropping H-exponents >= n+1 mid-pipeline must not change integrals
-    rng = random.Random(9)
-    for _ in range(20):
-        n = rng.choice((3, 4))
-        x = random_flag(n, 1, rng, max_h=n)
-        y = random_flag(n, 1, rng, max_h=n)
-        full = reduce_class(multiply_unreduced(x, y))
-        trimmed = reduce_class(
-            drop_powers_at_least(multiply_unreduced(x, y), n + 2)
-        )
-        assert full == trimmed
 
 
 def test_pushforward_examples():

@@ -10,9 +10,7 @@ from tangency.fields import QQ, PrimeField
 from tangency.forms import (
     HyperForm,
     LineParam,
-    binary_is_zero,
-    binary_mul,
-    linear_power,
+    expand,
     monomials,
     parse_form,
     parse_line_param,
@@ -31,25 +29,11 @@ def test_monomials_enumeration():
     assert len(monomials(4, 3)) == comb(4 + 3, 3)
 
 
-def test_binary_arithmetic_against_direct_expansion():
-    f = PrimeField(101)
-    # (2s + 3t)^4 expanded coefficient by coefficient
-    coeffs = linear_power(2, 3, 4, f)
-    for idx, c in enumerate(coeffs):
-        # coefficient of s^idx t^(4-idx)
-        from math import comb
-
-        assert c == comb(4, idx) * 2 ** idx * 3 ** (4 - idx) % 101
-    prod = binary_mul([1, 1], [1, 100], f)  # (t + s)(t - s) = t^2 - s^2
-    assert prod == [1, 0, 100]
-
-
 def test_s_valuation():
     f = QQ
     assert s_valuation([0, 0, Fraction(3)], f) == 2
     assert s_valuation([Fraction(1)], f) == 0
     assert s_valuation([0, 0], f) is None
-    assert binary_is_zero([0, 0], f)
 
 
 def test_line_param_validation():
@@ -59,7 +43,6 @@ def test_line_param_validation():
     line = LineParam.from_point_direction([1, 0, 0], [0, 1, 0], f)
     assert line.marked_point() == [1, 0, 0]
     assert line.direction() == [0, 1, 0]
-    assert line.point_at(1, 1) == [1, 1, 0]
 
 
 def test_hyperform_validation():
@@ -151,6 +134,51 @@ def test_substitute_is_multiplicative_in_the_matrix():
             for i in range(3)
         ]
         assert F.substitute(A).substitute(B) == F.substitute(AB)
+
+
+def _random_terms(n, d, field, rng):
+    return {e: field.random(rng) for e in monomials(n, d) if rng.random() < 0.6}
+
+
+def test_expand_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    for field in (QQ, PrimeField(101)):
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            d = rng.randint(1, 5)
+            width = rng.randint(1, n + 1)
+            terms = _random_terms(n, d, field, rng)
+            cols = [[field.random(rng) if rng.random() < 0.8 else field.zero
+                     for _ in range(n + 1)] for _ in range(width)]
+            ys = sympy.symbols(f"y0:{width}")
+            xs = [sum(sympy.Rational(col[i]) * y for col, y in zip(cols, ys))
+                  for i in range(n + 1)]
+            F = sum(sympy.Rational(c) * sympy.Mul(*(x ** ei for x, ei in zip(xs, e)))
+                    for e, c in terms.items())
+            full = {}
+            for mono, c in sympy.Poly(sympy.expand(F), *ys).terms():
+                c = field.of(Fraction(int(c.p), int(c.q)))
+                if not field.is_zero(c):
+                    full[mono] = c
+            assert expand(terms, cols, field) == full
+            for top in range(d):
+                kept = {e: c for e, c in full.items() if sum(e[1:]) <= top}
+                assert expand(terms, cols, field, top) == kept
+
+
+def test_truncated_substitute_is_the_low_order_part():
+    rng = random.Random(47)
+    for field in (QQ, PrimeField(101)):
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            d = rng.randint(1, 5)
+            F = HyperForm(n, d, _random_terms(n, d, field, rng), field)
+            B = [[field.random(rng) for _ in range(n + 1)] for _ in range(n + 1)]
+            full = F.substitute(B).terms
+            for k in range(d + 1):
+                kept = {e: c for e, c in full.items() if d - e[0] <= k}
+                assert F.substitute(B, upto=k).terms == kept
 
 
 def test_parse_form_roundtrip_and_errors():
