@@ -23,12 +23,21 @@ through the chain rule with the columns of B.  Both expand polynomials
 with forms.expand, written once and pinned against a sympy oracle in the
 tests; what the routes keep apart is the coordinates and the order of
 differentiation and truncation, so their agreement is still a check.
+
+Within one (F, L, k) nothing is computed twice: a _Jets holds B, the
+chain-rule pullbacks mod s^k (direct route) and F_k with its partials
+(truncated route), and log_sections and congruence_check are thin wrappers
+that build one and hand it to the shared section and congruence code.
+contact_experiment builds one per trial and takes the contact order from
+the exact check sample_contact_form already makes; the conditioning rows
+of that sampling come from one forms.expand_each pass over the monomials.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .fields import PrimeField, kernel_basis, mat_vec, random_kernel_vector, row_reduce
 from .forms import (
@@ -36,6 +45,7 @@ from .forms import (
     LineParam,
     binary_add,
     binary_scale,
+    expand_each,
     monomials,
     pullback_of_partial,
     s_valuation,
@@ -169,6 +179,49 @@ class CongruenceReport:
     corrupted: bool
 
 
+def _require_contact(F: HyperForm, L: LineParam, k: int):
+    # the contact order of L at the marked point, refused if below k
+    co = contact_order(F, L)
+    if co != CONTAINED and co < k:
+        raise ValueError(f"line has contact order {co} < k = {k} at the marked point")
+    return co
+
+
+class _Jets:
+    """The jets of F along L mod s^k that both routes of one (F, L, k) read,
+    each computed on first use and then kept.
+
+    chain is the direct route (partials of F pulled back along L, combined
+    by the chain rule); fk and fk_partials are the truncated route (F_k and
+    its partials along the canonical line).  Neither is derived from the
+    other, so comparing them stays a check.
+    """
+
+    def __init__(self, F: HyperForm, L: LineParam, k: int):
+        self.F, self.L, self.k = F, L, k
+
+    @cached_property
+    def B(self) -> list:
+        return line_completion_matrix(self.L)
+
+    @cached_property
+    def chain(self) -> list[list]:
+        return _chain_rule_pullbacks(self.F, self.L, self.B, upto=self.k)
+
+    @cached_property
+    def fk(self) -> HyperForm:
+        return _grouped_truncation(self.F.substitute(self.B, upto=self.k), self.k)
+
+    @cached_property
+    def fk_partials(self) -> list[list]:
+        return _canonical_partials(self.fk, self.k)
+
+
+def _canonical_partials(fk: HyperForm, k: int) -> list[list]:
+    Lc = canonical_line(fk.n, fk.field)
+    return [pullback_of_partial(fk, i, Lc, upto=k) for i in range(fk.n + 1)]
+
+
 def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) -> CongruenceReport:
     """Verify dF'/dy_i(a) == a0^(d-k) dF_k/dy_i(a) mod s^k for every i.
 
@@ -177,30 +230,27 @@ def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) 
     truncation is deliberately damaged first, as a fault-injection control:
     the report must then fail.
     """
-    f = F.field
-    co = contact_order(F, L)
-    if co != CONTAINED and co < k:
-        raise ValueError(f"line has contact order {co} < k = {k} at the marked point")
+    _require_contact(F, L, k)
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
-    B = line_completion_matrix(L)
-    Lc = canonical_line(F.n, f)
+    return _congruence(_Jets(F, L, k), corrupt)
 
-    lhs = _chain_rule_pullbacks(F, L, B, upto=k)
 
-    fk = _grouped_truncation(F.substitute(B, upto=k), k)
+def _congruence(jets: _Jets, corrupt: bool = False) -> CongruenceReport:
+    k = jets.k
+    f = jets.F.field
     if corrupt:
-        bump = (k - 1, 1) + (0,) * (F.n - 1)
+        fk = jets.fk
+        bump = (k - 1, 1) + (0,) * (fk.n - 1)
         terms = dict(fk.terms)
         terms[bump] = f.add(terms.get(bump, f.zero), f.one)
-        fk = HyperForm(fk.n, fk.d, terms, f)
-    per = []
-    for i in range(F.n + 1):
-        # multiplying by a0^(d-k) = t^(d-k) shifts no s-exponents, so the
-        # comparison mod s^k is coefficientwise on the first k entries
-        rhs = pullback_of_partial(fk, i, Lc, upto=k)
-        ok = all(f.is_zero(f.sub(a, b)) for a, b in zip(lhs[i], rhs))
-        per.append(ok)
+        rhs = _canonical_partials(HyperForm(fk.n, fk.d, terms, f), k)
+    else:
+        rhs = jets.fk_partials
+    # multiplying by a0^(d-k) = t^(d-k) shifts no s-exponents, so the
+    # comparison mod s^k is coefficientwise on the first k entries
+    per = [all(f.is_zero(f.sub(a, b)) for a, b in zip(lhs, rh))
+           for lhs, rh in zip(jets.chain, rhs)]
     return CongruenceReport(k, per, all(per), corrupt)
 
 
@@ -242,34 +292,27 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     identity sum b_i dF'/dy_i(a) = 0 (all s-degrees), and no expected
     h0 is attached.
     """
-    f = F.field
     if k < 0:
         raise ValueError("k must be >= 0")
-    co = contact_order(F, L)
-    B = line_completion_matrix(L)
-    Lc = canonical_line(F.n, f)
-    expected: int | None = 2 * F.n - k + 1
+    return _sections(_Jets(F, L, k), _require_contact(F, L, k), use_truncation)
 
+
+def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
+    F, k = jets.F, jets.k
+    f = F.field
+    expected: int | None = 2 * F.n - k + 1
+    used_truncation = False
     if co == CONTAINED:
-        pb = _chain_rule_pullbacks(F, L, B)
+        pb = _chain_rule_pullbacks(F, jets.L, jets.B)
         rows = _sections_matrix(pb, F.d + 1, f)
         expected = None
-        used_truncation = False
+    elif k == 0:
+        rows = []
+    elif use_truncation:
+        rows = _sections_matrix(jets.fk_partials, k, f)
+        used_truncation = True
     else:
-        if co < k:
-            raise ValueError(f"line has contact order {co} < k = {k} at the marked point")
-        if k == 0:
-            rows = []
-            used_truncation = False
-        elif use_truncation:
-            fk = _grouped_truncation(F.substitute(B, upto=k), k)
-            pb = [pullback_of_partial(fk, i, Lc) for i in range(F.n + 1)]
-            rows = _sections_matrix(pb, k, f)
-            used_truncation = True
-        else:
-            pb = _chain_rule_pullbacks(F, L, B, upto=k)
-            rows = _sections_matrix(pb, k, f)
-            used_truncation = False
+        rows = _sections_matrix(jets.chain, k, f)
 
     ncols = 2 * (F.n + 1)
     kern = kernel_basis(rows, ncols, f) if rows else [
@@ -322,25 +365,30 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
     n = L.n
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k = {k}, d = {d}")
-    monos = monomials(n, d)
-    cols = []
-    for e in monos:
-        g = HyperForm(n, d, {e: f.one}, f)
-        cols.append(g.pullback(L, upto=k))
-    rows = [[col[m] for col in cols] for m in range(k)]
+    monos, rows = _conditioning_rows(L, d, k)
     p = L.marked_point()
     for _ in range(max_tries):
         c = random_kernel_vector(rows, len(monos), f, rng)
         F = HyperForm(n, d, dict(zip(monos, c)), f)
         if F.is_zero():
             continue
-        w = F.pullback(L)
-        if s_valuation(w, f) != k:
+        # rows force s^0..s^(k-1) to vanish; contact is exactly k iff s^k does not
+        if s_valuation(F.pullback(L, upto=k + 1), f) != k:
             continue
         if all(f.is_zero(g) for g in F.gradient(p)):
             continue
         return F
     raise RuntimeError("failed to sample a form of exact contact order")
+
+
+def _conditioning_rows(L: LineParam, d: int, k: int):
+    """The degree-d monomials of L's space and the k x N matrix whose column
+    j holds the s^0..s^(k-1) coefficients of monomial j restricted to L."""
+    f = L.field
+    monos = monomials(L.n, d)
+    got = expand_each({e: f.one for e in monos},
+                      [L.marked_point(), L.direction()], f, k - 1)
+    return monos, [[got[e].get((d - m, m), f.zero) for e in monos] for m in range(k)]
 
 
 @dataclass
@@ -378,10 +426,25 @@ def _kernel_space_signature(basis, ncols, field):
     return [tuple(r) for r in rref]
 
 
+def _trial_routes(F: HyperForm, L: LineParam, k: int):
+    """The direct and truncated sections and the congruence report for a
+    sampled (F, L) of exact contact k, from one shared _Jets."""
+    jets = _Jets(F, L, k)
+    return _sections(jets, k, False), _sections(jets, k, True), _congruence(jets)
+
+
 def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> ExperimentSummary:
     """Randomized end-to-end run: sample (line, form) pairs of exact contact k
     and verify Euler membership, the congruence, agreement of the truncated
-    and direct section systems, and the h0 = 2n-k+1 expectation."""
+    and direct section systems, and the h0 = 2n-k+1 expectation.
+
+    A trial computes each exact object once: the conditioning rows in one
+    expansion pass, the contact order from the check that sampling makes
+    (no contact_order call), and one _Jets (B, the chain-rule pullbacks mod
+    s^k, F_k and its partials) that both section systems and the congruence
+    read.  The direct and truncated routes stay separate computations, so
+    routes_agree and congruence_ok still compare independent results.
+    """
     gf = PrimeField(prime)
     master = random.Random(seed)
     trial_seeds = [master.getrandbits(64) for _ in range(trials)]
@@ -394,14 +457,12 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
         L = sample_line(n, gf, rng)
         F = sample_contact_form(L, d, k, rng)
 
-        direct = log_sections(F, L, k, use_truncation=False)
-        trunc = log_sections(F, L, k, use_truncation=True)
+        direct, trunc, cc = _trial_routes(F, L, k)
         ncols = 2 * (n + 1)
         agree = (
             _kernel_space_signature(direct.basis, ncols, gf)
             == _kernel_space_signature(trunc.basis, ncols, gf)
         )
-        cc = congruence_check(F, L, k)
         expected = 2 * n - k + 1
         records.append(TrialRecord(
             index=idx, n=n, d=d, k=k,

@@ -11,6 +11,8 @@ while it multiplies.  Along a line, F(t*p + s*u) = sum_m s^m t^(d-m) G_m(p, u),
 so contact order, HyperForm.pullback, pullback_of_partial (the same
 expansion of dF/dx_i) and the order-k substitution behind the truncation
 F_k are all this one expansion, over QQ, F_p or the Fermat root ring.
+expand_each runs the same per-term products but returns each term's
+expansion on its own (the conditioning rows of a sampled form).
 
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
@@ -50,6 +52,27 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
     """
     if not terms or (top is not None and top < 0):
         return {}
+    base, parts = _term_products(terms, cols, ring, top)
+    add = ring.add
+    total: dict = {}
+    for _, part in parts:
+        for k, v in part.items():
+            total[k] = add(total[k], v) if k in total else v
+    return _unpack(total, base, len(cols), ring)
+
+
+def expand_each(terms: dict, cols, ring, top: int | None = None) -> dict:
+    """{e: expand({e: terms[e]}, cols, ring, top)} for every term e, in one
+    pass that computes the truncated powers of each linear form once."""
+    if not terms or (top is not None and top < 0):
+        return {e: {} for e in terms}
+    base, parts = _term_products(terms, cols, ring, top)
+    return {e: _unpack(part, base, len(cols), ring) for e, part in parts}
+
+
+def _term_products(terms: dict, cols, ring, top):
+    # (base, iterator over (e, c * prod_i (sum_j y_j cols[j][i])^e_i)), each
+    # product a dict keyed by packed y-monomials
     add, mul = ring.add, ring.mul
     # a y-monomial is the packed integer sum_j a_j * base^j: no exponent
     # reaches base, so a product is one integer add and key % base is a_0
@@ -81,23 +104,26 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
             powers[(i, e)] = got
         return got
 
-    total: dict = {}
-    for e, c in terms.items():
-        part = {0: c}
-        deg = 0
-        for i, ei in enumerate(e):
-            if ei:
-                deg += ei
-                part = times(part, power(i, ei), deg)
-        for k, v in part.items():
-            total[k] = add(total[k], v) if k in total else v
+    def products():
+        for e, c in terms.items():
+            part = {0: c}
+            deg = 0
+            for i, ei in enumerate(e):
+                if ei:
+                    deg += ei
+                    part = times(part, power(i, ei), deg)
+            yield e, part
 
+    return base, products()
+
+
+def _unpack(packed: dict, base: int, width: int, ring) -> dict:
     out = {}
-    for k, c in total.items():
+    for k, c in packed.items():
         if ring.is_zero(c):
             continue
         exps = []
-        for _ in places:
+        for _ in range(width):
             k, a = divmod(k, base)
             exps.append(a)
         out[tuple(exps)] = c
@@ -215,15 +241,7 @@ class HyperForm:
 
     def evaluate(self, point) -> object:
         f = self.field
-        point = [f.of(x) for x in point]
-        acc = f.zero
-        for e, c in self.terms.items():
-            v = c
-            for x, ei in zip(point, e):
-                for _ in range(ei):
-                    v = f.mul(v, x)
-            acc = f.add(acc, v)
-        return acc
+        return _evaluate_terms(self.terms, [f.of(x) for x in point], f)
 
     def partial(self, i: int) -> "HyperForm":
         """d/dx_i, a form of degree d-1 (zero forms kept as empty term dicts)."""
@@ -232,7 +250,11 @@ class HyperForm:
         return HyperForm(self.n, self.d - 1, _derivative_terms(self, i), self.field)
 
     def gradient(self, point) -> list:
-        return [self.partial(i).evaluate(point) for i in range(self.n + 1)]
+        """The partials at point; for d = 1 they are the constant coefficients."""
+        f = self.field
+        point = [f.of(x) for x in point]
+        return [_evaluate_terms(_derivative_terms(self, i), point, f)
+                for i in range(self.n + 1)]
 
     def pullback(self, line: LineParam, upto: int | None = None) -> list:
         """Restriction F(L(s,t)) as a binary form; upto truncates the s-degree."""
@@ -279,6 +301,17 @@ def _derivative_terms(F: HyperForm, i: int) -> dict:
         e2[i] -= 1
         out[tuple(e2)] = f.mul(c, f.of(e[i]))
     return out
+
+
+def _evaluate_terms(terms: dict, point: list, f) -> object:
+    acc = f.zero
+    for e, c in terms.items():
+        v = c
+        for x, ei in zip(point, e):
+            for _ in range(ei):
+                v = f.mul(v, x)
+        acc = f.add(acc, v)
+    return acc
 
 
 def _along_line(terms: dict, deg: int, line: LineParam, width: int) -> list:

@@ -1,13 +1,19 @@
 """Contact orders, truncations, the jet congruence, and the deformation
 space dimensions h0 = 2n-k+1."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from tangency.deformation import (
     CONTAINED,
+    TrialRecord,
+    _conditioning_rows,
+    _trial_routes,
     canonical_line,
     congruence_check,
     contact_experiment,
@@ -18,7 +24,7 @@ from tangency.deformation import (
     truncate,
 )
 from tangency.fields import QQ, PrimeField
-from tangency.forms import HyperForm, LineParam, parse_form, s_valuation
+from tangency.forms import HyperForm, LineParam, monomials, parse_form, s_valuation
 
 
 def conic_and_tangent():
@@ -185,3 +191,100 @@ def test_log_sections_from_files(tmp_path):
     F = parse_form(form_file.read_text(), QQ)
     L = LineParam([(0, 1), (1, 0), (0, 0)], QQ)
     assert log_sections(F, L, 2).h0 == 3
+
+
+def test_sample_contact_form_linear():
+    # d = 1: the gradient is the constant coefficient vector
+    rng = random.Random(3)
+    for f in (QQ, PrimeField(7)):
+        L = sample_line(2, f, rng)
+        F = sample_contact_form(L, 1, 1, rng)
+        assert F.d == 1
+        assert s_valuation(F.pullback(L), f) == 1
+        assert any(not f.is_zero(g) for g in F.gradient(L.marked_point()))
+
+
+FIELDS = {"QQ": QQ, "F7": PrimeField(7), "F101": PrimeField(101)}
+
+
+@st.composite
+def lines_and_degrees(draw):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    entry = st.tuples(st.integers(-6, 6), st.integers(1, 3))
+    rows = []
+    for _ in range(n + 1):
+        pair = draw(st.tuples(entry, entry))
+        rows.append(tuple(field.mul(field.of(a), field.inv(field.of(b))) for a, b in pair))
+    try:
+        L = LineParam(rows, field)
+    except ValueError:
+        assume(False)
+    return L, d
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines_and_degrees())
+def test_conditioning_rows_match_per_monomial_pullbacks(case):
+    # oracle: one single-term form and one truncated pullback per monomial
+    L, d = case
+    f = L.field
+    for k in range(1, d + 1):
+        monos, rows = _conditioning_rows(L, d, k)
+        assert monos == monomials(L.n, d)
+        cols = [HyperForm(L.n, d, {e: f.one}, f).pullback(L, upto=k) for e in monos]
+        assert rows == [[col[m] for col in cols] for m in range(k)]
+
+
+@pytest.mark.parametrize("label", ["QQ", "F101"])
+def test_trial_routes_equal_the_public_wrappers(label):
+    field = FIELDS[label]
+    rng = random.Random(f"trial routes {label}")
+    for _ in range(6):
+        n = rng.choice((3, 4))
+        d = rng.choice((n, n + 1))
+        k = rng.randint(1, min(4, d))
+        L = sample_line(n, field, rng)
+        F = sample_contact_form(L, d, k, rng)
+        direct, trunc, cc = _trial_routes(F, L, k)
+        assert direct == log_sections(F, L, k, use_truncation=False)
+        assert trunc == log_sections(F, L, k, use_truncation=True)
+        assert cc == congruence_check(F, L, k)
+        assert direct.contact == trunc.contact == k
+        assert not direct.truncated and trunc.truncated
+
+
+# (n, d, k) of each trial of contact_experiment(40, seed=2026), recorded
+# from the implementation that recomputed the jets for every route; every
+# trial matched h0 = 2n - k + 1 with all checks passing
+PINNED_40 = ("344 454 551 354 332 454 563 351 343 441 442 443 441 454 553 463 461 "
+             "572 332 463 452 563 332 342 331 452 341 461 444 462 553 462 444 461 "
+             "333 332 553 451 353 333")
+
+
+def test_contact_experiment_records_are_pinned():
+    want = []
+    for i, ndk in enumerate(PINNED_40.split()):
+        n, d, k = map(int, ndk)
+        h0 = 2 * n - k + 1
+        want.append(TrialRecord(index=i, n=n, d=d, k=k, h0=h0, expected_h0=h0, matched=True,
+                                euler_ok=True, congruence_ok=True, routes_agree=True))
+    assert contact_experiment(trials=40, seed=2026).records == want
+
+
+def test_sampled_forms_are_pinned():
+    # digest of seeded draws over QQ and F_101, recorded from the
+    # implementation that pulled back one single-term form per monomial
+    h = hashlib.sha256()
+    for label in ("QQ", "F101"):
+        field = FIELDS[label]
+        rng = random.Random(f"sampled forms {label}")
+        for _ in range(8):
+            n = rng.choice((2, 3, 4))
+            d = rng.randint(2, 5)
+            k = rng.randint(1, d)
+            L = sample_line(n, field, rng)
+            F = sample_contact_form(L, d, k, rng)
+            h.update(f"{n} {d} {k}\n{F.text()}\n".encode())
+    assert h.hexdigest() == "fc48bd92608d13eab560aeb1f1b5d7d7f91fc8e25b7648f154426c38b53f438f"

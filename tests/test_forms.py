@@ -75,6 +75,14 @@ def test_evaluate_and_gradient_euler_identity():
         assert euler == f.mul(f.of(dd), F.evaluate(pt))
 
 
+def test_gradient_of_linear_form_is_its_coefficients():
+    for f in (QQ, PrimeField(7)):
+        F = HyperForm(2, 1, {(1, 0, 0): 3, (0, 0, 1): -2}, f)
+        assert F.gradient([5, 1, 4]) == [f.of(3), f.zero, f.of(-2)]
+        with pytest.raises(ValueError, match="linear form"):
+            F.partial(0)
+
+
 def test_pullback_worked_example():
     # F = x0 x2 - x1^2 along [s:t] -> [t:s:0] pulls back to -s^2
     f = QQ

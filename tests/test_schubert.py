@@ -100,7 +100,8 @@ def test_known_products_g15():
 
 def test_catalan_degrees():
     # degree of s1^(2(n-1)) on G(1,n) is the Catalan number C_(n-1)
-    targets = {2: 1, 3: 2, 4: 5, 5: 14}
+    targets = {2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429, 9: 1430,
+               10: 4862, 11: 16796, 12: 58786}
     for n, c in targets.items():
         p = sigma(n, 0, 0)
         for _ in range(2 * (n - 1)):
