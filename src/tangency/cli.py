@@ -152,11 +152,8 @@ def _base_only(x: FlagElt):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _emit(obj: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        raise AssertionError(f"unhandled format {fmt}")
+def _emit(obj: dict) -> None:
+    print(json.dumps(obj, indent=2))
 
 
 def _read(path: str) -> str:
@@ -179,7 +176,7 @@ def _field_arg(q):
 def _cmd_schubert_mult(args) -> int:
     elt = _base_only(parse_expression(args.expr, args.n))
     if args.format == "json":
-        _emit({"n": args.n, "schubert": elt.text()}, "json")
+        _emit({"n": args.n, "schubert": elt.text()})
     else:
         print(elt.text())
     return 0
@@ -189,7 +186,7 @@ def _cmd_schubert_degree(args) -> int:
     elt = _base_only(parse_expression(args.expr, args.n))
     value = schubert.degree(elt)
     if args.format == "json":
-        _emit({"n": args.n, "degree": value.text(args.order)}, "json")
+        _emit({"n": args.n, "degree": value.text(args.order)})
     else:
         print(value.text(args.order))
     return 0
@@ -199,7 +196,7 @@ def _cmd_flag_integrate(args) -> int:
     x = parse_expression(args.expr, args.n)
     value = integrate(x)
     if args.format == "json":
-        _emit({"n": args.n, "integral": value.text(args.order)}, "json")
+        _emit({"n": args.n, "integral": value.text(args.order)})
     else:
         print(value.text(args.order))
     return 0
@@ -215,8 +212,7 @@ def _cmd_bound(args, name: str) -> int:
                 "polynomial": poly.text(args.order),
                 "validity": info["validity"],
                 "pipeline": list(info["pipeline"]),
-            },
-            "json",
+            }
         )
     else:
         print(poly.text(args.order))
@@ -226,7 +222,7 @@ def _cmd_bound(args, name: str) -> int:
 def _cmd_fano(args) -> int:
     count = int(fano_line_count(args.n, args.d))
     if args.format == "json":
-        _emit({"n": args.n, "d": args.d, "lines": count}, "json")
+        _emit({"n": args.n, "d": args.d, "lines": count})
     else:
         print(count)
     return 0
@@ -244,7 +240,7 @@ def _cmd_deform_contact(args) -> int:
     line = parse_line_param(_read(args.line), field)
     order = contact_order(form, line)
     if args.format == "json":
-        _emit({"contactOrder": order}, "json")
+        _emit({"contactOrder": order})
     else:
         print(order)
     return 0
@@ -263,8 +259,7 @@ def _cmd_deform_truncate(args) -> int:
                 "d": result.form.d,
                 "form": result.form.text(),
                 "basis": [[str(c) for c in row] for row in result.basis],
-            },
-            "json",
+            }
         )
     else:
         print(result.form.text())
@@ -286,7 +281,7 @@ def _cmd_deform_sections(args) -> int:
         "match": space.matches,
     }
     if args.format == "json":
-        _emit(obj, "json")
+        _emit(obj)
     else:
         print(f"contact order: {space.contact}")
         print(f"raw solution dimension: {space.raw_dim}")
@@ -311,7 +306,7 @@ def _cmd_deform_congruence(args) -> int:
         "corrupted": report.corrupted,
     }
     if args.format == "json":
-        _emit(obj, "json")
+        _emit(obj)
     elif report.ok:
         print(f"congruence holds for all indices (k={report.k})")
     else:
@@ -340,7 +335,7 @@ def _cmd_count_vk(args) -> int:
     form = HyperForm(rational.n, rational.d, terms, field)
     record = count_vk(form, args.k, workers=args.threads)
     if args.format == "json":
-        _emit(record.to_json(), "json")
+        _emit(record.to_json())
     elif args.format == "csv":
         print("q,k,count,n,d,elapsedMs")
         print(f"{record.q},{record.k},{record.count},{record.n},"
@@ -361,7 +356,7 @@ def _cmd_slope(args) -> int:
     records = [CountRecord.from_json(obj) for obj in data]
     report = dimension_slope(records)
     if args.format == "json":
-        _emit(report.to_json(), "json")
+        _emit(report.to_json())
     else:
         for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -383,7 +378,7 @@ def _cmd_fermat_planes(args) -> int:
             fh.write("\n")
         print(f"{len(planes)} verified planes written to {args.emit}")
     elif args.format == "json":
-        _emit(doc, "json")
+        _emit(doc)
     else:
         print(f"{len(planes)} verified planes (15*d^3 = {15 * args.d ** 3})")
     return 0
@@ -425,7 +420,7 @@ def _cmd_replicate(args) -> int:
 
     all_pass = all(c["pass"] for c in checks)
     if args.format == "json":
-        _emit({"results": checks, "allPass": all_pass}, "json")
+        _emit({"results": checks, "allPass": all_pass})
     else:
         width = max(len(c["name"]) for c in checks)
         for c in checks:

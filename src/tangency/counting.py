@@ -14,19 +14,30 @@ directions are v_free = r, v_pivot = w.r with w = -grad_free / grad_pivot
 and r running over the grid projective_reps(n-2, q).  At a singular point
 every v with v_lead = 0 is tangent, and r runs over projective_reps(n-1, q).
 
+One evaluator, _Derivatives, computes all the counter needs at points: F
+(to find X(F_q)), the gradient (charts, singular points) and the divided
+derivatives d^alpha F / alpha! of orders 2..k-1.  One pass over F's terms
+gives, per order j, a matrix over the monomials of degree d-j that occur,
+D_alpha(c x^e) = c prod_i C(e_i, alpha_i) x^(e - alpha).  A block of
+points holds as many as keep one table of those monomials near _TABLE
+entries; each matrix multiplies that table.  hypersurface_points walks
+the affine cells of P^n block by block, never holding all q^n points.
+Each int64 sum adds at most (2^63 - 1) // (q-1)^2 products of two
+residues before it is reduced mod q: exact for any q with (q-1)^2 < 2^63.
+
 The higher orders are batched.  The points are sorted by chart; for each
 group and order j = 2..k-1, G_j(p, v) is pulled back to a form of degree j
-in r, vectorized over the group: each divided derivative d^alpha F /
-alpha! is evaluated at every point at once, and the powers (w.r)^a are
-expanded once per group through tables shared by all charts.  A direction
-survives when every pulled-back form vanishes at it, which one contraction
-per order and tile decides: (grid monomials, R x C(nfree-1+j, j)) times
-(coefficients, C(nfree-1+j, j) x points).  Everything that depends only on
-the form, k and q (the derivative matrices, the pullback tables, the grid
-monomials, the inverse table) is built once per count_vk call.
+in r, vectorized over the group: the evaluator gives every d^alpha F /
+alpha! at the group's points, and the powers (w.r)^a are expanded once
+per group through tables shared by all charts.  A direction survives when
+every pulled-back form vanishes at it, which one contraction per order and
+tile decides: (grid monomials, R x C(nfree-1+j, j)) times (coefficients,
+C(nfree-1+j, j) x points).  Everything that depends only on the form, k
+and q (the derivative matrices, the pullback tables, the grid monomials,
+the inverse table) is built once per count_vk call.
 
-Exactness.  Each sum adds products of residues in [0, q), so it is at
-most exactness_bound(n, d, k, q), and count_vk refuses, before it
+Exactness of a count.  Each sum adds products of residues in [0, q), so
+it is at most exactness_bound(n, d, k, q), and count_vk refuses, before it
 enumerates anything, a q for which that bound reaches 2^53.  Below it,
 the float64 contraction is exact and rint(V / q) * q == V is an exact
 divisibility test.  The contraction is an einsum, never a BLAS call: a
@@ -64,48 +75,35 @@ def pp_count(m: int, q: int) -> int:
     return (q ** (m + 1) - 1) // (q - 1)
 
 
+def _rep_blocks(m: int, q: int, block: int):
+    """projective_reps(m, q) in order, as blocks of at most `block` rows.
+
+    Refuses a P^m(F_q) too large for one int64 array of its rows, which is
+    what hypersurface_points returns for F = 0.
+    """
+    if pp_count(m, q) * (m + 1) * 8 >= _INT64:
+        raise ValueError(f"P^{m}(F_{q}) has too many points to enumerate")
+    for lead in range(m + 1):
+        cell = q ** (m - lead)
+        for lo in range(0, cell, block):
+            index = np.arange(lo, min(lo + block, cell), dtype=np.int64)
+            rows = np.zeros((len(index), m + 1), dtype=np.int64)
+            rows[:, lead] = 1
+            for c in range(m, lead, -1):
+                index, rows[:, c] = np.divmod(index, q)
+            yield rows
+
+
 def projective_reps(m: int, q: int) -> np.ndarray:
     """Canonical representatives of P^m(F_q): first nonzero coordinate is 1.
 
-    One affine cell per leading index; the union covers every point exactly
-    once, which is what makes the pair counts exact.
+    One affine cell per leading index, its free coordinates counting up in
+    base q; the union covers every point exactly once, which is what makes
+    the pair counts exact.
     """
     if m < 0:
         return np.zeros((0, 0), dtype=np.int64)
-    blocks = []
-    for lead in range(m + 1):
-        free = m - lead
-        if free:
-            tail = np.indices((q,) * free, dtype=np.int64).reshape(free, -1).T
-        else:
-            tail = np.zeros((1, 0), dtype=np.int64)
-        rows = np.zeros((tail.shape[0], m + 1), dtype=np.int64)
-        rows[:, lead] = 1
-        rows[:, lead + 1:] = tail
-        blocks.append(rows)
-    return np.concatenate(blocks, axis=0)
-
-
-def _pow_tables(pts: np.ndarray, maxe: int, q: int) -> list:
-    cols = []
-    m = pts.shape[0]
-    for i in range(pts.shape[1]):
-        col = [np.ones(m, dtype=np.int64)]
-        for _ in range(maxe):
-            col.append((col[-1] * pts[:, i]) % q)
-        cols.append(col)
-    return cols
-
-
-def _eval_terms(terms, pows, q: int, m: int) -> np.ndarray:
-    acc = np.zeros(m, dtype=np.int64)
-    for c, e in terms:
-        t = None
-        for i, ei in enumerate(e):
-            if ei:
-                t = pows[i][ei] if t is None else (t * pows[i][ei]) % q
-        acc = (acc + c) % q if t is None else (acc + (c % q) * t) % q
-    return acc
+    return np.concatenate(list(_rep_blocks(m, q, _POINTS)))
 
 
 def _prime_of(F: HyperForm) -> int:
@@ -115,13 +113,11 @@ def _prime_of(F: HyperForm) -> int:
 
 
 def hypersurface_points(F: HyperForm) -> np.ndarray:
-    """All canonical representatives of X(F_q), X = {F = 0}."""
-    q = _prime_of(F)
-    reps = projective_reps(F.n, q)
-    pows = _pow_tables(reps, F.d, q)
-    terms = [(int(c), e) for e, c in sorted(F.terms.items())]
-    vals = _eval_terms(terms, pows, q, reps.shape[0])
-    return reps[vals == 0]
+    """All canonical representatives of X(F_q), X = {F = 0}, in the order of
+    projective_reps, tested one block of representatives at a time."""
+    value = _Derivatives(F, [0])
+    return np.concatenate([reps[value(reps)[0][0] == 0]
+                           for reps in _rep_blocks(F.n, value.q, value.block)])
 
 
 def rational_singular_points(F: HyperForm) -> list[tuple[int, ...]]:
@@ -130,45 +126,9 @@ def rational_singular_points(F: HyperForm) -> list[tuple[int, ...]]:
     This is the smoothness pre-check for the closed-form count identities;
     singular points over extensions stay invisible to it.
     """
-    q = _prime_of(F)
     pts = hypersurface_points(F)
-    pows = _pow_tables(pts, F.d, q)
-    bad = np.ones(pts.shape[0], dtype=bool)
-    for i in range(F.n + 1):
-        dterms = [
-            (int(c) * e[i], e[:i] + (e[i] - 1,) + e[i + 1:])
-            for e, c in sorted(F.terms.items())
-            if e[i]
-        ]
-        bad &= _eval_terms(dterms, pows, q, pts.shape[0]) == 0
-    return [tuple(int(x) for x in row) for row in pts[bad]]
-
-
-def _sub_exponents(e: tuple, m: int):
-    # all alpha <= e with |alpha| = m
-    def rec(i, remaining, prefix):
-        if i == len(e):
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        for a in range(min(e[i], remaining) + 1):
-            yield from rec(i + 1, remaining - a, prefix + [a])
-
-    yield from rec(0, m, [])
-
-
-def _divided_derivative_terms(terms, m: int):
-    """[(alpha, term list of d^alpha F / alpha!)] for |alpha| = m."""
-    out: dict[tuple, list] = {}
-    for c, e in terms:
-        for alpha in _sub_exponents(e, m):
-            coef = c
-            for ei, ai in zip(e, alpha):
-                if ai:
-                    coef *= comb(ei, ai)
-            rest = tuple(a - b for a, b in zip(e, alpha))
-            out.setdefault(alpha, []).append((coef, rest))
-    return sorted(out.items())
+    singular = ~_Derivatives(F, [1])(pts)[0].any(axis=0)
+    return [tuple(int(x) for x in row) for row in pts[singular]]
 
 
 # Every integer the counter's exact sums reach must stay below this: the
@@ -188,6 +148,13 @@ _WORK_PER_WORKER = 1 << 27
 # Points whose jets are evaluated and pulled back at once, which bounds the
 # memory of the per-point work.
 _POINTS = 2048
+
+# The evaluator's int64 sums must stay below this; numpy wraps silently.
+_INT64 = 1 << 63
+
+# Entries of one block's monomial table (1 MB of int64): the evaluator takes
+# as many points at once as keep its table this size, so it stays in cache.
+_TABLE = 1 << 17
 
 
 def exactness_bound(n: int, d: int, k: int, q: int) -> int:
@@ -238,32 +205,94 @@ def _exps(nvars: int, t: int) -> list[tuple[int, ...]]:
 
 
 class _Monomials:
-    """The monomials of degree <= top in nvars variables.
+    """The monomials `needed` (of degree <= top in nvars variables) and every
+    one they reach by dividing by their first variable.
 
-    Each monomial of degree t >= 1 is one of degree t-1 times its first
-    variable, so `values` builds a whole degree with one gather and one
-    product.
+    With that closure each monomial of degree t >= 1 is one of degree t-1
+    times its first variable, so `values` builds a whole degree with one
+    gather and one product.  exps[t] lists degree t in the forms order.
     """
 
-    def __init__(self, nvars: int, top: int):
-        self.exps = [_exps(nvars, t) for t in range(top + 1)]
+    def __init__(self, nvars: int, top: int, needed):
+        first = {(0,) * nvars: None}  # monomial -> (first variable, quotient)
+        for e in needed:
+            while e not in first:
+                i = next(i for i, x in enumerate(e) if x)
+                first[e] = i, e[:i] + (e[i] - 1,) + e[i + 1:]
+                e = first[e][1]
+        self.exps = [[] for _ in range(top + 1)]
+        for e in sorted(first, reverse=True):
+            self.exps[sum(e)].append(e)
         self.index = [{e: i for i, e in enumerate(es)} for es in self.exps]
         self.offsets = np.cumsum([0] + [len(es) for es in self.exps])
-        self.steps = []
-        for t in range(1, top + 1):
-            parent, var = [], []
-            for e in self.exps[t]:
-                i = next(i for i, x in enumerate(e) if x)
-                parent.append(self.index[t - 1][e[:i] + (e[i] - 1,) + e[i + 1:]])
-                var.append(i)
-            self.steps.append((np.array(parent, dtype=np.intp), np.array(var, dtype=np.intp)))
+        self.steps = [(np.array([index[first[e][1]] for e in es], dtype=np.intp),
+                       np.array([first[e][0] for e in es], dtype=np.intp))
+                      for index, es in zip(self.index, self.exps[1:])]
 
-    def values(self, x: np.ndarray, q: int, top: int) -> list[np.ndarray]:
+    def values(self, x: np.ndarray, q: int, top: int | None = None) -> list[np.ndarray]:
         """[x^e mod q for e of degree t, as rows] for t = 0..top; x is (nvars, m)."""
         out = [np.ones((1, x.shape[1]), dtype=np.int64)]
         for parent, var in self.steps[:top]:
-            out.append(out[-1][parent] * x[var] % q)
+            t = out[-1][parent]
+            t *= x[var]
+            out.append(np.remainder(t, q, out=t))
         return out
+
+
+class _Derivatives:
+    """F's divided derivatives d^alpha F / alpha! of the given orders |alpha|
+    at points (m, n+1), mod q.  `rows` maps each order's alphas to rows: F
+    for order 0, the whole gradient in coordinate order for order 1, the
+    alphas whose derivative is not zero above that.
+    """
+
+    def __init__(self, F: HyperForm, orders: list[int]):
+        q, n, d = _prime_of(F), F.n, F.d
+        if (q - 1) ** 2 >= _INT64:
+            raise ValueError(f"q = {q} is too large for int64 evaluation")
+        self.q, self.d, self.orders = q, d, orders
+        # products of two residues an int64 sum may add: below 2^63 in all
+        self.span = (_INT64 - 1) // (q - 1) ** 2
+        where = {j: pos for pos, j in enumerate(orders)}
+        coefs = [{} for _ in orders]
+        for e, c in F.terms.items():
+            for alpha in product(*(range(x + 1) for x in e)):
+                pos = where.get(sum(alpha))
+                if pos is not None:
+                    rest = tuple(x - a for x, a in zip(e, alpha))
+                    coefs[pos][alpha, rest] = int(c) * math.prod(map(comb, e, alpha)) % q
+        self.mons = _Monomials(n + 1, d - min(orders), (r for co in coefs for _, r in co))
+        self.block = max(1, _TABLE // int(self.mons.offsets[-1]))
+        self.rows, self.mats = [], []
+        for j, co in zip(orders, coefs):
+            alphas = sorted({a for a, _ in co}) if j >= 2 else _exps(n + 1, j)
+            rows = {a: i for i, a in enumerate(alphas)}
+            cols = self.mons.index[d - j]
+            M = np.zeros((len(rows), len(cols)), dtype=np.int64)
+            for (a, r), c in co.items():
+                M[rows[a], cols[r]] = c
+            self.rows.append(rows)
+            self.mats.append(M)
+
+    def __call__(self, pts: np.ndarray, upto: int | None = None) -> list[np.ndarray]:
+        """[D_alpha F at pts, (alphas, m)] for the first `upto` orders."""
+        mats = self.mats[:upto]
+        out = [np.empty((len(M), len(pts)), dtype=np.int64) for M in mats]
+        for lo in range(0, len(pts), self.block):
+            pows = self.mons.values(np.ascontiguousarray(pts[lo:lo + self.block].T), self.q)
+            for o, M, j in zip(out, mats, self.orders):
+                self._dot(M, pows[self.d - j], o[:, lo:lo + self.block])
+        return out
+
+    def _dot(self, M: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+        """out = M @ X mod q, reducing after every `span` columns of M."""
+        q, span = self.q, self.span
+        np.einsum("ab,bm->am", M[:, :span], X[:span], out=out, optimize=False)
+        np.remainder(out, q, out=out)
+        for lo in range(span, M.shape[1], span):
+            part = np.einsum("ab,bm->am", M[:, lo:lo + span], X[lo:lo + span], optimize=False)
+            out += np.remainder(part, q, out=part)
+            np.remainder(out, q, out=out)
 
 
 class _Kind:
@@ -284,7 +313,7 @@ class _Kind:
     def __init__(self, nfree: int, pivoted: bool, orders: list[int], q: int):
         self.size = pp_count(nfree - 1, q)
         top = max(orders, default=0)
-        self.mons = _Monomials(nfree, top)
+        self.mons = _Monomials(nfree, top, _exps(nfree, top))
         self.wtop = top if pivoted else 0
         self.splits, self.tables, self.grid = [], [], []
         if not orders or not self.size:
@@ -345,57 +374,28 @@ class _Kernel:
     """Everything the counter needs that depends only on the form, k and q.
 
     Built once per count_vk call and shipped whole to the pool workers: the
-    divided-derivative matrices (one row per alpha whose d^alpha F / alpha!
-    is not zero, one column per monomial of degree d-j), the inverse table
-    of F_q, and the charts with their direction grids.  `count` does the
+    divided derivatives of orders 1..k-1 (at most d), the inverse table of
+    F_q, and the charts with their direction grids.  `count` does the
     per-point work for a chunk of points sorted by chart key.
     """
 
     def __init__(self, F: HyperForm, k: int):
-        q, n, d = _prime_of(F), F.n, F.d
-        self.q, self.n, self.d = q, n, d
+        self.q, self.n = _prime_of(F), F.n
         # G_j vanishes identically for j > d
-        self.orders = list(range(2, min(k - 1, d) + 1))
-        terms = [(int(c), e) for e, c in sorted(F.terms.items())]
-        self.points = _Monomials(n + 1, d - 1)
-        self.jet_index, self.jets = [], []
-        for j in [1] + self.orders:
-            cols = self.points.index[d - j]
-            rows = {}
-            for alpha, tl in _divided_derivative_terms(terms, j):
-                row = np.zeros(len(cols), dtype=np.int64)
-                for c, rest in tl:
-                    row[cols[rest]] += c
-                row %= q
-                if row.any():
-                    rows[alpha] = row
-            if j == 1:  # the whole gradient: the unit vectors, in coordinate order
-                rows = {e: rows.get(e, np.zeros(len(cols), dtype=np.int64))
-                        for e in _exps(n + 1, 1)}
-            self.jet_index.append({alpha: i for i, alpha in enumerate(rows)})
-            self.jets.append(np.array(list(rows.values()), dtype=np.int64).reshape(len(rows), len(cols)))
-        self.inverse = _inverses(q)
+        self.orders = list(range(2, min(k - 1, F.d) + 1))
+        self.jets = _Derivatives(F, [1] + self.orders)
+        self.inverse = _inverses(self.q)
         self.charts: dict[int, _Chart] = {}
-
-    def _jets(self, pts: np.ndarray, orders: int) -> list[np.ndarray]:
-        """[the gradient (n+1, m), then the live d^alpha F / alpha! (rows, m) per order]."""
-        pows = self.points.values(pts.T, self.q, self.d - 1)
-        return [np.einsum("ab,bm->am", K, pows[self.d - j], optimize=False) % self.q
-                for j, K in zip([1] + self.orders[:orders], self.jets)]
 
     def chart_keys(self, pts: np.ndarray) -> np.ndarray:
         """lead * (n+1) + pivot for every point: the leading index and the first
         coordinate != lead where the gradient is nonzero (lead if none is)."""
-        keys = []
-        for lo in range(0, len(pts), _POINTS):
-            part = pts[lo:lo + _POINTS]
-            grad = self._jets(part, 0)[0].T
-            lead = np.argmax(part != 0, axis=1)
-            grad[np.arange(len(part)), lead] = 0
-            nonzero = grad != 0
-            pivot = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), lead)
-            keys.append(lead * (self.n + 1) + pivot)
-        return np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+        grad = self.jets(pts, 1)[0].T
+        lead = np.argmax(pts != 0, axis=1)
+        grad[np.arange(len(pts)), lead] = 0
+        nonzero = grad != 0
+        pivot = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), lead)
+        return lead * (self.n + 1) + pivot
 
     def add_charts(self, keys) -> None:
         kinds: dict[bool, _Kind] = {}
@@ -406,14 +406,14 @@ class _Kernel:
                 nfree = self.n - 1 if pivoted else self.n
                 kinds[pivoted] = _Kind(nfree, pivoted, self.orders, self.q)
             self.charts[int(key)] = _Chart(self.n, lead, pivot, kinds[pivoted],
-                                           self.jet_index[1:])
+                                           self.jets.rows[1:])
 
     def count(self, pts: np.ndarray, keys: np.ndarray) -> int:
         """Pairs (p, tangent direction) with G_2 = ... = G_{k-1} = 0 at p."""
         total = 0
         for start in range(0, len(pts), _POINTS):
             part = keys[start:start + _POINTS]
-            jets = self._jets(pts[start:start + _POINTS], len(self.orders))
+            jets = self.jets(pts[start:start + _POINTS])
             cuts = [0, *(np.flatnonzero(np.diff(part)) + 1), len(part)]
             for lo, hi in zip(cuts, cuts[1:]):
                 chart = self.charts[int(part[lo])]

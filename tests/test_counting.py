@@ -4,7 +4,9 @@ force, closed forms, determinism under chunking, and the slope report."""
 import math
 import os
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from tangency import counting
@@ -25,7 +27,7 @@ from tangency.counting import (
     worker_count,
 )
 from tangency.fields import QQ, PrimeField
-from tangency.forms import HyperForm, monomials
+from tangency.forms import HyperForm, LineParam, monomials
 
 
 def test_pp_count():
@@ -54,16 +56,110 @@ def test_projective_reps_cover_exactly_once():
             seen.add(row)
 
 
-def test_hypersurface_points_against_direct_scan():
-    f = PrimeField(5)
-    F = HyperForm(2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 4}, f)
-    pts = {tuple(int(x) for x in row) for row in hypersurface_points(F)}
-    expected = set()
-    for row in projective_reps(2, 5):
-        row = tuple(int(x) for x in row)
-        if F.evaluate(list(row)) == 0:
-            expected.add(row)
-    assert pts == expected
+def seeded_forms(seed):
+    """Sparse, dense, zero and cone forms in P^1..P^4 over F_2..F_13."""
+    rng = random.Random(seed)
+    out = []
+    for n, q in ((1, 2), (1, 13), (2, 3), (2, 13), (3, 5), (3, 7), (4, 3), (4, 5)):
+        d = rng.randint(1, min(q - 1, 4))
+        mons = monomials(n, d)
+        cone = [e for e in mons if not e[n]]  # x_n does not occur: a cone
+        for kind in ("sparse", "dense", "zero", "cone"):
+            if kind == "sparse":
+                terms = {e: rng.randrange(1, q) for e in rng.sample(mons, min(3, len(mons)))}
+            elif kind == "dense":
+                terms = {e: rng.randrange(1, q) for e in mons}
+            elif kind == "cone":
+                terms = {e: rng.randrange(1, q) for e in cone}
+            else:
+                terms = {}
+            out.append(HyperForm(n, d, terms, PrimeField(q)))
+    return out
+
+
+def test_hypersurface_points_against_direct_scan(monkeypatch):
+    forms = seeded_forms(5) + [
+        HyperForm(2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 4}, PrimeField(5))]
+    # a table of 8 entries makes blocks of one or two points, so every
+    # point set spans many blocks
+    for table in (counting._TABLE, 8):
+        monkeypatch.setattr(counting, "_TABLE", table)
+        for F in forms:
+            reps = projective_reps(F.n, F.field.p)
+            on = [F.evaluate(list(row)) == 0 for row in reps]
+            assert np.array_equal(hypersurface_points(F), reps[on]), (F, table)
+
+
+def test_rational_singular_points_against_gradient_scan():
+    for F in seeded_forms(6):
+        expected = [tuple(int(x) for x in row) for row in hypersurface_points(F)
+                    if not any(F.gradient(list(row)))]
+        assert rational_singular_points(F) == expected, F
+
+
+def test_hypersurface_points_stream_in_small_memory():
+    # P^4(F_31) has 954305 representatives, 38 MB as int64 rows; X holds
+    # about 1/31 of them
+    rng = random.Random(31)
+    F = HyperForm(4, 3, {e: rng.randrange(1, 31) for e in monomials(4, 3)}, PrimeField(31))
+    tracemalloc.start()
+    try:
+        pts = hypersurface_points(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < pts.nbytes < 2 ** 21
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("q", [7, 101])
+def test_derivatives_are_the_pullback_coefficients(q):
+    # sum_alpha D_alpha F(p) v^alpha = the s^j coefficient of F(t*p + s*v)
+    f = PrimeField(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        n, d = rng.randint(1, 4), rng.randint(1, 6)
+        F = HyperForm(n, d, {e: rng.randrange(1, q) for e in monomials(n, d)
+                             if rng.random() < 0.5}, f)
+        while True:
+            p = [rng.randrange(q) for _ in range(n + 1)]
+            v = [rng.randrange(q) for _ in range(n + 1)]
+            if any((p[i] * v[j] - p[j] * v[i]) % q for i in range(n + 1) for j in range(i)):
+                break
+        jets = counting._Derivatives(F, list(range(d + 1)))
+        values = jets(np.array([p], dtype=np.int64))
+        pulled = F.pullback(LineParam.from_point_direction(p, v, f))
+        for j, rows, vals in zip(jets.orders, jets.rows, values):
+            got = sum(int(vals[i, 0]) * math.prod(x ** a for x, a in zip(v, alpha))
+                      for alpha, i in rows.items())
+            assert got % q == pulled[j], (F, p, v, j)
+
+
+def test_derivatives_are_exact_near_int64_limits():
+    # (q-1)^2 is just below 2^62: two products fill an int64, and a cubic
+    # in two variables has four monomials
+    q = 2 ** 31 - 1
+    f = PrimeField(q)
+    rng = random.Random(63)
+    F = HyperForm(1, 3, {e: rng.randrange(q // 2, q) for e in monomials(1, 3)}, f)
+    pts = [[rng.randrange(q // 2, q) for _ in range(2)] for _ in range(64)]
+    value, grad = counting._Derivatives(F, [0, 1])(np.array(pts, dtype=np.int64))
+    for i, p in enumerate(pts):
+        assert int(value[0, i]) == F.evaluate(p)
+        assert [int(g) for g in grad[:, i]] == F.gradient(p)
+
+
+def test_enumeration_refuses_spaces_beyond_one_array():
+    # the rows of P^2(F_q), 3 int64 each, exceed 2^63 bytes: refused before
+    # the first block, where walking them would never end
+    with pytest.raises(ValueError, match="too many points to enumerate"):
+        next(counting._rep_blocks(2, 2147483647, counting._POINTS))
+
+
+def test_evaluation_refuses_q_beyond_int64():
+    q = 3037000507  # the least prime with (q-1)^2 >= 2^63
+    with pytest.raises(ValueError, match="too large for int64"):
+        hypersurface_points(HyperForm.fermat(1, 3, PrimeField(q)))
 
 
 def quadric_f3():
