@@ -104,11 +104,16 @@ class _ExprParser:
             tok = self.take()
             if not tok.isdigit():
                 raise ValueError(f"exponent must be an integer, got {tok!r}")
-            e = int(tok)
-            out = self._scalar(1)
-            for _ in range(e):
-                out = out * value
-            value = out
+            # square and multiply with power * value^e fixed; once either
+            # factor is zero (every class past the dimension is), so is the rest
+            power, e = self._scalar(1), int(tok)
+            while e and not (power.is_zero() or value.is_zero()):
+                if e & 1:
+                    power = power * value
+                e >>= 1
+                if e:
+                    value = value * value
+            value = FlagElt.zero(self.n, 2) if e else power
         return value
 
     def _scalar(self, c) -> FlagElt:

@@ -30,7 +30,8 @@ chain-rule pullbacks mod s^k (direct route) and F_k with its partials
 that build one and hand it to the shared section and congruence code.
 contact_experiment builds one per trial and takes the contact order from
 the exact check sample_contact_form already makes; the conditioning rows
-of that sampling come from one forms.expand_each pass over the monomials.
+of that sampling, and the s^k row of that check, come from one
+forms.expand_each pass over the monomials.
 """
 
 from __future__ import annotations
@@ -360,21 +361,22 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
     """A random degree-d form with contact order exactly k along L at the
     marked point, smooth there.  Conditioning is linear: the first k
     restriction coefficients of each monomial give a k x N system and a
-    random kernel vector is a random form with contact >= k."""
+    random kernel vector is a random form with contact >= k; the s^k
+    coefficients, one more row, decide whether the contact is exactly k."""
     f = L.field
     n = L.n
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k = {k}, d = {d}")
     monos, rows = _conditioning_rows(L, d, k)
+    conditions, s_k = rows[:k], rows[k]
     p = L.marked_point()
     for _ in range(max_tries):
-        c = random_kernel_vector(rows, len(monos), f, rng)
+        c = random_kernel_vector(conditions, len(monos), f, rng)
+        # conditions force s^0..s^(k-1) to vanish; contact is exactly k iff
+        # the s^k coefficient of F along L, s_k . c, does not (so F != 0)
+        if f.is_zero(mat_vec([s_k], c, f)[0]):
+            continue
         F = HyperForm(n, d, dict(zip(monos, c)), f)
-        if F.is_zero():
-            continue
-        # rows force s^0..s^(k-1) to vanish; contact is exactly k iff s^k does not
-        if s_valuation(F.pullback(L, upto=k + 1), f) != k:
-            continue
         if all(f.is_zero(g) for g in F.gradient(p)):
             continue
         return F
@@ -382,13 +384,13 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
 
 
 def _conditioning_rows(L: LineParam, d: int, k: int):
-    """The degree-d monomials of L's space and the k x N matrix whose column
-    j holds the s^0..s^(k-1) coefficients of monomial j restricted to L."""
+    """The degree-d monomials of L's space and the (k+1) x N matrix whose
+    column j holds the s^0..s^k coefficients of monomial j restricted to L."""
     f = L.field
     monos = monomials(L.n, d)
     got = expand_each({e: f.one for e in monos},
-                      [L.marked_point(), L.direction()], f, k - 1)
-    return monos, [[got[e].get((d - m, m), f.zero) for e in monos] for m in range(k)]
+                      [L.marked_point(), L.direction()], f, k)
+    return monos, [[got[e].get((d - m, m), f.zero) for e in monos] for m in range(k + 1)]
 
 
 @dataclass

@@ -2,10 +2,13 @@
 
 Two fields: the rationals (Fraction) and prime fields F_p (ints in [0, p)).
 The elimination routines are generic over either; everything is exact.
+ZZ, the Python ints under + and *, is the ring that QQ polynomial
+expansion multiplies in once its denominators are cleared.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -111,7 +114,22 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+class IntegerRing:
+    """Python ints with just add, mul and is_zero: enough for forms.expand.
+
+    add and mul are the operator builtins, not methods, so the expansion's
+    inner loop calls C functions directly.
+    """
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+
 QQ = RationalField()
+ZZ = IntegerRing()
 
 
 def row_reduce(rows, ncols: int, field):

@@ -12,7 +12,10 @@ so contact order, HyperForm.pullback, pullback_of_partial (the same
 expansion of dF/dx_i) and the order-k substitution behind the truncation
 F_k are all this one expansion, over QQ, F_p or the Fermat root ring.
 expand_each runs the same per-term products but returns each term's
-expansion on its own (the conditioning rows of a sampled form).
+expansion on its own (the conditioning rows of a sampled form).  Over QQ
+both clear denominators once: the products run in Python ints (ZZ) and
+each output coefficient becomes one Fraction at the end, so no Fraction
+is built, normalized or added inside the expansion.
 
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
@@ -21,7 +24,10 @@ of s^m t^(D-m).
 
 from __future__ import annotations
 
-from .fields import PrimeField
+from fractions import Fraction
+from math import lcm, prod
+
+from .fields import ZZ, PrimeField, RationalField
 
 
 def monomials(n: int, d: int) -> list[tuple[int, ...]]:
@@ -48,8 +54,12 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
     degree never falls as more linear factors are multiplied in, so a
     truncated expansion costs only what it keeps.  Zero coefficients are
     left out of the result.  Only ring.add, ring.mul and ring.is_zero are
-    used, so any exact commutative ring works.
+    used, so any exact commutative ring works; over QQ the products are
+    taken in integers (_cleared).
     """
+    if isinstance(ring, RationalField):
+        F, D, int_cols, dens = _cleared(terms, cols)
+        return _fractions(expand(F, int_cols, ZZ, top), D, dens)
     if not terms or (top is not None and top < 0):
         return {}
     base, parts = _term_products(terms, cols, ring, top)
@@ -64,10 +74,34 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
 def expand_each(terms: dict, cols, ring, top: int | None = None) -> dict:
     """{e: expand({e: terms[e]}, cols, ring, top)} for every term e, in one
     pass that computes the truncated powers of each linear form once."""
+    if isinstance(ring, RationalField):
+        F, D, int_cols, dens = _cleared(terms, cols)
+        return {e: _fractions(got, D, dens)
+                for e, got in expand_each(F, int_cols, ZZ, top).items()}
     if not terms or (top is not None and top < 0):
         return {e: {} for e in terms}
     base, parts = _term_products(terms, cols, ring, top)
     return {e: _unpack(part, base, len(cols), ring) for e, part in parts}
+
+
+def _cleared(terms: dict, cols):
+    # F = F_int / D and cols[j] = c_j / D_j, with D and D_j the lcm of the
+    # denominators, F_int and c_j integral: (F_int, D, [c_j], [D_j])
+    D = lcm(*(c.denominator for c in terms.values()))
+    F = {e: c.numerator * (D // c.denominator) for e, c in terms.items()}
+    int_cols, dens = [], []
+    for col in cols:
+        Dj = lcm(*(x.denominator for x in col))
+        int_cols.append([x.numerator * (Dj // x.denominator) for x in col])
+        dens.append(Dj)
+    return F, D, int_cols, dens
+
+
+def _fractions(got: dict, D: int, dens: list) -> dict:
+    # expanding F_int over the c_j gives D * prod_j D_j^a_j times the y^a
+    # coefficient of F over the cols
+    return {a: Fraction(num, D * prod(Dj ** aj for Dj, aj in zip(dens, a)))
+            for a, num in got.items()}
 
 
 def _term_products(terms: dict, cols, ring, top):

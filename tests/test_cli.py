@@ -2,6 +2,7 @@
 schema conformance."""
 
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -105,6 +106,15 @@ def test_expression_parser_features():
         parse_expression("(s[1]", 4)
     with pytest.raises(ValueError):
         parse_expression("s[3,2,1]", 4)
+
+
+def test_huge_power_is_zero_past_the_dimension(capsys):
+    # s1^9999999 on G(1,3) is zero after the dimension 4; square and multiply
+    # reaches a zero square in a few products instead of 10^7
+    began = time.perf_counter()
+    assert run(capsys, "schubert", "degree", "s[1]^9999999", "--n", "3") == (0, "0\n", "")
+    assert time.perf_counter() - began < 5
+    assert parse_expression("(s[1] + H1)^0", 3) == parse_expression("1", 3)
 
 
 def test_deform_cli(capsys, schema, quadric_file, line_file):

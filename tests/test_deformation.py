@@ -23,7 +23,7 @@ from tangency.deformation import (
     sample_line,
     truncate,
 )
-from tangency.fields import QQ, PrimeField
+from tangency.fields import QQ, PrimeField, row_reduce
 from tangency.forms import HyperForm, LineParam, monomials, parse_form, s_valuation
 
 
@@ -133,21 +133,6 @@ def test_log_sections_contact_too_low():
         log_sections(F, L, 3)
 
 
-def test_routes_agree_on_samples():
-    rng = random.Random(13)
-    gf = PrimeField(101)
-    for _ in range(10):
-        n = rng.choice((3, 4))
-        d = rng.choice((n, n + 1))
-        k = rng.randint(1, min(4, d))
-        L = sample_line(n, gf, rng)
-        F = sample_contact_form(L, d, k, rng)
-        direct = log_sections(F, L, k, use_truncation=False)
-        trunc = log_sections(F, L, k, use_truncation=True)
-        assert direct.raw_dim == trunc.raw_dim
-        assert direct.h0 == trunc.h0
-
-
 def test_sample_contact_form_has_exact_valuation():
     rng = random.Random(5)
     gf = PrimeField(101)
@@ -233,8 +218,32 @@ def test_conditioning_rows_match_per_monomial_pullbacks(case):
     for k in range(1, d + 1):
         monos, rows = _conditioning_rows(L, d, k)
         assert monos == monomials(L.n, d)
-        cols = [HyperForm(L.n, d, {e: f.one}, f).pullback(L, upto=k) for e in monos]
-        assert rows == [[col[m] for col in cols] for m in range(k)]
+        cols = [HyperForm(L.n, d, {e: f.one}, f).pullback(L, upto=k + 1) for e in monos]
+        assert rows == [[col[m] for col in cols] for m in range(k + 1)]
+
+
+@st.composite
+def contact_trials(draw):
+    field = FIELDS[draw(st.sampled_from(["QQ", "F101"]))]
+    n = draw(st.sampled_from((3, 4)))
+    d = draw(st.sampled_from((n, n + 1)))
+    k = draw(st.integers(1, min(4, d)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    L = sample_line(n, field, rng)
+    return sample_contact_form(L, d, k, rng), L, k
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(contact_trials())
+def test_routes_agree_on_samples(trial):
+    # the truncated and direct systems cut out the same space of sections,
+    # not only spaces of the same dimension
+    F, L, k = trial
+    ncols = 2 * (F.n + 1)
+    direct = log_sections(F, L, k, use_truncation=False)
+    trunc = log_sections(F, L, k, use_truncation=True)
+    assert (direct.raw_dim, direct.h0) == (trunc.raw_dim, trunc.h0)
+    assert row_reduce(direct.basis, ncols, F.field) == row_reduce(trunc.basis, ncols, F.field)
 
 
 @pytest.mark.parametrize("label", ["QQ", "F101"])
@@ -288,3 +297,25 @@ def test_sampled_forms_are_pinned():
             F = sample_contact_form(L, d, k, rng)
             h.update(f"{n} {d} {k}\n{F.text()}\n".encode())
     assert h.hexdigest() == "fc48bd92608d13eab560aeb1f1b5d7d7f91fc8e25b7648f154426c38b53f438f"
+
+
+def test_qq_trials_are_pinned():
+    # digest of seeded QQ trials at (n, d) in {(3,3), (3,4), (4,4), (4,5)} and
+    # every k: h0, raw_dim and the row-reduced bases of both section routes,
+    # and the congruence per index, plain and corrupted; recorded from the
+    # implementation that expanded over QQ one Fraction product at a time
+    h = hashlib.sha256()
+    rng = random.Random("pinned QQ run")
+    for n, d in ((3, 3), (3, 4), (4, 4), (4, 5)):
+        ncols = 2 * (n + 1)
+        for k in range(1, d + 1):
+            L = sample_line(n, QQ, rng)
+            F = sample_contact_form(L, d, k, rng)
+            h.update(f"{n} {d} {k}\n".encode())
+            for use_truncation in (False, True):
+                space = log_sections(F, L, k, use_truncation=use_truncation)
+                rref, _ = row_reduce(space.basis, ncols, QQ)
+                h.update(f"{space.h0} {space.raw_dim} {rref}\n".encode())
+            for corrupt in (False, True):
+                h.update(f"{congruence_check(F, L, k, corrupt=corrupt).per_index}\n".encode())
+    assert h.hexdigest() == "39884ec526cdb246673cb0594a69334ad2f38de0b0022777bbdaa6d9ba823a96"

@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tangency.fields import QQ, PrimeField
 from tangency.forms import (
     HyperForm,
     LineParam,
     expand,
+    expand_each,
     monomials,
     parse_form,
     parse_line_param,
@@ -173,6 +176,60 @@ def test_expand_against_sympy():
             for top in range(d):
                 kept = {e: c for e, c in full.items() if sum(e[1:]) <= top}
                 assert expand(terms, cols, field, top) == kept
+
+
+class _FractionRing:
+    """Fractions under the generic expansion: not a RationalField, so expand
+    multiplies Fraction by Fraction, the oracle for the cleared QQ branch."""
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return a == 0
+
+
+_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-9, 9)),
+)
+
+
+@st.composite
+def rational_expansions(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    monos = monomials(n, d)
+    size = draw(st.sampled_from((1, 1, 4, 12)))   # single-term forms often
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=size, unique=True))
+    terms = {e: draw(_rationals) for e in chosen}
+    cols = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        kind = draw(st.sampled_from(("zero", "integer", "rational")))
+        entry = {"zero": st.just(Fraction(0)), "integer": st.builds(Fraction, st.integers(-9, 9)),
+                 "rational": _rationals}[kind]
+        cols.append([draw(entry) for _ in range(n + 1)])
+    top = draw(st.one_of(st.none(), st.integers(-1, d)))
+    return terms, cols, top
+
+
+def _all_fractions(expansion: dict) -> bool:
+    return all(type(c) is Fraction for c in expansion.values())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_expansions())
+def test_cleared_qq_expansion_equals_the_fraction_products(case):
+    terms, cols, top = case
+    got = expand(terms, cols, QQ, top)
+    assert got == expand(terms, cols, _FractionRing(), top)
+    assert _all_fractions(got)
+    each = expand_each(terms, cols, QQ, top)
+    assert each == expand_each(terms, cols, _FractionRing(), top)
+    assert all(_all_fractions(part) for part in each.values())
 
 
 def test_truncated_substitute_is_the_low_order_part():
