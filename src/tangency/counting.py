@@ -501,10 +501,25 @@ class CountRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CountRecord":
-        return cls(
-            q=int(obj["q"]), k=int(obj["k"]), count=int(obj["count"]),
-            n=int(obj["n"]), d=int(obj["d"]), elapsed_ms=int(obj.get("elapsedMs", 0)),
-        )
+        """Read a record written by to_json; refuse anything else with a
+        ValueError (elapsedMs may be left out)."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a count record must be a JSON object, got {obj!r}")
+        got = {key: _whole(obj, key) for key in ("q", "k", "count", "n", "d")}
+        if got["q"] < 2:
+            raise ValueError(f"count record has q = {got['q']}; q must be at least 2")
+        return cls(**got, elapsed_ms=_whole(obj, "elapsedMs") if "elapsedMs" in obj else 0)
+
+
+def _whole(obj: dict, key: str) -> int:
+    if key not in obj:
+        raise ValueError(f"count record {obj!r} has no {key!r}")
+    v = obj[key]
+    if type(v) is float and v.is_integer():
+        v = int(v)
+    if type(v) is not int:   # bools, strings and non-integral numbers
+        raise ValueError(f"count record field {key!r} must be an integer, got {v!r}")
+    return v
 
 
 def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:

@@ -1,8 +1,10 @@
 """Contact order, truncation, and log-tangent sections along a line.
 
 Setting: a degree-d form F, a line L(s,t) = s*u + t*p with marked point p
-on X = {F = 0}.  After a linear change of coordinates A (with A*p = e0,
-A*u = e1) the line becomes (t, s, 0, ..., 0) and F decomposes as
+on X = {F = 0}.  After the change of coordinates x = B*y, where
+completion_matrix puts p and u first in B and fills the other columns
+with the standard vectors e_j off the row_reduce pivots of (p, u), the line
+becomes (t, s, 0, ..., 0) and F decomposes as
 F' = sum_j y0^(d-j) f_j with f_j of degree j in y1..yn.  The order-k
 truncation F_k = sum_{j=1..k} y0^(k-j) f_j carries all order-k contact
 information at p; the key congruence is
@@ -21,8 +23,10 @@ regrouped), the direct route never forms F_k and instead pulls back the
 partials dF/dx_j of F itself along the original line and combines them
 through the chain rule with the columns of B.  Both expand polynomials
 with forms.expand, written once and pinned against a sympy oracle in the
-tests; what the routes keep apart is the coordinates and the order of
-differentiation and truncation, so their agreement is still a check.
+tests, as do the value and gradient checks at p, and truncate completes p
+alone with the same completion_matrix.  What the routes keep apart is the
+coordinates and the order of differentiation and truncation, so their
+agreement is still a check.
 
 Within one (F, L, k) nothing is computed twice: a _Jets holds B, the
 chain-rule pullbacks mod s^k (direct route) and F_k with its partials
@@ -53,6 +57,7 @@ from .forms import (
 )
 
 CONTAINED = "contained"
+SAMPLE_TRIES = 400   # kernel vectors sample_contact_form draws before it gives up
 
 
 def contact_order(F: HyperForm, L: LineParam):
@@ -63,60 +68,17 @@ def contact_order(F: HyperForm, L: LineParam):
     return CONTAINED if v is None else v
 
 
-def _point_pivot(p, field) -> int:
-    for i, x in enumerate(p):
-        if not field.is_zero(x):
-            return i
-    raise ValueError("the zero vector is not a projective point")
-
-
-def point_completion_matrix(p, field):
-    """Invertible B with first column p, remaining columns standard vectors."""
-    n1 = len(p)
-    piv = _point_pivot(p, field)
-    B = [[field.zero] * n1 for _ in range(n1)]
-    for i in range(n1):
-        B[i][0] = field.of(p[i])
-    col = 1
-    for j in range(n1):
-        if j == piv:
-            continue
-        B[j][col] = field.one
-        col += 1
-    return B
-
-
-def line_completion_matrix(L: LineParam):
-    """Invertible B with columns (p, u, standard vectors); x = B*y sends the
-    canonical line (t, s, 0, ..., 0) to L."""
-    f = L.field
-    p = L.marked_point()
-    u = L.direction()
-    n1 = L.n + 1
-    r1 = _point_pivot(p, f)
-    inv = f.inv(p[r1])
-    r2 = None
-    for i in range(n1):
-        if i == r1:
-            continue
-        # u reduced against p on row r1
-        red = f.sub(u[i], f.mul(f.mul(u[r1], inv), p[i]))
-        if not f.is_zero(red):
-            r2 = i
-            break
-    if r2 is None:
-        raise ValueError("degenerate parametrization: rank < 2")
-    B = [[f.zero] * n1 for _ in range(n1)]
-    for i in range(n1):
-        B[i][0] = p[i]
-        B[i][1] = u[i]
-    col = 2
-    for j in range(n1):
-        if j in (r1, r2):
-            continue
-        B[j][col] = f.one
-        col += 1
-    return B
+def completion_matrix(vectors, field):
+    """Invertible B whose first columns are the given vectors, followed by
+    the standard vectors e_j, in increasing j, for every j that is not a
+    row_reduce pivot of the vectors."""
+    n1 = len(vectors[0])
+    _, pivots = row_reduce(vectors, n1, field)
+    if len(pivots) < len(vectors):
+        raise ValueError("the zero point or a dependent pair cannot start a basis")
+    cols = list(vectors) + [[field.one if i == j else field.zero for i in range(n1)]
+                            for j in range(n1) if j not in pivots]
+    return [[col[i] for col in cols] for i in range(n1)]
 
 
 def canonical_line(n: int, field) -> LineParam:
@@ -152,7 +114,7 @@ def truncate(F: HyperForm, point, k: int) -> Truncation:
         raise ValueError("truncation point does not lie on the hypersurface")
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
-    B = point_completion_matrix(point, f)
+    B = completion_matrix([point], f)
     return Truncation(_grouped_truncation(F.substitute(B, upto=k), k), B, k)
 
 
@@ -203,7 +165,7 @@ class _Jets:
 
     @cached_property
     def B(self) -> list:
-        return line_completion_matrix(self.L)
+        return completion_matrix([self.L.marked_point(), self.L.direction()], self.L.field)
 
     @cached_property
     def chain(self) -> list[list]:
@@ -356,8 +318,7 @@ def sample_line(n: int, field, rng: random.Random) -> LineParam:
             continue
 
 
-def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
-                        max_tries: int = 400) -> HyperForm:
+def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random) -> HyperForm:
     """A random degree-d form with contact order exactly k along L at the
     marked point, smooth there.  Conditioning is linear: the first k
     restriction coefficients of each monomial give a k x N system and a
@@ -370,7 +331,7 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
     monos, rows = _conditioning_rows(L, d, k)
     conditions, s_k = rows[:k], rows[k]
     p = L.marked_point()
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         c = random_kernel_vector(conditions, len(monos), f, rng)
         # conditions force s^0..s^(k-1) to vanish; contact is exactly k iff
         # the s^k coefficient of F along L, s_k . c, does not (so F != 0)

@@ -189,12 +189,12 @@ def _fermat_terms(ring: RootRing) -> dict:
     return {tuple(ring.d if t == i else 0 for t in range(6)): ring.one for i in range(6)}
 
 
-def fermat_planes(d: int, verify: bool = True) -> list[FermatPlane]:
+def fermat_planes(d: int) -> list[FermatPlane]:
     """All 15 d^3 conjugate-pair planes of the degree-d Fermat in P^5.
 
-    With verify on, each plane is checked symbolically in Z[z]/(z^d + 1):
-    the substituted form vanishes identically and the spanning points
-    carry a unit-monomial minor.
+    Each plane is checked symbolically in Z[z]/(z^d + 1): the substituted
+    form vanishes identically and the spanning points carry a unit-monomial
+    minor.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -206,12 +206,9 @@ def fermat_planes(d: int, verify: bool = True) -> list[FermatPlane]:
             for e2 in range(d):
                 for e3 in range(d):
                     plane = FermatPlane(pairing=pairing, roots=(e1, e2, e3), d=d)
-                    if verify:
-                        pts = plane.spanning_points(ring)
-                        _certify_independent(pts, ring)
-                        if expand(terms, pts, ring):
-                            raise AssertionError(
-                                f"plane {plane.key()} fails containment"
-                            )
+                    pts = plane.spanning_points(ring)
+                    _certify_independent(pts, ring)
+                    if expand(terms, pts, ring):
+                        raise AssertionError(f"plane {plane.key()} fails containment")
                     out.append(plane)
     return out

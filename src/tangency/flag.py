@@ -91,12 +91,6 @@ class FlagElt:
             return NotImplemented
         return (self.n, self.arity, self.terms) == (other.n, other.arity, other.terms)
 
-    def is_reduced(self) -> bool:
-        return all(i <= 1 and j <= 1 for (i, j) in self.terms)
-
-    def reduced(self) -> "FlagElt":
-        return reduce_class(self)
-
     def text(self) -> str:
         if not self.terms:
             return "0"

@@ -3,14 +3,16 @@
 A HyperForm is a degree-d homogeneous polynomial in x_0..x_n over an exact
 field (QQ or F_p with p > d; the bound keeps every factorial up to d
 invertible, which the jet computations rely on).  A LineParam is a rank-2
-parametrization L(s, t) = s*u + t*p; the marked point is p = L([0:1]).
+parametrization L(s, t) = s*u + t*p, its rank taken by fields.row_reduce;
+the marked point is p = L([0:1]).
 
 One routine, expand, writes a form in new linear coordinates:
 F(y_0*c_0 + ... + y_m*c_m), optionally cut to degree <= top in y_1..y_m
-while it multiplies.  Along a line, F(t*p + s*u) = sum_m s^m t^(d-m) G_m(p, u),
-so contact order, HyperForm.pullback, pullback_of_partial (the same
-expansion of dF/dx_i) and the order-k substitution behind the truncation
-F_k are all this one expansion, over QQ, F_p or the Fermat root ring.
+while it multiplies.  Values, gradients, pullbacks and substitutions are
+all this one expansion, over QQ, F_p or the Fermat root ring: F(p) is
+F(y_0*p), the gradient F(y_0*p + sum_j y_(j+1)*e_j) cut at top = 1, a
+pullback F(t*p + s*u) = sum_m s^m t^(d-m) G_m(p, u) (also of dF/dx_i), and
+the truncation F_k comes from F(B*y) cut at top = k.
 expand_each runs the same per-term products but returns each term's
 expansion on its own (the conditioning rows of a sampled form).  Over QQ
 both clear denominators once: the products run in Python ints (ZZ) and
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .fields import ZZ, PrimeField, RationalField
+from .fields import ZZ, PrimeField, RationalField, matrix_rank
 
 
 def monomials(n: int, d: int) -> list[tuple[int, ...]]:
@@ -204,22 +206,12 @@ class LineParam:
         self.rows = rows
         self.n = len(rows) - 1
         self.field = field
-        if not self._has_rank_two():
+        if matrix_rank([self.marked_point(), self.direction()], self.n + 1, field) != 2:
             raise ValueError("degenerate parametrization: rank < 2")
 
     @classmethod
     def from_point_direction(cls, p, u, field) -> "LineParam":
         return cls([(ui, pi) for ui, pi in zip(u, p)], field)
-
-    def _has_rank_two(self) -> bool:
-        f = self.field
-        for i in range(self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                det = f.sub(f.mul(self.rows[i][0], self.rows[j][1]),
-                            f.mul(self.rows[i][1], self.rows[j][0]))
-                if not f.is_zero(det):
-                    return True
-        return False
 
     def marked_point(self) -> list:
         """L([0:1]) = p."""
@@ -270,25 +262,25 @@ class HyperForm:
             terms[tuple(e)] = field.one
         return cls(n, d, terms, field)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, point) -> object:
-        f = self.field
-        return _evaluate_terms(self.terms, [f.of(x) for x in point], f)
-
-    def partial(self, i: int) -> "HyperForm":
-        """d/dx_i, a form of degree d-1 (zero forms kept as empty term dicts)."""
-        if self.d == 1:
-            raise ValueError("cannot differentiate a linear form to degree 0 here")
-        return HyperForm(self.n, self.d - 1, _derivative_terms(self, i), self.field)
+        """F(point): the y_0^d coefficient of F(y_0*point)."""
+        got = expand(self.terms, [self._point(point)], self.field)
+        return got.get((self.d,), self.field.zero)
 
     def gradient(self, point) -> list:
-        """The partials at point; for d = 1 they are the constant coefficients."""
+        """The partials at point: dF/dx_i(p) is the y_0^(d-1) y_(i+1)
+        coefficient of F(y_0*p + y_1*e_0 + ... + y_(n+1)*e_n)."""
         f = self.field
-        point = [f.of(x) for x in point]
-        return [_evaluate_terms(_derivative_terms(self, i), point, f)
-                for i in range(self.n + 1)]
+        units = [tuple(int(i == j) for j in range(self.n + 1)) for i in range(self.n + 1)]
+        cols = [self._point(point)] + [[f.of(x) for x in e] for e in units]
+        got = expand(self.terms, cols, f, top=1)
+        return [got.get((self.d - 1,) + e, f.zero) for e in units]
+
+    def _point(self, point) -> list:
+        if len(point) != self.n + 1:
+            raise ValueError(f"a point of P^{self.n} needs {self.n + 1} coordinates, "
+                             f"got {len(point)}")
+        return [self.field.of(x) for x in point]
 
     def pullback(self, line: LineParam, upto: int | None = None) -> list:
         """Restriction F(L(s,t)) as a binary form; upto truncates the s-degree."""
@@ -335,17 +327,6 @@ def _derivative_terms(F: HyperForm, i: int) -> dict:
         e2[i] -= 1
         out[tuple(e2)] = f.mul(c, f.of(e[i]))
     return out
-
-
-def _evaluate_terms(terms: dict, point: list, f) -> object:
-    acc = f.zero
-    for e, c in terms.items():
-        v = c
-        for x, ei in zip(point, e):
-            for _ in range(ei):
-                v = f.mul(v, x)
-        acc = f.add(acc, v)
-    return acc
 
 
 def _along_line(terms: dict, deg: int, line: LineParam, width: int) -> list:

@@ -188,6 +188,39 @@ def test_slope_cli(capsys, schema, tmp_path):
     assert code == 0 and "slope: 4.0000" in out
 
 
+GOOD_RECORD = {"q": 7, "k": 5, "count": 2401, "n": 5, "d": 5}
+
+
+@pytest.mark.parametrize("entries", [
+    [{"q": 7}, GOOD_RECORD, GOOD_RECORD],                        # missing keys
+    [1, 2, 3],                                                   # not objects
+    [dict(GOOD_RECORD, q=q) for q in (1.5, 11, 13)],             # non-integral q
+    [dict(GOOD_RECORD, q=q) for q in (1, 7, 11)],                # q < 2
+    [dict(GOOD_RECORD, q=q, k=True) for q in (7, 11, 13)],       # a bool
+    [dict(GOOD_RECORD, q=q, count="9") for q in (7, 11, 13)],    # a string
+    [dict(GOOD_RECORD, q=q, elapsedMs=0.5) for q in (7, 11, 13)],
+], ids=["missing", "not-object", "float-q", "q-one", "bool", "string", "float-elapsed"])
+def test_slope_malformed_series_exit_2(capsys, tmp_path, entries):
+    series = tmp_path / "records.json"
+    series.write_text(json.dumps(entries))
+    code, out, err = run(capsys, "slope", "--series", str(series))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("point, says", [
+    ("1,0", "needs 4 coordinates, got 2"),
+    ("1,0,0,0,0", "needs 4 coordinates, got 5"),
+    ("0,0,0,0", "zero point"),
+], ids=["short", "long", "zero"])
+def test_deform_truncate_bad_point_exit_2(capsys, quadric_file, point, says):
+    code, out, err = run(capsys, "deform", "truncate", "--form", quadric_file,
+                         "--point", point, "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert says in err
+
+
 def test_fermat_planes_cli(capsys, schema, tmp_path):
     obj = run_json(capsys, schema, "fermat-planes", "--d", "2")
     assert obj["count"] == 120 and len(obj["planes"]) == 120

@@ -15,6 +15,7 @@ from tangency.deformation import (
     _conditioning_rows,
     _trial_routes,
     canonical_line,
+    completion_matrix,
     congruence_check,
     contact_experiment,
     contact_order,
@@ -319,3 +320,118 @@ def test_qq_trials_are_pinned():
             for corrupt in (False, True):
                 h.update(f"{congruence_check(F, L, k, corrupt=corrupt).per_index}\n".encode())
     assert h.hexdigest() == "39884ec526cdb246673cb0594a69334ad2f38de0b0022777bbdaa6d9ba823a96"
+
+
+def test_truncations_are_pinned():
+    # digest of truncate(F, p, k), form text and basis, at every k for seeded
+    # points (half their coordinates zero) of seeded forms made to vanish
+    # there; recorded from the implementation that completed the point to a
+    # basis with its own search for the first nonzero coordinate
+    h = hashlib.sha256()
+    for label in ("QQ", "F7", "F101"):
+        field = FIELDS[label]
+        rng = random.Random(f"pinned truncations {label}")
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            d = rng.randint(1, 5)
+            p = [field.random(rng) if rng.random() < 0.5 else field.zero for _ in range(n + 1)]
+            if all(field.is_zero(x) for x in p):
+                p[rng.randrange(n + 1)] = field.one
+            G = HyperForm(n, d, {e: field.random(rng) for e in monomials(n, d)
+                                 if rng.random() < 0.6}, field)
+            r = rng.choice([i for i, x in enumerate(p) if not field.is_zero(x)])
+            top = tuple(d if i == r else 0 for i in range(n + 1))
+            # subtract G(p) / p_r^d * x_r^d so that F(p) = 0
+            shift = field.mul(G.evaluate(p), field.inv(field.of(p[r]) ** d))
+            terms = dict(G.terms)
+            terms[top] = field.sub(terms.get(top, field.zero), shift)
+            F = HyperForm(n, d, terms, field)
+            for k in range(1, d + 1):
+                t = truncate(F, p, k)
+                h.update(f"{label} {n} {d} {k} {p}\n{t.form.text()}\n{t.basis}\n".encode())
+    assert h.hexdigest() == "8fe61cbd763f69dabd0b92b44758aca8de5c7cdda9c093e9827a198632d9219c"
+
+
+# the searches that completed a point, and a line (p, u), to a basis before
+# completion_matrix took the pivots from row_reduce: the reference for it
+
+
+def _first_nonzero(p, f) -> int:
+    for i, x in enumerate(p):
+        if not f.is_zero(x):
+            return i
+    raise ValueError("the zero vector is not a projective point")
+
+
+def _searched_point_basis(p, f):
+    n1 = len(p)
+    piv = _first_nonzero(p, f)
+    B = [[f.zero] * n1 for _ in range(n1)]
+    for i in range(n1):
+        B[i][0] = p[i]
+    col = 1
+    for j in range(n1):
+        if j != piv:
+            B[j][col] = f.one
+            col += 1
+    return B
+
+
+def _searched_line_basis(p, u, f):
+    n1 = len(p)
+    r1 = _first_nonzero(p, f)
+    ratio = f.mul(u[r1], f.inv(p[r1]))
+    # first nonzero entry of u reduced against p on row r1
+    r2 = next(i for i in range(n1) if i != r1 and not f.is_zero(f.sub(u[i], f.mul(ratio, p[i]))))
+    B = [[f.zero] * n1 for _ in range(n1)]
+    for i in range(n1):
+        B[i][0], B[i][1] = p[i], u[i]
+    col = 2
+    for j in range(n1):
+        if j not in (r1, r2):
+            B[j][col] = f.one
+            col += 1
+    return B
+
+
+def _some_minor_is_nonzero(p, u, f) -> bool:
+    return any(not f.is_zero(f.sub(f.mul(u[i], p[j]), f.mul(p[i], u[j])))
+               for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+BASIS_FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F3": PrimeField(3), "F101": PrimeField(101)}
+
+
+@st.composite
+def point_pairs(draw):
+    field = BASIS_FIELDS[draw(st.sampled_from(sorted(BASIS_FIELDS)))]
+    n1 = draw(st.integers(2, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 5, 7))))
+    p = [field.of(draw(entry)) for _ in range(n1)]
+    u = [field.of(draw(entry)) for _ in range(n1)]
+    if draw(st.booleans()):   # often a multiple of p plus little else
+        c = field.of(draw(st.integers(-3, 3)))
+        u = [field.add(field.mul(c, x), y if draw(st.booleans()) else field.zero)
+             for x, y in zip(p, u)]
+    return field, p, u
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(point_pairs())
+def test_completion_matrix_equals_the_searched_bases(case):
+    f, p, u = case
+    if any(not f.is_zero(x) for x in p):
+        assert completion_matrix([p], f) == _searched_point_basis(p, f)
+    else:
+        with pytest.raises(ValueError):
+            completion_matrix([p], f)
+    independent = _some_minor_is_nonzero(p, u, f)
+    if independent:
+        assert completion_matrix([p, u], f) == _searched_line_basis(p, u, f)
+        assert LineParam.from_point_direction(p, u, f).marked_point() == p
+    else:
+        with pytest.raises(ValueError):
+            completion_matrix([p, u], f)
+        with pytest.raises(ValueError, match="rank < 2"):
+            LineParam.from_point_direction(p, u, f)

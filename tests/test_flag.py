@@ -17,6 +17,11 @@ from tangency.flag import (
 from tangency.schubert import SchubertElt, sigma
 
 
+def is_reduced(x: FlagElt) -> bool:
+    # every term carries H1 and H2 to at most the first power
+    return all(i <= 1 and j <= 1 for (i, j) in x.terms)
+
+
 def h_power(n, m, arity=1, slot=1):
     h = hclass(n, arity, slot)
     out = FlagElt.from_base(sigma(n, 0, 0), arity=arity)
@@ -68,7 +73,7 @@ def test_reduce_idempotent():
         arity = rng.choice((1, 2))
         x = random_flag(n, arity, rng)
         r = reduce_class(x)
-        assert r.is_reduced()
+        assert is_reduced(r)
         assert reduce_class(r) == r
 
 
@@ -91,7 +96,7 @@ def test_mul_operator_reduces():
     n = 4
     h = hclass(n, 1, 1)
     sq = h * h
-    assert sq.is_reduced()
+    assert is_reduced(sq)
     assert sq == hclass(n, 1, 1).scale(sigma(n, 1)) - FlagElt.from_base(
         sigma(n, 1, 1), arity=1
     )

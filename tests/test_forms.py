@@ -82,8 +82,76 @@ def test_gradient_of_linear_form_is_its_coefficients():
     for f in (QQ, PrimeField(7)):
         F = HyperForm(2, 1, {(1, 0, 0): 3, (0, 0, 1): -2}, f)
         assert F.gradient([5, 1, 4]) == [f.of(3), f.zero, f.of(-2)]
-        with pytest.raises(ValueError, match="linear form"):
-            F.partial(0)
+
+
+def _per_term_value(terms: dict, point: list, f):
+    # the per-term evaluation the forms module used before evaluate and
+    # gradient went through expand: the reference for both
+    acc = f.zero
+    for e, c in terms.items():
+        v = c
+        for x, ei in zip(point, e):
+            for _ in range(ei):
+                v = f.mul(v, x)
+        acc = f.add(acc, v)
+    return acc
+
+
+def _partial_terms(F: HyperForm, i: int) -> dict:
+    # d/dx_i term by term, from the exponents
+    f = F.field
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: f.mul(c, f.of(e[i]))
+            for e, c in F.terms.items() if e[i]}
+
+
+EVAL_FIELDS = {"QQ": QQ, "F7": PrimeField(7), "F101": PrimeField(101)}
+
+
+@st.composite
+def forms_and_points(draw):
+    field = EVAL_FIELDS[draw(st.sampled_from(sorted(EVAL_FIELDS)))]
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    monos = monomials(n, d)
+    kind = draw(st.sampled_from(("zero", "sparse", "dense")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "zero":
+        chosen = []
+    elif kind == "sparse":
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+    else:
+        chosen = monos
+    F = HyperForm(n, d, {e: field.random(rng) for e in chosen}, field)
+    coordinate = st.one_of(st.just(0), st.integers(-200, 200))
+    if field is QQ:
+        coordinate = st.one_of(coordinate, _rationals)
+    point = [field.of(draw(coordinate)) for _ in range(n + 1)]
+    return F, point
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forms_and_points())
+def test_evaluate_and_gradient_equal_the_per_term_values(case):
+    F, point = case
+    f = F.field
+    want = _per_term_value(F.terms, point, f)
+    got = F.evaluate(point)
+    assert (got, type(got)) == (want, type(want))
+    grad = F.gradient(point)
+    for i, g in enumerate(grad):
+        want = _per_term_value(_partial_terms(F, i), point, f)
+        assert (g, type(g)) == (want, type(want))
+    assert len(grad) == F.n + 1
+
+
+def test_evaluate_and_gradient_refuse_a_point_of_the_wrong_length():
+    for f in (QQ, PrimeField(7)):
+        F = HyperForm(2, 2, {(1, 0, 1): 1, (0, 2, 0): -1}, f)
+        for point in ([1, 0], [1, 0, 0, 0]):
+            with pytest.raises(ValueError, match="3 coordinates"):
+                F.evaluate(point)
+            with pytest.raises(ValueError, match="3 coordinates"):
+                F.gradient(point)
 
 
 def test_pullback_worked_example():
@@ -117,7 +185,7 @@ def test_pullback_of_partial_matches_partial_pullback():
             continue
         for i in range(n + 1):
             direct = pullback_of_partial(F, i, line)
-            via_partial = F.partial(i).pullback(line)
+            via_partial = HyperForm(n, dd - 1, _partial_terms(F, i), f).pullback(line)
             assert direct == via_partial
 
 
