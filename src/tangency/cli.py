@@ -28,11 +28,12 @@ from .deformation import (
     log_sections,
     truncate,
 )
+from .dpoly import DPoly
 from .enumerative import BOUND_INFO, fano_line_count
 from .fermat import fermat_planes
 from .fields import QQ, PrimeField
 from .flag import FlagElt, hclass, integrate
-from .forms import parse_form, parse_line_param
+from .forms import HyperForm, _parse_scalar, parse_form, parse_line_param
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +130,6 @@ class _ExprParser:
         if tok.isdigit():
             return self._scalar(int(tok))
         if tok == "d":
-            from .dpoly import DPoly
-
             return self._scalar(DPoly.var())
         if tok in ("H1", "H2"):
             return hclass(self.n, 2, int(tok[1]))
@@ -155,10 +154,18 @@ def _base_only(x: FlagElt):
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output and inputs
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+def _show(args, doc: dict, text, csv: str | None = None, warnings=()) -> int:
+    """Print one result the way --format asks: doc as indented JSON, or
+    text (csv under --format csv) after any warnings on stderr."""
+    if args.format == "json":
+        print(json.dumps(doc, indent=2))
+    else:
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        print(csv if args.format == "csv" else text)
+    return 0
 
 
 def _read(path: str) -> str:
@@ -169,115 +176,68 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {ex}") from ex
 
 
-def _field_arg(q):
-    if q is None:
-        return QQ
-    return PrimeField(q)
+def _deform_inputs(args):
+    """The field (--q, else QQ), form and line (None without --line) of a
+    deform command."""
+    field = QQ if args.q is None else PrimeField(args.q)
+    form = parse_form(_read(args.form), field)
+    line = parse_line_param(_read(args.line), field) if "line" in args else None
+    return field, form, line
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each computes one result and hands its JSON document and its
+# text to _show
 
 def _cmd_schubert_mult(args) -> int:
-    elt = _base_only(parse_expression(args.expr, args.n))
-    if args.format == "json":
-        _emit({"n": args.n, "schubert": elt.text()})
-    else:
-        print(elt.text())
-    return 0
+    text = _base_only(parse_expression(args.expr, args.n)).text()
+    return _show(args, {"n": args.n, "schubert": text}, text)
 
 
 def _cmd_schubert_degree(args) -> int:
     elt = _base_only(parse_expression(args.expr, args.n))
-    value = schubert.degree(elt)
-    if args.format == "json":
-        _emit({"n": args.n, "degree": value.text(args.order)})
-    else:
-        print(value.text(args.order))
-    return 0
+    text = schubert.degree(elt).text(args.order)
+    return _show(args, {"n": args.n, "degree": text}, text)
 
 
 def _cmd_flag_integrate(args) -> int:
-    x = parse_expression(args.expr, args.n)
-    value = integrate(x)
-    if args.format == "json":
-        _emit({"n": args.n, "integral": value.text(args.order)})
-    else:
-        print(value.text(args.order))
-    return 0
+    text = integrate(parse_expression(args.expr, args.n)).text(args.order)
+    return _show(args, {"n": args.n, "integral": text}, text)
 
 
-def _cmd_bound(args, name: str) -> int:
-    info = BOUND_INFO[name]
-    poly = info["func"]()
-    if args.format == "json":
-        _emit(
-            {
-                "name": name,
-                "polynomial": poly.text(args.order),
-                "validity": info["validity"],
-                "pipeline": list(info["pipeline"]),
-            }
-        )
-    else:
-        print(poly.text(args.order))
-    return 0
+def _cmd_bound(args) -> int:
+    info = BOUND_INFO[args.sub]
+    text = info["func"]().text(args.order)
+    doc = {"name": args.sub, "polynomial": text, "validity": info["validity"],
+           "pipeline": list(info["pipeline"])}
+    return _show(args, doc, text)
 
 
 def _cmd_fano(args) -> int:
     count = int(fano_line_count(args.n, args.d))
-    if args.format == "json":
-        _emit({"n": args.n, "d": args.d, "lines": count})
-    else:
-        print(count)
-    return 0
-
-
-def _parse_point(text: str, field) -> list:
-    from .forms import _parse_scalar
-
-    return [_parse_scalar(tok, field) for tok in text.split(",")]
+    return _show(args, {"n": args.n, "d": args.d, "lines": count}, count)
 
 
 def _cmd_deform_contact(args) -> int:
-    field = _field_arg(args.q)
-    form = parse_form(_read(args.form), field)
-    line = parse_line_param(_read(args.line), field)
+    _, form, line = _deform_inputs(args)
     order = contact_order(form, line)
-    if args.format == "json":
-        _emit({"contactOrder": order})
-    else:
-        print(order)
-    return 0
+    return _show(args, {"contactOrder": order}, order)
 
 
 def _cmd_deform_truncate(args) -> int:
-    field = _field_arg(args.q)
-    form = parse_form(_read(args.form), field)
-    point = _parse_point(args.point, field)
-    result = truncate(form, point, args.k)
-    if args.format == "json":
-        _emit(
-            {
-                "k": args.k,
-                "n": result.form.n,
-                "d": result.form.d,
-                "form": result.form.text(),
-                "basis": [[str(c) for c in row] for row in result.basis],
-            }
-        )
-    else:
-        print(result.form.text())
-    return 0
+    field, form, _ = _deform_inputs(args)
+    result = truncate(form, [_parse_scalar(tok, field) for tok in args.point.split(",")], args.k)
+    text = result.form.text()
+    doc = {"k": args.k, "n": result.form.n, "d": result.form.d, "form": text,
+           "basis": [[str(c) for c in row] for row in result.basis]}
+    return _show(args, doc, text)
 
 
 def _cmd_deform_sections(args) -> int:
-    field = _field_arg(args.q)
-    form = parse_form(_read(args.form), field)
-    line = parse_line_param(_read(args.line), field)
+    _, form, line = _deform_inputs(args)
     space = log_sections(form, line, args.k, use_truncation=(args.route == "truncated"))
     finite = space.contact != CONTAINED
-    obj = {
+    doc = {
         "contactOrder": space.contact,
         "rawDim": space.raw_dim,
         "h0": space.h0,
@@ -285,70 +245,38 @@ def _cmd_deform_sections(args) -> int:
         "expectedValue": space.expected_h0,
         "match": space.matches,
     }
-    if args.format == "json":
-        _emit(obj)
-    else:
-        print(f"contact order: {space.contact}")
-        print(f"raw solution dimension: {space.raw_dim}")
-        print(f"h0 (Euler quotient): {space.h0}")
-        if finite:
-            print(f"expected 2n-k+1 = {space.expected_h0}: "
-                  f"{'match' if space.matches else 'MISMATCH'}")
-        else:
-            print("contained line: no expected value")
-    return 0
+    verdict = (f"expected 2n-k+1 = {space.expected_h0}: "
+               f"{'match' if space.matches else 'MISMATCH'}" if finite
+               else "contained line: no expected value")
+    return _show(args, doc, f"contact order: {space.contact}\n"
+                            f"raw solution dimension: {space.raw_dim}\n"
+                            f"h0 (Euler quotient): {space.h0}\n{verdict}")
 
 
 def _cmd_deform_congruence(args) -> int:
-    field = _field_arg(args.q)
-    form = parse_form(_read(args.form), field)
-    line = parse_line_param(_read(args.line), field)
+    _, form, line = _deform_inputs(args)
     report = congruence_check(form, line, args.k, corrupt=args.corrupt)
-    obj = {
-        "k": report.k,
-        "perIndex": list(report.per_index),
-        "ok": report.ok,
-        "corrupted": report.corrupted,
-    }
-    if args.format == "json":
-        _emit(obj)
-    elif report.ok:
-        print(f"congruence holds for all indices (k={report.k})")
-    else:
-        print(f"congruence FAILS: per-index {report.per_index}")
+    doc = {"k": report.k, "perIndex": list(report.per_index), "ok": report.ok,
+           "corrupted": report.corrupted}
+    _show(args, doc, f"congruence holds for all indices (k={report.k})" if report.ok
+          else f"congruence FAILS: per-index {report.per_index}")
     if not report.ok and not report.corrupted:
         raise AssertionError("exact congruence identity failed on valid input")
     return 0 if report.ok else 3
 
 
 def _cmd_count_vk(args) -> int:
-    text = _read(args.input)
-    rational = parse_form(text, QQ)
+    rational = parse_form(_read(args.input), QQ)
     if args.q <= rational.d:
         raise ValueError(
             "characteristic too small for contact order d "
             f"(q = {args.q}, d = {rational.d})"
         )
-    field = PrimeField(args.q)
-    terms = {}
-    for e, c in rational.terms.items():
-        v = field.of(c)
-        if not field.is_zero(v):
-            terms[e] = v
-    from .forms import HyperForm
-
-    form = HyperForm(rational.n, rational.d, terms, field)
-    record = count_vk(form, args.k, workers=args.threads)
-    if args.format == "json":
-        _emit(record.to_json())
-    elif args.format == "csv":
-        print("q,k,count,n,d,elapsedMs")
-        print(f"{record.q},{record.k},{record.count},{record.n},"
-              f"{record.d},{record.elapsed_ms}")
-    else:
-        print(f"|V_{record.k}| over F_{record.q}: {record.count} "
-              f"(n={record.n}, d={record.d}, {record.elapsed_ms}ms)")
-    return 0
+    form = HyperForm(rational.n, rational.d, rational.terms, PrimeField(args.q))
+    r = count_vk(form, args.k, workers=args.threads)
+    return _show(args, r.to_json(),
+                 f"|V_{r.k}| over F_{r.q}: {r.count} (n={r.n}, d={r.d}, {r.elapsed_ms}ms)",
+                 csv=f"q,k,count,n,d,elapsedMs\n{r.q},{r.k},{r.count},{r.n},{r.d},{r.elapsed_ms}")
 
 
 def _cmd_slope(args) -> int:
@@ -358,34 +286,21 @@ def _cmd_slope(args) -> int:
         raise ValueError(f"invalid JSON in {args.series}: {ex}") from ex
     if not isinstance(data, list):
         raise ValueError("series file must hold a JSON array of count records")
-    records = [CountRecord.from_json(obj) for obj in data]
-    report = dimension_slope(records)
-    if args.format == "json":
-        _emit(report.to_json())
-    else:
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        print(f"slope: {report.slope:.4f}")
-        print("per-step slopes: " + ", ".join(f"{s:.4f}" for s in report.pair_slopes))
-    return 0
+    report = dimension_slope([CountRecord.from_json(obj) for obj in data])
+    return _show(args, report.to_json(),
+                 f"slope: {report.slope:.4f}\nper-step slopes: "
+                 + ", ".join(f"{s:.4f}" for s in report.pair_slopes),
+                 warnings=report.warnings)
 
 
 def _cmd_fermat_planes(args) -> int:
     planes = fermat_planes(args.d)
-    doc = {
-        "d": args.d,
-        "count": len(planes),
-        "planes": [p.to_json() for p in planes],
-    }
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"{len(planes)} verified planes written to {args.emit}")
-    elif args.format == "json":
-        _emit(doc)
-    else:
-        print(f"{len(planes)} verified planes (15*d^3 = {15 * args.d ** 3})")
+    doc = {"d": args.d, "count": len(planes), "planes": [p.to_json() for p in planes]}
+    if not args.emit:
+        return _show(args, doc, f"{len(planes)} verified planes (15*d^3 = {15 * args.d ** 3})")
+    with open(args.emit, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+    print(f"{len(planes)} verified planes written to {args.emit}")
     return 0
 
 
@@ -424,15 +339,11 @@ def _cmd_replicate(args) -> int:
     check("fano-quintic-threefold", int(fano_line_count(4, 5)), 2875)
 
     all_pass = all(c["pass"] for c in checks)
-    if args.format == "json":
-        _emit({"results": checks, "allPass": all_pass})
-    else:
-        width = max(len(c["name"]) for c in checks)
-        for c in checks:
-            mark = "pass" if c["pass"] else "FAIL"
-            print(f"{c['name']:<{width}}  {mark}  expected {c['expected']}"
-                  + ("" if c["pass"] else f"  got {c['got']}"))
-        print("all checks passed" if all_pass else "REPLICATION FAILED")
+    width = max(len(c["name"]) for c in checks)
+    rows = [f"{c['name']:<{width}}  {'pass' if c['pass'] else 'FAIL'}  expected {c['expected']}"
+            + ("" if c["pass"] else f"  got {c['got']}") for c in checks]
+    rows.append("all checks passed" if all_pass else "REPLICATION FAILED")
+    _show(args, {"results": checks, "allPass": all_pass}, "\n".join(rows))
     if not all_pass:
         raise AssertionError("replication targets no longer reproduce")
     return 0
@@ -450,12 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def fmt(p, choices=("text", "json")):
+    def fmt(p, choices=("text", "json"), order=False):
         p.add_argument("--format", choices=choices, default="text")
-
-    def order(p):
-        p.add_argument("--order", choices=("desc", "asc"), default="desc",
-                       help="polynomial term order in text output")
+        if order:
+            p.add_argument("--order", choices=("desc", "asc"), default="desc",
+                           help="polynomial term order in text output")
 
     schub = sub.add_parser("schubert", help="Schubert-class arithmetic on G(1,n)")
     ssub = schub.add_subparsers(dest="sub", required=True)
@@ -467,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("degree", help="degree of a top-codimension class")
     p.add_argument("expr")
     p.add_argument("--n", type=int, required=True)
-    fmt(p)
-    order(p)
+    fmt(p, order=True)
     p.set_defaults(handler=_cmd_schubert_degree)
 
     flagp = sub.add_parser("flag", help="fiber-square classes with H1, H2")
@@ -476,25 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("integrate", help="push forward and take the degree")
     p.add_argument("expr")
     p.add_argument("--n", type=int, required=True)
-    fmt(p)
-    order(p)
+    fmt(p, order=True)
     p.set_defaults(handler=_cmd_flag_integrate)
 
     bound = sub.add_parser("bound", help="enumerative degree bounds")
     bsub = bound.add_subparsers(dest="sub", required=True)
     for name in ("planes", "z6"):
         p = bsub.add_parser(name)
-        fmt(p)
-        order(p)
-        p.set_defaults(handler=lambda a, _name=name: _cmd_bound(a, _name))
+        fmt(p, order=True)
+        p.set_defaults(handler=_cmd_bound)
 
     classic = sub.add_parser("classic", help="classical enumerative checks")
     csub = classic.add_subparsers(dest="sub", required=True)
     for name in ("flecnodal", "flex"):
         p = csub.add_parser(name)
-        fmt(p)
-        order(p)
-        p.set_defaults(handler=lambda a, _name=name: _cmd_bound(a, _name))
+        fmt(p, order=True)
+        p.set_defaults(handler=_cmd_bound)
     p = csub.add_parser("fano", help="finite line count on a general hypersurface")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)

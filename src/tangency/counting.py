@@ -36,13 +36,13 @@ C(nfree-1+j, j) x points).  Everything that depends only on the form, k
 and q (the derivative matrices, the pullback tables, the grid monomials,
 the inverse table) is built once per count_vk call.
 
-Exactness of a count.  Each sum adds products of residues in [0, q), so
-it is at most exactness_bound(n, d, k, q), and count_vk refuses, before it
-enumerates anything, a q for which that bound reaches 2^53.  Below it,
-the float64 contraction is exact and rint(V / q) * q == V is an exact
-divisibility test.  The contraction is an einsum, never a BLAS call: a
-forked pool worker that called BLAS would start its own BLAS threads on
-top of the other workers.
+Exactness of a count.  Each pullback and contraction sum adds products
+of residues in [0, q), so it is at most exactness_bound(n, d, k, q), and
+count_vk refuses, before it enumerates anything, a q for which that bound
+reaches 2^53.  Below it, the float64 contraction is exact and
+rint(V / q) * q == V is an exact divisibility test.  The contraction is
+an einsum, never a BLAS call: a forked pool worker that called BLAS would
+start its own BLAS threads on top of the other workers.
 
 Counts are exact integers; the worker count (capped by the CPUs and by the
 size of the count) only changes the chunking, never the sum.
@@ -161,15 +161,15 @@ def exactness_bound(n: int, d: int, k: int, q: int) -> int:
     """A bound on every integer a count_vk sum reaches for k >= 2 over F_q.
 
     Every sum adds products of two residues in [0, q), so it is at most
-    (terms) * (q-1)^2.  The widest sums are the derivative evaluation
-    (monomials of degree d-j in n+1 variables), the pullback to a chart
-    (pairs of monomials in the n-1 chart variables) and the contraction
-    (monomials of degree j in the n variables of a singular point's chart).
+    (terms) * (q-1)^2.  The widest are the pullback to a chart (pairs of
+    monomials in the n-1 chart variables) and the contraction (monomials
+    of degree j in the n variables of a singular point's chart).  The
+    derivative evaluation is not among them: it reduces its int64 sums
+    mod q on its own, exact whenever (q-1)^2 < 2^63.
     """
     terms = 1
     for j in range(1, min(k - 1, d) + 1):
-        terms = max(terms, comb(n + d - j, d - j), comb(2 * n - 3 + j, j),
-                    comb(n - 1 + j, j))
+        terms = max(terms, comb(2 * n - 3 + j, j), comb(n - 1 + j, j))
     return terms * (q - 1) ** 2
 
 

@@ -12,18 +12,34 @@ import operator
 from fractions import Fraction
 
 
+# Miller-Rabin to the prime bases 2..41 decides every m below _PRIME_LIMIT
+# (Sorenson and Webster, 2017: the least strong pseudoprime to all of them)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for m >= _PRIME_LIMIT."""
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    if m >= _PRIME_LIMIT:
+        raise ValueError(f"{m} is too large: primality is decided below {_PRIME_LIMIT}")
+    for a in _BASES:
+        if m % a == 0:
+            return m == a
+    odd, twos = m - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _BASES:
+        x = pow(a, odd, m)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: golden output strings, exit codes, and JSON
 schema conformance."""
 
+import hashlib
 import json
+import re
 import time
 from importlib import resources
 
@@ -273,3 +275,146 @@ def test_count_vk_out_of_memory_exit_2(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "count_vk", exhausted)
         got = run(capsys, "count-vk", "--input", path, "--q", "5", "--k", "1")
         assert got == (2, "", f"error: {shown}\n")
+
+
+CONIC = "1 1 0 1\n-1 0 2 0\n"     # x0 x2 - x1^2
+TANGENT = "0 1\n1 0\n0 0\n"        # x2 = 0 meets the conic to order 2
+RECORDS = [{"q": q, "k": 5, "count": q ** 4, "n": 5, "d": 5, "elapsedMs": 1} for q in (7, 11, 13)]
+WITH_ZERO = [dict(r, count=0 if r["q"] == 7 else r["count"]) for r in RECORDS] + [
+    dict(RECORDS[0], q=17, count=17 ** 4)]
+# each case runs once per format it accepts ("" for text, the default); {t}
+# is the directory of the input files
+FORMATS = ("", "json")
+PINNED_CASES = [
+    (("schubert", "mult", "s[2,2]*s[1,1]", "--n", "5"), FORMATS),
+    (("schubert", "mult", "(s[1] + s[1,1])^2 - 3", "--n", "4"), FORMATS),
+    (("schubert", "mult", "s[9,9]", "--n", "5"), FORMATS),
+    (("schubert", "mult", "s[1]*H1", "--n", "5"), FORMATS),
+    (("schubert", "degree", "s[1,1]*s[1]^6", "--n", "5"), FORMATS),
+    (("schubert", "degree", "d*s[1]^4 + d^2*s[2,2]", "--n", "3", "--order", "asc"), FORMATS),
+    (("schubert", "degree", "s[1]", "--n", "5"), FORMATS),
+    (("flag", "integrate", "s[2,2]*s[1,1]*H1*H2", "--n", "4"), FORMATS),
+    (("flag", "integrate", "(d*H1 + s[1])^4*H2^2", "--n", "3"), FORMATS),
+    (("flag", "integrate", "(d*H1 + s[1])^4*H2^2", "--n", "3", "--order", "asc"), FORMATS),
+    (("bound", "planes"), FORMATS),
+    (("bound", "planes", "--order", "asc"), FORMATS),
+    (("bound", "z6"), FORMATS),
+    (("bound", "z6", "--order", "asc"), FORMATS),
+    (("classic", "flecnodal"), FORMATS),
+    (("classic", "flex", "--order", "asc"), FORMATS),
+    (("classic", "fano", "--n", "3", "--d", "3"), FORMATS),
+    (("classic", "fano", "--n", "4", "--d", "5"), FORMATS),
+    (("classic", "fano", "--n", "3", "--d", "0"), FORMATS),
+    (("deform", "contact", "--form", "{t}/quadric.hs", "--line", "{t}/line.txt"), FORMATS),
+    (("deform", "contact", "--form", "{t}/conic.hs", "--line", "{t}/tangent.txt",
+      "--q", "7"), FORMATS),
+    (("deform", "contact", "--form", "{t}/missing.hs", "--line", "{t}/line.txt"), FORMATS),
+    (("deform", "contact", "--form", "{t}/quadric.hs", "--line", "{t}/tangent.txt"), FORMATS),
+    (("deform", "contact", "--form", "{t}/conic.hs", "--line", "{t}/tangent.txt",
+      "--q", "9"), FORMATS),
+    (("deform", "truncate", "--form", "{t}/quadric.hs", "--point", "1,0,0,0",
+      "--k", "1"), FORMATS),
+    (("deform", "truncate", "--form", "{t}/conic.hs", "--point", "1,1/2,1/4",
+      "--k", "2"), FORMATS),
+    (("deform", "truncate", "--form", "{t}/conic.hs", "--point", "0,0,1", "--k", "2",
+      "--q", "7"), FORMATS),
+    (("deform", "truncate", "--form", "{t}/quadric.hs", "--point", "1,0", "--k", "1"),
+     FORMATS),
+    (("deform", "truncate", "--form", "{t}/quadric.hs", "--point", "1,x,0,0",
+      "--k", "1"), FORMATS),
+    (("deform", "sections", "--form", "{t}/quadric.hs", "--line", "{t}/line.txt",
+      "--k", "2"), FORMATS),
+    (("deform", "sections", "--form", "{t}/conic.hs", "--line", "{t}/tangent.txt",
+      "--k", "2"), FORMATS),
+    (("deform", "sections", "--form", "{t}/conic.hs", "--line", "{t}/tangent.txt",
+      "--k", "2", "--route", "direct", "--q", "5"), FORMATS),
+    (("deform", "congruence", "--form", "{t}/conic.hs", "--line", "{t}/tangent.txt",
+      "--k", "2"), FORMATS),
+    (("deform", "congruence", "--form", "{t}/conic.hs", "--line", "{t}/tangent.txt",
+      "--k", "2", "--corrupt"), FORMATS),
+    (("deform", "congruence", "--form", "{t}/conic.hs", "--line", "{t}/tangent.txt",
+      "--k", "2", "--q", "11"), FORMATS),
+    (("count-vk", "--input", "{t}/fermat_2_2.hs", "--q", "5", "--k", "2"), FORMATS + ("csv",)),
+    (("count-vk", "--input", "{t}/fermat_2_3.hs", "--q", "7", "--k", "1"), FORMATS + ("csv",)),
+    (("count-vk", "--input", "{t}/fermat_2_3.hs", "--q", "5", "--k", "3", "--threads", "2"),
+     FORMATS + ("csv",)),
+    (("count-vk", "--input", "{t}/conic.hs", "--q", "7", "--k", "2"), FORMATS + ("csv",)),
+    (("count-vk", "--input", "{t}/fermat_2_3.hs", "--q", "3", "--k", "1"), FORMATS + ("csv",)),
+    (("count-vk", "--input", "{t}/fermat_2_3.hs", "--q", "25", "--k", "2"), FORMATS + ("csv",)),
+    (("count-vk", "--input", "{t}/fermat_5_2.hs", "--q", "2147483647", "--k", "3"),
+     FORMATS + ("csv",)),
+    (("count-vk", "--input", "{t}/missing.hs", "--q", "5", "--k", "2"), FORMATS + ("csv",)),
+    (("slope", "--series", "{t}/records.json"), FORMATS),
+    (("slope", "--series", "{t}/with_zero.json"), FORMATS),
+    (("slope", "--series", "{t}/not_json.json"), FORMATS),
+    (("slope", "--series", "{t}/object.json"), FORMATS),
+    (("slope", "--series", "{t}/missing_key.json"), FORMATS),
+    (("fermat-planes", "--d", "2"), FORMATS),
+    (("fermat-planes", "--d", "3", "--emit", "{t}/planes.json"), FORMATS),
+    (("fermat-planes", "--d", "1", "--emit", "{t}/missing/planes.json"), FORMATS),
+    (("fermat-planes", "--d", "0"), FORMATS),
+    (("replicate-paper",), FORMATS),
+] + [(tuple(cmd.split()) + ("--help",), ("",)) for cmd in (
+    "", "schubert", "schubert mult", "schubert degree", "flag", "flag integrate",
+    "bound", "bound planes", "bound z6", "classic", "classic flecnodal", "classic flex",
+    "classic fano", "deform", "deform contact", "deform truncate", "deform sections",
+    "deform congruence", "count-vk", "slope", "fermat-planes", "replicate-paper")]
+
+
+def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    # sha256 of the exit code, stdout, stderr and --emit file of every case,
+    # with elapsedMs masked and help wrapped at 80 columns; recorded from the
+    # CLI whose handlers each chose their own output format
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {
+        "quadric.hs": QUADRIC, "line.txt": CONTAINED_LINE, "conic.hs": CONIC,
+        "tangent.txt": TANGENT, "records.json": json.dumps(RECORDS),
+        "with_zero.json": json.dumps(WITH_ZERO), "not_json.json": "[1, 2",
+        "object.json": json.dumps({"q": 7}), "missing_key.json": json.dumps(RECORDS[:2] + [{}]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for n, d in ((2, 2), (2, 3), (5, 2)):
+        fermat_file(tmp_path, n, d)
+    emitted = tmp_path / "planes.json"
+    masks = [(r'"elapsedMs": \d+', '"elapsedMs": #'), (r"\d+ms\)", "#ms)"),
+             (r"(?m)^((?:\d+,){5})\d+$", r"\1#")]
+    h = hashlib.sha256()
+    for argv, formats in PINNED_CASES:
+        for fmt in formats:
+            args = [a.replace("{t}", str(tmp_path)) for a in argv]
+            code, out, err = run(capsys, *args, *(("--format", fmt) if fmt else ()))
+            out, err = (s.replace(str(tmp_path), "{t}") for s in (out, err))
+            for pattern, repl in masks:
+                out = re.sub(pattern, repl, out)
+            emit = emitted.read_text() if emitted.exists() else None
+            if emit is not None:
+                emitted.unlink()
+            h.update(repr((argv, fmt, code, out, err, emit)).encode())
+    assert h.hexdigest() == "d85401ed01c3ee5d7219d0b9e230e1f604d3ed1f2b65c00f32ae0db6b28cc6b9"
+
+
+def test_huge_q_is_answered_or_refused_at_once(capsys, tmp_path):
+    # primality of q is Miller-Rabin, not trial division up to sqrt(q)
+    cubic = fermat_file(tmp_path, 2, 3)
+    conic, tangent = tmp_path / "conic.hs", tmp_path / "tangent.txt"
+    conic.write_text(CONIC)
+    tangent.write_text(TANGENT)
+    began = time.perf_counter()
+    code, out, err = run(capsys, "count-vk", "--input", cubic, "--q", str(2 ** 61 - 1),
+                         "--k", "2")
+    assert (code, out) == (2, "") and "too large for exact counting" in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert run(capsys, "deform", "contact", "--form", str(conic), "--line", str(tangent),
+               "--q", str(2 ** 61 - 1)) == (0, "2\n", "")
+    code, out, err = run(capsys, "deform", "contact", "--form", str(conic), "--line",
+                         str(tangent), "--q", str(10 ** 25))
+    assert (code, out) == (2, "") and "primality is decided below" in err
+    assert time.perf_counter() - began < 1
+
+
+def test_fermat_planes_degree_limit_exit_2(capsys):
+    began = time.perf_counter()
+    code, out, err = run(capsys, "fermat-planes", "--d", "60")
+    assert time.perf_counter() - began < 1
+    assert (code, out, err) == (2, "", "error: degree must be at most 12, got 60\n")

@@ -267,10 +267,11 @@ def test_worker_count_clamps():
 
 
 def test_exactness_guard_at_the_boundary():
-    # n = 2, d = 3, k = 3: the widest sum is the gradient's, over the
-    # C(4, 2) = 6 monomials of degree 2 in three variables
-    assert exactness_bound(2, 3, 3, 11) == 6 * 10 ** 2
-    last = math.isqrt((2 ** 53 - 1) // 6) + 1  # largest q with 6 (q-1)^2 < 2^53
+    # n = 2, d = 3, k = 3: the widest sums are the order-2 pullback's and
+    # contraction's, over the C(3, 2) = 3 monomials of degree 2 in two
+    # variables; the gradient's 6 monomials sum in int64, reduced mod q
+    assert exactness_bound(2, 3, 3, 11) == 3 * 10 ** 2
+    last = math.isqrt((2 ** 53 - 1) // 3) + 1  # largest q with 3 (q-1)^2 < 2^53
     assert exactness_bound(2, 3, 3, last) < 2 ** 53 <= exactness_bound(2, 3, 3, last + 1)
     check_exact(2, 3, 3, last)
     with pytest.raises(ValueError, match="too large for exact counting"):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tangency.fermat import (
+    MAX_DEGREE,
     FermatPlane,
     RootRing,
     fermat_planes,
@@ -137,3 +138,5 @@ def test_plane_json_shape():
 def test_fermat_planes_rejects_bad_degree():
     with pytest.raises(ValueError):
         fermat_planes(0)
+    with pytest.raises(ValueError, match="at most"):
+        fermat_planes(MAX_DEGREE + 1)
