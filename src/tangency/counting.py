@@ -14,16 +14,29 @@ directions are v_free = r, v_pivot = w.r with w = -grad_free / grad_pivot
 and r running over the grid projective_reps(n-2, q).  At a singular point
 every v with v_lead = 0 is tangent, and r runs over projective_reps(n-1, q).
 
-One evaluator, _Derivatives, computes all the counter needs at points: F
-(to find X(F_q)), the gradient (charts, singular points) and the divided
-derivatives d^alpha F / alpha! of orders 2..k-1.  One pass over F's terms
-gives, per order j, a matrix over the monomials of degree d-j that occur,
-D_alpha(c x^e) = c prod_i C(e_i, alpha_i) x^(e - alpha).  A block of
-points holds as many as keep one table of those monomials near _TABLE
-entries; each matrix multiplies that table.  hypersurface_points walks
-the affine cells of P^n block by block, never holding all q^n points.
-Each int64 sum adds at most (2^63 - 1) // (q-1)^2 products of two
-residues before it is reduced mod q: exact for any q with (q-1)^2 < 2^63.
+The points of P^n are evaluated per axis, one affine cell at a time: on
+the cell x_lead = 1, x_c = 0 for c < lead, F is a polynomial in the free
+coordinates, and its coefficients form a tensor with one axis per
+coordinate, indexed by the exponents of it that occur.  Contracting an
+axis against the powers x^e of a coordinate's values evaluates it there:
+the trailing axes over all of F_q while the result stays near _TABLE
+entries, then the leading ones one value at a time, the last of them a
+slice of values at a time.  The values come out in base-q order, the
+order of projective_reps, so a zero's index decodes to its point, and no
+array holds much more than _TABLE values.
+
+At the points of X, one evaluator, _Derivatives, gives the gradient
+(charts, singular points) and the divided derivatives d^alpha F / alpha!
+of orders 2..k-1.  One pass over F's terms gives, per order j, a matrix
+over the monomials of degree d-j that occur, D_alpha(c x^e) = c prod_i
+C(e_i, alpha_i) x^(e - alpha).  A block of points holds as many as keep one
+table of those monomials near _TABLE entries; each matrix multiplies that
+table.
+
+Both evaluate in int64 sums of products of two residues: at most d+1 per
+sum along an axis, at most C(n+d-j, n) per derivative of order j.  Each
+reduces mod q after every (2^63 - 1) // (q-1)^2 products (_dot), so both
+are exact for any q with (q-1)^2 < 2^63.
 
 The higher orders are batched.  The points are sorted by chart; for each
 group and order j = 2..k-1, G_j(p, v) is pulled back to a form of degree j
@@ -81,17 +94,26 @@ def _rep_blocks(m: int, q: int, block: int):
     Refuses a P^m(F_q) too large for one int64 array of its rows, which is
     what hypersurface_points returns for F = 0.
     """
-    if pp_count(m, q) * (m + 1) * 8 >= _INT64:
-        raise ValueError(f"P^{m}(F_{q}) has too many points to enumerate")
+    _check_enumerable(m, q)
     for lead in range(m + 1):
         cell = q ** (m - lead)
         for lo in range(0, cell, block):
             index = np.arange(lo, min(lo + block, cell), dtype=np.int64)
-            rows = np.zeros((len(index), m + 1), dtype=np.int64)
-            rows[:, lead] = 1
-            for c in range(m, lead, -1):
-                index, rows[:, c] = np.divmod(index, q)
-            yield rows
+            yield _decode(index, lead, q, np.zeros((len(index), m + 1), dtype=np.int64))
+
+
+def _check_enumerable(m: int, q: int) -> None:
+    if pp_count(m, q) * (m + 1) * 8 >= _INT64:
+        raise ValueError(f"P^{m}(F_{q}) has too many points to enumerate")
+
+
+def _decode(index: np.ndarray, lead: int, q: int, rows: np.ndarray) -> np.ndarray:
+    """Fill zeroed `rows` with the points of the cell x_lead = 1 at the given
+    base-q indices of their free coordinates, the last one counting fastest."""
+    rows[:, lead] = 1
+    for c in range(rows.shape[1] - 1, lead, -1):
+        index, rows[:, c] = np.divmod(index, q)
+    return rows
 
 
 def projective_reps(m: int, q: int) -> np.ndarray:
@@ -114,10 +136,102 @@ def _prime_of(F: HyperForm) -> int:
 
 def hypersurface_points(F: HyperForm) -> np.ndarray:
     """All canonical representatives of X(F_q), X = {F = 0}, in the order of
-    projective_reps, tested one block of representatives at a time."""
-    value = _Derivatives(F, [0])
-    return np.concatenate([reps[value(reps)[0][0] == 0]
-                           for reps in _rep_blocks(F.n, value.q, value.block)])
+    projective_reps: each affine cell's values come out in base-q order, so
+    its zeros are decoded from their indices."""
+    q, n = _prime_of(F), F.n
+    span = _span(q)
+    _check_enumerable(n, q)
+    found = []
+    for lead in range(n + 1):
+        A, exps = _cell(F, lead, q)
+        found.append(np.concatenate(list(_cell_zeros(A[..., None], exps, q, span, 0))))
+    rows = np.zeros((sum(map(len, found)), n + 1), dtype=np.int64)
+    at = 0
+    for lead, index in enumerate(found):
+        _decode(index, lead, q, rows[at:at + len(index)])
+        at += len(index)
+    return rows
+
+
+def _cell(F: HyperForm, lead: int, q: int) -> tuple[np.ndarray, list[list[int]]]:
+    """F on the cell x_lead = 1, x_c = 0 for c < lead: its coefficients mod q
+    as a tensor with one axis per free coordinate x_(lead+1)..x_n, indexed
+    by the exponents of that coordinate that occur (exps, ascending)."""
+    terms = [(e[lead + 1:], int(c) % q) for e, c in F.terms.items() if not any(e[:lead])]
+    exps = [sorted({e[i] for e, _ in terms} or {0}) for i in range(F.n - lead)]
+    A = np.zeros([len(E) for E in exps], dtype=np.int64)
+    for e, c in terms:
+        A[tuple(E.index(x) for E, x in zip(exps, e))] = c
+    return A, exps
+
+
+def _cell_zeros(A: np.ndarray, exps: list[list[int]], q: int, span: int, base: int):
+    """Base-q indices, plus `base`, of the zeros of sum_e A[e, y] prod_i x_i^e_i
+    over x in F_q^len(exps), the first coordinate slowest, and over the
+    trailing value axis y of A.
+
+    The last exponent axis is contracted over all of F_q while the result
+    stays within _TABLE entries.  Past that the first one is walked one
+    value at a time, or a slice of values at a time when it is the only one
+    left, so no array grows much beyond _TABLE entries.
+    """
+    exps = list(exps)
+    while exps and A.size // len(exps[-1]) * q <= _TABLE:
+        A = _axis(A, len(exps) - 1, np.arange(q, dtype=np.int64), exps.pop(), q, span)
+        A = A.reshape(A.shape[:-2] + (-1,))
+    if not exps:
+        yield base + np.flatnonzero(A == 0)
+        return
+    stride = q ** (len(exps) - 1) * A.shape[-1]
+    step = max(1, _TABLE // (stride * len(exps[0]))) if len(exps) == 1 else 1
+    for lo in range(0, q, step):
+        B = _axis(A, 0, np.arange(lo, min(lo + step, q), dtype=np.int64), exps[0], q, span)
+        yield from _cell_zeros(B.reshape((-1,) + B.shape[2:]), exps[1:], q, span,
+                               base + lo * stride)
+
+
+def _axis(A: np.ndarray, axis: int, x: np.ndarray, exps: list[int], q: int,
+          span: int) -> np.ndarray:
+    """sum_e A[..., e, ...] x^e mod q along `axis`, whose entries belong to
+    the exponents exps: the residues x take that axis's place."""
+    shape = A.shape
+    out = np.empty((math.prod(shape[:axis]), len(x), math.prod(shape[axis + 1:])),
+                   dtype=np.int64)
+    _dot(_powers(x, exps, q), A.reshape(len(out), len(exps), -1), q, span, out)
+    return out.reshape(shape[:axis] + (len(x),) + shape[axis + 1:])
+
+
+def _powers(x: np.ndarray, exps: list[int], q: int) -> np.ndarray:
+    """x^e mod q for e in exps (ascending), one column each, built by
+    repeated multiplication."""
+    out = np.empty((len(x), len(exps)), dtype=np.int64)
+    power, done = np.ones_like(x), 0
+    for j, e in enumerate(exps):
+        for _ in range(e - done):
+            power *= x
+            np.remainder(power, q, out=power)
+        out[:, j], done = power, e
+    return out
+
+
+def _span(q: int) -> int:
+    """Products of two residues mod q an int64 sum may add, staying below
+    2^63; refuses a q for which not even one fits."""
+    if (q - 1) ** 2 >= _INT64:
+        raise ValueError(f"q = {q} is too large for int64 evaluation")
+    return (_INT64 - 1) // (q - 1) ** 2
+
+
+def _dot(M: np.ndarray, X: np.ndarray, q: int, span: int, out: np.ndarray) -> None:
+    """out[a] = M @ X[a] mod q for M (r, e), X (a, e, y), out (a, r, y),
+    reducing after every `span` columns of M."""
+    np.einsum("re,aey->ary", M[:, :span], X[:, :span], out=out, optimize=False)
+    np.remainder(out, q, out=out)
+    for lo in range(span, M.shape[1], span):
+        part = np.einsum("re,aey->ary", M[:, lo:lo + span], X[:, lo:lo + span],
+                         optimize=False)
+        out += np.remainder(part, q, out=part)
+        np.remainder(out, q, out=out)
 
 
 def rational_singular_points(F: HyperForm) -> list[tuple[int, ...]]:
@@ -145,6 +259,11 @@ _TILE_POINTS = 256
 # of einsum, against the ~30 ms it takes to fork and feed one.
 _WORK_PER_WORKER = 1 << 27
 
+# The most work count_vk starts, in steps: (d+1) |P^n(F_q)| to enumerate X,
+# then the contraction's multiply-adds.  Criterion 9's largest count, the
+# Fermat quintic at q = 13 and k = 5, takes about 4.8e9 of the latter.
+_BUDGET = 1 << 36
+
 # Points whose jets are evaluated and pulled back at once, which bounds the
 # memory of the per-point work.
 _POINTS = 2048
@@ -154,6 +273,7 @@ _INT64 = 1 << 63
 
 # Entries of one block's monomial table (1 MB of int64): the evaluator takes
 # as many points at once as keep its table this size, so it stays in cache.
+# hypersurface_points keeps each array of a cell's values about this size.
 _TABLE = 1 << 17
 
 
@@ -181,6 +301,13 @@ def check_exact(n: int, d: int, k: int, q: int) -> None:
             f"q = {q} is too large for exact counting at n = {n}, d = {d}, "
             f"k = {k}: sums reach {bound} >= 2^53"
         )
+
+
+def _check_budget(work: int, what: str) -> None:
+    """Refuse a count that would take more than _BUDGET steps."""
+    if work > _BUDGET:
+        raise ValueError(f"{what} would take about {work:.1e} steps, over the work "
+                         f"budget of 2^{_BUDGET.bit_length() - 1} for one count")
 
 
 def worker_count(requested: int, work: int) -> int:
@@ -248,11 +375,7 @@ class _Derivatives:
 
     def __init__(self, F: HyperForm, orders: list[int]):
         q, n, d = _prime_of(F), F.n, F.d
-        if (q - 1) ** 2 >= _INT64:
-            raise ValueError(f"q = {q} is too large for int64 evaluation")
-        self.q, self.d, self.orders = q, d, orders
-        # products of two residues an int64 sum may add: below 2^63 in all
-        self.span = (_INT64 - 1) // (q - 1) ** 2
+        self.q, self.d, self.orders, self.span = q, d, orders, _span(q)
         where = {j: pos for pos, j in enumerate(orders)}
         coefs = [{} for _ in orders]
         for e, c in F.terms.items():
@@ -281,18 +404,9 @@ class _Derivatives:
         for lo in range(0, len(pts), self.block):
             pows = self.mons.values(np.ascontiguousarray(pts[lo:lo + self.block].T), self.q)
             for o, M, j in zip(out, mats, self.orders):
-                self._dot(M, pows[self.d - j], o[:, lo:lo + self.block])
+                _dot(M, pows[self.d - j][None], self.q, self.span,
+                     o[None, :, lo:lo + self.block])
         return out
-
-    def _dot(self, M: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
-        """out = M @ X mod q, reducing after every `span` columns of M."""
-        q, span = self.q, self.span
-        np.einsum("ab,bm->am", M[:, :span], X[:span], out=out, optimize=False)
-        np.remainder(out, q, out=out)
-        for lo in range(span, M.shape[1], span):
-            part = np.einsum("ab,bm->am", M[:, lo:lo + span], X[lo:lo + span], optimize=False)
-            out += np.remainder(part, q, out=part)
-            np.remainder(out, q, out=out)
 
 
 class _Kind:
@@ -533,6 +647,7 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
         raise ValueError("contact order k must be >= 1")
     if k >= 2:
         check_exact(F.n, F.d, k, q)
+    _check_budget((F.d + 1) * pp_count(F.n, q), f"enumerating X(F_{q}) in P^{F.n}")
     t0 = time.perf_counter()
     pts = hypersurface_points(F)
     if k == 1:
@@ -545,6 +660,7 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
         pts, keys = pts[order], keys[order]
         kernel.add_charts(np.unique(keys))
         work = len(pts) * pp_count(F.n - 2, q) * sum(comb(F.n - 2 + j, j) for j in kernel.orders)
+        _check_budget(work, f"testing the directions at {len(pts)} points")
         workers = worker_count(workers, work)
         if workers == 1:
             count = kernel.count(pts, keys)

@@ -418,3 +418,16 @@ def test_fermat_planes_degree_limit_exit_2(capsys):
     code, out, err = run(capsys, "fermat-planes", "--d", "60")
     assert time.perf_counter() - began < 1
     assert (code, out, err) == (2, "", "error: degree must be at most 12, got 60\n")
+
+
+def test_count_vk_beyond_the_work_budget_exit_2(capsys, tmp_path):
+    # |P^5(F_1009)| is about 1e15: enumerating it would never end
+    quadric = tmp_path / "split.hs"
+    quadric.write_text("1 1 1 0 0 0 0\n1 0 0 1 1 0 0\n1 0 0 0 0 1 1\n")
+    for k in ("1", "2"):
+        began = time.perf_counter()
+        code, out, err = run(capsys, "count-vk", "--input", str(quadric), "--q", "1009",
+                             "--k", k)
+        assert time.perf_counter() - began < 1
+        assert (code, out) == (2, "") and "work budget" in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

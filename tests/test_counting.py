@@ -99,17 +99,56 @@ def test_rational_singular_points_against_gradient_scan():
 
 def test_hypersurface_points_stream_in_small_memory():
     # P^4(F_31) has 954305 representatives, 38 MB as int64 rows; X holds
-    # about 1/31 of them
+    # about 1/31 of them.  One cell of P^3(F_211) holds 211^3 values, 75 MB
+    # as int64.
     rng = random.Random(31)
-    F = HyperForm(4, 3, {e: rng.randrange(1, 31) for e in monomials(4, 3)}, PrimeField(31))
-    tracemalloc.start()
-    try:
-        pts = hypersurface_points(F)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0 < pts.nbytes < 2 ** 21
-    assert peak < 16 * 2 ** 20
+    forms = [HyperForm(n, 3, {e: rng.randrange(1, q) for e in monomials(n, 3)}, PrimeField(q))
+             for n, q in ((4, 31), (3, 211))]
+    for F in forms:
+        tracemalloc.start()
+        try:
+            pts = hypersurface_points(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < pts.nbytes < 2 ** 21, F
+        assert peak < 16 * 2 ** 20, F
+
+
+def large_powers(rng, q, d, count):
+    """Residues x whose powers x, x^2, ..., x^d mod q all lie in [7q/8, q)."""
+    out = []
+    while len(out) < count:
+        x = rng.randrange(q)
+        if all(pow(x, e, q) >= q - q // 8 for e in range(1, d + 1)):
+            out.append(x)
+    return np.array(out, dtype=np.int64)
+
+
+def test_cell_values_are_exact_near_int64_limits():
+    # (q-1)^2 is just below 2^62: an int64 holds two products of residues.
+    # With coefficients and powers in [7q/8, q), each axis of a cubic sums
+    # four products, three of them above 2^61.3, to more than 2^63
+    q, d = 2 ** 31 - 1, 3
+    assert (d + 1) * (q - 1) ** 2 >= 2 ** 63 > (q - 1) ** 2
+    rng = random.Random(62)
+    F = HyperForm(2, d, {e: rng.randrange(q - q // 8, q) for e in monomials(2, d)},
+                  PrimeField(q))
+    A, exps = counting._cell(F, 0, q)
+    span = counting._span(q)
+    xs = [large_powers(rng, q, d, 8) for _ in exps]
+    # the last axis first, as hypersurface_points contracts them: 8 x 8 points
+    values = counting._axis(counting._axis(A, 1, xs[1], exps[1], q, span),
+                            0, xs[0], exps[0], q, span)
+    for i, a in enumerate(xs[0]):
+        for j, b in enumerate(xs[1]):
+            assert int(values[i, j]) == F.evaluate([1, int(a), int(b)]), (a, b)
+
+
+def test_cell_tensor_keeps_only_the_exponents_that_occur():
+    # over all exponents 0..60 this cell would be 61^5 int64 entries, 6.7 GB
+    A, exps = counting._cell(HyperForm.fermat(5, 60, PrimeField(61)), 0, 61)
+    assert A.shape == (2,) * 5 and exps == [[0, 60]] * 5
 
 
 @pytest.mark.parametrize("q", [7, 101])
@@ -283,6 +322,18 @@ def test_count_vk_refuses_inexact_q_before_enumerating():
     F = HyperForm.fermat(2, 3, PrimeField(2147483647))
     with pytest.raises(ValueError, match="too large for exact counting"):
         count_vk(F, 3)
+
+
+def test_count_vk_work_budget():
+    # criterion 9's largest count, the Fermat quintic at q = 13 and k = 5,
+    # fits in the budget ten times over
+    work = (len(hypersurface_points(HyperForm.fermat(5, 5, PrimeField(13))))
+            * pp_count(3, 13) * sum(math.comb(3 + j, j) for j in (2, 3, 4)))
+    assert 10 * work <= counting._BUDGET
+    # over F_23 its 292561 points are enumerated, but their directions would
+    # take 2.3e11 multiply-adds
+    with pytest.raises(ValueError, match="testing the directions at 292561 points"):
+        count_vk(HyperForm.fermat(5, 5, PrimeField(23)), 5)
 
 
 def test_count_vk_validation():
