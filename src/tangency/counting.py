@@ -52,10 +52,24 @@ the inverse table) is built once per count_vk call.
 Exactness of a count.  Each pullback and contraction sum adds products
 of residues in [0, q), so it is at most exactness_bound(n, d, k, q), and
 count_vk refuses, before it enumerates anything, a q for which that bound
-reaches 2^53.  Below it, the float64 contraction is exact and
-rint(V / q) * q == V is an exact divisibility test.  The contraction is
-an einsum, never a BLAS call: a forked pool worker that called BLAS would
-start its own BLAS threads on top of the other workers.
+reaches 2^53.  The contraction is a float64 BLAS GEMM (np.matmul).  Its
+grid monomials and pulled-back coefficients are residues in [0, q), so
+every product, and every partial sum in whatever order, blocking or fused
+multiply-add the BLAS kernel uses, is a non-negative integer no larger
+than the full sum: below 2^53, each is exact in float64.  So is the
+result, and rint(V / q) * q == V is an exact divisibility test.
+
+The pool is the only parallelism: every GEMM must run on the calling
+thread, or each forked worker starts BLAS threads of its own on top of
+the other workers.  OpenBLAS decides that from the shape of the call, so
+the tiles are sized for it.  In forked workers on a 2-core Xeon (OpenBLAS
+0.3.31), a GEMM stayed on one thread up to about 1e6 multiply-adds (111 x
+256 x 35 did, 112 x 256 x 35 started a second thread); a one-point or
+one-row tile is a GEMV, which stayed on one thread below about 4.6e5
+matrix entries, and a dot product up to 10^4 terms.  A tile
+therefore holds at most _GEMM_WORK multiply-adds (rows x points x
+monomials) and at most _GEMV_ENTRIES grid entries (rows x monomials),
+well inside both limits.
 
 Counts are exact integers; the worker count (capped by the CPUs and by the
 size of the count) only changes the chunking, never the sum.
@@ -251,12 +265,18 @@ _EXACT = 1 << 53
 
 # One contraction tile: at most _BLOCK grid rows x points (512 KB of
 # float64), at most _TILE_POINTS of them points; small enough for the
-# tile's buffers to stay in cache.
+# tile's buffers to stay in cache.  Within that, at most _GEMM_WORK
+# multiply-adds and _GEMV_ENTRIES grid entries, so that OpenBLAS runs the
+# tile's GEMM on the calling thread (see the module docstring).
 _BLOCK = 1 << 16
 _TILE_POINTS = 256
+_GEMM_WORK = 1 << 19
+_GEMV_ENTRIES = 1 << 13
 
-# Contraction multiply-adds that pay for one more pool worker: about 0.1 s
-# of einsum, against the ~30 ms it takes to fork and feed one.
+# Contraction multiply-adds that pay for one more pool worker: 30-55 ms of
+# direction test on one core of a 2-core Xeon, against 10-25 ms to fork,
+# feed and close a pool.  There a second worker lost at 2^26.3 multiply-adds
+# and won from 2^26.7 on; it starts at 2^28.
 _WORK_PER_WORKER = 1 << 27
 
 # The most work count_vk starts, in steps: (d+1) |P^n(F_q)| to enumerate X,
@@ -376,24 +396,35 @@ class _Derivatives:
     def __init__(self, F: HyperForm, orders: list[int]):
         q, n, d = _prime_of(F), F.n, F.d
         self.q, self.d, self.orders, self.span = q, d, orders, _span(q)
-        where = {j: pos for pos, j in enumerate(orders)}
-        coefs = [{} for _ in orders]
-        for e, c in F.terms.items():
-            for alpha in product(*(range(x + 1) for x in e)):
-                pos = where.get(sum(alpha))
-                if pos is not None:
-                    rest = tuple(x - a for x, a in zip(e, alpha))
-                    coefs[pos][alpha, rest] = int(c) * math.prod(map(comb, e, alpha)) % q
-        self.mons = _Monomials(n + 1, d - min(orders), (r for co in coefs for _, r in co))
+        # every pair (term e, alpha <= e) with no alpha_i above the top order,
+        # alpha counting in the mixed radix min(e, top) + 1
+        E = np.array(list(F.terms), dtype=np.int64).reshape(-1, n + 1)
+        radix = np.minimum(E, max(orders)) + 1
+        sizes = np.prod(radix, axis=1)
+        term = np.repeat(np.arange(len(E)), sizes)
+        digit = np.arange(len(term)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        alpha = np.empty((len(term), n + 1), dtype=np.int64)
+        for i in range(n, -1, -1):
+            digit, alpha[:, i] = np.divmod(digit, radix[term, i])
+        binom = np.array([[comb(e, a) % q for a in range(d + 1)] for e in range(d + 1)],
+                         dtype=np.int64)
+        # c prod_i C(e_i, alpha_i) mod q, one product of two residues at a time
+        value = np.array([int(c) % q for c in F.terms.values()], dtype=np.int64)[term]
+        for i in range(n + 1):
+            value = value * binom[E[term, i], alpha[:, i]] % q
+        order = alpha.sum(axis=1)
+        picked = [order == j for j in orders]
+        rests = [_distinct(E[term[p]] - alpha[p], d + 1) for p in picked]
+        self.mons = _Monomials(n + 1, d - min(orders), (r for rest, _ in rests for r in rest))
         self.block = max(1, _TABLE // int(self.mons.offsets[-1]))
         self.rows, self.mats = [], []
-        for j, co in zip(orders, coefs):
-            alphas = sorted({a for a, _ in co}) if j >= 2 else _exps(n + 1, j)
+        for j, p, (rest, col) in zip(orders, picked, rests):
+            A, row = _distinct(alpha[p], d + 1)
+            alphas = A if j >= 2 else _exps(n + 1, j)
             rows = {a: i for i, a in enumerate(alphas)}
             cols = self.mons.index[d - j]
             M = np.zeros((len(rows), len(cols)), dtype=np.int64)
-            for (a, r), c in co.items():
-                M[rows[a], cols[r]] = c
+            M[_lookup(rows, A)[row], _lookup(cols, rest)[col]] = value[p]
             self.rows.append(rows)
             self.mats.append(M)
 
@@ -407,6 +438,18 @@ class _Derivatives:
                 _dot(M, pows[self.d - j][None], self.q, self.span,
                      o[None, :, lo:lo + self.block])
         return out
+
+
+def _distinct(vectors: np.ndarray, radix: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct rows of `vectors` (entries below radix) as tuples,
+    ascending, and each row's position among them."""
+    keys = np.ravel_multi_index(vectors.T, (radix,) * vectors.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return [tuple(v) for v in vectors[first].tolist()], inverse
+
+
+def _lookup(index: dict, keys: list) -> np.ndarray:
+    return np.array([index[k] for k in keys], dtype=np.intp)
 
 
 class _Kind:
@@ -487,7 +530,7 @@ class _Chart:
 class _Kernel:
     """Everything the counter needs that depends only on the form, k and q.
 
-    Built once per count_vk call and shipped whole to the pool workers: the
+    Built once per count_vk call and handed to forked pool workers: the
     divided derivatives of orders 1..k-1 (at most d), the inverse table of
     F_q, and the charts with their direction grids.  `count` does the
     per-point work for a chunk of points sorted by chart key.
@@ -553,6 +596,20 @@ class _Kernel:
         return _grid_zeros(grids, coefs, q)
 
 
+# The kernel of the count a forked pool worker serves: the fork hands it
+# over in memory, so only the chunks of points and keys are pickled.
+_worker_kernel: _Kernel | None = None
+
+
+def _adopt(kernel: _Kernel) -> None:
+    global _worker_kernel
+    _worker_kernel = kernel
+
+
+def _count_chunk(pts: np.ndarray, keys: np.ndarray) -> int:
+    return _worker_kernel.count(pts, keys)
+
+
 def _inverses(q: int) -> np.ndarray:
     """x^(q-2) mod q for x = 0..q-1: the inverse of every unit."""
     base = np.arange(q, dtype=np.int64)
@@ -570,15 +627,20 @@ def _grid_zeros(grid: list[np.ndarray], coefs: list[np.ndarray], q: int) -> int:
     """Pairs (grid row r, point p) with sum_beta grid_j[r, beta] coefs_j[beta, p]
     = 0 mod q for every order j, one contraction per order and tile.
 
-    einsum without optimize never calls BLAS, so a pool worker starts no
-    threads of its own.  The values are integers below 2^53 (check_exact),
-    so float64 holds them exactly and rint(V / q) * q == V tests
-    divisibility: V / q is correctly rounded, so it is an exact integer
-    when q | V, and otherwise no integer times q equals V.
+    Each contraction is one GEMM, np.matmul, on a tile small enough that
+    OpenBLAS runs it on the calling thread: at most _TILE_POINTS points,
+    _BLOCK rows x points, _GEMM_WORK multiply-adds and _GEMV_ENTRIES grid
+    entries; the points shrink too when the monomials alone exceed them.
+    The values are integers below 2^53 (check_exact), and so is every
+    partial sum of non-negative products the GEMM forms, so float64 holds
+    them exactly and rint(V / q) * q == V tests divisibility: V / q is
+    correctly rounded, so it is an exact integer when q | V, and otherwise
+    no integer times q equals V.
     """
     R, m = len(grid[0]), coefs[0].shape[1]
-    cols = min(m, _TILE_POINTS)
-    rows = min(R, max(1, _BLOCK // cols))
+    width = max(M.shape[1] for M in grid)
+    cols = min(m, _TILE_POINTS, max(1, _GEMM_WORK // width))
+    rows = max(1, min(R, _BLOCK // cols, _GEMM_WORK // (cols * width), _GEMV_ENTRIES // width))
     V, T = np.empty((rows, cols)), np.empty((rows, cols))
     ok, alive = np.empty((rows, cols), dtype=bool), np.empty((rows, cols), dtype=bool)
     count = 0
@@ -587,7 +649,7 @@ def _grid_zeros(grid: list[np.ndarray], coefs: list[np.ndarray], q: int) -> int:
             nr, nc = min(rows, R - r), min(cols, m - c)
             v, t, o, a = V[:nr, :nc], T[:nr, :nc], ok[:nr, :nc], alive[:nr, :nc]
             for i, (M, C) in enumerate(zip(grid, coefs)):
-                np.einsum("rb,bp->rp", M[r:r + nr], C[:, c:c + nc], out=v, optimize=False)
+                np.matmul(M[r:r + nr], C[:, c:c + nc], out=v)
                 np.divide(v, q, out=t)
                 np.rint(t, out=t)
                 t *= q
@@ -666,8 +728,8 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
             count = kernel.count(pts, keys)
         else:
             chunks = zip(np.array_split(pts, workers * 4), np.array_split(keys, workers * 4))
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                count = sum(pool.starmap(kernel.count, chunks))
+            with multiprocessing.get_context("fork").Pool(workers, _adopt, (kernel,)) as pool:
+                count = sum(pool.starmap(_count_chunk, chunks))
     elapsed = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(q=q, k=k, count=count, n=F.n, d=F.d, elapsed_ms=elapsed)
 

@@ -2,9 +2,11 @@
 force, closed forms, determinism under chunking, and the slope report."""
 
 import math
+import multiprocessing
 import os
 import random
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -188,6 +190,54 @@ def test_derivatives_are_exact_near_int64_limits():
         assert [int(g) for g in grad[:, i]] == F.gradient(p)
 
 
+def derivative_matrices_by_term_loop(F, orders):
+    """_Derivatives' rows and matrices, built one term and one alpha <= e at
+    a time with math.comb: the reference for its vectorized set-up."""
+    q, n, d = F.field.p, F.n, F.d
+    where = {j: pos for pos, j in enumerate(orders)}
+    coefs = [{} for _ in orders]
+    for e, c in F.terms.items():
+        for alpha in product(*(range(x + 1) for x in e)):
+            pos = where.get(sum(alpha))
+            if pos is not None:
+                rest = tuple(x - a for x, a in zip(e, alpha))
+                coefs[pos][alpha, rest] = int(c) * math.prod(map(math.comb, e, alpha)) % q
+    mons = counting._Monomials(n + 1, d - min(orders), (r for co in coefs for _, r in co))
+    all_rows, mats = [], []
+    for j, co in zip(orders, coefs):
+        alphas = sorted({a for a, _ in co}) if j >= 2 else monomials(n, j)
+        rows = {a: i for i, a in enumerate(alphas)}
+        cols = mons.index[d - j]
+        M = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for (a, r), c in co.items():
+            M[rows[a], cols[r]] = c
+        all_rows.append(rows)
+        mats.append(M)
+    return all_rows, mats
+
+
+def test_derivative_matrices_match_the_term_loop():
+    rng = random.Random(64)
+    for _ in range(120):
+        n, d = rng.randint(1, 5), rng.randint(1, 6)
+        q = rng.choice([p for p in (2, 3, 5, 7, 11, 101) if p > d])
+        mons = monomials(n, d)
+        terms = rng.choice([
+            {e: rng.randrange(1, q) for e in mons},
+            {e: rng.randrange(1, q) for e in rng.sample(mons, min(len(mons), 3))},
+            {},
+        ])
+        F = HyperForm(n, d, terms, PrimeField(q))
+        for orders in ([1], [0, 1], list(range(1, d + 1)), list(range(d + 1)),
+                       sorted(rng.sample(range(d + 1), rng.randint(1, d + 1)))):
+            rows, mats = derivative_matrices_by_term_loop(F, orders)
+            jets = counting._Derivatives(F, orders)
+            assert [list(r.items()) for r in jets.rows] == [list(r.items()) for r in rows]
+            for got, want in zip(jets.mats, mats, strict=True):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), (F, orders)
+                assert got.tobytes() == want.tobytes(), (F, orders)
+
+
 def test_enumeration_refuses_spaces_beyond_one_array():
     # the rows of P^2(F_q), 3 int64 each, exceed 2^63 bytes: refused before
     # the first block, where walking them would never end
@@ -286,10 +336,12 @@ def test_monotone_in_k():
 def test_worker_determinism(monkeypatch):
     # a count this small would not fork: make every multiply-add worth a worker
     monkeypatch.setattr(counting, "_WORK_PER_WORKER", 1)
-    F = HyperForm.fermat(3, 3, PrimeField(7))
-    baseline = count_vk(F, 3).count
-    for workers in (1, 2, 3, 5, len(os.sched_getaffinity(0))):
-        assert count_vk(F, 3, workers=workers).count == baseline
+    f7 = PrimeField(7)
+    cone = HyperForm(3, 3, {(0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1}, f7)
+    for F in (HyperForm.fermat(3, 3, f7), cone):
+        baseline = count_vk(F, 3).count
+        for workers in (1, 2, 3, 5, len(os.sched_getaffinity(0))):
+            assert count_vk(F, 3, workers=workers).count == baseline, F
 
 
 def test_worker_count_clamps():
@@ -315,6 +367,77 @@ def test_exactness_guard_at_the_boundary():
     check_exact(2, 3, 3, last)
     with pytest.raises(ValueError, match="too large for exact counting"):
         check_exact(2, 3, 3, last + 1)
+
+
+def planted_grid(rng, q, width, targets, coefs):
+    """A float64 grid of residues in [7q/8, q), one row per target: a row
+    whose target is a point vanishes mod q against that point's column of
+    coefs; a row whose target is None is drawn freely."""
+    low = q - q // 8
+    grid = np.empty((len(targets), width))
+    for r, p in enumerate(targets):
+        while True:
+            row = [rng.randrange(low, q) for _ in range(width)]
+            if p is None:
+                break
+            col = [int(c) for c in coefs[:, p]]
+            rest = sum(a * b for a, b in zip(row[:-1], col[:-1]))
+            row[-1] = -rest * pow(col[-1], -1, q) % q
+            if row[-1] >= low:
+                break
+        grid[r] = row
+    return grid
+
+
+def test_grid_contraction_is_exact_at_the_largest_q():
+    # the largest prime q that check_exact admits for (n, d, k) = (5, 5, 5);
+    # its widest sum adds 330 products, and with every residue in [7q/8, q)
+    # those sums pass 2^52.6, where float32 (or any rounding) would be wrong
+    n, d, k = 5, 5, 5
+    terms = exactness_bound(n, d, k, 2)
+    q = math.isqrt((2 ** 53 - 1) // terms) + 1
+    while any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
+        q -= 1
+    check_exact(n, d, k, q)
+    assert terms * (q - q // 8) ** 2 > 2 ** 52.6
+    # the singular kind's contractions at k = 5, then the widest sum admitted
+    widths = [math.comb(n - 1 + j, j) for j in (2, 3, 4)] + [terms]
+    rng = random.Random(65)
+    for m in (counting._TILE_POINTS, 1):
+        coefs = [np.array([[rng.randrange(q - q // 8, q) for _ in range(m)] for _ in range(w)],
+                          dtype=float) for w in widths]
+        # even rows vanish at a point in every order, odd rows in the first only
+        grids = [planted_grid(rng, q, w, [r % m if i == 0 or r % 2 == 0 else None
+                                          for r in range(13)], C)
+                 for i, (w, C) in enumerate(zip(widths, coefs))]
+        zero = np.ones((13, m), dtype=bool)
+        for M, C in zip(grids, coefs):
+            exact = M.astype(np.int64).astype(object) @ C.astype(np.int64).astype(object)
+            zero &= (exact % q == 0).astype(bool)
+        assert int(zero.sum()) >= 7
+        assert counting._grid_zeros(grids, coefs, q) == int(zero.sum())
+
+
+def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
+    """Run _grid_zeros on the Fermat quintic's direction grids in P^5, both
+    kinds, over a full tile plus a one-point one and over a single point;
+    return this process's thread count."""
+    rng = np.random.default_rng(66)
+    for nfree, pivoted in ((4, True), (5, False)):
+        kind = counting._Kind(nfree, pivoted, orders, q)
+        for m in (counting._TILE_POINTS + 1, 1):
+            coefs = [rng.integers(0, q, (M.shape[1], m)).astype(float) for M in kind.grid]
+            counting._grid_zeros(kind.grid, coefs, q)
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_grid_contraction_starts_no_threads_in_a_forked_worker():
+    # the pool is the only parallelism: a BLAS thread in each worker would
+    # oversubscribe the CPUs; k = 6 gives the widest tiles of the cone count
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        threads = pool.apply_async(threads_after_grid_zeros, (11, [2, 3, 4, 5])).get(timeout=120)
+    assert threads == 1
 
 
 def test_count_vk_refuses_inexact_q_before_enumerating():
