@@ -58,6 +58,12 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+# Pieri strip steps one expression may take, charged before each product at
+# n^2 for every pair of Schubert terms: s[1]^118 on G(1,60) takes about 5e6,
+# s[1]^100 on G(1,100) 1e7, and s[1]^400 on G(1,300) is refused.
+_SYMBOLIC_BUDGET = 1 << 28
+
+
 class _ExprParser:
     """Recursive-descent parser producing a FlagElt of arity 2."""
 
@@ -65,6 +71,17 @@ class _ExprParser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
+        self.work = 0
+
+    def times(self, x: FlagElt, y: FlagElt) -> FlagElt:
+        """x * y, once its strip steps fit in what is left of the budget."""
+        sizes = [sum(len(c.terms) for c in z.terms.values()) for z in (x, y)]
+        self.work += sizes[0] * sizes[1] * self.n ** 2
+        if self.work > _SYMBOLIC_BUDGET:
+            raise ValueError(f"the products on G(1,{self.n}) would take about {self.work:.1e} "
+                             "Pieri steps, over the work budget of "
+                             f"2^{_SYMBOLIC_BUDGET.bit_length() - 1} for one expression")
+        return x * y
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -92,7 +109,7 @@ class _ExprParser:
         value = self.factor()
         while self.peek() == "*":
             self.take()
-            value = value * self.factor()
+            value = self.times(value, self.factor())
         return value
 
     def factor(self) -> FlagElt:
@@ -110,10 +127,10 @@ class _ExprParser:
             power, e = self._scalar(1), int(tok)
             while e and not (power.is_zero() or value.is_zero()):
                 if e & 1:
-                    power = power * value
+                    power = self.times(power, value)
                 e >>= 1
                 if e:
-                    value = value * value
+                    value = self.times(value, value)
             value = FlagElt.zero(self.n, 2) if e else power
         return value
 
@@ -146,11 +163,9 @@ def parse_expression(text: str, n: int) -> FlagElt:
 
 
 def _base_only(x: FlagElt):
-    for (i, j), coeff in x.terms.items():
-        if (i, j) != (0, 0) and not coeff.is_zero():
-            raise ValueError("H1/H2 are not allowed in a schubert expression")
-    base = x.terms.get((0, 0))
-    return base if base is not None else schubert.SchubertElt.zero(x.n)
+    if any(e != (0, 0) for e in x.terms):
+        raise ValueError("H1/H2 are not allowed in a schubert expression")
+    return x.terms.get((0, 0), schubert.SchubertElt.zero(x.n))
 
 
 # ---------------------------------------------------------------------------

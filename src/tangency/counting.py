@@ -102,31 +102,24 @@ def pp_count(m: int, q: int) -> int:
     return (q ** (m + 1) - 1) // (q - 1)
 
 
-def _rep_blocks(m: int, q: int, block: int):
-    """projective_reps(m, q) in order, as blocks of at most `block` rows.
-
-    Refuses a P^m(F_q) too large for one int64 array of its rows, which is
-    what hypersurface_points returns for F = 0.
-    """
-    _check_enumerable(m, q)
-    for lead in range(m + 1):
-        cell = q ** (m - lead)
-        for lo in range(0, cell, block):
-            index = np.arange(lo, min(lo + block, cell), dtype=np.int64)
-            yield _decode(index, lead, q, np.zeros((len(index), m + 1), dtype=np.int64))
-
-
 def _check_enumerable(m: int, q: int) -> None:
     if pp_count(m, q) * (m + 1) * 8 >= _INT64:
         raise ValueError(f"P^{m}(F_{q}) has too many points to enumerate")
 
 
-def _decode(index: np.ndarray, lead: int, q: int, rows: np.ndarray) -> np.ndarray:
-    """Fill zeroed `rows` with the points of the cell x_lead = 1 at the given
-    base-q indices of their free coordinates, the last one counting fastest."""
-    rows[:, lead] = 1
-    for c in range(rows.shape[1] - 1, lead, -1):
-        index, rows[:, c] = np.divmod(index, q)
+def _decode(indices: list[np.ndarray], q: int) -> np.ndarray:
+    """The points of P^m(F_q), m = len(indices) - 1, whose free coordinates
+    have the base-q indices indices[lead] in the cell x_lead = 1 (the last
+    one counting fastest), cell after cell."""
+    m = len(indices) - 1
+    rows = np.zeros((sum(map(len, indices)), m + 1), dtype=np.int64)
+    at = 0
+    for lead, index in enumerate(indices):
+        cell = rows[at:at + len(index)]
+        cell[:, lead] = 1
+        for c in range(m, lead, -1):
+            index, cell[:, c] = np.divmod(index, q)
+        at += len(cell)
     return rows
 
 
@@ -135,11 +128,13 @@ def projective_reps(m: int, q: int) -> np.ndarray:
 
     One affine cell per leading index, its free coordinates counting up in
     base q; the union covers every point exactly once, which is what makes
-    the pair counts exact.
+    the pair counts exact.  Refuses a P^m(F_q) too large for one int64
+    array of its rows, which is what hypersurface_points returns for F = 0.
     """
     if m < 0:
         return np.zeros((0, 0), dtype=np.int64)
-    return np.concatenate(list(_rep_blocks(m, q, _POINTS)))
+    _check_enumerable(m, q)
+    return _decode([np.arange(q ** (m - lead), dtype=np.int64) for lead in range(m + 1)], q)
 
 
 def _prime_of(F: HyperForm) -> int:
@@ -159,12 +154,7 @@ def hypersurface_points(F: HyperForm) -> np.ndarray:
     for lead in range(n + 1):
         A, exps = _cell(F, lead, q)
         found.append(np.concatenate(list(_cell_zeros(A[..., None], exps, q, span, 0))))
-    rows = np.zeros((sum(map(len, found)), n + 1), dtype=np.int64)
-    at = 0
-    for lead, index in enumerate(found):
-        _decode(index, lead, q, rows[at:at + len(index)])
-        at += len(index)
-    return rows
+    return _decode(found, q)
 
 
 def _cell(F: HyperForm, lead: int, q: int) -> tuple[np.ndarray, list[list[int]]]:
@@ -328,6 +318,16 @@ def _check_budget(work: int, what: str) -> None:
     if work > _BUDGET:
         raise ValueError(f"{what} would take about {work:.1e} steps, over the work "
                          f"budget of 2^{_BUDGET.bit_length() - 1} for one count")
+
+
+def direction_work(keys: np.ndarray, n: int, q: int, orders: list[int]) -> int:
+    """Multiply-adds of the direction test at points with these chart keys:
+    |P^(n-2)| directions by C(n-2+j, j) monomials of each order j at a smooth
+    point, |P^(n-1)| by C(n-1+j, j) at a singular one (pivot == lead)."""
+    lead, pivot = np.divmod(keys, n + 1)
+    singular = int(np.count_nonzero(lead == pivot))
+    return sum(points * pp_count(m - 1, q) * sum(comb(m - 1 + j, j) for j in orders)
+               for points, m in ((len(keys) - singular, n - 1), (singular, n)))
 
 
 def worker_count(requested: int, work: int) -> int:
@@ -720,10 +720,10 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
         keys = kernel.chart_keys(pts)
         order = np.argsort(keys, kind="stable")
         pts, keys = pts[order], keys[order]
-        kernel.add_charts(np.unique(keys))
-        work = len(pts) * pp_count(F.n - 2, q) * sum(comb(F.n - 2 + j, j) for j in kernel.orders)
+        work = direction_work(keys, F.n, q, kernel.orders)
         _check_budget(work, f"testing the directions at {len(pts)} points")
         workers = worker_count(workers, work)
+        kernel.add_charts(np.unique(keys))
         if workers == 1:
             count = kernel.count(pts, keys)
         else:

@@ -4,15 +4,17 @@ P(S) -> G(1, n) is the incidence variety of pairs (line, point on it), a
 P^1-bundle with hyperplane class H satisfying H^2 = s1*H - s11.  The fiber
 square P(S) x_G P(S) carries two such classes H1, H2 with the same relation
 in each slot.  Elements here are polynomials in H1 (and H2 for arity 2)
-with SchubertElt coefficients; reduce() rewrites every power >= 2 down to
-the {1, H} basis, after which pushing forward to G(1, n) is reading off
-the H1 (arity 1) or H1*H2 (arity 2) coefficient.
+with SchubertElt coefficients.  reduce_class rewrites them to the {1, H}
+basis in one pass, from a table H^a = A_a*H + B_a, after which pushing
+forward to G(1, n) is reading off the H1 (arity 1) or H1*H2 (arity 2)
+coefficient.  Inputs are checked at the public boundary; sums and products
+of valid elements go through the trusted FlagElt._of.
 """
 
 from __future__ import annotations
 
 from .dpoly import DPoly
-from .schubert import SchubertElt, degree, mult, sigma
+from .schubert import SchubertElt, _add, degree, mult, sigma
 
 
 class FlagElt:
@@ -23,10 +25,8 @@ class FlagElt:
     def __init__(self, n: int, arity: int, terms=None):
         if arity not in (1, 2):
             raise ValueError(f"arity must be 1 or 2, got {arity!r}")
-        self.n = n
-        self.arity = arity
-        clean: dict[tuple[int, int], SchubertElt] = {}
-        for (i, j), c in (terms or {}).items():
+        terms = dict(terms or {})
+        for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative bundle-class exponent ({i},{j})")
             if arity == 1 and j != 0:
@@ -35,10 +35,16 @@ class FlagElt:
                 raise TypeError("coefficients must be SchubertElt")
             if c.n != n:
                 raise ValueError(f"ambient mismatch: coefficient on G(1,{c.n}), element on G(1,{n})")
-            if c.is_zero():
-                continue
-            clean[(i, j)] = c
-        self.terms = clean
+        self.n, self.arity = n, arity
+        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, n: int, arity: int, terms: dict) -> "FlagElt":
+        """The element of terms already checked; drops zero coefficients."""
+        x = cls.__new__(cls)
+        x.n, x.arity = n, arity
+        x.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        return x
 
     @classmethod
     def zero(cls, n: int, arity: int) -> "FlagElt":
@@ -61,11 +67,11 @@ class FlagElt:
         self._require_compatible(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return FlagElt(self.n, self.arity, out)
+            _add(out, e, c)
+        return FlagElt._of(self.n, self.arity, out)
 
     def __neg__(self) -> "FlagElt":
-        return FlagElt(self.n, self.arity, {e: -c for e, c in self.terms.items()})
+        return FlagElt._of(self.n, self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "FlagElt") -> "FlagElt":
         return self + (-other)
@@ -73,8 +79,8 @@ class FlagElt:
     def scale(self, c) -> "FlagElt":
         """Multiply by a base Schubert class (or int/DPoly scalar)."""
         if isinstance(c, (int, DPoly)):
-            return FlagElt(self.n, self.arity, {e: v.scale(c) for e, v in self.terms.items()})
-        return FlagElt(self.n, self.arity, {e: mult(v, c) for e, v in self.terms.items()})
+            return FlagElt._of(self.n, self.arity, {e: v.scale(c) for e, v in self.terms.items()})
+        return FlagElt._of(self.n, self.arity, {e: mult(v, c) for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, DPoly)):
@@ -127,47 +133,35 @@ def multiply_unreduced(x: FlagElt, y: FlagElt) -> FlagElt:
     out: dict[tuple[int, int], SchubertElt] = {}
     for (i1, j1), c1 in x.terms.items():
         for (i2, j2), c2 in y.terms.items():
-            e = (i1 + i2, j1 + j2)
-            c = mult(c1, c2)
-            out[e] = out[e] + c if e in out else c
-    return FlagElt(x.n, x.arity, out)
+            _add(out, (i1 + i2, j1 + j2), mult(c1, c2))
+    return FlagElt._of(x.n, x.arity, out)
 
 
 def reduce_class(x: FlagElt) -> FlagElt:
-    """Canonical form: rewrite H^2 -> s1*H - s11 in each slot until all
-    exponents are <= 1.  Idempotent."""
-    n = x.n
-    s1 = sigma(n, 1)
-    s11 = sigma(n, 1, 1)
-    terms = dict(x.terms)
-    while True:
-        out: dict[tuple[int, int], SchubertElt] = {}
+    """Canonical form, every exponent <= 1, in one pass.  Idempotent.
 
-        def _acc(e, c):
-            out[e] = out[e] + c if e in out else c
-
-        changed = False
-        for (i, j), c in terms.items():
-            if i >= 2:
-                _acc((i - 1, j), mult(c, s1))
-                _acc((i - 2, j), -mult(c, s11))
-                changed = True
-            elif j >= 2:
-                _acc((i, j - 1), mult(c, s1))
-                _acc((i, j - 2), -mult(c, s11))
-                changed = True
-            else:
-                _acc((i, j), c)
-        terms = {e: c for e, c in out.items() if not c.is_zero()}
-        if not changed:
-            return FlagElt(n, x.arity, terms)
+    H^a = A_a*H + B_a in each slot, with A_0, B_0 = 0, 1 and A_(a+1) =
+    s1*A_a + B_a, B_(a+1) = -s11*A_a by H^2 = s1*H - s11; so c*H1^i*H2^j
+    becomes c*(A_i*H1 + B_i)*(A_j*H2 + B_j), with no H2 term at arity 1.
+    """
+    n, s1, s11 = x.n, sigma(x.n, 1), sigma(x.n, 1, 1)
+    table = [(SchubertElt.zero(n), SchubertElt.one(n))]
+    for _ in range(max((max(e) for e in x.terms), default=0)):
+        A, B = table[-1]
+        table.append((mult(s1, A) + B, -mult(s11, A)))
+    out: dict[tuple[int, int], SchubertElt] = {}
+    for (i, j), c in x.terms.items():
+        for ci, hi in zip(table[i], (1, 0)):
+            ci = mult(c, ci)
+            for cj, hj in zip(table[j], (1, 0)):
+                _add(out, (hi, hj), mult(ci, cj))
+    return FlagElt._of(n, x.arity, out)
 
 
 def pushforward(x: FlagElt) -> SchubertElt:
     """Integrate over the P^1 fibers (both of them at arity 2)."""
     r = reduce_class(x)
-    key = (1, 1) if r.arity == 2 else (1, 0)
-    return r.terms.get(key, SchubertElt.zero(r.n))
+    return r.terms.get((1, r.arity - 1), SchubertElt.zero(r.n))
 
 
 def integrate(x: FlagElt) -> DPoly:

@@ -4,10 +4,12 @@ Classes live in the Chow ring with its Schubert basis sigma_{a,b}, indexed
 by two-row partitions n-1 >= a >= b >= 0.  Coefficients are DPoly, so the
 same machinery yields answers polynomial in a hypersurface degree d.
 
-Products are computed by Pieri's rule for one-row factors and the
-determinantal identity sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1}
-for the rest, with sigma_m = 0 once m exceeds the box width n-1.  For
-two-row partitions this is a complete multiplication rule.
+A product walks one Pieri strip generator, _strip, and adds every
+coefficient into one dict: Pieri's rule for one-row factors and Giambelli's
+sigma_{a,b} = sigma_a*sigma_b - sigma_{a+1}*sigma_{b-1} for the rest, with
+sigma_m = 0 past the box width n-1 (Fulton, Intersection Theory, 14.6-14.7).
+Inputs are checked at the public boundary; classes built here from valid
+classes go through the trusted SchubertElt._of.
 
 The degree of a top-codimension class is its coefficient on the point
 class sigma_{n-1,n-1}.
@@ -41,6 +43,11 @@ def in_box(p: Partition, n: int) -> bool:
     return p[0] <= n - 1
 
 
+def _add(out: dict, key, c) -> None:
+    """out[key] += c: the one accumulator of the symbolic route."""
+    out[key] = out[key] + c if key in out else c
+
+
 def _check_ambient(n: int):
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"ambient projective dimension must be an int >= 2, got {n!r}")
@@ -53,15 +60,16 @@ class SchubertElt:
 
     def __init__(self, n: int, terms=None):
         _check_ambient(n)
+        terms = {check_partition(p): DPoly.coerce(c) for p, c in (terms or {}).items()}
         self.n = n
-        clean: dict[Partition, DPoly] = {}
-        for p, c in (terms or {}).items():
-            check_partition(p)
-            c = DPoly.coerce(c)
-            if c.is_zero() or not in_box(p, n):
-                continue
-            clean[p] = c
-        self.terms = clean
+        self.terms = {p: c for p, c in terms.items() if in_box(p, n) and not c.is_zero()}
+
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "SchubertElt":
+        """The class of terms already checked and in the box; drops zeros."""
+        x = cls.__new__(cls)
+        x.n, x.terms = n, {p: c for p, c in terms.items() if not c.is_zero()}
+        return x
 
     @classmethod
     def zero(cls, n: int) -> "SchubertElt":
@@ -88,18 +96,18 @@ class SchubertElt:
         self._require_same_ambient(other)
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, DPoly.zero()) + c
-        return SchubertElt(self.n, out)
+            _add(out, p, c)
+        return SchubertElt._of(self.n, out)
 
     def __neg__(self) -> "SchubertElt":
-        return SchubertElt(self.n, {p: -c for p, c in self.terms.items()})
+        return SchubertElt._of(self.n, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other: "SchubertElt") -> "SchubertElt":
         return self + (-other)
 
     def scale(self, c) -> "SchubertElt":
         c = DPoly.coerce(c)
-        return SchubertElt(self.n, {p: c * v for p, v in self.terms.items()})
+        return SchubertElt._of(self.n, {p: c * v for p, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, DPoly)):
@@ -166,7 +174,16 @@ def sigma(n: int, a: int, b: int = 0, coeff=1) -> SchubertElt:
     _check_ambient(n)
     if not in_box((a, b), n):
         raise ValueError(f"sigma[{a},{b}] is outside the box on G(1,{n})")
-    return SchubertElt(n, {(a, b): DPoly.coerce(coeff)})
+    return SchubertElt._of(n, {(a, b): DPoly.coerce(coeff)})
+
+
+def _strip(p: Partition, m: int, n: int):
+    """The partitions mu of the box with sigma_p * sigma_m = sum sigma_mu
+    (Pieri): p plus a horizontal strip of m boxes, so b <= mu2 <= min(a, b+m)
+    and mu1 = a+b+m-mu2 <= n-1.  Empty for m < 0, where sigma_m = 0."""
+    a, b = p
+    for mu2 in range(max(b, a + b + m - n + 1), min(a, b + m) + 1):
+        yield a + b + m - mu2, mu2
 
 
 def pieri(p: Partition, m: int, n: int) -> SchubertElt:
@@ -179,51 +196,24 @@ def pieri(p: Partition, m: int, n: int) -> SchubertElt:
     _check_ambient(n)
     if m < 0:
         raise ValueError(f"one-row index must be >= 0, got {m}")
-    if not in_box(p, n) or m > n - 1:
-        return SchubertElt.zero(n)
-    a, b = p
-    total = a + b + m
-    out: dict[Partition, DPoly] = {}
-    # horizontal strip: b <= mu2 <= a and mu1 >= a, no two added boxes stacked
-    for mu2 in range(b, a + 1):
-        mu1 = total - mu2
-        if mu1 < a or mu1 < mu2 or mu1 > n - 1:
-            continue
-        out[(mu1, mu2)] = DPoly.one()
-    return SchubertElt(n, out)
-
-
-def _times_onerow(x: SchubertElt, m: int) -> SchubertElt:
-    if m == 0:
-        return x
-    acc = SchubertElt.zero(x.n)
-    for p, c in x.terms.items():
-        acc = acc + pieri(p, m, x.n).scale(c)
-    return acc
-
-
-def _basis_product(p: Partition, q: Partition, n: int) -> SchubertElt:
-    # sigma_p * sigma_q with q = (m1, m2); reduce q via the determinantal
-    # identity sigma_{m1,m2} = sigma_{m1} sigma_{m2} - sigma_{m1+1} sigma_{m2-1}
-    m1, m2 = q
-    if m2 == 0:
-        return pieri(p, m1, n)
-    unit = SchubertElt(n, {p: DPoly.one()})
-    plus = _times_onerow(_times_onerow(unit, m2), m1)
-    minus = _times_onerow(_times_onerow(unit, m2 - 1), m1 + 1)
-    return plus - minus
+    return SchubertElt._of(n, {mu: DPoly.one() for mu in _strip(p, m, n)})
 
 
 def mult(x: SchubertElt, y: SchubertElt) -> SchubertElt:
-    """Ring product on G(1, n)."""
+    """Ring product on G(1, n): sigma_p * sigma_{m1,m2} is
+    Pieri(Pieri(p, m2), m1) - Pieri(Pieri(p, m2-1), m1+1)."""
     if not isinstance(x, SchubertElt) or not isinstance(y, SchubertElt):
         raise TypeError("mult takes two SchubertElt values")
     x._require_same_ambient(y)
-    acc = SchubertElt.zero(x.n)
+    n, out = x.n, {}
     for p, cp in x.terms.items():
-        for q, cq in y.terms.items():
-            acc = acc + _basis_product(p, q, x.n).scale(cp * cq)
-    return acc
+        for (m1, m2), cq in y.terms.items():
+            c = cp * cq
+            for coeff, first, second in ((c, m2, m1), (-c, m2 - 1, m1 + 1)):
+                for mid in _strip(p, first, n):
+                    for mu in _strip(mid, second, n):
+                        _add(out, mu, coeff)
+    return SchubertElt._of(n, out)
 
 
 def degree(x: SchubertElt) -> DPoly:

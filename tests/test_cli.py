@@ -413,6 +413,30 @@ def test_huge_q_is_answered_or_refused_at_once(capsys, tmp_path):
     assert time.perf_counter() - began < 1
 
 
+def test_symbolic_work_budget_exit_2(capsys):
+    # s[1]^200 on G(1,1000) is refused before its first large product
+    began = time.perf_counter()
+    code, out, err = run(capsys, "schubert", "mult", "s[1]^200", "--n", "1000")
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (2, "") and "work budget of 2^28" in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    for argv in (("mult", "s[1]^100", "--n", "100"), ("degree", "s[1]^118", "--n", "60")):
+        assert run(capsys, "schubert", *argv)[0] == 0
+
+
+def test_count_vk_singular_points_beyond_the_budget_exit_2(capsys, tmp_path):
+    # every point of (x0x1 + x2x3 + x4x5)^2 is singular, and at q = 17 their
+    # directions would take 4.0e11 multiply-adds
+    form = tmp_path / "square.hs"
+    form.write_text("1 2 2 0 0 0 0\n1 0 0 2 2 0 0\n1 0 0 0 0 2 2\n"
+                    "2 1 1 1 1 0 0\n2 1 1 0 0 1 1\n2 0 0 1 1 1 1\n")
+    began = time.perf_counter()
+    code, out, err = run(capsys, "count-vk", "--input", str(form), "--q", "17", "--k", "4")
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (2, "") and "4.0e+11 steps" in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_fermat_planes_degree_limit_exit_2(capsys):
     began = time.perf_counter()
     code, out, err = run(capsys, "fermat-planes", "--d", "60")

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import random
+import time
 import tracemalloc
 from itertools import product
 
@@ -20,6 +21,7 @@ from tangency.counting import (
     count_vk,
     count_vk_bruteforce,
     dimension_slope,
+    direction_work,
     exactness_bound,
     hypersurface_points,
     lines_in_hypersurface,
@@ -240,9 +242,9 @@ def test_derivative_matrices_match_the_term_loop():
 
 def test_enumeration_refuses_spaces_beyond_one_array():
     # the rows of P^2(F_q), 3 int64 each, exceed 2^63 bytes: refused before
-    # the first block, where walking them would never end
+    # any array is allocated
     with pytest.raises(ValueError, match="too many points to enumerate"):
-        next(counting._rep_blocks(2, 2147483647, counting._POINTS))
+        projective_reps(2, 2147483647)
 
 
 def test_evaluation_refuses_q_beyond_int64():
@@ -457,6 +459,33 @@ def test_count_vk_work_budget():
     # take 2.3e11 multiply-adds
     with pytest.raises(ValueError, match="testing the directions at 292561 points"):
         count_vk(HyperForm.fermat(5, 5, PrimeField(23)), 5)
+
+
+def split_quadric_squared(q: int) -> HyperForm:
+    # (x0x1 + x2x3 + x4x5)^2 in P^5: its gradient vanishes on all of X
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    terms = {}
+    for a in pairs:
+        for b in pairs:
+            e = [0] * 6
+            for i in a + b:
+                e[i] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + 1
+    return HyperForm(5, 4, terms, PrimeField(q))
+
+
+def test_count_vk_budget_prices_singular_points():
+    # a singular point tests the |P^4| directions over degree-j monomials in
+    # 5 variables, not the |P^3| over 4 of a smooth one
+    F = split_quadric_squared(11)
+    kernel = counting._Kernel(F, 4)
+    keys = kernel.chart_keys(hypersurface_points(F))
+    assert direction_work(keys, 5, 11, kernel.orders) == 16226 * pp_count(4, 11) * (15 + 35)
+    # priced as smooth, the q = 17 count fitted the budget; it takes 4.0e11
+    began = time.perf_counter()
+    with pytest.raises(ValueError, match=r"directions at 89030 points would take about 4\.0e\+11"):
+        count_vk(split_quadric_squared(17), 4)
+    assert time.perf_counter() - began < 1
 
 
 def test_count_vk_validation():

@@ -1,9 +1,12 @@
 """Fiber-square classes over G(1,n): reduction modulo the bundle relation
 H^2 = s1*H - s11, pushforward, and integration."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tangency.dpoly import DPoly
 from tangency.flag import (
@@ -14,7 +17,7 @@ from tangency.flag import (
     pushforward,
     reduce_class,
 )
-from tangency.schubert import SchubertElt, sigma
+from tangency.schubert import SchubertElt, mult, sigma
 
 
 def is_reduced(x: FlagElt) -> bool:
@@ -143,3 +146,103 @@ def test_scale_by_base_class_and_dpoly():
     assert h.scale(d).terms[(1, 0)].coefficient((0, 0)) == d
     s = h.scale(sigma(n, 1, 1))
     assert s.terms[(1, 0)].coefficient((1, 1)) == 1
+
+
+def _random_dpoly(rng) -> DPoly:
+    return DPoly(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))))
+
+
+def _random_schubert(n, rng) -> SchubertElt:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(0, n - 1)
+        terms[(a, rng.randint(0, a))] = _random_dpoly(rng)
+    return SchubertElt(n, terms)
+
+
+def _random_top_class(n, arity, rng) -> FlagElt:
+    # a sum of monomials s[a,b]*H1^i*H2^j of the total dimension 2(n-1)+arity
+    terms = {}
+    for _ in range(3):
+        i = rng.randint(0, n)
+        j = rng.randint(0, n) if arity == 2 else 0
+        rest = 2 * (n - 1) + arity - i - j
+        if not 0 <= rest <= 2 * (n - 1):
+            continue
+        b = rng.randint(max(0, rest - (n - 1)), rest // 2)
+        terms[(i, j)] = sigma(n, rest - b, b, coeff=_random_dpoly(rng))
+    return FlagElt(n, arity, terms)
+
+
+def test_symbolic_sweep_is_pinned():
+    # sha256 over a seeded sweep of products, reductions, pushforwards and
+    # integrals with DPoly coefficients; recorded from the route that
+    # rewrote H^2 one power per pass and built a class for every Pieri term
+    rng = random.Random(2024)
+    h = hashlib.sha256()
+    for n in range(2, 8):
+        for arity in (1, 2):
+            for _ in range(12):
+                x, y = _random_schubert(n, rng), _random_schubert(n, rng)
+                h.update((x * y).text().encode())
+                fx = FlagElt(n, arity, {(rng.randint(0, 4), rng.randint(0, 4) * (arity - 1)):
+                                        _random_schubert(n, rng) for _ in range(3)})
+                fy = FlagElt(n, arity, {(rng.randint(0, 3), rng.randint(0, 3) * (arity - 1)):
+                                        _random_schubert(n, rng) for _ in range(2)})
+                raw = multiply_unreduced(fx, fy)
+                red = reduce_class(raw)
+                h.update(raw.text().encode())
+                h.update(red.text().encode())
+                h.update(pushforward(red).text().encode())
+                h.update(integrate(_random_top_class(n, arity, rng)).text().encode())
+    assert h.hexdigest() == "2ed15f4276b2c2a7d0088f298472687509065b40f5bf1a18af527ff066fc436d"
+
+
+def reduce_by_rewriting(x: FlagElt) -> FlagElt:
+    """The reference reduction: rewrite H^2 -> s1*H - s11 in one slot of
+    every term per pass, until no exponent is above 1."""
+    n = x.n
+    s1 = sigma(n, 1)
+    s11 = sigma(n, 1, 1)
+    terms = dict(x.terms)
+    while True:
+        out: dict[tuple[int, int], SchubertElt] = {}
+
+        def _acc(e, c):
+            out[e] = out[e] + c if e in out else c
+
+        changed = False
+        for (i, j), c in terms.items():
+            if i >= 2:
+                _acc((i - 1, j), mult(c, s1))
+                _acc((i - 2, j), -mult(c, s11))
+                changed = True
+            elif j >= 2:
+                _acc((i, j - 1), mult(c, s1))
+                _acc((i, j - 2), -mult(c, s11))
+                changed = True
+            else:
+                _acc((i, j), c)
+        terms = {e: c for e, c in out.items() if not c.is_zero()}
+        if not changed:
+            return FlagElt(n, x.arity, terms)
+
+
+@st.composite
+def flag_elements(draw):
+    n = draw(st.integers(2, 6))
+    arity = draw(st.sampled_from((1, 2)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = (draw(st.integers(0, 6)), draw(st.integers(0, 6)) if arity == 2 else 0)
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, a))
+        c = DPoly(tuple(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))))
+        terms[e] = sigma(n, a, b, coeff=c)
+    return FlagElt(n, arity, terms)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flag_elements())
+def test_reduce_class_equals_the_rewriting_reference(x):
+    assert reduce_class(x) == reduce_by_rewriting(x)
