@@ -58,10 +58,17 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-# Pieri strip steps one expression may take, charged before each product at
-# n^2 for every pair of Schubert terms: s[1]^118 on G(1,60) takes about 5e6,
-# s[1]^100 on G(1,100) 1e7, and s[1]^400 on G(1,300) is refused.
+# Steps one expression may take, charged before each product: for every
+# pair of Schubert terms, one product of their coefficients and n^2 Pieri
+# strip steps that add it into the result, each priced at the _size of the
+# coefficients.  s[1]^118 on G(1,60) takes about 1e7, s[1]^100 on G(1,100)
+# 2e7; s[1]^400 on G(1,300) and (d+1)^4000 are refused.
 _SYMBOLIC_BUDGET = 1 << 28
+
+
+def _size(c: DPoly) -> int:
+    """c's coefficients times the 30-bit digits (Python's) of its largest."""
+    return len(c.coeffs) * (1 + max(map(int.bit_length, c.coeffs)) // 30)
 
 
 class _ExprParser:
@@ -74,12 +81,14 @@ class _ExprParser:
         self.work = 0
 
     def times(self, x: FlagElt, y: FlagElt) -> FlagElt:
-        """x * y, once its strip steps fit in what is left of the budget."""
-        sizes = [sum(len(c.terms) for c in z.terms.values()) for z in (x, y)]
-        self.work += sizes[0] * sizes[1] * self.n ** 2
+        """x * y, once its steps fit in what is left of the budget."""
+        sizes = [[_size(c) for s in z.terms.values() for c in s.terms.values()]
+                 for z in (x, y)]
+        (tx, sx), (ty, sy) = ((len(z), sum(z)) for z in sizes)
+        self.work += self.n ** 2 * (sx * ty + tx * sy) + sx * sy
         if self.work > _SYMBOLIC_BUDGET:
             raise ValueError(f"the products on G(1,{self.n}) would take about {self.work:.1e} "
-                             "Pieri steps, over the work budget of "
+                             "steps, over the work budget of "
                              f"2^{_SYMBOLIC_BUDGET.bit_length() - 1} for one expression")
         return x * y
 
@@ -191,12 +200,21 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {ex}") from ex
 
 
+def _parsed(parse, path: str, field):
+    """parse(the text of the file at path, field); its errors name the file."""
+    text = _read(path)
+    try:
+        return parse(text, field)
+    except ValueError as ex:
+        raise ValueError(f"{path}: {ex}") from None
+
+
 def _deform_inputs(args):
     """The field (--q, else QQ), form and line (None without --line) of a
     deform command."""
     field = QQ if args.q is None else PrimeField(args.q)
-    form = parse_form(_read(args.form), field)
-    line = parse_line_param(_read(args.line), field) if "line" in args else None
+    form = _parsed(parse_form, args.form, field)
+    line = _parsed(parse_line_param, args.line, field) if "line" in args else None
     return field, form, line
 
 
@@ -241,7 +259,8 @@ def _cmd_deform_contact(args) -> int:
 
 def _cmd_deform_truncate(args) -> int:
     field, form, _ = _deform_inputs(args)
-    result = truncate(form, [_parse_scalar(tok, field) for tok in args.point.split(",")], args.k)
+    result = truncate(form, [_parse_scalar(x, field, "--point") for x in args.point.split(",")],
+                      args.k)
     text = result.form.text()
     doc = {"k": args.k, "n": result.form.n, "d": result.form.d, "form": text,
            "basis": [[str(c) for c in row] for row in result.basis]}
@@ -281,7 +300,7 @@ def _cmd_deform_congruence(args) -> int:
 
 
 def _cmd_count_vk(args) -> int:
-    rational = parse_form(_read(args.input), QQ)
+    rational = _parsed(parse_form, args.input, QQ)
     if args.q <= rational.d:
         raise ValueError(
             "characteristic too small for contact order d "

@@ -38,26 +38,26 @@ sum along an axis, at most C(n+d-j, n) per derivative of order j.  Each
 reduces mod q after every (2^63 - 1) // (q-1)^2 products (_dot), so both
 are exact for any q with (q-1)^2 < 2^63.
 
-The higher orders are batched.  The points are sorted by chart; for each
-group and order j = 2..k-1, G_j(p, v) is pulled back to a form of degree j
-in r, vectorized over the group: the evaluator gives every d^alpha F /
-alpha! at the group's points, and the powers (w.r)^a are expanded once
-per group through tables shared by all charts.  A direction survives when
-every pulled-back form vanishes at it, which one contraction per order and
+The higher orders are pulled back per group of points sharing a chart:
+G_j(p, v) = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha!
+with alpha_pivot = a, is built by Horner's rule, P <- H_a + (w.r) P,
+vectorized over the group (_pullback).  A direction survives when every
+pulled-back form vanishes at it, which one contraction per order and
 tile decides: (grid monomials, R x C(nfree-1+j, j)) times (coefficients,
 C(nfree-1+j, j) x points).  Everything that depends only on the form, k
-and q (the derivative matrices, the pullback tables, the grid monomials,
-the inverse table) is built once per count_vk call.
+and q (the derivative matrices, the charts' jet rows, the grid
+monomials, the inverse table) is built once per count_vk call.
 
-Exactness of a count.  Each pullback and contraction sum adds products
-of residues in [0, q), so it is at most exactness_bound(n, d, k, q), and
-count_vk refuses, before it enumerates anything, a q for which that bound
-reaches 2^53.  The contraction is a float64 BLAS GEMM (np.matmul).  Its
-grid monomials and pulled-back coefficients are residues in [0, q), so
-every product, and every partial sum in whatever order, blocking or fused
-multiply-add the BLAS kernel uses, is a non-negative integer no larger
-than the full sum: below 2^53, each is exact in float64.  So is the
-result, and rint(V / q) * q == V is an exact divisibility test.
+Exactness of a count.  A Horner step adds at most n-1 products of
+residues in [0, q) to a residue, a contraction sum C(n-1+j, j); both stay
+below exactness_bound(n, d, k, q), and count_vk refuses, before it
+enumerates anything, a q for which that bound reaches 2^53.  The
+contraction is a float64 BLAS GEMM (np.matmul).  Its grid monomials and
+pulled-back coefficients are residues in [0, q), so every product, and
+every partial sum in whatever order, blocking or fused multiply-add the
+BLAS kernel uses, is a non-negative integer no larger than the full sum:
+below 2^53, each is exact in float64.  So is the result, and
+rint(V / q) * q == V is an exact divisibility test.
 
 The pool is the only parallelism: every GEMM must run on the calling
 thread, or each forked worker starts BLAS threads of its own on top of
@@ -291,11 +291,12 @@ def exactness_bound(n: int, d: int, k: int, q: int) -> int:
     """A bound on every integer a count_vk sum reaches for k >= 2 over F_q.
 
     Every sum adds products of two residues in [0, q), so it is at most
-    (terms) * (q-1)^2.  The widest are the pullback to a chart (pairs of
-    monomials in the n-1 chart variables) and the contraction (monomials
-    of degree j in the n variables of a singular point's chart).  The
-    derivative evaluation is not among them: it reduces its int64 sums
-    mod q on its own, exact whenever (q-1)^2 < 2^63.
+    (terms) * (q-1)^2.  The widest is the contraction's (monomials of
+    degree j in a singular chart's n variables); a Horner step of the
+    pullback adds n-1.  The bound keeps the wider term of the multinomial
+    pullback once used (pairs of monomials in n-1 variables) so that the
+    q check_exact refuses, and its message, stay put.  The derivatives
+    reduce their int64 sums mod q, exact whenever (q-1)^2 < 2^63.
     """
     terms = 1
     for j in range(1, min(k - 1, d) + 1):
@@ -371,7 +372,6 @@ class _Monomials:
         for e in sorted(first, reverse=True):
             self.exps[sum(e)].append(e)
         self.index = [{e: i for i, e in enumerate(es)} for es in self.exps]
-        self.offsets = np.cumsum([0] + [len(es) for es in self.exps])
         self.steps = [(np.array([index[first[e][1]] for e in es], dtype=np.intp),
                        np.array([first[e][0] for e in es], dtype=np.intp))
                       for index, es in zip(self.index, self.exps[1:])]
@@ -416,7 +416,7 @@ class _Derivatives:
         picked = [order == j for j in orders]
         rests = [_distinct(E[term[p]] - alpha[p], d + 1) for p in picked]
         self.mons = _Monomials(n + 1, d - min(orders), (r for rest, _ in rests for r in rest))
-        self.block = max(1, _TABLE // int(self.mons.offsets[-1]))
+        self.block = max(1, _TABLE // sum(map(len, self.mons.exps)))
         self.rows, self.mats = [], []
         for j, p, (rest, col) in zip(orders, picked, rests):
             A, row = _distinct(alpha[p], d + 1)
@@ -457,14 +457,13 @@ class _Kind:
 
     A smooth point has n-1 chart variables r (the pivot coordinate is solved
     from the gradient), a singular one has n.  All charts of a kind share
-    the grid projective_reps(nfree-1, q) of directions and, in lists that
-    follow the orders j:
-    - grid: the grid's monomials of degree j, R x C(nfree-1+j, j), float64;
-    - splits: the pairs (a, delta), |delta| = j-a, of v_pivot^a r^delta;
-    - tables: rows (beta, split, gamma, coef) of the expansion
-      (w.r)^a r^delta = sum_gamma coef w^gamma r^(delta+gamma), sorted by
-      the chart monomial beta = delta + gamma; gamma indexes the stacked
-      monomials of w.
+    the grid projective_reps(nfree-1, q) of directions, the top power wtop
+    of v_pivot in a pullback (0 at a singular point, whose pivot is its
+    leading coordinate), and:
+    - grid: per order j, the grid's monomials of degree j,
+      R x C(nfree-1+j, j), float64;
+    - shifts[t][i]: the position of mu + e_i among the monomials of degree
+      t+1, for each monomial mu of degree t.
     """
 
     def __init__(self, nfree: int, pivoted: bool, orders: list[int], q: int):
@@ -472,24 +471,11 @@ class _Kind:
         top = max(orders, default=0)
         self.mons = _Monomials(nfree, top, _exps(nfree, top))
         self.wtop = top if pivoted else 0
-        self.splits, self.tables, self.grid = [], [], []
-        if not orders or not self.size:
-            return
-        grid = self.mons.values(projective_reps(nfree - 1, q).T, q, top)
-        for j in orders:
-            splits = [(a, delta) for a in range(min(j, self.wtop) + 1)
-                      for delta in self.mons.exps[j - a]]
-            rows = []
-            for s, (a, delta) in enumerate(splits):
-                for gamma in self.mons.exps[a]:
-                    beta = tuple(x + y for x, y in zip(delta, gamma))
-                    coef = math.factorial(a) // math.prod(map(math.factorial, gamma))
-                    rows.append((self.mons.index[j][beta], s,
-                                 self.mons.offsets[a] + self.mons.index[a][gamma], coef % q))
-            rows.sort()
-            self.splits.append(splits)
-            self.tables.append(np.array(rows, dtype=np.int64).T)
-            self.grid.append(np.ascontiguousarray(grid[j].T, dtype=np.float64))
+        self.shifts = [[_lookup(up, [mu[:i] + (mu[i] + 1,) + mu[i + 1:] for mu in es])
+                        for i in range(nfree)]
+                       for es, up in zip(self.mons.exps, self.mons.index[1:])]
+        grid = self.mons.values(projective_reps(nfree - 1, q).T, q, top) if orders else []
+        self.grid = [np.ascontiguousarray(grid[j].T, dtype=np.float64) for j in orders]
 
 
 class _Chart:
@@ -497,34 +483,56 @@ class _Chart:
     points with this leading index and gradient pivot (pivot == lead marks a
     singular point, where every direction with v_lead = 0 is tangent).
 
-    For each order whose pullback is not identically zero, `tables` holds
-    the kind's expansion rows restricted to the divided derivatives
-    d^alpha F / alpha! that do not vanish: (order position, jet row of
-    alpha, gamma, coef, first row of each beta, the betas).
+    `orders` lists (position among the kernel's orders, j, rows) for each
+    order j whose pullback is not identically zero, if the kind has any
+    directions; rows[a], a = 0..min(j, wtop), gives for each monomial delta
+    of degree j-a in r the jet row of the alpha with alpha_free = delta,
+    alpha_pivot = a, or -1 where that divided derivative is zero.
     """
 
-    def __init__(self, n: int, lead: int, pivot: int, kind: _Kind, jet_index: list[dict]):
+    def __init__(self, n: int, lead: int, pivot: int, kind: _Kind, jets: _Derivatives):
         self.pivot = pivot
         self.free = np.array([c for c in range(n + 1) if c not in (lead, pivot)], dtype=np.intp)
         self.kind = kind
-        self.tables = []
-        for pos, (index, splits, table) in enumerate(zip(jet_index, kind.splits, kind.tables)):
-            s_to_alpha = []
-            for a, delta in splits:
-                alpha = [0] * (n + 1)
-                for c, e in zip(self.free, delta):
-                    alpha[c] = e
-                alpha[pivot] += a
-                s_to_alpha.append(index.get(tuple(alpha), -1))
-            beta, split, gamma, coef = table
-            rows = np.array(s_to_alpha, dtype=np.intp)[split]
-            keep = rows >= 0
-            if not keep.any():
-                continue
-            beta = beta[keep]
-            starts = np.flatnonzero(np.r_[True, beta[1:] != beta[:-1]])
-            self.tables.append((pos, rows[keep], gamma[keep], coef[keep, None],
-                                starts, beta[starts]))
+        self.orders = []
+        for pos, (j, index) in enumerate(zip(jets.orders[1:], jets.rows[1:])):
+            rows = []
+            for a in range(min(j, kind.wtop) + 1):
+                alpha = np.zeros((len(kind.mons.exps[j - a]), n + 1), dtype=np.int64)
+                alpha[:, self.free] = np.reshape(kind.mons.exps[j - a], alpha[:, self.free].shape)
+                alpha[:, pivot] += a
+                rows.append(np.array([index.get(tuple(e), -1) for e in alpha.tolist()],
+                                     dtype=np.intp))
+            if kind.size and any((r >= 0).any() for r in rows):
+                self.orders.append((pos, j, rows))
+
+
+def _pullback(chart: _Chart, jets: list[np.ndarray], inverse: np.ndarray,
+              q: int) -> list[np.ndarray]:
+    """For each of chart.orders, j: C[beta, p], float64, the coefficient mod
+    q of r^beta in G_j(p, v) on the chart (v_free = r, v_pivot = w.r), at
+    the points whose jets (gradient, then the kernel's orders) are given.
+
+    G_j = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha! with
+    alpha_pivot = a: Horner's rule P <- H_a + (w.r) P, for a from
+    min(j, wtop) down to 0, reducing mod q after each step.  A step adds
+    at most nfree products of two residues to a residue, exact in int64.
+    """
+    kind, grad = chart.kind, jets[0]
+    w = -grad[chart.free] * inverse[grad[chart.pivot]] % q
+    out = []
+    for pos, j, rows in chart.orders:
+        P = None
+        for a in range(len(rows) - 1, -1, -1):
+            H = jets[1 + pos][rows[a]]
+            H[rows[a] < 0] = 0
+            if P is not None:
+                for i, at in enumerate(kind.shifts[j - a - 1]):
+                    H[at] += w[i] * P
+                np.remainder(H, q, out=H)
+            P = H
+        out.append(P.astype(np.float64))
+    return out
 
 
 class _Kernel:
@@ -562,8 +570,7 @@ class _Kernel:
             if pivoted not in kinds:
                 nfree = self.n - 1 if pivoted else self.n
                 kinds[pivoted] = _Kind(nfree, pivoted, self.orders, self.q)
-            self.charts[int(key)] = _Chart(self.n, lead, pivot, kinds[pivoted],
-                                           self.jets.rows[1:])
+            self.charts[int(key)] = _Chart(self.n, lead, pivot, kinds[pivoted], self.jets)
 
     def count(self, pts: np.ndarray, keys: np.ndarray) -> int:
         """Pairs (p, tangent direction) with G_2 = ... = G_{k-1} = 0 at p."""
@@ -579,21 +586,10 @@ class _Kernel:
 
     def _survivors(self, chart: _Chart, jets: list[np.ndarray]) -> int:
         """Pull every G_j back to the chart, then test the kind's grid."""
-        kind, q = chart.kind, self.q
-        grad = jets[0]
-        m = grad.shape[1]
-        if not chart.tables:
-            return kind.size * m
-        w = -grad[chart.free] * self.inverse[grad[chart.pivot]] % q
-        W = np.concatenate(kind.mons.values(w, q, kind.wtop))
-        grids, coefs = [], []
-        for pos, alpha_rows, gamma, coef, starts, betas in chart.tables:
-            terms = jets[1 + pos][alpha_rows] * W[gamma] % q * coef
-            C = np.zeros((kind.grid[pos].shape[1], m))
-            C[betas] = np.add.reduceat(terms, starts, axis=0) % q
-            grids.append(kind.grid[pos])
-            coefs.append(C)
-        return _grid_zeros(grids, coefs, q)
+        if not chart.orders:
+            return chart.kind.size * jets[0].shape[1]
+        return _grid_zeros([chart.kind.grid[pos] for pos, _, _ in chart.orders],
+                           _pullback(chart, jets, self.inverse, self.q), self.q)
 
 
 # The kernel of the count a forked pool worker serves: the fork hands it

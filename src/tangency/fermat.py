@@ -57,9 +57,6 @@ class RootRing:
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
 
-    def neg(self, a: tuple) -> tuple:
-        return tuple(-x for x in a)
-
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple(x - y for x, y in zip(a, b))
 
@@ -81,22 +78,6 @@ class RootRing:
     def is_unit_monomial(self, a: tuple) -> bool:
         nz = [x for x in a if x]
         return len(nz) == 1 and nz[0] in (1, -1)
-
-    def text(self, a: tuple) -> str:
-        parts = []
-        for e, c in enumerate(a):
-            if not c:
-                continue
-            base = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
-            if c == 1:
-                parts.append(base)
-            elif c == -1:
-                parts.append(f"-{base}")
-            elif e == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{base}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def pairings_of_six() -> list[tuple[tuple[int, int], ...]]:

@@ -358,7 +358,7 @@ def parse_form(text: str, field) -> HyperForm:
         toks = line.split()
         if len(toks) < 3:
             raise ValueError(f"line {lineno}: need a coefficient and n+1 exponents")
-        c = _parse_scalar(toks[0], field)
+        c = _parse_scalar(toks[0], field, f"line {lineno}")
         try:
             e = tuple(int(t) for t in toks[1:])
         except ValueError:
@@ -384,12 +384,15 @@ def parse_line_param(text: str, field) -> LineParam:
         toks = line.split()
         if len(toks) != 2:
             raise ValueError(f"line {lineno}: need exactly two entries 'cs ct'")
-        rows.append((_parse_scalar(toks[0], field), _parse_scalar(toks[1], field)))
+        rows.append(tuple(_parse_scalar(t, field, f"line {lineno}") for t in toks))
     return LineParam(rows, field)
 
 
-def _parse_scalar(tok: str, field):
-    if "/" in tok:
-        a, b = tok.split("/", 1)
-        return field.mul(field.of(int(a)), field.inv(field.of(int(b))))
-    return field.of(int(tok))
+def _parse_scalar(tok: str, field, where: str):
+    """The field element "a" or "a/b"; `where` (option, line) opens an error."""
+    try:
+        parts = [int(x) for x in tok.split("/", 1)]
+    except ValueError:
+        raise ValueError(f"{where}: {tok!r} is not an integer or a fraction a/b") from None
+    c = field.of(parts[0])
+    return c if len(parts) == 1 else field.mul(c, field.inv(field.of(parts[1])))

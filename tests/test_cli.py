@@ -214,13 +214,28 @@ def test_slope_malformed_series_exit_2(capsys, tmp_path, entries):
     ("1,0", "needs 4 coordinates, got 2"),
     ("1,0,0,0,0", "needs 4 coordinates, got 5"),
     ("0,0,0,0", "zero point"),
-], ids=["short", "long", "zero"])
+    ("1,x,0,0", "--point: 'x' is not an integer or a fraction a/b"),
+], ids=["short", "long", "zero", "letter"])
 def test_deform_truncate_bad_point_exit_2(capsys, quadric_file, point, says):
     code, out, err = run(capsys, "deform", "truncate", "--form", quadric_file,
                          "--point", point, "--k", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert says in err
+
+
+def test_unparsable_coefficients_name_the_file_and_line(capsys, tmp_path, quadric_file,
+                                                        line_file):
+    bad = tmp_path / "bad.hs"
+    bad.write_text("1 2 0 0 0\nx 0 0 1 1\n")
+    says = f"error: {bad}: line 2: 'x' is not an integer or a fraction a/b\n"
+    for argv in (("deform", "contact", "--form", str(bad), "--line", line_file),
+                 ("count-vk", "--input", str(bad), "--q", "5", "--k", "2")):
+        assert run(capsys, *argv) == (2, "", says)
+    bad_line = tmp_path / "bad_line.txt"
+    bad_line.write_text("1 0\n0 1/y\n0 0\n0 0\n")
+    assert run(capsys, "deform", "contact", "--form", quadric_file, "--line", str(bad_line)) == (
+        2, "", f"error: {bad_line}: line 2: '1/y' is not an integer or a fraction a/b\n")
 
 
 def test_fermat_planes_cli(capsys, schema, tmp_path):
@@ -364,7 +379,8 @@ PINNED_CASES = [
 def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
     # sha256 of the exit code, stdout, stderr and --emit file of every case,
     # with elapsedMs masked and help wrapped at 80 columns; recorded from the
-    # CLI whose handlers each chose their own output format
+    # CLI whose handlers each chose their own output format, re-recorded when
+    # the error for --point 1,x,0,0 came to name --point
     monkeypatch.setenv("COLUMNS", "80")
     files = {
         "quadric.hs": QUADRIC, "line.txt": CONTAINED_LINE, "conic.hs": CONIC,
@@ -391,7 +407,7 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
             if emit is not None:
                 emitted.unlink()
             h.update(repr((argv, fmt, code, out, err, emit)).encode())
-    assert h.hexdigest() == "d85401ed01c3ee5d7219d0b9e230e1f604d3ed1f2b65c00f32ae0db6b28cc6b9"
+    assert h.hexdigest() == "875f6f5813d7d46dabeba3b932c6a905950ad6c70146bbab1c70210b385bcc68"
 
 
 def test_huge_q_is_answered_or_refused_at_once(capsys, tmp_path):
@@ -422,6 +438,16 @@ def test_symbolic_work_budget_exit_2(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     for argv in (("mult", "s[1]^100", "--n", "100"), ("degree", "s[1]^118", "--n", "60")):
         assert run(capsys, "schubert", *argv)[0] == 0
+
+
+def test_symbolic_work_budget_prices_coefficient_size(capsys):
+    # (d+1)^4000 has one term, but its coefficients reach thousands of
+    # digits: the products past (d+1)^1024 would take seconds
+    began = time.perf_counter()
+    code, out, err = run(capsys, "schubert", "mult", "(d+1)^4000", "--n", "3")
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (2, "") and "work budget of 2^28" in err
+    assert run(capsys, "schubert", "mult", "(d+1)^500", "--n", "3")[0] == 0
 
 
 def test_count_vk_singular_points_beyond_the_budget_exit_2(capsys, tmp_path):

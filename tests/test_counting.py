@@ -1,6 +1,7 @@
 """Finite-field contact-pair counts: chart enumeration against brute
 force, closed forms, determinism under chunking, and the slope report."""
 
+import hashlib
 import math
 import multiprocessing
 import os
@@ -11,6 +12,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tangency import counting
 from tangency.counting import (
@@ -31,7 +34,7 @@ from tangency.counting import (
     worker_count,
 )
 from tangency.fields import QQ, PrimeField
-from tangency.forms import HyperForm, LineParam, monomials
+from tangency.forms import HyperForm, LineParam, expand, monomials
 
 
 def test_pp_count():
@@ -240,6 +243,55 @@ def test_derivative_matrices_match_the_term_loop():
                 assert got.tobytes() == want.tobytes(), (F, orders)
 
 
+@st.composite
+def pullback_cases(draw):
+    """A form over F_3, F_5 or F_7 (dense, sparse, or a cone, which leaves
+    x_0 out and is singular at (1, 0, ..., 0)) and a contact order k <= d+1."""
+    q = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(1, 4 if q < 7 else 3))
+    d = draw(st.integers(1, min(q - 1, 5)))
+    kind = draw(st.sampled_from(("dense", "sparse", "cone")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mons = [e for e in monomials(n, d) if kind != "cone" or e[0] == 0]
+    density = 1.0 if kind == "dense" else 0.3
+    terms = {e: rng.randrange(1, q) for e in mons if rng.random() < density}
+    F = HyperForm(n, d, terms or {mons[-1]: 1}, PrimeField(q))
+    return F, draw(st.integers(2, d + 1))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pullback_cases())
+# at (1, 0, 0) the chart (lead 0, pivot 1) sees no x_0-free second derivative
+# of x_0 x_1: the order-2 pullback vanishes identically
+@example((HyperForm(2, 2, {(1, 1, 0): 1}, PrimeField(3)), 3))
+def test_pullback_is_the_expansion_along_the_chart(case):
+    # oracle: F(y_0 p + sum_c r_c (e_c + w_c e_pivot)) over the free c, whose
+    # y_0^(d-j) r^beta coefficient is that of r^beta in G_j on the chart
+    F, k = case
+    q, n, f = F.field.p, F.n, F.field
+    kernel = counting._Kernel(F, k)
+    pts = hypersurface_points(F)
+    keys = kernel.chart_keys(pts)
+    kernel.add_charts(np.unique(keys))
+    for key in np.unique(keys).tolist():
+        lead, pivot = divmod(key, n + 1)
+        chart, group = kernel.charts[key], pts[keys == key]
+        pulled = counting._pullback(chart, kernel.jets(group), kernel.inverse, q)
+        by_order = {j: C for (_, j, _), C in zip(chart.orders, pulled)}
+        for i, p in enumerate(group[:4].tolist()):
+            grad = F.gradient(p)
+            w = [0 if pivot == lead else -grad[c] * pow(grad[pivot], -1, q) % q
+                 for c in chart.free]
+            cols = [p] + [[int(x == c) + wc * (x == pivot) for x in range(n + 1)]
+                          for c, wc in zip(chart.free, w)]
+            got = expand(F.terms, cols, f)
+            for j in kernel.orders:
+                betas = chart.kind.mons.exps[j]
+                want = [int(got.get((F.d - j,) + beta, 0)) for beta in betas]
+                have = by_order[j][:, i] if j in by_order else np.zeros(len(betas))
+                assert [int(x) for x in have] == want, (F, p, j)
+
+
 def test_enumeration_refuses_spaces_beyond_one_array():
     # the rows of P^2(F_q), 3 int64 each, exceed 2^63 bytes: refused before
     # any array is allocated
@@ -310,6 +362,37 @@ def test_count_matches_bruteforce_random_forms():
             F = HyperForm(n, d, terms, f)
             for k in range(1, d + 2):
                 assert count_vk(F, k).count == count_vk_bruteforce(F, k), (F, k)
+
+
+def sweep_forms(count, seed):
+    """Dense, sparse and cone forms (a cone leaves x_0 out, so it is singular
+    at (1, 0, ..., 0)) over n = 1..5, d = 1..6 and primes q = d+1..13, small
+    enough that the whole sweep counts in seconds."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        n, d = rng.randint(1, 5), rng.randint(1, 6)
+        qs = [q for q in (2, 3, 5, 7, 11, 13) if q > d and q ** (2 * n - 3) <= 10 ** 5]
+        if not qs:
+            continue
+        q = rng.choice(qs)
+        kind = rng.choice(("dense", "sparse", "cone"))
+        mons = [e for e in monomials(n, d) if kind != "cone" or e[0] == 0]
+        density = 1.0 if kind == "dense" else 0.3
+        terms = {e: rng.randrange(1, q) for e in mons if rng.random() < density}
+        forms.append(HyperForm(n, d, terms or {mons[-1]: 1}, PrimeField(q)))
+    return forms
+
+
+def test_seeded_counts_are_pinned():
+    # sha256 of count_vk over 100 seeded forms and k = 1..d+2, recorded from
+    # the counter that expanded (w.r)^a through multinomial tables
+    h = hashlib.sha256()
+    for F in sweep_forms(100, 12):
+        for k in range(1, F.d + 3):
+            h.update(repr((F.n, F.d, F.field.p, sorted(F.terms.items()), k,
+                           count_vk(F, k).count)).encode())
+    assert h.hexdigest() == "0fe0e04a68e0f0158e78a23a4d05a9093586458c6505776a65491635109142c2"
 
 
 @pytest.mark.parametrize("q, expected", [(7, 49470), (11, 3507300)])
