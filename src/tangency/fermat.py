@@ -9,9 +9,10 @@ d^3 root choices.
 Roots live in the exact ring Z[z]/(z^d + 1), z a formal primitive 2d-th
 root of unity; the d-th roots of -1 are the odd powers z^(2e+1), e in
 [0, d).  The ring can have zero divisors (z^d + 1 factors for most d), so
-plane distinctness is by canonical defining data, and independence of a
-spanning set is certified by exhibiting a 3x3 minor that is a unit
-monomial +-z^e rather than by rank over a field.
+plane distinctness is by canonical defining data, and independence is
+certified by a 3x3 minor that is a unit monomial +-z^e rather than by rank
+over a field.  For the constructed planes that minor is the identity at the
+pairs' first columns; an arbitrary spanning set is searched for one.
 
 verify_plane checks membership of an arbitrary plane (three spanning
 points) in an arbitrary hypersurface by generic substitution; it works
@@ -135,27 +136,16 @@ def _certify_independent(points: list, ring) -> None:
         if matrix_rank(rows, len(points[0]), ring) != 3:
             raise ValueError("spanning set is dependent: not a plane")
         return
-    # no division: exhibit a 3x3 minor that is a unit monomial
-    ncols = len(points[0])
-    for cols in combinations(range(ncols), 3):
-        a, b, c = cols
-        m = [[pt[a], pt[b], pt[c]] for pt in points]
-        det = ring.sub(
-            ring.add(
-                ring.add(
-                    ring.mul(m[0][0], ring.mul(m[1][1], m[2][2])),
-                    ring.mul(m[0][1], ring.mul(m[1][2], m[2][0])),
-                ),
-                ring.mul(m[0][2], ring.mul(m[1][0], m[2][1])),
-            ),
-            ring.add(
-                ring.add(
-                    ring.mul(m[0][2], ring.mul(m[1][1], m[2][0])),
-                    ring.mul(m[0][0], ring.mul(m[1][2], m[2][1])),
-                ),
-                ring.mul(m[0][1], ring.mul(m[1][0], m[2][2])),
-            ),
-        )
+    # no division: exhibit a 3x3 minor that is a unit monomial, expanding
+    # each along its first row
+    for cols in combinations(range(len(points[0])), 3):
+        m = [[pt[c] for c in cols] for pt in points]
+        det = ring.zero
+        for k in range(3):
+            a, b = (c for c in range(3) if c != k)
+            term = ring.mul(m[0][k], ring.sub(ring.mul(m[1][a], m[2][b]),
+                                              ring.mul(m[1][b], m[2][a])))
+            det = ring.sub(det, term) if k == 1 else ring.add(det, term)
         if ring.is_unit_monomial(det):
             return
     raise ValueError("cannot certify the spanning set is independent over the ring")
@@ -178,8 +168,9 @@ def fermat_planes(d: int) -> list[FermatPlane]:
     """All 15 d^3 conjugate-pair planes of the degree-d Fermat in P^5.
 
     Each plane is checked symbolically in Z[z]/(z^d + 1): the substituted
-    form vanishes identically and the spanning points carry a unit-monomial
-    minor.  A degree above MAX_DEGREE is refused before any of that.
+    form vanishes identically, and the spanning points restricted to the
+    pairs' first columns are the identity, a unit minor.  A degree above
+    MAX_DEGREE is refused before any of that.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -187,6 +178,7 @@ def fermat_planes(d: int) -> list[FermatPlane]:
         raise ValueError(f"degree must be at most {MAX_DEGREE}, got {d}")
     ring = RootRing(d)
     terms = _fermat_terms(ring)
+    identity = [[ring.one if r == c else ring.zero for c in range(3)] for r in range(3)]
     out = []
     for pairing in pairings_of_six():
         for e1 in range(d):
@@ -194,7 +186,8 @@ def fermat_planes(d: int) -> list[FermatPlane]:
                 for e3 in range(d):
                     plane = FermatPlane(pairing=pairing, roots=(e1, e2, e3), d=d)
                     pts = plane.spanning_points(ring)
-                    _certify_independent(pts, ring)
+                    if [[pt[i] for i, _ in pairing] for pt in pts] != identity:
+                        raise AssertionError(f"plane {plane.key()} has no identity minor")
                     if expand(terms, pts, ring):
                         raise AssertionError(f"plane {plane.key()} fails containment")
                     out.append(plane)

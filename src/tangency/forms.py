@@ -221,9 +221,6 @@ class LineParam:
         """L([1:0]) = u."""
         return [r[0] for r in self.rows]
 
-    def text(self) -> str:
-        return "\n".join(f"{r[0]} {r[1]}" for r in self.rows)
-
 
 class HyperForm:
     """A homogeneous form of degree d in x_0..x_n over an exact field."""

@@ -108,6 +108,12 @@ def test_expression_parser_features():
         parse_expression("(s[1]", 4)
     with pytest.raises(ValueError):
         parse_expression("s[3,2,1]", 4)
+    assert parse_expression("-s[1] + s[1]", 4) == parse_expression("0", 4)
+    for text in ("s[1]^d", "s[1]^(2)"):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            parse_expression(text, 4)
+    with pytest.raises(ValueError, match="unexpected token"):
+        parse_expression("s[1] )", 4)
 
 
 def test_huge_power_is_zero_past_the_dimension(capsys):

@@ -1,6 +1,11 @@
 """Frozen enumerative targets: the plane bound, the conditional Z6 bound,
 the flecnodal curve degree, the flex count, and finite Fano line counts."""
 
+import random
+from fractions import Fraction
+from itertools import combinations, product
+from math import prod
+
 import pytest
 
 from tangency.dpoly import DPoly
@@ -121,3 +126,58 @@ def test_plane_bound_pipeline_equivalent_forms():
     a = integrate(s11 * h1 * h2 * jet * h2.scale(d))
     b = integrate(s11 * h1 * jet * h2.scale(d) * h2)
     assert a == b == plane_bound()
+
+
+# Bott's residue formula (Atiyah-Bott 1984; Ellingsrud-Stromme, JAMS 1996)
+# as an oracle independent of flag reduction and Pieri.  A torus with
+# distinct weights t_0..t_n acts on C^(n+1).  The fixed points of G(1, n)
+# are the coordinate lines {i, j}, with tangent weights (t_k - t_i) and
+# (t_k - t_j) for k not in {i, j}; over {i, j} the fixed points of each
+# fiber P(S) are e_i and e_j, with tangent weight t_other - t_x.  There the
+# Chern roots of S~ are a, b = -t_i, -t_j (s1 = a + b, s11 = a*b) and
+# H = -t_x.  A top-degree class integrates to the sum over fixed points of
+# its value divided by the product of the tangent weights.
+
+
+def bott_sum(n, fibers, value, seed):
+    t = random.Random(seed).sample(range(-50, 51), n + 1)
+    total = Fraction(0)
+    for i, j in combinations(range(n + 1), 2):
+        base = prod((t[k] - t[i]) * (t[k] - t[j]) for k in range(n + 1) if k not in (i, j))
+        for xs in product((i, j), repeat=fibers):
+            euler = base * prod(t[i + j - x] - t[x] for x in xs)
+            total += Fraction(value(-t[i], -t[j], [-t[x] for x in xs]), euler)
+    return total
+
+
+def jets(dd, m, a, b, h):
+    # top Chern class of the order-m principal parts of O(d)
+    return prod((dd - 2 * j) * h + j * (a + b) for j in range(m + 1))
+
+
+# each bound as (function, n, fibers, its class evaluated at a fixed point)
+LOCALIZED_BOUNDS = {
+    "planes": (plane_bound, 5, 2,
+               lambda dd, a, b, h: a * b * h[0] * h[1] * jets(dd, 4, a, b, h[0]) * dd * h[1]),
+    "z6": (z6_conditional_bound, 5, 1,
+           lambda dd, a, b, h: a * b * h[0] * jets(dd, 5, a, b, h[0])),
+    "flecnodal": (flecnodal_degree, 3, 1, lambda dd, a, b, h: h[0] * jets(dd, 3, a, b, h[0])),
+    "flex": (flex_count, 2, 1, lambda dd, a, b, h: jets(dd, 2, a, b, h[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCALIZED_BOUNDS))
+def test_bounds_match_bott_localization(name):
+    func, n, fibers, cls = LOCALIZED_BOUNDS[name]
+    bound = func()
+    for dd in range(1, 9):
+        value = bott_sum(n, fibers, lambda a, b, h: cls(dd, a, b, h), seed=f"{name}:{dd}")
+        assert value == bound.evaluate(dd), (name, dd)
+
+
+def test_fano_counts_match_bott_localization():
+    for (n, dd), lines in FANO_ORACLE.items():
+        # c_top(Sym^d S~) through its roots j*a + (d-j)*b
+        value = bott_sum(n, 0, lambda a, b, h: prod(j * a + (dd - j) * b for j in range(dd + 1)),
+                         seed=f"fano:{n}")
+        assert value == lines, (n, dd)

@@ -1,20 +1,47 @@
 """The 15 d^3 planes on the Fermat sextic-fold family, verified in the
 formal root ring Z[z]/(z^d + 1)."""
 
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tangency.fermat import (
     MAX_DEGREE,
     FermatPlane,
     RootRing,
+    _certify_independent,
     fermat_planes,
     pairings_of_six,
     verify_plane,
 )
 from tangency.fields import QQ, PrimeField
 from tangency.forms import HyperForm, expand
+
+# sha256 of json.dumps([p.to_json() for p in fermat_planes(d)]), recorded
+# when each plane was still certified by the minor search
+PLANES_SHA256 = {
+    1: "edba1653a72e8a5e8cceeca48490faebd9443a069831fc7bd66569ef57fc6af2",
+    2: "8a392716fcd1dd13da6556857ca08a07bf7f0a8d3b6b58c4ccf40a9b9a8c5c27",
+    3: "ae1af31611d1ed9b04e9404c59859e6f71f5d76660a6689ba8d3c4da9330699c",
+    4: "43c97a96b32f462a670e3ecbbe0084273c5e4b9a7d6e98cf1831fb6e68e65e5c",
+    5: "84e19f6fa1c08d9fa3a38a88842c28528f6623a9650d5f8cc80c130edc4078d1",
+    6: "3a8a3bf5f6564eac68a12df98d4aeea673367ecbcd6f1db049030e98804c1ea6",
+    7: "d97f096d6908060ae002c890e9b1456dd4bd89bab4daa3f9e70bfc0697f510b9",
+    8: "8e2c87195eaefcfc52b507d8090db61d08fd9e06659e190afd8a7fecb360fb58",
+}
+
+
+def check_planes(d):
+    planes = fermat_planes(d)
+    assert len(planes) == 15 * d ** 3
+    assert len({p.key() for p in planes}) == 15 * d ** 3
+    doc = json.dumps([p.to_json() for p in planes])
+    assert hashlib.sha256(doc.encode()).hexdigest() == PLANES_SHA256[d], d
 
 
 def test_pairings_of_six():
@@ -66,16 +93,90 @@ def test_dth_roots_of_minus_one():
 
 def test_fermat_plane_counts_and_distinctness():
     for d in range(1, 7):
-        planes = fermat_planes(d)
-        assert len(planes) == 15 * d ** 3
-        assert len({p.key() for p in planes}) == 15 * d ** 3
+        check_planes(d)
 
 
 def test_fermat_plane_counts_extended():
     for d in (7, 8):
-        planes = fermat_planes(d)
-        assert len(planes) == 15 * d ** 3
-        assert len({p.key() for p in planes}) == 15 * d ** 3
+        check_planes(d)
+
+
+def reference_certify_independent(points, ring):
+    """The minor search as Sarrus' rule, hand-unrolled: the reference for
+    the cofactor loop in fermat._certify_independent."""
+    for a, b, c in combinations(range(len(points[0])), 3):
+        m = [[pt[a], pt[b], pt[c]] for pt in points]
+        det = ring.sub(
+            ring.add(
+                ring.add(
+                    ring.mul(m[0][0], ring.mul(m[1][1], m[2][2])),
+                    ring.mul(m[0][1], ring.mul(m[1][2], m[2][0])),
+                ),
+                ring.mul(m[0][2], ring.mul(m[1][0], m[2][1])),
+            ),
+            ring.add(
+                ring.add(
+                    ring.mul(m[0][2], ring.mul(m[1][1], m[2][0])),
+                    ring.mul(m[0][0], ring.mul(m[1][2], m[2][1])),
+                ),
+                ring.mul(m[0][1], ring.mul(m[1][0], m[2][2])),
+            ),
+        )
+        if ring.is_unit_monomial(det):
+            return
+    raise ValueError("cannot certify the spanning set is independent over the ring")
+
+
+@st.composite
+def ring_point_sets(draw):
+    """Three points of P^5 over Z[z]/(z^d + 1), d <= 6; entries are 0, +-z^e
+    or small elements, and half the sets are made dependent on purpose."""
+    d = draw(st.integers(1, 6))
+    ring = RootRing(d)
+    entry = st.one_of(
+        st.just(ring.zero),
+        st.builds(ring.monomial, st.integers(0, 2 * d - 1), st.sampled_from((1, -1))),
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple),
+    )
+    rows = [draw(st.tuples(*[entry] * 6)) for _ in range(3)]
+    if draw(st.booleans()):
+        c0, c1 = draw(entry), draw(entry)
+        rows[2] = tuple(ring.add(ring.mul(c0, x), ring.mul(c1, y)) for x, y in zip(*rows[:2]))
+    return ring, rows
+
+
+def certify_outcome(certify, points, ring):
+    try:
+        certify(points, ring)
+    except ValueError as exc:
+        return str(exc)
+    return "independent"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ring_point_sets())
+def test_certify_independent_matches_the_sarrus_reference(case):
+    ring, points = case
+    assert (certify_outcome(_certify_independent, points, ring)
+            == certify_outcome(reference_certify_independent, points, ring))
+
+
+# a primitive 2d-th root of unity in F_p, p = 1 mod 2d and p > d
+ROOTS_OF_UNITY = {1: (13, 12), 2: (5, 2), 3: (7, 3), 4: (17, 2), 5: (11, 2)}
+
+
+@pytest.mark.parametrize("d", sorted(ROOTS_OF_UNITY))
+def test_fermat_planes_hold_over_a_prime_field(d):
+    # z -> zeta maps Z[z]/(z^d + 1) onto F_p, so each plane lies in the F_p Fermat
+    p, zeta = ROOTS_OF_UNITY[d]
+    assert min(k for k in range(1, 2 * d + 1) if pow(zeta, k, p) == 1) == 2 * d
+    f = PrimeField(p)
+    F = HyperForm.fermat(5, d, f)
+    ring = RootRing(d)
+    for plane in fermat_planes(d):
+        pts = [tuple(sum(c * zeta ** k for k, c in enumerate(x)) % p for x in pt)
+               for pt in plane.spanning_points(ring)]
+        assert verify_plane(F, pts), plane.key()
 
 
 def test_containment_failure_is_detected():
@@ -88,8 +189,6 @@ def test_containment_failure_is_detected():
     broken = [list(p) for p in pts]
     broken[0][1] = ring.monomial(2)  # even power: (z^2)^3 = 1, sum is 2 x^3
     terms = {tuple(3 if t == i else 0 for t in range(6)): ring.one for i in range(6)}
-    from tangency.fermat import _certify_independent
-
     _certify_independent([tuple(r) for r in broken], ring)
     assert expand(terms, [tuple(r) for r in broken], ring)  # nonzero
 
