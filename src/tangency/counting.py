@@ -52,24 +52,34 @@ Exactness of a count.  A Horner step adds at most n-1 products of
 residues in [0, q) to a residue, a contraction sum C(n-1+j, j); both stay
 below exactness_bound(n, d, k, q), and count_vk refuses, before it
 enumerates anything, a q for which that bound reaches 2^53.  The
-contraction is a float64 BLAS GEMM (np.matmul).  Its grid monomials and
-pulled-back coefficients are residues in [0, q), so every product, and
-every partial sum in whatever order, blocking or fused multiply-add the
-BLAS kernel uses, is a non-negative integer no larger than the full sum:
-below 2^53, each is exact in float64.  So is the result, and
-rint(V / q) * q == V is an exact divisibility test.
+contraction is a BLAS GEMM (np.matmul) in one dtype per count: float32
+(precision p = 24 bits) when the bound is below 2^24, float64 (p = 53)
+otherwise.  Its grid monomials and pulled-back coefficients are residues
+in [0, q), so every product, and every partial sum in whatever order,
+blocking or fused multiply-add the BLAS kernel uses, is a non-negative
+integer no larger than the full sum: below 2^p, each is exact in the
+dtype.  So is the result V, and rint(V * fl(1/q)) * q == V, with 1/q
+correctly rounded in the dtype, is an exact divisibility test.  If q does
+not divide V, no integer times q equals V.  If q | V and V/q < 2^(p-2),
+then fl(1/q) and the product each round by a relative 2^-p at most, so
+V * fl(1/q) lies within 1/2 of V/q, rint returns V/q, and V/q times q is
+V exactly.  V < 2^p <= q 2^(p-2) for every q >= 4; at q = 2, 1/q is exact,
+and at q = 3 it rounds by a relative 2^-(p+1), which keeps the product
+within 1/2 of V/3 for every V < 2^p.
 
 The pool is the only parallelism: every GEMM must run on the calling
 thread, or each forked worker starts BLAS threads of its own on top of
 the other workers.  OpenBLAS decides that from the shape of the call, so
 the tiles are sized for it.  In forked workers on a 2-core Xeon (OpenBLAS
-0.3.31), a GEMM stayed on one thread up to about 1e6 multiply-adds (111 x
-256 x 35 did, 112 x 256 x 35 started a second thread); a one-point or
-one-row tile is a GEMV, which stayed on one thread below about 4.6e5
-matrix entries, and a dot product up to 10^4 terms.  A tile
-therefore holds at most _GEMM_WORK multiply-adds (rows x points x
+0.3.31), a dgemm stayed on one thread up to about 1e6 multiply-adds (111
+x 256 x 35 did, 112 x 256 x 35 started a second thread), and sgemm and
+dgemm both stayed on one at 2^19 and started a second at 2^20; a
+one-point or one-row tile is a GEMV, which stayed on one thread below
+about 4.6e5 matrix entries, and a dot product up to 10^4 terms.  A GEMM
+tile therefore holds at most _GEMM_WORK multiply-adds (rows x points x
 monomials) and at most _GEMV_ENTRIES grid entries (rows x monomials),
-well inside both limits.
+well inside both limits; the divisibility test runs on larger blocks,
+each filled by several tiles.
 
 Counts are exact integers; the worker count (capped by the CPUs and by the
 size of the count) only changes the chunking, never the sum.
@@ -249,24 +259,27 @@ def rational_singular_points(F: HyperForm) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in row) for row in pts[singular]]
 
 
-# Every integer the counter's exact sums reach must stay below this: the
-# contraction runs in float64, whose integers are exact below 2^53.
+# Every integer the counter's exact sums reach must stay below _EXACT: the
+# contraction runs in float64 at worst, whose integers are exact below 2^53.
+# A count whose sums stay below _EXACT32 runs it in float32 (24 bits).
 _EXACT = 1 << 53
+_EXACT32 = 1 << 24
 
-# One contraction tile: at most _BLOCK grid rows x points (512 KB of
-# float64), at most _TILE_POINTS of them points; small enough for the
-# tile's buffers to stay in cache.  Within that, at most _GEMM_WORK
-# multiply-adds and _GEMV_ENTRIES grid entries, so that OpenBLAS runs the
-# tile's GEMM on the calling thread (see the module docstring).
+# One test block: at most _BLOCK grid rows x points (256 KB of float32,
+# 512 KB of float64), at most _TILE_POINTS of them points; small enough for
+# the block's buffers to stay in cache.  Several GEMM tiles fill a block,
+# each of at most _GEMM_WORK multiply-adds and _GEMV_ENTRIES grid entries,
+# so that OpenBLAS runs it on the calling thread (see the module docstring).
 _BLOCK = 1 << 16
 _TILE_POINTS = 256
 _GEMM_WORK = 1 << 19
 _GEMV_ENTRIES = 1 << 13
 
-# Contraction multiply-adds that pay for one more pool worker: 30-55 ms of
-# direction test on one core of a 2-core Xeon, against 10-25 ms to fork,
-# feed and close a pool.  There a second worker lost at 2^26.3 multiply-adds
-# and won from 2^26.7 on; it starts at 2^28.
+# Contraction multiply-adds that pay for one more pool worker: 14-40 ms of
+# a float32 count on one core of a 2-core Xeon (30-55 ms in float64),
+# against 10-25 ms to fork, feed and close a pool.  There a second worker
+# lost at 2^27.8 multiply-adds and won from 2^28.55 on in float32 (from
+# 2^26.7 on in float64); it starts at 2^28.
 _WORK_PER_WORKER = 1 << 27
 
 # The most work count_vk starts, in steps: (d+1) |P^n(F_q)| to enumerate X,
@@ -296,7 +309,9 @@ def exactness_bound(n: int, d: int, k: int, q: int) -> int:
     pullback adds n-1.  The bound keeps the wider term of the multinomial
     pullback once used (pairs of monomials in n-1 variables) so that the
     q check_exact refuses, and its message, stay put.  The derivatives
-    reduce their int64 sums mod q, exact whenever (q-1)^2 < 2^63.
+    reduce their int64 sums mod q, exact whenever (q-1)^2 < 2^63.  The
+    direction test runs in float32 when the bound is below 2^24 and in
+    float64 otherwise.
     """
     terms = 1
     for j in range(1, min(k - 1, d) + 1):
@@ -461,13 +476,14 @@ class _Kind:
     of v_pivot in a pullback (0 at a singular point, whose pivot is its
     leading coordinate), and:
     - grid: per order j, the grid's monomials of degree j,
-      R x C(nfree-1+j, j), float64;
+      R x C(nfree-1+j, j), in the count's dtype;
     - shifts[t][i]: the position of mu + e_i among the monomials of degree
       t+1, for each monomial mu of degree t.
     """
 
-    def __init__(self, nfree: int, pivoted: bool, orders: list[int], q: int):
-        self.size = pp_count(nfree - 1, q)
+    def __init__(self, nfree: int, pivoted: bool, orders: list[int], q: int,
+                 dtype: np.dtype):
+        self.size, self.dtype = pp_count(nfree - 1, q), dtype
         top = max(orders, default=0)
         self.mons = _Monomials(nfree, top, _exps(nfree, top))
         self.wtop = top if pivoted else 0
@@ -475,7 +491,7 @@ class _Kind:
                         for i in range(nfree)]
                        for es, up in zip(self.mons.exps, self.mons.index[1:])]
         grid = self.mons.values(projective_reps(nfree - 1, q).T, q, top) if orders else []
-        self.grid = [np.ascontiguousarray(grid[j].T, dtype=np.float64) for j in orders]
+        self.grid = [np.ascontiguousarray(grid[j].T, dtype=dtype) for j in orders]
 
 
 class _Chart:
@@ -509,9 +525,10 @@ class _Chart:
 
 def _pullback(chart: _Chart, jets: list[np.ndarray], inverse: np.ndarray,
               q: int) -> list[np.ndarray]:
-    """For each of chart.orders, j: C[beta, p], float64, the coefficient mod
-    q of r^beta in G_j(p, v) on the chart (v_free = r, v_pivot = w.r), at
-    the points whose jets (gradient, then the kernel's orders) are given.
+    """For each of chart.orders, j: C[beta, p], in the kind's dtype, the
+    coefficient mod q of r^beta in G_j(p, v) on the chart (v_free = r,
+    v_pivot = w.r), at the points whose jets (gradient, then the kernel's
+    orders) are given.
 
     G_j = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha! with
     alpha_pivot = a: Horner's rule P <- H_a + (w.r) P, for a from
@@ -531,7 +548,7 @@ def _pullback(chart: _Chart, jets: list[np.ndarray], inverse: np.ndarray,
                     H[at] += w[i] * P
                 np.remainder(H, q, out=H)
             P = H
-        out.append(P.astype(np.float64))
+        out.append(P.astype(kind.dtype))
     return out
 
 
@@ -540,14 +557,18 @@ class _Kernel:
 
     Built once per count_vk call and handed to forked pool workers: the
     divided derivatives of orders 1..k-1 (at most d), the inverse table of
-    F_q, and the charts with their direction grids.  `count` does the
-    per-point work for a chunk of points sorted by chart key.
+    F_q, the dtype of the direction test (float32 when exactness_bound is
+    below _EXACT32, float64 otherwise), and the charts with their direction
+    grids.  `count` does the per-point work for a chunk of points sorted by
+    chart key.
     """
 
     def __init__(self, F: HyperForm, k: int):
         self.q, self.n = _prime_of(F), F.n
         # G_j vanishes identically for j > d
         self.orders = list(range(2, min(k - 1, F.d) + 1))
+        exact32 = exactness_bound(self.n, F.d, k, self.q) < _EXACT32
+        self.dtype = np.dtype(np.float32 if exact32 else np.float64)
         self.jets = _Derivatives(F, [1] + self.orders)
         self.inverse = _inverses(self.q)
         self.charts: dict[int, _Chart] = {}
@@ -569,7 +590,7 @@ class _Kernel:
             pivoted = pivot != lead
             if pivoted not in kinds:
                 nfree = self.n - 1 if pivoted else self.n
-                kinds[pivoted] = _Kind(nfree, pivoted, self.orders, self.q)
+                kinds[pivoted] = _Kind(nfree, pivoted, self.orders, self.q, self.dtype)
             self.charts[int(key)] = _Chart(self.n, lead, pivot, kinds[pivoted], self.jets)
 
     def count(self, pts: np.ndarray, keys: np.ndarray) -> int:
@@ -621,39 +642,48 @@ def _inverses(q: int) -> np.ndarray:
 
 def _grid_zeros(grid: list[np.ndarray], coefs: list[np.ndarray], q: int) -> int:
     """Pairs (grid row r, point p) with sum_beta grid_j[r, beta] coefs_j[beta, p]
-    = 0 mod q for every order j, one contraction per order and tile.
+    = 0 mod q for every order j, tested one block of rows x points at a time.
 
-    Each contraction is one GEMM, np.matmul, on a tile small enough that
-    OpenBLAS runs it on the calling thread: at most _TILE_POINTS points,
-    _BLOCK rows x points, _GEMM_WORK multiply-adds and _GEMV_ENTRIES grid
-    entries; the points shrink too when the monomials alone exceed them.
-    The values are integers below 2^53 (check_exact), and so is every
-    partial sum of non-negative products the GEMM forms, so float64 holds
-    them exactly and rint(V / q) * q == V tests divisibility: V / q is
-    correctly rounded, so it is an exact integer when q | V, and otherwise
-    no integer times q equals V.
+    The grids' dtype (float32 or float64, see _Kernel) is the dtype of every
+    sum.  A test block holds at most _TILE_POINTS points and about _BLOCK
+    rows x points; the points shrink when the monomials alone exceed
+    _GEMM_WORK.  Several GEMMs, np.matmul, fill a block, each on a tile
+    small enough that OpenBLAS runs it on the calling thread: at most
+    _GEMM_WORK multiply-adds and _GEMV_ENTRIES grid entries.  Every sum V
+    is an integer exact in the dtype, and rint(V * fl(1/q)) * q == V tests
+    divisibility (the module docstring says why).
     """
+    dtype = grid[0].dtype
     R, m = len(grid[0]), coefs[0].shape[1]
     width = max(M.shape[1] for M in grid)
     cols = min(m, _TILE_POINTS, max(1, _GEMM_WORK // width))
-    rows = max(1, min(R, _BLOCK // cols, _GEMM_WORK // (cols * width), _GEMV_ENTRIES // width))
-    V, T = np.empty((rows, cols)), np.empty((rows, cols))
-    ok, alive = np.empty((rows, cols), dtype=bool), np.empty((rows, cols), dtype=bool)
+    rows = max(1, min(R, _BLOCK // cols))
+    step = max(1, min(rows, _GEMM_WORK // (cols * width), _GEMV_ENTRIES // width))
+    V, T = np.empty(rows * cols, dtype=dtype), np.empty(rows * cols, dtype=dtype)
+    ok, alive = np.empty(rows * cols, dtype=bool), np.empty(rows * cols, dtype=bool)
     count = 0
     for r in range(0, R, rows):
         for c in range(0, m, cols):
             nr, nc = min(rows, R - r), min(cols, m - c)
-            v, t, o, a = V[:nr, :nc], T[:nr, :nc], ok[:nr, :nc], alive[:nr, :nc]
+            v, t, o, a = (B[:nr * nc].reshape(nr, nc) for B in (V, T, ok, alive))
             for i, (M, C) in enumerate(zip(grid, coefs)):
-                np.matmul(M[r:r + nr], C[:, c:c + nc], out=v)
-                np.divide(v, q, out=t)
-                np.rint(t, out=t)
-                t *= q
-                np.equal(t, v, out=a if i == 0 else o)
+                G = M[r:r + nr]
+                for s in range(0, nr, step):
+                    np.matmul(G[s:s + step], C[:, c:c + nc], out=v[s:s + step])
+                _divisible(v, q, t, a if i == 0 else o)
                 if i:
                     a &= o
             count += int(np.count_nonzero(a))
     return count
+
+
+def _divisible(v: np.ndarray, q: int, t: np.ndarray, out: np.ndarray) -> None:
+    """out = (q divides v) for integers v exact in v's float dtype, by
+    rint(v * fl(1/q)) * q == v; t is scratch of v's shape and dtype."""
+    np.multiply(v, v.dtype.type(1) / v.dtype.type(q), out=t)
+    np.rint(t, out=t)
+    t *= q
+    np.equal(t, v, out=out)
 
 
 @dataclass

@@ -384,15 +384,40 @@ def sweep_forms(count, seed):
     return forms
 
 
-def test_seeded_counts_are_pinned():
-    # sha256 of count_vk over 100 seeded forms and k = 1..d+2, recorded from
-    # the counter that expanded (w.r)^a through multinomial tables
+def seeded_digest() -> str:
+    """sha256 of count_vk over 100 seeded forms and k = 1..d+2."""
     h = hashlib.sha256()
     for F in sweep_forms(100, 12):
         for k in range(1, F.d + 3):
             h.update(repr((F.n, F.d, F.field.p, sorted(F.terms.items()), k,
                            count_vk(F, k).count)).encode())
-    assert h.hexdigest() == "0fe0e04a68e0f0158e78a23a4d05a9093586458c6505776a65491635109142c2"
+    return h.hexdigest()
+
+
+# recorded from the counter that expanded (w.r)^a through multinomial tables
+SEEDED_DIGEST = "0fe0e04a68e0f0158e78a23a4d05a9093586458c6505776a65491635109142c2"
+
+
+def test_seeded_counts_are_pinned():
+    assert seeded_digest() == SEEDED_DIGEST
+
+
+def test_seeded_counts_are_pinned_in_float64(monkeypatch):
+    # no bound is below 0: every count tests its directions in float64
+    monkeypatch.setattr(counting, "_EXACT32", 0)
+    assert seeded_digest() == SEEDED_DIGEST
+
+
+@pytest.mark.parametrize("q, flexes, dtype", [(2347, 9, np.float32), (2357, 3, np.float32),
+                                              (2371, 9, np.float64), (2381, 3, np.float64)])
+def test_fermat_cubic_flexes_on_both_sides_of_the_float32_bound(q, flexes, dtype):
+    # x^3 + y^3 + z^3 has 9 rational flexes when q = 1 mod 3 and 3 when
+    # q = 2 mod 3, each with one line of contact exactly 3; its sums reach
+    # 3 (q-1)^2, below 2^24 up to q = 2365
+    F = HyperForm.fermat(2, 3, PrimeField(q))
+    assert counting._Kernel(F, 3).dtype == dtype
+    assert count_vk(F, 3).count == flexes
+    assert count_vk(F, 4).count == 0
 
 
 @pytest.mark.parametrize("q, expected", [(7, 49470), (11, 3507300)])
@@ -474,19 +499,12 @@ def planted_grid(rng, q, width, targets, coefs):
     return grid
 
 
-def test_grid_contraction_is_exact_at_the_largest_q():
-    # the largest prime q that check_exact admits for (n, d, k) = (5, 5, 5);
-    # its widest sum adds 330 products, and with every residue in [7q/8, q)
-    # those sums pass 2^52.6, where float32 (or any rounding) would be wrong
-    n, d, k = 5, 5, 5
-    terms = exactness_bound(n, d, k, 2)
-    q = math.isqrt((2 ** 53 - 1) // terms) + 1
-    while any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
-        q -= 1
-    check_exact(n, d, k, q)
-    assert terms * (q - q // 8) ** 2 > 2 ** 52.6
-    # the singular kind's contractions at k = 5, then the widest sum admitted
-    widths = [math.comb(n - 1 + j, j) for j in (2, 3, 4)] + [terms]
+def check_planted_grids(q: int, terms: int, dtype) -> None:
+    """_grid_zeros in `dtype` on planted grids and coefficients of residues in
+    [7q/8, q): the singular kind's contractions for (n, d, k) = (5, 5, 5),
+    then one sum of `terms` products, over a full tile and a one-point one,
+    against exact integer products."""
+    widths = [math.comb(4 + j, j) for j in (2, 3, 4)] + [terms]
     rng = random.Random(65)
     for m in (counting._TILE_POINTS, 1):
         coefs = [np.array([[rng.randrange(q - q // 8, q) for _ in range(m)] for _ in range(w)],
@@ -500,26 +518,99 @@ def test_grid_contraction_is_exact_at_the_largest_q():
             exact = M.astype(np.int64).astype(object) @ C.astype(np.int64).astype(object)
             zero &= (exact % q == 0).astype(bool)
         assert int(zero.sum()) >= 7
-        assert counting._grid_zeros(grids, coefs, q) == int(zero.sum())
+        assert counting._grid_zeros([M.astype(dtype) for M in grids],
+                                    [C.astype(dtype) for C in coefs], q) == int(zero.sum())
+
+
+def largest_exact_q(terms: int) -> int:
+    """The largest prime q with terms (q-1)^2 < 2^53."""
+    q = math.isqrt((2 ** 53 - 1) // terms) + 1
+    while any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
+        q -= 1
+    return q
+
+
+def test_grid_contraction_is_exact_at_the_largest_q():
+    # the largest prime q that check_exact admits for (n, d, k) = (5, 5, 5);
+    # its widest sum adds 330 products, and with every residue in [7q/8, q)
+    # those sums pass 2^52.6, where float32 (or any rounding) would be wrong
+    n, d, k = 5, 5, 5
+    terms = exactness_bound(n, d, k, 2)
+    q = largest_exact_q(terms)
+    check_exact(n, d, k, q)
+    assert terms * (q - q // 8) ** 2 > 2 ** 52.6
+    check_planted_grids(q, terms, np.float64)
+
+
+def test_grid_contraction_is_exact_in_the_dtype_the_kernel_picks(monkeypatch):
+    # 223 is the largest prime with 330 (q-1)^2 < 2^24, the widest sum of
+    # (n, d, k) = (5, 5, 5): there float32 sums pass 2^23.8; from 227 on the
+    # count runs in float64, and float32 would miss zeros at 251
+    terms = exactness_bound(5, 5, 5, 2)
+    assert terms * 222 ** 2 < 2 ** 24 <= terms * 226 ** 2
+    for q, dtype in ((223, np.float32), (227, np.float64), (251, np.float64)):
+        kernel = counting._Kernel(HyperForm.fermat(5, 5, PrimeField(q)), 5)
+        assert kernel.dtype == dtype, q
+        check_planted_grids(q, terms, kernel.dtype)
+    # only a bound below 2^24 keeps float32 (2^24 itself needs n = 129)
+    F = HyperForm.fermat(5, 5, PrimeField(11))
+    for bound, dtype in ((2 ** 24 - 1, np.float32), (2 ** 24, np.float64)):
+        monkeypatch.setattr(counting, "exactness_bound", lambda *args: bound)
+        assert counting._Kernel(F, 5).dtype == dtype, bound
+
+
+def primes_below(m: int) -> list[int]:
+    sieve = np.ones(m, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(m - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def test_divisibility_by_the_rounded_inverse_is_exact():
+    # float32: every prime q the bound can admit (q - 1 < 2^12), every
+    # multiple of q below 2^24 and both its neighbours
+    for q in primes_below(4100):
+        for lo in range(q, 2 ** 24, q << 20):
+            mult = np.arange(lo, min(lo + (q << 20), 2 ** 24), q, dtype=np.int64)
+            v = (mult[:, None] + np.arange(-1, 2)).astype(np.float32).ravel()
+            got = np.empty(len(v), dtype=bool)
+            counting._divisible(v, q, np.empty_like(v), got)
+            assert np.array_equal(got, v.astype(np.int64) % q == 0), q
+    # float64: the largest primes check_exact admits at the narrowest and the
+    # widest sums, the top multiples below 2^53 and random ones
+    rng = np.random.default_rng(67)
+    for n, d, k in ((2, 3, 3), (5, 5, 5)):
+        q = largest_exact_q(exactness_bound(n, d, k, 2))
+        top = (2 ** 53 - 2) // q
+        mult = np.concatenate([np.arange(top - 9999, top + 1),
+                               rng.integers(1, top, 10 ** 5)]) * q
+        v = (mult[:, None] + np.arange(-1, 2)).ravel()
+        got = np.empty(len(v), dtype=bool)
+        counting._divisible(v.astype(np.float64), q, np.empty(len(v)), got)
+        assert np.array_equal(got, v % q == 0), q
 
 
 def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
     """Run _grid_zeros on the Fermat quintic's direction grids in P^5, both
-    kinds, over a full tile plus a one-point one and over a single point;
-    return this process's thread count."""
+    kinds in both dtypes, over a full tile plus a one-point one and over a
+    single point; return this process's thread count."""
     rng = np.random.default_rng(66)
-    for nfree, pivoted in ((4, True), (5, False)):
-        kind = counting._Kind(nfree, pivoted, orders, q)
-        for m in (counting._TILE_POINTS + 1, 1):
-            coefs = [rng.integers(0, q, (M.shape[1], m)).astype(float) for M in kind.grid]
-            counting._grid_zeros(kind.grid, coefs, q)
+    for dtype in (np.float32, np.float64):
+        for nfree, pivoted in ((4, True), (5, False)):
+            kind = counting._Kind(nfree, pivoted, orders, q, np.dtype(dtype))
+            for m in (counting._TILE_POINTS + 1, 1):
+                coefs = [rng.integers(0, q, (M.shape[1], m)).astype(dtype) for M in kind.grid]
+                counting._grid_zeros(kind.grid, coefs, q)
     return len(os.listdir("/proc/self/task"))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_grid_contraction_starts_no_threads_in_a_forked_worker():
     # the pool is the only parallelism: a BLAS thread in each worker would
-    # oversubscribe the CPUs; k = 6 gives the widest tiles of the cone count
+    # oversubscribe the CPUs; k = 6 gives the widest tiles of the cone count,
+    # and OpenBLAS decides sgemm's threads apart from dgemm's
     with multiprocessing.get_context("fork").Pool(1) as pool:
         threads = pool.apply_async(threads_after_grid_zeros, (11, [2, 3, 4, 5])).get(timeout=120)
     assert threads == 1
