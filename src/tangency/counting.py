@@ -86,7 +86,10 @@ size of the count) only changes the chunking, never the sum.
 
 A full brute-force route (explicit row-echelon enumeration of all lines)
 exists for cross-checking at small q, and doubles as an exhaustive
-line-containment oracle.
+line-containment oracle.  It walks every (point, line) pair and asks
+deformation.contact_order, the exact s-adic valuation of F along the
+line, so it shares no code with the chart counter's derivatives, charts
+or GEMMs.
 """
 
 from __future__ import annotations
@@ -101,8 +104,9 @@ from math import comb
 
 import numpy as np
 
+from .deformation import CONTAINED, contact_order
 from .fields import PrimeField
-from .forms import HyperForm, LineParam, monomials, s_valuation
+from .forms import HyperForm, LineParam, monomials
 
 
 def pp_count(m: int, q: int) -> int:
@@ -810,9 +814,8 @@ def count_vk_bruteforce(F: HyperForm, k: int) -> int:
                  for lam in range(q)]
         marks.append((list(r2), r1))
         for p, u in marks:
-            line = LineParam.from_point_direction(p, u, f)
-            v = s_valuation(F.pullback(line), f)
-            if v is None or v >= k:
+            v = contact_order(F, LineParam.from_point_direction(p, u, f))
+            if v == CONTAINED or v >= k:
                 count += 1
     return count
 
@@ -823,8 +826,7 @@ def lines_in_hypersurface(F: HyperForm) -> int:
     f = F.field
     count = 0
     for r1, r2 in _rref_lines(F.n, q):
-        line = LineParam.from_point_direction(r1, r2, f)
-        if all(f.is_zero(c) for c in F.pullback(line)):
+        if contact_order(F, LineParam.from_point_direction(r1, r2, f)) == CONTAINED:
             count += 1
     return count
 

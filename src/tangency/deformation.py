@@ -21,12 +21,14 @@ Two independent routes are kept deliberately: the truncated route
 differentiates an explicitly computed F_k (F.substitute(B, upto=k), then
 regrouped), the direct route never forms F_k and instead pulls back the
 partials dF/dx_j of F itself along the original line and combines them
-through the chain rule with the columns of B.  Both expand polynomials
-with forms.expand, written once and pinned against a sympy oracle in the
-tests, as do the value and gradient checks at p, and truncate completes p
-alone with the same completion_matrix.  What the routes keep apart is the
-coordinates and the order of differentiation and truncation, so their
-agreement is still a check.
+through the chain rule, dF'/dy_i = sum_j B[j][i] dF/dx_j: one
+fields.mat_vec per column of B against the partials' coefficients, one
+row per power of s.  Both expand polynomials with forms.expand, written
+once and pinned against a sympy oracle in the tests, as do the value and
+gradient checks at p, and truncate completes p alone with the same
+completion_matrix.  What the routes keep apart is the coordinates and
+the order of differentiation and truncation, so their agreement is still
+a check.
 
 Within one (F, L, k) nothing is computed twice: a _Jets holds B, the
 chain-rule pullbacks mod s^k (direct route) and F_k with its partials
@@ -36,6 +38,12 @@ contact_experiment builds one per trial and takes the contact order from
 the exact check sample_contact_form already makes; the conditioning rows
 of that sampling, and the s^k row of that check, come from one
 forms.expand_each pass over the monomials.
+
+The routes agree when their section systems have the same kernel, and
+that is equality of the two kernel_basis lists: the basis is read off the
+reduced row echelon form of the system, and the kernel alone fixes that
+form (its rows span the vectors orthogonal to the kernel), so equal
+kernels give equal lists and equal lists span equal kernels.
 """
 
 from __future__ import annotations
@@ -48,8 +56,6 @@ from .fields import PrimeField, kernel_basis, mat_vec, random_kernel_vector, row
 from .forms import (
     HyperForm,
     LineParam,
-    binary_add,
-    binary_scale,
     expand_each,
     monomials,
     pullback_of_partial,
@@ -120,18 +126,11 @@ def truncate(F: HyperForm, point, k: int) -> Truncation:
 
 def _chain_rule_pullbacks(F: HyperForm, L: LineParam, B, upto=None) -> list[list]:
     # pullbacks along the canonical line of the partials of F' = F(B y):
-    # dF'/dy_i = sum_j B[j][i] dF/dx_j evaluated on the original line
-    f = F.field
-    Q = [pullback_of_partial(F, j, L, upto) for j in range(F.n + 1)]
-    width = len(Q[0])
-    out = []
-    for i in range(F.n + 1):
-        acc = [f.zero] * width
-        for j in range(F.n + 1):
-            if not f.is_zero(B[j][i]):
-                acc = binary_add(acc, binary_scale(Q[j], B[j][i], f), f)
-        out.append(acc)
-    return out
+    # dF'/dy_i = sum_j B[j][i] dF/dx_j evaluated on the original line, so
+    # with row m holding the s^m coefficients of the dF/dx_j, column i of B
+    # times that matrix is the binary form of dF'/dy_i
+    by_power = list(zip(*(pullback_of_partial(F, j, L, upto) for j in range(F.n + 1))))
+    return [mat_vec(by_power, [row[i] for row in B], F.field) for i in range(F.n + 1)]
 
 
 @dataclass
@@ -199,17 +198,20 @@ def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) 
     return _congruence(_Jets(F, L, k), corrupt)
 
 
+def _corrupted_partials(fk: HyperForm, k: int) -> list[list]:
+    # the fault congruence_check injects: F_k + y0^(k-1) y1, whose
+    # y1-partial along the canonical line gains 1 at s^0
+    f = fk.field
+    bump = (k - 1, 1) + (0,) * (fk.n - 1)
+    terms = dict(fk.terms)
+    terms[bump] = f.add(terms.get(bump, f.zero), f.one)
+    return _canonical_partials(HyperForm(fk.n, fk.d, terms, f), k)
+
+
 def _congruence(jets: _Jets, corrupt: bool = False) -> CongruenceReport:
     k = jets.k
     f = jets.F.field
-    if corrupt:
-        fk = jets.fk
-        bump = (k - 1, 1) + (0,) * (fk.n - 1)
-        terms = dict(fk.terms)
-        terms[bump] = f.add(terms.get(bump, f.zero), f.one)
-        rhs = _canonical_partials(HyperForm(fk.n, fk.d, terms, f), k)
-    else:
-        rhs = jets.fk_partials
+    rhs = _corrupted_partials(jets.fk, k) if corrupt else jets.fk_partials
     # multiplying by a0^(d-k) = t^(d-k) shifts no s-exponents, so the
     # comparison mod s^k is coefficientwise on the first k entries
     per = [all(f.is_zero(f.sub(a, b)) for a, b in zip(lhs, rh))
@@ -278,16 +280,14 @@ def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
         rows = _sections_matrix(jets.chain, k, f)
 
     ncols = 2 * (F.n + 1)
-    kern = kernel_basis(rows, ncols, f) if rows else [
-        [f.one if c == i else f.zero for c in range(ncols)] for i in range(ncols)
-    ]
+    kern = kernel_basis(rows, ncols, f)   # rows == [] gives the identity basis
     raw_dim = len(kern)
 
     # Euler tuple in normalized coordinates: b = (t, s, 0, ..., 0)
     euler = [f.zero] * ncols
     euler[1] = f.one   # gamma_0
     euler[2] = f.one   # beta_1
-    euler_ok = all(f.is_zero(v) for v in mat_vec(rows, euler, f)) if rows else True
+    euler_ok = all(f.is_zero(v) for v in mat_vec(rows, euler, f))
 
     h0 = raw_dim - 1
     return DeformationSpace(
@@ -384,11 +384,6 @@ class ExperimentSummary:
         return self.matched / self.trials if self.trials else 0.0
 
 
-def _kernel_space_signature(basis, ncols, field):
-    rref, _ = row_reduce(basis, ncols, field)
-    return [tuple(r) for r in rref]
-
-
 def _trial_routes(F: HyperForm, L: LineParam, k: int):
     """The direct and truncated sections and the congruence report for a
     sampled (F, L) of exact contact k, from one shared _Jets."""
@@ -407,6 +402,9 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
     s^k, F_k and its partials) that both section systems and the congruence
     read.  The direct and truncated routes stay separate computations, so
     routes_agree and congruence_ok still compare independent results.
+    routes_agree compares the two kernel_basis lists as they are: each is
+    canonical for its kernel (see the module docstring), so equal lists
+    mean equal section spaces, not only equal dimensions.
     """
     gf = PrimeField(prime)
     master = random.Random(seed)
@@ -421,11 +419,6 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
         F = sample_contact_form(L, d, k, rng)
 
         direct, trunc, cc = _trial_routes(F, L, k)
-        ncols = 2 * (n + 1)
-        agree = (
-            _kernel_space_signature(direct.basis, ncols, gf)
-            == _kernel_space_signature(trunc.basis, ncols, gf)
-        )
         expected = 2 * n - k + 1
         records.append(TrialRecord(
             index=idx, n=n, d=d, k=k,
@@ -434,7 +427,7 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
             matched=(trunc.h0 == expected and direct.h0 == expected),
             euler_ok=(direct.euler_in_kernel and trunc.euler_in_kernel),
             congruence_ok=cc.ok,
-            routes_agree=agree,
+            routes_agree=(direct.basis == trunc.basis),
         ))
     return ExperimentSummary(
         trials=trials,

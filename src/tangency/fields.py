@@ -46,7 +46,6 @@ def is_prime(m: int) -> bool:
 class RationalField:
     """Exact rational arithmetic via Fraction."""
 
-    char = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -87,7 +86,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.char = p
         self.zero = 0
         self.one = 1 % p
 
@@ -186,7 +184,12 @@ def matrix_rank(rows, ncols: int, field) -> int:
 
 
 def kernel_basis(rows, ncols: int, field):
-    """Basis of the right kernel {v : rows @ v = 0}, one vector per free column."""
+    """Basis of the right kernel {v : rows @ v = 0}, one vector per free column.
+
+    The basis is read off the reduced row echelon form, which the kernel
+    alone determines, so systems with one kernel give one list; no rows
+    give the identity basis.
+    """
     rref, pivots = row_reduce(rows, ncols, field)
     pivot_set = set(pivots)
     basis = []

@@ -170,19 +170,6 @@ def _unpack(packed: dict, base: int, width: int, ring) -> dict:
 # binary forms in (s, t): list indexed by s-exponent
 
 
-def binary_add(a: list, b: list, field) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
-    return out
-
-
-def binary_scale(a: list, c, field) -> list:
-    return [field.mul(c, v) for v in a]
-
-
 def s_valuation(a: list, field) -> int | None:
     """Least s-exponent with nonzero coefficient; None for the zero form."""
     for m, c in enumerate(a):

@@ -476,6 +476,14 @@ def test_fermat_planes_degree_limit_exit_2(capsys):
     assert (code, out, err) == (2, "", "error: degree must be at most 12, got 60\n")
 
 
+def test_fano_limit_exit_2(capsys):
+    # the count at n = 100000 would never finish, nor print if it did
+    began = time.perf_counter()
+    code, out, err = run(capsys, "classic", "fano", "--n", "100000", "--d", "199997")
+    assert time.perf_counter() - began < 1
+    assert (code, out, err) == (2, "", "error: n must be at most 400, got 100000\n")
+
+
 def test_count_vk_beyond_the_work_budget_exit_2(capsys, tmp_path):
     # |P^5(F_1009)| is about 1e15: enumerating it would never end
     quadric = tmp_path / "split.hs"

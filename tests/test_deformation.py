@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from tangency.deformation import (
     CONTAINED,
     TrialRecord,
+    _chain_rule_pullbacks,
     _conditioning_rows,
+    _corrupted_partials,
+    _Jets,
     _trial_routes,
     canonical_line,
     completion_matrix,
@@ -24,8 +27,15 @@ from tangency.deformation import (
     sample_line,
     truncate,
 )
-from tangency.fields import QQ, PrimeField, row_reduce
-from tangency.forms import HyperForm, LineParam, monomials, parse_form, s_valuation
+from tangency.fields import QQ, PrimeField, matrix_rank, row_reduce
+from tangency.forms import (
+    HyperForm,
+    LineParam,
+    monomials,
+    parse_form,
+    pullback_of_partial,
+    s_valuation,
+)
 
 
 def conic_and_tangent():
@@ -435,3 +445,74 @@ def test_completion_matrix_equals_the_searched_bases(case):
             completion_matrix([p, u], f)
         with pytest.raises(ValueError, match="rank < 2"):
             LineParam.from_point_direction(p, u, f)
+
+
+# the chain rule one scaled binary form at a time: the reference for
+# _chain_rule_pullbacks, which takes it as one mat_vec per column of B
+
+
+def _binary_add(a, b, field):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = field.add(out[i], c)
+    return out
+
+
+def _binary_scale(a, c, field):
+    return [field.mul(c, v) for v in a]
+
+
+def _chain_rule_by_binary_forms(F, L, B, upto=None):
+    f = F.field
+    Q = [pullback_of_partial(F, j, L, upto) for j in range(F.n + 1)]
+    out = []
+    for i in range(F.n + 1):
+        acc = [f.zero] * len(Q[0])
+        for j in range(F.n + 1):
+            if not f.is_zero(B[j][i]):
+                acc = _binary_add(acc, _binary_scale(Q[j], B[j][i], f), f)
+        out.append(acc)
+    return out
+
+
+@st.composite
+def chain_rule_cases(draw):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    upto = draw(st.one_of(st.none(), st.integers(0, d)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    F = HyperForm(n, d, {e: field.random(rng) for e in monomials(n, d)
+                         if rng.random() < 0.5}, field)
+    L = sample_line(n, field, rng)
+    if draw(st.booleans()):
+        B = completion_matrix([L.marked_point(), L.direction()], field)
+    else:
+        while True:
+            B = [[field.random(rng) for _ in range(n + 1)] for _ in range(n + 1)]
+            if matrix_rank(B, n + 1, field) == n + 1:
+                break
+    return F, L, B, upto
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain_rule_cases())
+def test_chain_rule_equals_the_binary_form_loop(case):
+    F, L, B, upto = case
+    got = _chain_rule_pullbacks(F, L, B, upto)
+    want = _chain_rule_by_binary_forms(F, L, B, upto)
+    assert repr(got) == repr(want)
+
+
+def test_contact_experiment_detects_a_corrupted_truncated_route(monkeypatch):
+    # every trial's truncated route reads the corrupted partials: the
+    # sections and the congruence both disagree with the direct route,
+    # while the dimensions, and so h0 and matched, do not change
+    monkeypatch.setattr(_Jets, "fk_partials",
+                        property(lambda jets: _corrupted_partials(jets.fk, jets.k)))
+    summary = contact_experiment(20, seed=5)
+    assert summary.route_disagreements == 20
+    assert summary.congruence_failures == 20
+    assert summary.matched == 20

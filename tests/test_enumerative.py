@@ -11,6 +11,7 @@ import pytest
 from tangency.dpoly import DPoly
 from tangency.enumerative import (
     BOUND_INFO,
+    MAX_FANO_N,
     fano_line_count,
     flecnodal_degree,
     flex_count,
@@ -95,6 +96,14 @@ def test_fano_dimension_error():
         fano_line_count(3, 4)
     with pytest.raises(ValueError, match="expected dimension"):
         fano_line_count(5, 5)
+
+
+def test_fano_limit():
+    # the largest count allowed still converts to a string
+    assert len(str(fano_line_count(MAX_FANO_N, 2 * MAX_FANO_N - 3))) == 2312
+    for n in (MAX_FANO_N + 1, 100000):
+        with pytest.raises(ValueError, match=f"at most {MAX_FANO_N}, got {n}"):
+            fano_line_count(n, 2 * n - 3)
 
 
 def test_symmetric_reduction_rejects_asymmetric_input():
