@@ -18,9 +18,10 @@ import argparse
 import json
 import re
 import sys
+from math import log2
 
 from . import schubert
-from .counting import CountRecord, count_vk, dimension_slope
+from .counting import CountRecord, count_vk, dimension_slope, magnitude
 from .deformation import (
     CONTAINED,
     congruence_check,
@@ -43,6 +44,22 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<sig>s\[\s*\d+\s*(?:,\s*\d+\s*)?\])|(?P<h>H[12])"
     r"|(?P<int>\d+)|(?P<var>d)|(?P<op>[-+*^()]))"
 )
+
+
+# parentheses and unary signs one expression may nest: each level is a few
+# frames of the recursive-descent parser, far below Python's recursion limit
+MAX_NESTING = 100
+
+# decimal digits a printed coefficient may have, below Python's limit of
+# 4300 on int-to-str conversion; any int of at most _MAX_BITS bits has at
+# most MAX_DIGITS digits, so bit_length decides before any str()
+MAX_DIGITS = 4000
+_MAX_BITS = int(MAX_DIGITS * log2(10))
+
+
+def _quoted(text: str) -> str:
+    """An expression as an error message names it, cut after 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -75,10 +92,22 @@ class _ExprParser:
     """Recursive-descent parser producing a FlagElt of arity 2."""
 
     def __init__(self, text: str, n: int):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
         self.work = 0
+        self.depth = 0
+
+    def nested(self, parse) -> FlagElt:
+        """parse() one level deeper, refused past MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise ValueError(f"expression {_quoted(self.text)} nests parentheses and signs "
+                             f"deeper than the limit of {MAX_NESTING}")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def times(self, x: FlagElt, y: FlagElt) -> FlagElt:
         """x * y, once its steps fit in what is left of the budget."""
@@ -87,8 +116,8 @@ class _ExprParser:
         (tx, sx), (ty, sy) = ((len(z), sum(z)) for z in sizes)
         self.work += self.n ** 2 * (sx * ty + tx * sy) + sx * sy
         if self.work > _SYMBOLIC_BUDGET:
-            raise ValueError(f"the products on G(1,{self.n}) would take about {self.work:.1e} "
-                             "steps, over the work budget of "
+            raise ValueError(f"the products on G(1,{self.n}) would take about "
+                             f"{magnitude(self.work)} steps, over the work budget of "
                              f"2^{_SYMBOLIC_BUDGET.bit_length() - 1} for one expression")
         return x * y
 
@@ -124,7 +153,7 @@ class _ExprParser:
     def factor(self) -> FlagElt:
         if self.peek() == "-":
             self.take()
-            return self.factor().scale(-1)
+            return self.nested(self.factor).scale(-1)
         value = self.atom()
         while self.peek() == "^":
             self.take()
@@ -149,7 +178,7 @@ class _ExprParser:
     def atom(self) -> FlagElt:
         tok = self.take()
         if tok == "(":
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.take() != ")":
                 raise ValueError("unbalanced parentheses in expression")
             return value
@@ -169,6 +198,14 @@ class _ExprParser:
 
 def parse_expression(text: str, n: int) -> FlagElt:
     return _ExprParser(text, n).parse()
+
+
+def _printable(expr: str, polys) -> None:
+    """Refuse to print a result coefficient longer than MAX_DIGITS digits."""
+    bits = max((abs(c).bit_length() for p in polys for c in p.coeffs), default=0)
+    if bits > _MAX_BITS:
+        raise ValueError(f"{_quoted(expr)} has a coefficient of {bits} bits, over the "
+                         f"limit of {MAX_DIGITS} decimal digits on printed coefficients")
 
 
 def _base_only(x: FlagElt):
@@ -223,18 +260,23 @@ def _deform_inputs(args):
 # text to _show
 
 def _cmd_schubert_mult(args) -> int:
-    text = _base_only(parse_expression(args.expr, args.n)).text()
+    elt = _base_only(parse_expression(args.expr, args.n))
+    _printable(args.expr, elt.terms.values())
+    text = elt.text()
     return _show(args, {"n": args.n, "schubert": text}, text)
 
 
 def _cmd_schubert_degree(args) -> int:
-    elt = _base_only(parse_expression(args.expr, args.n))
-    text = schubert.degree(elt).text(args.order)
+    degree = schubert.degree(_base_only(parse_expression(args.expr, args.n)))
+    _printable(args.expr, [degree])
+    text = degree.text(args.order)
     return _show(args, {"n": args.n, "degree": text}, text)
 
 
 def _cmd_flag_integrate(args) -> int:
-    text = integrate(parse_expression(args.expr, args.n)).text(args.order)
+    integral = integrate(parse_expression(args.expr, args.n))
+    _printable(args.expr, [integral])
+    text = integral.text(args.order)
     return _show(args, {"n": args.n, "integral": text}, text)
 
 

@@ -333,10 +333,17 @@ def check_exact(n: int, d: int, k: int, q: int) -> None:
         )
 
 
+def magnitude(work: int) -> str:
+    """A step count for an error message: 4.0e+11, or 2^1024 past the
+    float range (where |P^645(F_3)| lies), read off the bit length."""
+    bits = work.bit_length()
+    return f"{work:.1e}" if bits <= 1023 else f"2^{bits - 1}"
+
+
 def _check_budget(work: int, what: str) -> None:
     """Refuse a count that would take more than _BUDGET steps."""
     if work > _BUDGET:
-        raise ValueError(f"{what} would take about {work:.1e} steps, over the work "
+        raise ValueError(f"{what} would take about {magnitude(work)} steps, over the work "
                          f"budget of 2^{_BUDGET.bit_length() - 1} for one count")
 
 

@@ -19,25 +19,32 @@ smooth X and a line of exact contact k the expected value is 2n - k + 1.
 
 Two independent routes are kept deliberately: the truncated route
 differentiates an explicitly computed F_k (F.substitute(B, upto=k), then
-regrouped), the direct route never forms F_k and instead pulls back the
-partials dF/dx_j of F itself along the original line and combines them
-through the chain rule, dF'/dy_i = sum_j B[j][i] dF/dx_j: one
-fields.mat_vec per column of B against the partials' coefficients, one
-row per power of s.  Both expand polynomials with forms.expand, written
-once and pinned against a sympy oracle in the tests, as do the value and
-gradient checks at p, and truncate completes p alone with the same
-completion_matrix.  What the routes keep apart is the coordinates and
-the order of differentiation and truncation, so their agreement is still
-a check.
+regrouped, its partials by pullback_of_partial along the canonical line),
+the direct route never forms F_k and instead pulls back the partials
+dF/dx_j of F itself along the original line and combines them through the
+chain rule, dF'/dy_i = sum_j B[j][i] dF/dx_j: one fields.mat_vec per
+column of B against the partials' coefficients, one row per power of s.
+Both expand polynomials with forms.expand or expand_each, written once
+and pinned against a sympy oracle in the tests, and truncate completes p
+alone with the same completion_matrix.  What the routes keep apart is the
+coordinates and the order of differentiation and truncation, so their
+agreement is still a check.
 
-Within one (F, L, k) nothing is computed twice: a _Jets holds B, the
-chain-rule pullbacks mod s^k (direct route) and F_k with its partials
-(truncated route), and log_sections and congruence_check are thin wrappers
-that build one and hand it to the shared section and congruence code.
-contact_experiment builds one per trial and takes the contact order from
-the exact check sample_contact_form already makes; the conditioning rows
-of that sampling, and the s^k row of that check, come from one
-forms.expand_each pass over the monomials.
+The direct route reads its partials off a _LineTable: the pullbacks along
+L of degree-(d-1) monomials, from one expand_each pass in Python ints.  A
+degree-d monomial is x_i times one of them and a partial of F is a
+combination of them, so the same table gives the conditioning rows of a
+sampled form and its gradient at p, each by integer multiply-adds with
+one lowering per output coefficient (% p, or one Fraction).
+contact_experiment builds one table per trial, over every degree-(d-1)
+monomial to s^k, for the sampling, its smoothness test and the direct
+route; log_sections and congruence_check build theirs over only the
+monomials F's partials use.  Beyond the table nothing of one (F, L, k) is
+computed twice: a _Jets holds B, the table, the chain-rule pullbacks mod
+s^k and F_k with its partials, and log_sections and congruence_check are
+thin wrappers that build one and hand it to the shared section and
+congruence code; contact_experiment takes the contact order from the
+exact check sample_contact_form already makes.
 
 The routes agree when their section systems have the same kernel, and
 that is equality of the two kernel_basis lists: the basis is read off the
@@ -50,12 +57,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from .fields import PrimeField, kernel_basis, mat_vec, random_kernel_vector, row_reduce
+from .fields import (
+    ZZ,
+    PrimeField,
+    RationalField,
+    kernel_basis,
+    mat_vec,
+    random_kernel_vector,
+    row_reduce,
+)
 from .forms import (
     HyperForm,
     LineParam,
+    _integral,
     expand_each,
     monomials,
     pullback_of_partial,
@@ -124,13 +142,93 @@ def truncate(F: HyperForm, point, k: int) -> Truncation:
     return Truncation(_grouped_truncation(F.substitute(B, upto=k), k), B, k)
 
 
-def _chain_rule_pullbacks(F: HyperForm, L: LineParam, B, upto=None) -> list[list]:
+def _divided(e: tuple, j: int) -> tuple:
+    # the exponent vector of x^e / x_j
+    return e[:j] + (e[j] - 1,) + e[j + 1:]
+
+
+class _LineTable:
+    """The pullbacks along L(s, t) = s*u + t*p of some degree-deg monomials,
+    to s^top, in Python ints: rows[m][j] / (D_p^(deg-j) D_u^j) is the
+    s^j t^(deg-j) coefficient of m(t*p + s*u), where D_p and D_u are the
+    denominators cleared from p and u once (1 over F_p, where the rows stay
+    unreduced).
+
+    A degree-(deg+1) monomial is x_i times a row's monomial and so pulls
+    back to (p_i t + u_i s) times that row, and a partial dF/dx_j of a
+    degree-(deg+1) form is a combination of rows: the conditioning rows of
+    a sampled form, its gradient at p (the s^0 coefficients) and the
+    direct route's partial pullbacks are integer multiply-adds on the
+    table, each output coefficient lowered to the field once (% p, or one
+    Fraction).
+    """
+
+    def __init__(self, L: LineParam, monos, deg: int, top: int):
+        f = L.field
+        cols = [L.marked_point(), L.direction()]
+        self.qq = isinstance(f, RationalField)
+        if self.qq:
+            (self.p, self.dp), (self.u, self.du) = map(_integral, cols)
+            self.lower = Fraction
+        else:
+            (self.p, self.u), self.dp, self.du = cols, 1, 1
+            self.lower = lambda num, den, p=f.p: num % p
+        self.deg, self.top = deg, top
+        got = expand_each(dict.fromkeys(monos, 1), [self.p, self.u], ZZ, top)
+        self.rows = {m: [got[m].get((deg - j, j), 0) for j in range(top + 1)] for m in monos}
+
+    def den(self, deg: int, j: int) -> int:
+        # the denominator of the s^j coefficient of a degree-deg pullback
+        return self.dp ** (deg - j) * self.du ** j
+
+    def conditioning_rows(self):
+        """The degree-(deg+1) monomials and the (top+1) x N matrix whose
+        column e holds the s^0..s^top coefficients of e along L."""
+        d, top = self.deg + 1, self.top
+        monos = monomials(len(self.p) - 1, d)
+        out = [[] for _ in range(top + 1)]
+        for e in monos:
+            i = next(i for i, ei in enumerate(e) if ei)
+            r = self.rows[_divided(e, i)]
+            pi, ui = self.p[i], self.u[i]
+            out[0].append(self.lower(pi * r[0], self.den(d, 0)))
+            for j in range(1, top + 1):
+                out[j].append(self.lower(pi * r[j] + ui * r[j - 1], self.den(d, j)))
+        return monos, out
+
+    def partials(self, terms: dict, width: int) -> list[list]:
+        """The first width s-coefficients along L of dF/dx_j for every j,
+        F the degree-(deg+1) form with these terms: pullback_of_partial
+        for each j, read off the table."""
+        if self.qq:   # F = F_int / D
+            nums, D = _integral(terms.values())
+            coeffs = zip(terms, nums)
+        else:
+            coeffs, D = terms.items(), 1
+        cols = [([], []) for _ in self.p]
+        for e, c in coeffs:
+            for j, ej in enumerate(e):
+                if ej:
+                    cs, rs = cols[j]
+                    cs.append(c * ej)
+                    rs.append(self.rows[_divided(e, j)])
+        return [[self.lower(sum(map(mul, cs, [r[m] for r in rs])), D * self.den(self.deg, m))
+                 for m in range(width)] for cs, rs in cols]
+
+
+def _partials_table(F: HyperForm, L: LineParam, width: int) -> _LineTable:
+    # the table over only the monomials F's partials use, to s^(width-1)
+    support = {_divided(e, j) for e in F.terms for j, ej in enumerate(e) if ej}
+    return _LineTable(L, list(support), F.d - 1, width - 1)
+
+
+def _chain_rule_pullbacks(partials: list[list], B, field) -> list[list]:
     # pullbacks along the canonical line of the partials of F' = F(B y):
     # dF'/dy_i = sum_j B[j][i] dF/dx_j evaluated on the original line, so
     # with row m holding the s^m coefficients of the dF/dx_j, column i of B
     # times that matrix is the binary form of dF'/dy_i
-    by_power = list(zip(*(pullback_of_partial(F, j, L, upto) for j in range(F.n + 1))))
-    return [mat_vec(by_power, [row[i] for row in B], F.field) for i in range(F.n + 1)]
+    by_power = list(zip(*partials))
+    return [mat_vec(by_power, [row[i] for row in B], field) for i in range(len(B))]
 
 
 @dataclass
@@ -153,22 +251,27 @@ class _Jets:
     """The jets of F along L mod s^k that both routes of one (F, L, k) read,
     each computed on first use and then kept.
 
-    chain is the direct route (partials of F pulled back along L, combined
-    by the chain rule); fk and fk_partials are the truncated route (F_k and
-    its partials along the canonical line).  Neither is derived from the
-    other, so comparing them stays a check.
+    chain is the direct route (partials of F read off the _LineTable of L,
+    combined by the chain rule); fk and fk_partials are the truncated route
+    (F_k and its partials along the canonical line).  Neither is derived
+    from the other, so comparing them stays a check.
     """
 
-    def __init__(self, F: HyperForm, L: LineParam, k: int):
-        self.F, self.L, self.k = F, L, k
+    def __init__(self, F: HyperForm, L: LineParam, k: int, table: _LineTable):
+        self.F, self.L, self.k, self.table = F, L, k, table
 
     @cached_property
     def B(self) -> list:
         return completion_matrix([self.L.marked_point(), self.L.direction()], self.L.field)
 
+    def direct(self, width: int) -> list[list]:
+        """The chain-rule pullbacks, their first width s-coefficients."""
+        partials = self.table.partials(self.F.terms, width)
+        return _chain_rule_pullbacks(partials, self.B, self.F.field)
+
     @cached_property
     def chain(self) -> list[list]:
-        return _chain_rule_pullbacks(self.F, self.L, self.B, upto=self.k)
+        return self.direct(min(self.F.d, self.k))
 
     @cached_property
     def fk(self) -> HyperForm:
@@ -195,7 +298,7 @@ def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) 
     _require_contact(F, L, k)
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
-    return _congruence(_Jets(F, L, k), corrupt)
+    return _congruence(_Jets(F, L, k, _partials_table(F, L, k)), corrupt)
 
 
 def _corrupted_partials(fk: HyperForm, k: int) -> list[list]:
@@ -259,7 +362,9 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _sections(_Jets(F, L, k), _require_contact(F, L, k), use_truncation)
+    co = _require_contact(F, L, k)
+    table = _partials_table(F, L, F.d if co == CONTAINED else min(F.d, k))
+    return _sections(_Jets(F, L, k, table), co, use_truncation)
 
 
 def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
@@ -268,8 +373,7 @@ def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
     expected: int | None = 2 * F.n - k + 1
     used_truncation = False
     if co == CONTAINED:
-        pb = _chain_rule_pullbacks(F, jets.L, jets.B)
-        rows = _sections_matrix(pb, F.d + 1, f)
+        rows = _sections_matrix(jets.direct(F.d), F.d + 1, f)
         expected = None
     elif k == 0:
         rows = []
@@ -318,19 +422,25 @@ def sample_line(n: int, field, rng: random.Random) -> LineParam:
             continue
 
 
-def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random) -> HyperForm:
+def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
+                        table: _LineTable | None = None) -> HyperForm:
     """A random degree-d form with contact order exactly k along L at the
     marked point, smooth there.  Conditioning is linear: the first k
     restriction coefficients of each monomial give a k x N system and a
     random kernel vector is a random form with contact >= k; the s^k
-    coefficients, one more row, decide whether the contact is exactly k."""
+    coefficients, one more row, decide whether the contact is exactly k.
+
+    Both the rows and the gradient at p come from table, the _LineTable
+    of the degree-(d-1) monomials along L to s^k (built here if not
+    given)."""
     f = L.field
     n = L.n
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k = {k}, d = {d}")
-    monos, rows = _conditioning_rows(L, d, k)
+    if table is None:
+        table = _LineTable(L, monomials(n, d - 1), d - 1, k)
+    monos, rows = table.conditioning_rows()
     conditions, s_k = rows[:k], rows[k]
-    p = L.marked_point()
     for _ in range(SAMPLE_TRIES):
         c = random_kernel_vector(conditions, len(monos), f, rng)
         # conditions force s^0..s^(k-1) to vanish; contact is exactly k iff
@@ -338,20 +448,11 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random) -> Hyp
         if f.is_zero(mat_vec([s_k], c, f)[0]):
             continue
         F = HyperForm(n, d, dict(zip(monos, c)), f)
-        if all(f.is_zero(g) for g in F.gradient(p)):
+        # the gradient at p: the s^0 coefficients of the partials along L
+        if all(f.is_zero(g) for (g,) in table.partials(F.terms, 1)):
             continue
         return F
     raise RuntimeError("failed to sample a form of exact contact order")
-
-
-def _conditioning_rows(L: LineParam, d: int, k: int):
-    """The degree-d monomials of L's space and the (k+1) x N matrix whose
-    column j holds the s^0..s^k coefficients of monomial j restricted to L."""
-    f = L.field
-    monos = monomials(L.n, d)
-    got = expand_each({e: f.one for e in monos},
-                      [L.marked_point(), L.direction()], f, k)
-    return monos, [[got[e].get((d - m, m), f.zero) for e in monos] for m in range(k + 1)]
 
 
 @dataclass
@@ -384,10 +485,10 @@ class ExperimentSummary:
         return self.matched / self.trials if self.trials else 0.0
 
 
-def _trial_routes(F: HyperForm, L: LineParam, k: int):
+def _trial_routes(F: HyperForm, L: LineParam, k: int, table: _LineTable):
     """The direct and truncated sections and the congruence report for a
-    sampled (F, L) of exact contact k, from one shared _Jets."""
-    jets = _Jets(F, L, k)
+    sampled (F, L) of exact contact k, from one shared _Jets on table."""
+    jets = _Jets(F, L, k, table)
     return _sections(jets, k, False), _sections(jets, k, True), _congruence(jets)
 
 
@@ -396,11 +497,11 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
     and verify Euler membership, the congruence, agreement of the truncated
     and direct section systems, and the h0 = 2n-k+1 expectation.
 
-    A trial computes each exact object once: the conditioning rows in one
-    expansion pass, the contact order from the check that sampling makes
-    (no contact_order call), and one _Jets (B, the chain-rule pullbacks mod
-    s^k, F_k and its partials) that both section systems and the congruence
-    read.  The direct and truncated routes stay separate computations, so
+    A trial computes each exact object once: one _LineTable (the
+    conditioning rows, the gradient at p and the direct route's partials),
+    the contact order from the check that sampling makes (no contact_order
+    call), and one _Jets (B, the chain-rule pullbacks mod s^k, F_k and its
+    partials) that both section systems and the congruence read.  The direct and truncated routes stay separate computations, so
     routes_agree and congruence_ok still compare independent results.
     routes_agree compares the two kernel_basis lists as they are: each is
     canonical for its kernel (see the module docstring), so equal lists
@@ -416,9 +517,10 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
         d = rng.choice((n, n + 1, n + 2))
         k = rng.choice(tuple(range(1, min(4, d) + 1)))
         L = sample_line(n, gf, rng)
-        F = sample_contact_form(L, d, k, rng)
+        table = _LineTable(L, monomials(n, d - 1), d - 1, k)
+        F = sample_contact_form(L, d, k, rng, table)
 
-        direct, trunc, cc = _trial_routes(F, L, k)
+        direct, trunc, cc = _trial_routes(F, L, k, table)
         expected = 2 * n - k + 1
         records.append(TrialRecord(
             index=idx, n=n, d=d, k=k,

@@ -14,7 +14,7 @@ F(y_0*p), the gradient F(y_0*p + sum_j y_(j+1)*e_j) cut at top = 1, a
 pullback F(t*p + s*u) = sum_m s^m t^(d-m) G_m(p, u) (also of dF/dx_i), and
 the truncation F_k comes from F(B*y) cut at top = k.
 expand_each runs the same per-term products but returns each term's
-expansion on its own (the conditioning rows of a sampled form).  Over QQ
+expansion on its own (deformation's pullback table of a line).  Over QQ
 both clear denominators once: the products run in Python ints (ZZ) and
 each output coefficient becomes one Fraction at the end, so no Fraction
 is built, normalized or added inside the expansion.
@@ -86,17 +86,19 @@ def expand_each(terms: dict, cols, ring, top: int | None = None) -> dict:
     return {e: _unpack(part, base, len(cols), ring) for e, part in parts}
 
 
+def _integral(values) -> tuple[list, int]:
+    # ([c_i], D) with values[i] = c_i / D, D the lcm of the denominators
+    values = list(values)
+    D = lcm(*(x.denominator for x in values))
+    return [x.numerator * (D // x.denominator) for x in values], D
+
+
 def _cleared(terms: dict, cols):
     # F = F_int / D and cols[j] = c_j / D_j, with D and D_j the lcm of the
     # denominators, F_int and c_j integral: (F_int, D, [c_j], [D_j])
-    D = lcm(*(c.denominator for c in terms.values()))
-    F = {e: c.numerator * (D // c.denominator) for e, c in terms.items()}
-    int_cols, dens = [], []
-    for col in cols:
-        Dj = lcm(*(x.denominator for x in col))
-        int_cols.append([x.numerator * (Dj // x.denominator) for x in col])
-        dens.append(Dj)
-    return F, D, int_cols, dens
+    nums, D = _integral(terms.values())
+    cleared = [_integral(col) for col in cols]
+    return dict(zip(terms, nums)), D, [c for c, _ in cleared], [Dj for _, Dj in cleared]
 
 
 def _fractions(got: dict, D: int, dens: list) -> dict:

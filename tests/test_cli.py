@@ -495,3 +495,51 @@ def test_count_vk_beyond_the_work_budget_exit_2(capsys, tmp_path):
         assert time.perf_counter() - began < 1
         assert (code, out) == (2, "") and "work budget" in err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_count_vk_budget_past_the_float_range_exit_2(capsys, tmp_path):
+    # |P^645(F_3)| * 3 steps is about 2^1024, more than any float holds
+    quadric = tmp_path / "p645.hs"
+    quadric.write_text("1 2" + " 0" * 645 + "\n1 0 2" + " 0" * 644 + "\n")
+    began = time.perf_counter()
+    code, out, err = run(capsys, "count-vk", "--input", str(quadric), "--q", "3", "--k", "2")
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: enumerating X(F_3) in P^645 would take about 2^1024 steps, "
+                   "over the work budget of 2^36 for one count\n")
+
+
+def test_expression_nesting_limit(capsys):
+    # each level is a few frames of the recursive-descent parser: past the
+    # limit the expression is refused, not the interpreter's stack
+    limit = cli.MAX_NESTING
+    # a sign and a parenthesis are one level each
+    for opened, close, levels in (("(", ")", 1), ("-(", ")", 2), ("-", "", 1)):
+        units = limit // levels
+        at_cap = opened * units + "s[1]" + close * units
+        code, out, err = run(capsys, "schubert", "mult", "--n", "3", "--", at_cap)
+        assert (code, out.lstrip("-"), err) == (0, "s[1,0]\n", "")
+        past = opened * (units + 1) + "s[1]" + close * (units + 1)
+        code, out, err = run(capsys, "schubert", "mult", "--n", "3", "--", past)
+        assert (code, out) == (2, "")
+        assert err == (f"error: expression {past[:40] + '...'!r} nests parentheses and "
+                       f"signs deeper than the limit of {limit}\n")
+    code, out, err = run(capsys, "schubert", "mult", "(" * 300 + "s[1]" + ")" * 300, "--n", "3")
+    assert (code, out) == (2, "") and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_printed_coefficients_are_priced_before_str(capsys, fmt):
+    # 99^2200 has 4391 digits, over Python's 4300 for int-to-str; the
+    # refusal names the expression and the program's own limit
+    code, out, err = run(capsys, "schubert", "mult", "99^2200", "--n", "2", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == ("error: '99^2200' has a coefficient of 14585 bits, over the limit of "
+                   f"{cli.MAX_DIGITS} decimal digits on printed coefficients\n")
+    for argv in (("schubert", "degree", "99^2200*s[1]^2"), ("flag", "integrate", "99^2200*s[1,1]*H1*H2")):
+        code, out, err = run(capsys, *argv, "--n", "2", "--format", fmt)
+        assert (code, out) == (2, "") and "has a coefficient of" in err
+    # 99^2000, 3992 digits, is under the limit and prints whole
+    code, out, _ = run(capsys, "schubert", "mult", "99^2000", "--n", "2", "--format", fmt)
+    text = json.loads(out)["schubert"] if fmt == "json" else out.rstrip("\n")
+    assert code == 0 and text == f"{99 ** 2000}*s[0,0]"

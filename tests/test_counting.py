@@ -662,6 +662,16 @@ def test_count_vk_budget_prices_singular_points():
     assert time.perf_counter() - began < 1
 
 
+def test_budget_message_past_the_float_range():
+    # the step count prints as a float while one holds it, then by bit length
+    assert counting.magnitude(4 * 10 ** 11) == "4.0e+11"
+    assert counting.magnitude(3 ** 645) == "5.5e+307"
+    assert counting.magnitude(3 ** 646) == "2^1023"
+    with pytest.raises(ValueError, match=r"^P would take about 2\^4000 steps, over the work "
+                                         r"budget of 2\^36 for one count$"):
+        counting._check_budget(2 ** 4000, "P")
+
+
 def test_count_vk_validation():
     F = quadric_f3()
     with pytest.raises(ValueError):

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from tangency import deformation
 from tangency.deformation import (
     CONTAINED,
     TrialRecord,
     _chain_rule_pullbacks,
-    _conditioning_rows,
     _corrupted_partials,
     _Jets,
+    _LineTable,
+    _partials_table,
     _trial_routes,
     canonical_line,
     completion_matrix,
@@ -27,10 +29,11 @@ from tangency.deformation import (
     sample_line,
     truncate,
 )
-from tangency.fields import QQ, PrimeField, matrix_rank, row_reduce
+from tangency.fields import QQ, PrimeField, kernel_basis, matrix_rank, row_reduce
 from tangency.forms import (
     HyperForm,
     LineParam,
+    expand_each,
     monomials,
     parse_form,
     pullback_of_partial,
@@ -227,7 +230,7 @@ def test_conditioning_rows_match_per_monomial_pullbacks(case):
     L, d = case
     f = L.field
     for k in range(1, d + 1):
-        monos, rows = _conditioning_rows(L, d, k)
+        monos, rows = _LineTable(L, monomials(L.n, d - 1), d - 1, k).conditioning_rows()
         assert monos == monomials(L.n, d)
         cols = [HyperForm(L.n, d, {e: f.one}, f).pullback(L, upto=k + 1) for e in monos]
         assert rows == [[col[m] for col in cols] for m in range(k + 1)]
@@ -267,7 +270,7 @@ def test_trial_routes_equal_the_public_wrappers(label):
         k = rng.randint(1, min(4, d))
         L = sample_line(n, field, rng)
         F = sample_contact_form(L, d, k, rng)
-        direct, trunc, cc = _trial_routes(F, L, k)
+        direct, trunc, cc = _trial_routes(F, L, k, _LineTable(L, monomials(n, d - 1), d - 1, k))
         assert direct == log_sections(F, L, k, use_truncation=False)
         assert trunc == log_sections(F, L, k, use_truncation=True)
         assert cc == congruence_check(F, L, k)
@@ -501,7 +504,9 @@ def chain_rule_cases(draw):
 @given(chain_rule_cases())
 def test_chain_rule_equals_the_binary_form_loop(case):
     F, L, B, upto = case
-    got = _chain_rule_pullbacks(F, L, B, upto)
+    width = F.d if upto is None else min(F.d, upto)
+    got = _chain_rule_pullbacks(_partials_table(F, L, width).partials(F.terms, width),
+                                B, F.field)
     want = _chain_rule_by_binary_forms(F, L, B, upto)
     assert repr(got) == repr(want)
 
@@ -516,3 +521,76 @@ def test_contact_experiment_detects_a_corrupted_truncated_route(monkeypatch):
     assert summary.route_disagreements == 20
     assert summary.congruence_failures == 20
     assert summary.matched == 20
+
+
+# the conditioning rows as one expand_each pass over the degree-d
+# monomials: the reference for _LineTable.conditioning_rows
+
+
+def _expanded_conditioning_rows(L, d, k):
+    f = L.field
+    monos = monomials(L.n, d)
+    got = expand_each({e: f.one for e in monos}, [L.marked_point(), L.direction()], f, k)
+    return monos, [[got[e].get((d - m, m), f.zero) for e in monos] for m in range(k + 1)]
+
+
+def _table_case(label, kind, seed):
+    # (F, L): F dense, sparse (a few terms) or containing L (a linear form
+    # through p and u times a random form), over QQ or F_101
+    field = FIELDS[label]
+    rng = random.Random(f"line table {label} {kind} {seed}")
+    n = rng.randint(1, 4)
+    d = rng.randint(1, 5)
+    L = sample_line(n, field, rng)
+    if kind == "contained":
+        # ell * G, ell a linear form through p and u; in P^1 there is no
+        # such ell, and F = 0 is the only form containing L
+        terms = {}
+        for ell in kernel_basis([L.marked_point(), L.direction()], n + 1, field)[:1]:
+            for e in monomials(n, d - 1):
+                c = field.random(rng)
+                for i, a in enumerate(ell):
+                    key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    terms[key] = field.add(terms.get(key, field.zero), field.mul(a, c))
+        return HyperForm(n, d, terms, field), L
+    share = 1.0 if kind == "dense" else 0.2
+    terms = {e: field.random(rng) for e in monomials(n, d) if rng.random() < share}
+    return HyperForm(n, d, terms, field), L
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "contained"])
+@pytest.mark.parametrize("label", ["QQ", "F101"])
+def test_line_table_equals_the_expansions_it_replaces(label, kind):
+    for seed in range(12):
+        F, L = _table_case(label, kind, seed)
+        n, d = F.n, F.d
+        if kind == "contained":
+            assert contact_order(F, L) == CONTAINED
+        want = [pullback_of_partial(F, j, L) for j in range(n + 1)]
+        # the public routes' table, over the monomials F's partials use
+        sparse = _partials_table(F, L, d)
+        assert repr(sparse.partials(F.terms, d)) == repr(want)
+        # contact_experiment's table, over every degree-(d-1) monomial
+        for k in range(1, d + 1):
+            full = _LineTable(L, monomials(n, d - 1), d - 1, k)
+            assert repr(full.partials(F.terms, min(d, k + 1))) == repr(
+                [w[:k + 1] for w in want])
+            assert repr([g for (g,) in full.partials(F.terms, 1)]) == repr(
+                F.gradient(L.marked_point()))
+            assert repr(full.conditioning_rows()) == repr(_expanded_conditioning_rows(L, d, k))
+
+
+def test_contact_experiment_detects_a_corrupted_line_table(monkeypatch):
+    # one table entry off by one once the sampling has read the table: the
+    # direct route's partials read it and the truncated route never does
+    sample = deformation.sample_contact_form
+
+    def corrupting(L, d, k, rng, table):
+        F = sample(L, d, k, rng, table)
+        table.rows[monomials(L.n, d - 1)[0]][0] += 1
+        return F
+
+    monkeypatch.setattr(deformation, "sample_contact_form", corrupting)
+    summary = contact_experiment(20, seed=5)
+    assert summary.congruence_failures == 20
+    assert summary.route_disagreements == 20
