@@ -291,6 +291,14 @@ _WORK_PER_WORKER = 1 << 27
 # Fermat quintic at q = 13 and k = 5, takes about 4.8e9 of the latter.
 _BUDGET = 1 << 36
 
+# The most bytes of point arrays count_vk allocates: _COPIES int64 arrays of
+# (n+1) coordinates per point of X at once (the points, their gradient for
+# the chart keys or their sorted copy, and the per-point keys, order and
+# indices together), with |X(F_q)| priced by Serre's bound before X is
+# enumerated.
+_MEMORY = 1 << 31
+_COPIES = 3
+
 # Points whose jets are evaluated and pulled back at once, which bounds the
 # memory of the per-point work.
 _POINTS = 2048
@@ -345,6 +353,28 @@ def _check_budget(work: int, what: str) -> None:
     if work > _BUDGET:
         raise ValueError(f"{what} would take about {magnitude(work)} steps, over the work "
                          f"budget of 2^{_BUDGET.bit_length() - 1} for one count")
+
+
+def point_bound(F: HyperForm) -> int:
+    """An upper bound on |X(F_q)|, read off n, d and q alone.
+
+    Serre's bound d q^(n-1) + |P^(n-2)| (Serre, Lettre a M. Tsfasman, 1991)
+    holds for F != 0 of degree d <= q + 1, which q > d gives; a form with
+    no terms vanishes on all of P^n.
+    """
+    q, n = _prime_of(F), F.n
+    if not F.terms:
+        return pp_count(n, q)
+    return F.d * q ** (n - 1) + pp_count(n - 2, q)
+
+
+def _check_memory(F: HyperForm) -> None:
+    """Refuse a count whose point arrays could take more than _MEMORY bytes."""
+    size = point_bound(F) * (F.n + 1) * 8 * _COPIES
+    if size > _MEMORY:
+        raise ValueError(f"the points of X(F_{F.field.p}) in P^{F.n} could take about "
+                         f"{magnitude(size)} bytes, over the memory budget of "
+                         f"2^{_MEMORY.bit_length() - 1} bytes for one count")
 
 
 def direction_work(keys: np.ndarray, n: int, q: int, orders: list[int]) -> int:
@@ -747,6 +777,7 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
     if k >= 2:
         check_exact(F.n, F.d, k, q)
     _check_budget((F.d + 1) * pp_count(F.n, q), f"enumerating X(F_{q}) in P^{F.n}")
+    _check_memory(F)
     t0 = time.perf_counter()
     pts = hypersurface_points(F)
     if k == 1:

@@ -26,9 +26,11 @@ chain rule, dF'/dy_i = sum_j B[j][i] dF/dx_j: one fields.mat_vec per
 column of B against the partials' coefficients, one row per power of s.
 Both expand polynomials with forms.expand or expand_each, written once
 and pinned against a sympy oracle in the tests, and truncate completes p
-alone with the same completion_matrix.  What the routes keep apart is the
-coordinates and the order of differentiation and truncation, so their
-agreement is still a check.
+alone with the same completion_matrix.  Over F_p and QQ both expand in
+Python ints; F_k is one forms.expand of F through B, whose Horner walk
+multiplies each shared leading power of a row of B once.  What the
+routes keep apart is the coordinates and the order of differentiation
+and truncation, so their agreement is still a check.
 
 The direct route reads its partials off a _LineTable: the pullbacks along
 L of degree-(d-1) monomials, from one expand_each pass in Python ints.  A
@@ -39,12 +41,14 @@ one lowering per output coefficient (% p, or one Fraction).
 contact_experiment builds one table per trial, over every degree-(d-1)
 monomial to s^k, for the sampling, its smoothness test and the direct
 route; log_sections and congruence_check build theirs over only the
-monomials F's partials use.  Beyond the table nothing of one (F, L, k) is
-computed twice: a _Jets holds B, the table, the chain-rule pullbacks mod
-s^k and F_k with its partials, and log_sections and congruence_check are
-thin wrappers that build one and hand it to the shared section and
-congruence code; contact_experiment takes the contact order from the
-exact check sample_contact_form already makes.
+monomials F's partials use.  The table keeps the per-index lists of F's
+partials for the last F it was asked about, so the smoothness test and
+the direct route read them off once.  Beyond the table nothing of one
+(F, L, k) is computed twice: a _Jets holds B, the table, the chain-rule
+pullbacks mod s^k and F_k with its partials, and log_sections and
+congruence_check are thin wrappers that build one and hand it to the
+shared section and congruence code; contact_experiment takes the contact
+order from the exact check sample_contact_form already makes.
 
 The routes agree when their section systems have the same kernel, and
 that is equality of the two kernel_basis lists: the basis is read off the
@@ -176,6 +180,7 @@ class _LineTable:
         self.deg, self.top = deg, top
         got = expand_each(dict.fromkeys(monos, 1), [self.p, self.u], ZZ, top)
         self.rows = {m: [got[m].get((deg - j, j), 0) for j in range(top + 1)] for m in monos}
+        self._parents: tuple | None = None   # (terms, _parent_lists(terms)) of the last F
 
     def den(self, deg: int, j: int) -> int:
         # the denominator of the s^j coefficient of a degree-deg pullback
@@ -199,7 +204,20 @@ class _LineTable:
     def partials(self, terms: dict, width: int) -> list[list]:
         """The first width s-coefficients along L of dF/dx_j for every j,
         F the degree-(deg+1) form with these terms: pullback_of_partial
-        for each j, read off the table."""
+        for each j, read off the table.
+
+        The table keeps the parent lists of the last terms dict it was
+        given, so the smoothness test of a sampled F and the direct route
+        on the same F build them once."""
+        if self._parents is None or self._parents[0] is not terms:
+            self._parents = (terms, self._parent_lists(terms))
+        D, cols = self._parents[1]
+        return [[self.lower(sum(map(mul, cs, [r[m] for r in rs])), D * self.den(self.deg, m))
+                 for m in range(width)] for cs, rs in cols]
+
+    def _parent_lists(self, terms: dict) -> tuple[int, list]:
+        # (D, [(cs, rs) for each j]): dF/dx_j = sum of c * row over the
+        # pairs (c, row) of cs and rs, over D (1 over F_p)
         if self.qq:   # F = F_int / D
             nums, D = _integral(terms.values())
             coeffs = zip(terms, nums)
@@ -212,8 +230,7 @@ class _LineTable:
                     cs, rs = cols[j]
                     cs.append(c * ej)
                     rs.append(self.rows[_divided(e, j)])
-        return [[self.lower(sum(map(mul, cs, [r[m] for r in rs])), D * self.den(self.deg, m))
-                 for m in range(width)] for cs, rs in cols]
+        return D, cols
 
 
 def _partials_table(F: HyperForm, L: LineParam, width: int) -> _LineTable:

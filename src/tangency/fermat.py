@@ -74,7 +74,7 @@ class RootRing:
         return tuple(out)
 
     def is_zero(self, a: tuple) -> bool:
-        return all(x == 0 for x in a)
+        return not any(a)
 
     def is_unit_monomial(self, a: tuple) -> bool:
         nz = [x for x in a if x]

@@ -2,8 +2,9 @@
 
 Two fields: the rationals (Fraction) and prime fields F_p (ints in [0, p)).
 The elimination routines are generic over either; everything is exact.
-ZZ, the Python ints under + and *, is the ring that QQ polynomial
-expansion multiplies in once its denominators are cleared.
+ZZ, the Python ints under + and *, is the ring that polynomial expansion
+over QQ (its denominators cleared) and over F_p (lowered by % p at the end)
+multiplies in.
 """
 
 from __future__ import annotations

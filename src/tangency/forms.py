@@ -13,11 +13,26 @@ all this one expansion, over QQ, F_p or the Fermat root ring: F(p) is
 F(y_0*p), the gradient F(y_0*p + sum_j y_(j+1)*e_j) cut at top = 1, a
 pullback F(t*p + s*u) = sum_m s^m t^(d-m) G_m(p, u) (also of dF/dx_i), and
 the truncation F_k comes from F(B*y) cut at top = k.
-expand_each runs the same per-term products but returns each term's
-expansion on its own (deformation's pullback table of a line).  Over QQ
-both clear denominators once: the products run in Python ints (ZZ) and
-each output coefficient becomes one Fraction at the end, so no Fraction
-is built, normalized or added inside the expansion.
+
+expand sums the terms by a multivariate Horner walk (Pena and Sauer, On
+the multivariate Horner scheme, SIAM J. Numer. Anal. 37, 2000): the terms
+whose first nonzero exponent is the same x_j^a are expanded together, and
+their sum is multiplied by the cached truncated power lin_j^a once, where
+lin_j = sum_i y_i c_i[j].  A term that shares its leading factor with no
+other goes straight to its product chain, so forms whose terms share
+nothing (the Fermat pure powers) pay only for the grouping pass.  Each
+group's product, and the last product of each chain, is added straight
+into the sum it belongs to, so no partial expansion is copied or merged.
+Over QQ and F_p the walk runs in Python ints (ZZ): QQ clears denominators
+once and makes each output coefficient one Fraction at the end, F_p lowers
+each output coefficient once by % p, so no field element is built,
+reduced or added inside the expansion.  Other rings (the root ring
+Z[z]/(z^d + 1)) run the same walk through ring.add and ring.mul.
+
+expand_each returns each term's expansion on its own (deformation's
+pullback table of a line), so it keeps one product chain per term with
+the truncated powers shared: with no sum to take, a Horner walk has
+nothing to factor, and a walk sharing prefixes measured no faster.
 
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
@@ -50,27 +65,53 @@ def monomials(n: int, d: int) -> list[tuple[int, ...]]:
 def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
     """F(y_0*cols[0] + ... + y_m*cols[m]) as a dict {y-exponent tuple: coefficient}.
 
-    terms maps x-exponent tuples to ring elements and cols[j][i] is the
-    coefficient of y_j in x_i.  With top set, every monomial of degree
-    > top in y_1..y_m is dropped while the products are formed: that
-    degree never falls as more linear factors are multiplied in, so a
-    truncated expansion costs only what it keeps.  Zero coefficients are
-    left out of the result.  Only ring.add, ring.mul and ring.is_zero are
-    used, so any exact commutative ring works; over QQ the products are
-    taken in integers (_cleared).
+    terms maps x-exponent tuples, all of one degree (a form), to ring
+    elements and cols[j][i] is the coefficient of y_j in x_i.  With top
+    set, every monomial of degree > top in y_1..y_m is dropped while the
+    products are formed: that degree never falls as more linear factors
+    are multiplied in, so a truncated expansion costs only what it keeps.
+    Zero coefficients are left out of the result.
+
+    The terms are summed by the Horner walk of the module docstring, the
+    top cut applied at every product.  Over QQ and F_p the products are
+    taken in integers (_cleared, _lowered); any other exact commutative
+    ring needs only add, mul and is_zero.
     """
     if isinstance(ring, RationalField):
         F, D, int_cols, dens = _cleared(terms, cols)
         return _fractions(expand(F, int_cols, ZZ, top), D, dens)
+    if isinstance(ring, PrimeField):
+        return _lowered(expand(terms, cols, ZZ, top), ring.p)
     if not terms or (top is not None and top < 0):
         return {}
-    base, parts = _term_products(terms, cols, ring, top)
+    first = next(iter(terms))
+    d = sum(first)
+    base, times, power, chain = _products(d, cols, ring, top)
     add = ring.add
-    total: dict = {}
-    for _, part in parts:
-        for k, v in part.items():
-            total[k] = add(total[k], v) if k in total else v
-    return _unpack(total, base, len(cols), ring)
+
+    def walk(items, pos: int, deg: int, out: dict) -> dict:
+        # out plus the sum of c * prod_(i >= pos) lin_i^e_i over the items
+        # (e, c), every e of degree deg in x_pos..x_n: the items that share
+        # a leading factor x_j^a (j their first nonzero exponent from pos)
+        # are expanded together from j + 1 and multiplied by lin_j^a once
+        groups: dict = {}
+        for item in items:
+            e = item[0]
+            j = pos
+            while not e[j]:
+                j += 1
+            groups.setdefault((j, e[j]), []).append(item)
+        for (j, a), group in groups.items():
+            if len(group) == 1:
+                e, c = group[0]
+                chain(e, c, j, out)
+            elif lead := power(j, a):
+                times(walk(group, j + 1, deg - a, {}), lead, deg, out)
+        return out
+
+    # a form of degree 0 is one constant, which has no leading factor
+    packed = walk(terms.items(), 0, d, {}) if d else chain(first, terms[first], 0, {})
+    return _unpack(packed, base, len(cols), ring)
 
 
 def expand_each(terms: dict, cols, ring, top: int | None = None) -> dict:
@@ -80,10 +121,12 @@ def expand_each(terms: dict, cols, ring, top: int | None = None) -> dict:
         F, D, int_cols, dens = _cleared(terms, cols)
         return {e: _fractions(got, D, dens)
                 for e, got in expand_each(F, int_cols, ZZ, top).items()}
+    if isinstance(ring, PrimeField):
+        return {e: _lowered(got, ring.p) for e, got in expand_each(terms, cols, ZZ, top).items()}
     if not terms or (top is not None and top < 0):
         return {e: {} for e in terms}
-    base, parts = _term_products(terms, cols, ring, top)
-    return {e: _unpack(part, base, len(cols), ring) for e, part in parts}
+    base, _, _, chain = _products(max(map(sum, terms)), cols, ring, top)
+    return {e: _unpack(chain(e, c, 0, {}), base, len(cols), ring) for e, c in terms.items()}
 
 
 def _integral(values) -> tuple[list, int]:
@@ -108,22 +151,31 @@ def _fractions(got: dict, D: int, dens: list) -> dict:
             for a, num in got.items()}
 
 
-def _term_products(terms: dict, cols, ring, top):
-    # (base, iterator over (e, c * prod_i (sum_j y_j cols[j][i])^e_i)), each
-    # product a dict keyed by packed y-monomials
+def _lowered(got: dict, p: int) -> dict:
+    # an expansion in integers, reduced mod p, its zeros dropped
+    return {a: r for a, c in got.items() if (r := c % p)}
+
+
+def _products(d: int, cols, ring, top):
+    # (base, times, power, chain) for products of degree <= d of the linear
+    # forms lin_i = sum_j y_j cols[j][i], each a dict keyed by packed
+    # y-monomials, every product cut at top: times(a, b, deg, out) adds
+    # a * b into out (a new dict if None), power(i, e) is lin_i^e, cached,
+    # and chain(e, c, j, out) adds c * prod_(i >= j) lin_i^e_i into out
     add, mul = ring.add, ring.mul
     # a y-monomial is the packed integer sum_j a_j * base^j: no exponent
     # reaches base, so a product is one integer add and key % base is a_0
-    base = 1 + max(map(sum, terms))
+    base = d + 1
     places = [base ** j for j in range(len(cols))]
     lin = [{pl: col[i] for pl, col in zip(places, cols) if not ring.is_zero(col[i])}
            for i in range(len(cols[0]))]
 
-    def times(a: dict, b: dict, deg: int) -> dict:
+    def times(a: dict, b: dict, deg: int, out: dict | None = None) -> dict:
         # deg is the degree of every product monomial; it has degree
         # deg - a_0 in y_1..y_m
         cut = -1 if top is None else deg - top
-        out: dict = {}
+        if out is None:
+            out = {}
         for ka, ca in a.items():
             for kb, cb in b.items():
                 k = ka + kb
@@ -142,17 +194,22 @@ def _term_products(terms: dict, cols, ring, top):
             powers[(i, e)] = got
         return got
 
-    def products():
-        for e, c in terms.items():
-            part = {0: c}
-            deg = 0
-            for i, ei in enumerate(e):
-                if ei:
-                    deg += ei
-                    part = times(part, power(i, ei), deg)
-            yield e, part
+    def chain(e: tuple, c, j: int, out: dict) -> dict:
+        # the last product goes straight into out
+        last = len(e) - 1
+        while last >= j and not e[last]:
+            last -= 1
+        if last < j:   # a constant
+            out[0] = add(out[0], c) if 0 in out else c
+            return out
+        part, deg = {0: c}, 0
+        for i in range(j, last):
+            if e[i]:
+                deg += e[i]
+                part = times(part, power(i, e[i]), deg)
+        return times(part, power(last, e[last]), deg + e[last], out)
 
-    return base, products()
+    return base, times, power, chain
 
 
 def _unpack(packed: dict, base: int, width: int, ring) -> dict:

@@ -10,7 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tangency import cli
+from tangency import cli, counting
 from tangency.cli import main, parse_expression
 
 
@@ -507,6 +507,22 @@ def test_count_vk_budget_past_the_float_range_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error: enumerating X(F_3) in P^645 would take about 2^1024 steps, "
                    "over the work budget of 2^36 for one count\n")
+
+
+def test_count_vk_beyond_the_memory_budget_exit_2(capsys, tmp_path, monkeypatch):
+    # x0^2 + x1^2 in P^20 over F_3 passes the work budget, but Serre's bound
+    # prices its points at 1.5e+12 bytes; the count stops before the
+    # enumerator runs
+    def enumerate_nothing(F):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(counting, "hypersurface_points", enumerate_nothing)
+    form = tmp_path / "p20.hs"
+    form.write_text("1 2" + " 0" * 20 + "\n1 0 2" + " 0" * 19 + "\n")
+    code, out, err = run(capsys, "count-vk", "--input", str(form), "--q", "3", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: the points of X(F_3) in P^20 could take about 1.5e+12 bytes, "
+                   "over the memory budget of 2^31 bytes for one count\n")
 
 
 def test_expression_nesting_limit(capsys):

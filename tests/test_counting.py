@@ -104,6 +104,42 @@ def test_rational_singular_points_against_gradient_scan():
         assert rational_singular_points(F) == expected, F
 
 
+def diagonal_count(coeffs: list[int], d: int, q: int) -> int:
+    """|X(F_q)| for F = sum_i a_i x_i^d, sharing no code with the counter:
+    the affine zeros N are entry 0 of the cyclic convolution of the
+    histograms of a_i x^d over F_q, and |X(F_q)| = (N - 1) / (q - 1)."""
+    N = [1] + [0] * (q - 1)
+    for a in coeffs:
+        hist = [0] * q
+        for x in range(q):
+            hist[a * pow(x, d, q) % q] += 1
+        N = [sum(N[u] * hist[(v - u) % q] for u in range(q)) for v in range(q)]
+    return (N[0] - 1) // (q - 1)
+
+
+def diagonal_form(coeffs: list[int], d: int, q: int) -> HyperForm:
+    n = len(coeffs) - 1
+    return HyperForm(n, d, {tuple(d * (t == i) for t in range(n + 1)): a
+                            for i, a in enumerate(coeffs)}, PrimeField(q))
+
+
+def test_diagonal_point_counts_by_convolution():
+    rng = random.Random(1949)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    for _ in range(60):
+        n, d = rng.randint(1, 5), rng.randint(1, 6)
+        q = rng.choice([p for p in primes if p > d and pp_count(n, p) <= 10 ** 6])
+        coeffs = [rng.randrange(q) for _ in range(n + 1)]   # zeros too
+        got = len(hypersurface_points(diagonal_form(coeffs, d, q)))
+        assert got == diagonal_count(coeffs, d, q), (coeffs, d, q)
+
+
+@pytest.mark.parametrize("q, points", [(7, 2801), (11, 36950), (13, 30941)])
+def test_fermat_quintic_point_counts_by_convolution(q, points):
+    assert diagonal_count([1] * 6, 5, q) == points
+    assert len(hypersurface_points(HyperForm.fermat(5, 5, PrimeField(q)))) == points
+
+
 def test_hypersurface_points_stream_in_small_memory():
     # P^4(F_31) has 954305 representatives, 38 MB as int64 rows; X holds
     # about 1/31 of them.  One cell of P^3(F_211) holds 211^3 values, 75 MB
@@ -670,6 +706,42 @@ def test_budget_message_past_the_float_range():
     with pytest.raises(ValueError, match=r"^P would take about 2\^4000 steps, over the work "
                                          r"budget of 2\^36 for one count$"):
         counting._check_budget(2 ** 4000, "P")
+
+
+def sum_of_squares(n: int, q: int) -> HyperForm:
+    # x0^2 + x1^2 in P^n: over F_3 it vanishes only where x0 = x1 = 0
+    terms = {(2,) + (0,) * n: 1, (0, 2) + (0,) * (n - 1): 1}
+    return HyperForm(n, 2, terms, PrimeField(q))
+
+
+def test_point_bound_holds():
+    for n, q in ((1, 3), (2, 3), (3, 5), (4, 3), (4, 7)):
+        F = sum_of_squares(n, q)
+        assert len(hypersurface_points(F)) <= counting.point_bound(F)
+        assert counting.point_bound(F) == 2 * q ** (n - 1) + pp_count(n - 2, q)
+    # x0^2 + x1^2 over F_3 vanishes on P^(n-2) alone
+    assert len(hypersurface_points(sum_of_squares(4, 3))) == pp_count(2, 3)
+    assert counting.point_bound(HyperForm(3, 2, {}, PrimeField(5))) == pp_count(3, 5)
+
+
+def test_count_vk_prices_memory_before_enumerating(monkeypatch):
+    # P^17, P^18 and P^20 pass the work budget, but their point arrays alone
+    # would take 2.9, 9.1 and 90.9 GiB; the refusal comes before the enumerator
+    def enumerate_nothing(F):
+        raise AssertionError(f"enumerated X in P^{F.n}")
+
+    monkeypatch.setattr(counting, "hypersurface_points", enumerate_nothing)
+    for n in (17, 18, 20):
+        F = sum_of_squares(n, 3)
+        counting._check_budget((F.d + 1) * pp_count(n, 3), "enumerating")
+        with pytest.raises(ValueError, match=rf"X\(F_3\) in P\^{n} could take about .* bytes, "
+                                             r"over the memory budget of 2\^31 bytes"):
+            count_vk(F, 2)
+    # in P^14 x0^2 + x1^2 is admitted; the zero form, all of P^14, is not
+    with pytest.raises(AssertionError, match="enumerated X in P\\^14"):
+        count_vk(sum_of_squares(14, 3), 2)
+    with pytest.raises(ValueError, match="memory budget"):
+        count_vk(HyperForm(14, 2, {}, PrimeField(3)), 2)
 
 
 def test_count_vk_validation():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tangency.fields import QQ, PrimeField
+from tangency.fermat import RootRing
+from tangency.fields import QQ, ZZ, PrimeField
 from tangency.forms import (
     HyperForm,
     LineParam,
@@ -298,6 +299,87 @@ def test_cleared_qq_expansion_equals_the_fraction_products(case):
     each = expand_each(terms, cols, QQ, top)
     assert each == expand_each(terms, cols, _FractionRing(), top)
     assert all(_all_fractions(part) for part in each.values())
+
+
+def _per_term_sum(terms: dict, cols, ring, top=None) -> dict:
+    """F(y_0*cols[0] + ... + y_m*cols[m]) as expand computed it before its
+    Horner walk: each term's product of linear forms in ring arithmetic,
+    one factor at a time, cut at top, then summed term by term.  The
+    reference for expand and expand_each over every ring."""
+    width = len(cols)
+    total: dict = {}
+    for e, c in terms.items():
+        part = {(0,) * width: c}
+        deg = 0
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                deg += 1
+                grown: dict = {}
+                for a, v in part.items():
+                    for j, col in enumerate(cols):
+                        b = a[:j] + (a[j] + 1,) + a[j + 1:]
+                        if ring.is_zero(col[i]) or (top is not None and deg - b[0] > top):
+                            continue
+                        w = ring.mul(v, col[i])
+                        grown[b] = ring.add(grown[b], w) if b in grown else w
+                part = grown
+        for a, v in part.items():
+            total[a] = ring.add(total[a], v) if a in total else v
+    return {a: v for a, v in total.items() if not ring.is_zero(v)}
+
+
+def _first_nonzero(e: tuple) -> int:
+    return next(i for i, x in enumerate(e) if x)
+
+
+@st.composite
+def ring_expansions(draw):
+    name = draw(st.sampled_from(("ZZ", "F2", "F3", "F101", "QQ", "root")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if name == "ZZ":
+        ring, zero, element = ZZ, 0, lambda: rng.randint(-30, 30)
+    elif name == "QQ":
+        ring, zero = QQ, QQ.zero
+        element = lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+    elif name == "root":
+        ring = RootRing(draw(st.integers(1, 4)))
+        zero, element = ring.zero, lambda: tuple(rng.randint(-3, 3) for _ in range(ring.d))
+    else:
+        ring = PrimeField(int(name[1:]))
+        zero, element = 0, lambda: ring.random(rng)
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 5))
+    monos = monomials(n, d)
+    lead = draw(st.sampled_from(monos))
+    kind = draw(st.sampled_from(("dense", "sparse", "pure", "shared", "nested")))
+    if kind == "dense":
+        chosen = monos
+    elif kind == "sparse":
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=6, unique=True))
+    elif kind == "pure":   # no leading factor shared
+        chosen = [e for e in monos if max(e) == d and rng.random() < 0.7]
+    elif kind == "shared" and d:   # every term leads with the same x_j^a
+        j = _first_nonzero(lead)
+        chosen = [e for e in monos if _first_nonzero(e) == j and e[j] == lead[j]]
+    else:   # the same two leading exponents: the walk groups at two levels
+        chosen = [e for e in monos if e[:2] == lead[:2]]
+    terms = {e: element() for e in chosen or [lead]}
+    cols = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        zeros = draw(st.sampled_from((0.0, 0.4, 1.0)))   # the share of zero entries
+        cols.append([zero if rng.random() < zeros else element() for _ in range(n + 1)])
+    top = draw(st.one_of(st.none(), st.integers(0, d)))
+    return ring, terms, cols, top
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ring_expansions())
+def test_expand_equals_the_per_term_sum(case):
+    ring, terms, cols, top = case
+    want = _per_term_sum(terms, cols, ring, top)
+    assert expand(terms, cols, ring, top) == want
+    each = expand_each(terms, cols, ring, top)
+    assert each == {e: _per_term_sum({e: c}, cols, ring, top) for e, c in terms.items()}
 
 
 def test_truncated_substitute_is_the_low_order_part():
