@@ -34,7 +34,7 @@ from .enumerative import BOUND_INFO, fano_line_count
 from .fermat import fermat_planes
 from .fields import QQ, PrimeField
 from .flag import FlagElt, hclass, integrate
-from .forms import HyperForm, _parse_scalar, parse_form, parse_line_param
+from .forms import _parse_scalar, parse_form, parse_line_param
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,8 @@ def _cmd_count_vk(args) -> int:
             "characteristic too small for contact order d "
             f"(q = {args.q}, d = {rational.d})"
         )
-    form = HyperForm(rational.n, rational.d, rational.terms, PrimeField(args.q))
+    # parsed again over F_q, so a coefficient that is not in F_q is named
+    form = _parsed(parse_form, args.input, PrimeField(args.q))
     r = count_vk(form, args.k, workers=args.threads)
     return _show(args, r.to_json(),
                  f"|V_{r.k}| over F_{r.q}: {r.count} (n={r.n}, d={r.d}, {r.elapsed_ms}ms)",

@@ -24,20 +24,21 @@ the direct route never forms F_k and instead pulls back the partials
 dF/dx_j of F itself along the original line and combines them through the
 chain rule, dF'/dy_i = sum_j B[j][i] dF/dx_j: one fields.mat_vec per
 column of B against the partials' coefficients, one row per power of s.
-Both expand polynomials with forms.expand or expand_each, written once
-and pinned against a sympy oracle in the tests, and truncate completes p
-alone with the same completion_matrix.  Over F_p and QQ both expand in
-Python ints; F_k is one forms.expand of F through B, whose Horner walk
-multiplies each shared leading power of a row of B once.  What the
-routes keep apart is the coordinates and the order of differentiation
-and truncation, so their agreement is still a check.
+Both expand polynomials in the integers of field.lifted, written once in
+forms and pinned against a sympy oracle in the tests, and truncate
+completes p alone with the same completion_matrix.  F_k is one
+forms.expand of F through B, whose Horner walk multiplies each shared
+leading power of a row of B once.  What the routes keep apart is the
+coordinates and the order of differentiation and truncation, so their
+agreement is still a check.
 
 The direct route reads its partials off a _LineTable: the pullbacks along
-L of degree-(d-1) monomials, from one expand_each pass in Python ints.  A
-degree-d monomial is x_i times one of them and a partial of F is a
-combination of them, so the same table gives the conditioning rows of a
-sampled form and its gradient at p, each by integer multiply-adds with
-one lowering per output coefficient (% p, or one Fraction).
+L of degree-(d-1) monomials, each the product chain of forms._products
+read at the packed keys of t^(deg-j) s^j.  A degree-d monomial is x_i
+times one of them and a partial of F is a combination of them, so the
+same table gives the conditioning rows of a sampled form and its
+gradient at p, each by integer multiply-adds with one lower per output
+coefficient (% p, or one Fraction).
 contact_experiment builds one table per trial, over every degree-(d-1)
 monomial to s^k, for the sampling, its smoothness test and the direct
 route; log_sections and congruence_check build theirs over only the
@@ -61,14 +62,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .fields import (
-    ZZ,
     PrimeField,
-    RationalField,
     kernel_basis,
     mat_vec,
     random_kernel_vector,
@@ -77,8 +75,7 @@ from .fields import (
 from .forms import (
     HyperForm,
     LineParam,
-    _integral,
-    expand_each,
+    _products,
     monomials,
     pullback_of_partial,
     s_valuation,
@@ -153,52 +150,47 @@ def _divided(e: tuple, j: int) -> tuple:
 
 class _LineTable:
     """The pullbacks along L(s, t) = s*u + t*p of some degree-deg monomials,
-    to s^top, in Python ints: rows[m][j] / (D_p^(deg-j) D_u^j) is the
-    s^j t^(deg-j) coefficient of m(t*p + s*u), where D_p and D_u are the
-    denominators cleared from p and u once (1 over F_p, where the rows stay
-    unreduced).
+    to s^top, in the integers of L.field.lifted: rows[m][j] is the integer
+    whose lower at (deg - j, j) is the s^j t^(deg-j) coefficient of
+    m(t*p + s*u), with p and u lifted once (over QQ their denominators
+    cleared, over F_p the rows unreduced).
 
     A degree-(deg+1) monomial is x_i times a row's monomial and so pulls
     back to (p_i t + u_i s) times that row, and a partial dF/dx_j of a
     degree-(deg+1) form is a combination of rows: the conditioning rows of
     a sampled form, its gradient at p (the s^0 coefficients) and the
     direct route's partial pullbacks are integer multiply-adds on the
-    table, each output coefficient lowered to the field once (% p, or one
-    Fraction).
+    table, each output coefficient lowered to the field once.
     """
 
     def __init__(self, L: LineParam, monos, deg: int, top: int):
-        f = L.field
-        cols = [L.marked_point(), L.direction()]
-        self.qq = isinstance(f, RationalField)
-        if self.qq:
-            (self.p, self.dp), (self.u, self.du) = map(_integral, cols)
-            self.lower = Fraction
-        else:
-            (self.p, self.u), self.dp, self.du = cols, 1, 1
-            self.lower = lambda num, den, p=f.p: num % p
+        self.field, self.cols = L.field, [L.marked_point(), L.direction()]
+        _, (self.p, self.u), self.lower = self.field.lifted({}, self.cols)
         self.deg, self.top = deg, top
-        got = expand_each(dict.fromkeys(monos, 1), [self.p, self.u], ZZ, top)
-        self.rows = {m: [got[m].get((deg - j, j), 0) for j in range(top + 1)] for m in monos}
+        # each monomial's product chain, read at the packed keys of
+        # t^(deg-j) s^j, zero past s^deg
+        base, _, _, chain = _products(deg, [self.p, self.u], top)
+        keys = [deg - j + j * base for j in range(min(deg, top) + 1)]
+        pad = [0] * (top + 1 - len(keys))
+        self.rows = {}
+        for m in monos:
+            got = chain(m, 1, 0, {})
+            self.rows[m] = [got.get(key, 0) for key in keys] + pad
         self._parents: tuple | None = None   # (terms, _parent_lists(terms)) of the last F
-
-    def den(self, deg: int, j: int) -> int:
-        # the denominator of the s^j coefficient of a degree-deg pullback
-        return self.dp ** (deg - j) * self.du ** j
 
     def conditioning_rows(self):
         """The degree-(deg+1) monomials and the (top+1) x N matrix whose
         column e holds the s^0..s^top coefficients of e along L."""
-        d, top = self.deg + 1, self.top
+        d, top, lower = self.deg + 1, self.top, self.lower
         monos = monomials(len(self.p) - 1, d)
         out = [[] for _ in range(top + 1)]
         for e in monos:
             i = next(i for i, ei in enumerate(e) if ei)
             r = self.rows[_divided(e, i)]
             pi, ui = self.p[i], self.u[i]
-            out[0].append(self.lower(pi * r[0], self.den(d, 0)))
+            out[0].append(lower((d, 0), pi * r[0]))
             for j in range(1, top + 1):
-                out[j].append(self.lower(pi * r[j] + ui * r[j - 1], self.den(d, j)))
+                out[j].append(lower((d - j, j), pi * r[j] + ui * r[j - 1]))
         return monos, out
 
     def partials(self, terms: dict, width: int) -> list[list]:
@@ -211,26 +203,23 @@ class _LineTable:
         on the same F build them once."""
         if self._parents is None or self._parents[0] is not terms:
             self._parents = (terms, self._parent_lists(terms))
-        D, cols = self._parents[1]
-        return [[self.lower(sum(map(mul, cs, [r[m] for r in rs])), D * self.den(self.deg, m))
+        lower, cols = self._parents[1]
+        deg = self.deg
+        return [[lower((deg - m, m), sum(map(mul, cs, [r[m] for r in rs])))
                  for m in range(width)] for cs, rs in cols]
 
-    def _parent_lists(self, terms: dict) -> tuple[int, list]:
-        # (D, [(cs, rs) for each j]): dF/dx_j = sum of c * row over the
-        # pairs (c, row) of cs and rs, over D (1 over F_p)
-        if self.qq:   # F = F_int / D
-            nums, D = _integral(terms.values())
-            coeffs = zip(terms, nums)
-        else:
-            coeffs, D = terms.items(), 1
+    def _parent_lists(self, terms: dict) -> tuple:
+        # (lower, [(cs, rs) for each j]): dF/dx_j lowers from the sum of
+        # c * row over the pairs (c, row) of cs and rs, F lifted with the line
+        ints, _, lower = self.field.lifted(terms, self.cols)
         cols = [([], []) for _ in self.p]
-        for e, c in coeffs:
+        for e, c in ints.items():
             for j, ej in enumerate(e):
                 if ej:
                     cs, rs = cols[j]
                     cs.append(c * ej)
                     rs.append(self.rows[_divided(e, j)])
-        return D, cols
+        return lower, cols
 
 
 def _partials_table(F: HyperForm, L: LineParam, width: int) -> _LineTable:

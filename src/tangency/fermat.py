@@ -13,6 +13,10 @@ plane distinctness is by canonical defining data, and independence is
 certified by a 3x3 minor that is a unit monomial +-z^e rather than by rank
 over a field.  For the constructed planes that minor is the identity at the
 pairs' first columns; an arbitrary spanning set is searched for one.
+The substitution is forms.expand in Python ints: RootRing.lifted packs
+each element by Kronecker substitution (Harvey, J. Symb. Comp. 2009) with
+a digit width B worked out from the inputs, and reads each output back
+mod 2^(B*d) + 1, where z^d = -1 (as in Schonhage and Strassen, 1971).
 
 verify_plane checks membership of an arbitrary plane (three spanning
 points) in an arbitrary hypersurface by generic substitution; it works
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .fields import matrix_rank
 from .forms import HyperForm, expand
@@ -44,9 +49,7 @@ class RootRing:
         self.one = self.monomial(0)
 
     def of(self, x: int) -> tuple:
-        v = [0] * self.d
-        v[0] = int(x)
-        return tuple(v)
+        return self.monomial(0, int(x))
 
     def monomial(self, e: int, coeff: int = 1) -> tuple:
         # z^e with z^d = -1
@@ -75,6 +78,41 @@ class RootRing:
 
     def is_zero(self, a: tuple) -> bool:
         return not any(a)
+
+    def lifted(self, terms: dict, cols):
+        """Kronecker substitution for forms.expand: a packs to sum_i a_i 2^(B*i).
+        As |x*y|_1 <= |x|_1 |y|_1 here (|.|_1 the sum of the entries' absolute
+        values), no output entry exceeds S = sum_e |c_e|_1 prod_i |lin_i|_1^e_i,
+        and B is the bit length of S plus one.  lower reads the balanced
+        residue mod 2^(B*d) + 1, where 2^(B*d) = -1 as z^d = -1, as d
+        balanced B-bit digits."""
+        d = self.d
+        norms = [sum(sum(map(abs, a)) for a in entries) for entries in zip(*cols)]
+        B = sum(sum(map(abs, c)) * prod(norms[i] ** ei for i, ei in enumerate(e) if ei)
+                for e, c in terms.items()).bit_length() + 1
+        modulus, mask, half = (1 << (B * d)) + 1, (1 << B) - 1, 1 << (B - 1)
+        packed: dict[tuple, int] = {}   # the points repeat their entries
+
+        def pack(a: tuple) -> int:
+            got = packed.get(a)
+            if got is None:
+                got = packed[a] = sum(x << (B * i) for i, x in enumerate(a) if x)
+            return got
+
+        def lower(a: tuple, num: int) -> tuple:
+            r = num % modulus
+            if r > modulus >> 1:
+                r -= modulus
+            if not r:
+                return self.zero
+            out = []
+            for _ in range(d):
+                out.append(((r + half) & mask) - half)
+                r = (r - out[-1]) >> B
+            return tuple(out)
+
+        return ({e: pack(c) for e, c in terms.items()},
+                [[pack(a) for a in col] for col in cols], lower)
 
     def is_unit_monomial(self, a: tuple) -> bool:
         nz = [x for x in a if x]

@@ -2,15 +2,21 @@
 
 Two fields: the rationals (Fraction) and prime fields F_p (ints in [0, p)).
 The elimination routines are generic over either; everything is exact.
-ZZ, the Python ints under + and *, is the ring that polynomial expansion
-over QQ (its denominators cleared) and over F_p (lowered by % p at the end)
-multiplies in.
+
+forms.expand multiplies in Python ints only, so each exact ring says how
+its elements become ints and come back: lifted(terms, cols) returns the
+form's terms and the columns in integers together with lower(a, num),
+which turns the integer num found at the output exponent a back into a
+ring element.  QQ clears denominators (the y^a coefficient is num over
+D * prod_j D_j^a_j), F_p lifts its ints unchanged and lowers by % p; the
+Fermat root ring packs its elements by Kronecker substitution
+(fermat.RootRing.lifted).
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from math import lcm, prod
 
 
 # Miller-Rabin to the prime bases 2..41 decides every m below _PRIME_LIMIT
@@ -44,11 +50,19 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _integral(values) -> tuple[list, int]:
+    # ([c_i], D) with values[i] = c_i / D, D the lcm of the denominators
+    values = list(values)
+    D = lcm(*(x.denominator for x in values))
+    return [x.numerator * (D // x.denominator) for x in values], D
+
+
 class RationalField:
     """Exact rational arithmetic via Fraction."""
 
     zero = Fraction(0)
     one = Fraction(1)
+    characteristic = 0
 
     def of(self, x) -> Fraction:
         return Fraction(x)
@@ -76,6 +90,19 @@ class RationalField:
     def random(self, rng):
         return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
 
+    def lifted(self, terms: dict, cols):
+        # F = F_int / D and cols[j] = c_j / D_j, D and D_j the lcm of the
+        # denominators: expanding F_int over the c_j gives D * prod_j D_j^a_j
+        # times the y^a coefficient of F over the cols
+        nums, D = _integral(terms.values())
+        cleared = [_integral(col) for col in cols]
+        dens = [Dj for _, Dj in cleared]
+
+        def lower(a: tuple, num: int) -> Fraction:
+            return Fraction(num, D * prod(Dj ** aj for Dj, aj in zip(dens, a)))
+
+        return dict(zip(terms, nums)), [c for c, _ in cleared], lower
+
     def __repr__(self):
         return "QQ"
 
@@ -86,7 +113,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = 0
         self.one = 1 % p
 
@@ -119,6 +146,11 @@ class PrimeField:
     def random(self, rng):
         return rng.randrange(self.p)
 
+    def lifted(self, terms: dict, cols):
+        # the elements are ints already; lowering reduces once
+        p = self.p
+        return terms, cols, lambda a, num: num % p
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -129,22 +161,7 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-class IntegerRing:
-    """Python ints with just add, mul and is_zero: enough for forms.expand.
-
-    add and mul are the operator builtins, not methods, so the expansion's
-    inner loop calls C functions directly.
-    """
-
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-
 QQ = RationalField()
-ZZ = IntegerRing()
 
 
 def row_reduce(rows, ncols: int, field):

@@ -23,16 +23,14 @@ other goes straight to its product chain, so forms whose terms share
 nothing (the Fermat pure powers) pay only for the grouping pass.  Each
 group's product, and the last product of each chain, is added straight
 into the sum it belongs to, so no partial expansion is copied or merged.
-Over QQ and F_p the walk runs in Python ints (ZZ): QQ clears denominators
-once and makes each output coefficient one Fraction at the end, F_p lowers
-each output coefficient once by % p, so no field element is built,
-reduced or added inside the expansion.  Other rings (the root ring
-Z[z]/(z^d + 1)) run the same walk through ring.add and ring.mul.
-
-expand_each returns each term's expansion on its own (deformation's
-pullback table of a line), so it keeps one product chain per term with
-the truncated powers shared: with no sum to take, a Horner walk has
-nothing to factor, and a walk sharing prefixes measured no faster.
+The walk runs in Python ints for every ring: ring.lifted(terms, cols)
+gives the terms and columns as ints and a lower(a, num) that makes each
+output coefficient one ring element at the end (QQ clears denominators,
+F_p reduces by % p, the root ring Z[z]/(z^d + 1) packs by Kronecker
+substitution), so no ring element is built, reduced or added inside the
+expansion.  _products, the walk's products of linear forms, is shared
+with deformation's pullback table of a line, which reads the packed
+output keys of each monomial's product chain directly.
 
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
@@ -41,10 +39,7 @@ of s^m t^(D-m).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm, prod
-
-from .fields import ZZ, PrimeField, RationalField, matrix_rank
+from .fields import matrix_rank
 
 
 def monomials(n: int, d: int) -> list[tuple[int, ...]]:
@@ -73,21 +68,15 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
     Zero coefficients are left out of the result.
 
     The terms are summed by the Horner walk of the module docstring, the
-    top cut applied at every product.  Over QQ and F_p the products are
-    taken in integers (_cleared, _lowered); any other exact commutative
-    ring needs only add, mul and is_zero.
+    top cut applied at every product, in the integers of ring.lifted; the
+    ring needs only lifted and is_zero.
     """
-    if isinstance(ring, RationalField):
-        F, D, int_cols, dens = _cleared(terms, cols)
-        return _fractions(expand(F, int_cols, ZZ, top), D, dens)
-    if isinstance(ring, PrimeField):
-        return _lowered(expand(terms, cols, ZZ, top), ring.p)
     if not terms or (top is not None and top < 0):
         return {}
+    terms, cols, lower = ring.lifted(terms, cols)
     first = next(iter(terms))
     d = sum(first)
-    base, times, power, chain = _products(d, cols, ring, top)
-    add = ring.add
+    base, times, power, chain = _products(d, cols, top)
 
     def walk(items, pos: int, deg: int, out: dict) -> dict:
         # out plus the sum of c * prod_(i >= pos) lin_i^e_i over the items
@@ -111,63 +100,32 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
 
     # a form of degree 0 is one constant, which has no leading factor
     packed = walk(terms.items(), 0, d, {}) if d else chain(first, terms[first], 0, {})
-    return _unpack(packed, base, len(cols), ring)
+    out = {}
+    for k, num in packed.items():
+        if num:
+            exps = []
+            for _ in cols:
+                k, a = divmod(k, base)
+                exps.append(a)
+            a = tuple(exps)
+            c = lower(a, num)
+            if not ring.is_zero(c):
+                out[a] = c
+    return out
 
 
-def expand_each(terms: dict, cols, ring, top: int | None = None) -> dict:
-    """{e: expand({e: terms[e]}, cols, ring, top)} for every term e, in one
-    pass that computes the truncated powers of each linear form once."""
-    if isinstance(ring, RationalField):
-        F, D, int_cols, dens = _cleared(terms, cols)
-        return {e: _fractions(got, D, dens)
-                for e, got in expand_each(F, int_cols, ZZ, top).items()}
-    if isinstance(ring, PrimeField):
-        return {e: _lowered(got, ring.p) for e, got in expand_each(terms, cols, ZZ, top).items()}
-    if not terms or (top is not None and top < 0):
-        return {e: {} for e in terms}
-    base, _, _, chain = _products(max(map(sum, terms)), cols, ring, top)
-    return {e: _unpack(chain(e, c, 0, {}), base, len(cols), ring) for e, c in terms.items()}
-
-
-def _integral(values) -> tuple[list, int]:
-    # ([c_i], D) with values[i] = c_i / D, D the lcm of the denominators
-    values = list(values)
-    D = lcm(*(x.denominator for x in values))
-    return [x.numerator * (D // x.denominator) for x in values], D
-
-
-def _cleared(terms: dict, cols):
-    # F = F_int / D and cols[j] = c_j / D_j, with D and D_j the lcm of the
-    # denominators, F_int and c_j integral: (F_int, D, [c_j], [D_j])
-    nums, D = _integral(terms.values())
-    cleared = [_integral(col) for col in cols]
-    return dict(zip(terms, nums)), D, [c for c, _ in cleared], [Dj for _, Dj in cleared]
-
-
-def _fractions(got: dict, D: int, dens: list) -> dict:
-    # expanding F_int over the c_j gives D * prod_j D_j^a_j times the y^a
-    # coefficient of F over the cols
-    return {a: Fraction(num, D * prod(Dj ** aj for Dj, aj in zip(dens, a)))
-            for a, num in got.items()}
-
-
-def _lowered(got: dict, p: int) -> dict:
-    # an expansion in integers, reduced mod p, its zeros dropped
-    return {a: r for a, c in got.items() if (r := c % p)}
-
-
-def _products(d: int, cols, ring, top):
+def _products(d: int, cols, top):
     # (base, times, power, chain) for products of degree <= d of the linear
-    # forms lin_i = sum_j y_j cols[j][i], each a dict keyed by packed
-    # y-monomials, every product cut at top: times(a, b, deg, out) adds
-    # a * b into out (a new dict if None), power(i, e) is lin_i^e, cached,
-    # and chain(e, c, j, out) adds c * prod_(i >= j) lin_i^e_i into out
-    add, mul = ring.add, ring.mul
+    # forms lin_i = sum_j y_j cols[j][i], cols in ints, each a dict keyed by
+    # packed y-monomials, every product cut at top: times(a, b, deg, out)
+    # adds a * b into out (a new dict if None), power(i, e) is lin_i^e,
+    # cached, and chain(e, c, j, out) adds c * prod_(i >= j) lin_i^e_i into out
+    #
     # a y-monomial is the packed integer sum_j a_j * base^j: no exponent
     # reaches base, so a product is one integer add and key % base is a_0
     base = d + 1
     places = [base ** j for j in range(len(cols))]
-    lin = [{pl: col[i] for pl, col in zip(places, cols) if not ring.is_zero(col[i])}
+    lin = [{pl: col[i] for pl, col in zip(places, cols) if col[i]}
            for i in range(len(cols[0]))]
 
     def times(a: dict, b: dict, deg: int, out: dict | None = None) -> dict:
@@ -176,13 +134,12 @@ def _products(d: int, cols, ring, top):
         cut = -1 if top is None else deg - top
         if out is None:
             out = {}
+        get = out.get
         for ka, ca in a.items():
             for kb, cb in b.items():
                 k = ka + kb
-                if k % base < cut:
-                    continue
-                v = mul(ca, cb)
-                out[k] = add(out[k], v) if k in out else v
+                if k % base >= cut:
+                    out[k] = get(k, 0) + ca * cb
         return out
 
     powers: dict[tuple[int, int], dict] = {}
@@ -194,13 +151,13 @@ def _products(d: int, cols, ring, top):
             powers[(i, e)] = got
         return got
 
-    def chain(e: tuple, c, j: int, out: dict) -> dict:
+    def chain(e: tuple, c: int, j: int, out: dict) -> dict:
         # the last product goes straight into out
         last = len(e) - 1
         while last >= j and not e[last]:
             last -= 1
         if last < j:   # a constant
-            out[0] = add(out[0], c) if 0 in out else c
+            out[0] = out.get(0, 0) + c
             return out
         part, deg = {0: c}, 0
         for i in range(j, last):
@@ -210,19 +167,6 @@ def _products(d: int, cols, ring, top):
         return times(part, power(last, e[last]), deg + e[last], out)
 
     return base, times, power, chain
-
-
-def _unpack(packed: dict, base: int, width: int, ring) -> dict:
-    out = {}
-    for k, c in packed.items():
-        if ring.is_zero(c):
-            continue
-        exps = []
-        for _ in range(width):
-            k, a = divmod(k, base)
-            exps.append(a)
-        out[tuple(exps)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +220,9 @@ class HyperForm:
     def __init__(self, n: int, d: int, terms, field):
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        if isinstance(field, PrimeField) and field.p <= d:
+        if 0 < field.characteristic <= d:
             raise ValueError(
-                f"field characteristic {field.p} must exceed the degree {d}"
+                f"field characteristic {field.characteristic} must exceed the degree {d}"
             )
         self.n = n
         self.d = d
@@ -438,4 +382,9 @@ def _parse_scalar(tok: str, field, where: str):
     except ValueError:
         raise ValueError(f"{where}: {tok!r} is not an integer or a fraction a/b") from None
     c = field.of(parts[0])
-    return c if len(parts) == 1 else field.mul(c, field.inv(field.of(parts[1])))
+    if len(parts) == 1:
+        return c
+    den = field.of(parts[1])
+    if field.is_zero(den):
+        raise ValueError(f"{where}: {tok!r} has a zero denominator in {field!r}")
+    return field.mul(c, field.inv(den))

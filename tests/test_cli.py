@@ -221,7 +221,8 @@ def test_slope_malformed_series_exit_2(capsys, tmp_path, entries):
     ("1,0,0,0,0", "needs 4 coordinates, got 5"),
     ("0,0,0,0", "zero point"),
     ("1,x,0,0", "--point: 'x' is not an integer or a fraction a/b"),
-], ids=["short", "long", "zero", "letter"])
+    ("1/0,0,0,1", "--point: '1/0' has a zero denominator in QQ"),
+], ids=["short", "long", "zero", "letter", "zero-denominator"])
 def test_deform_truncate_bad_point_exit_2(capsys, quadric_file, point, says):
     code, out, err = run(capsys, "deform", "truncate", "--form", quadric_file,
                          "--point", point, "--k", "1")
@@ -242,6 +243,19 @@ def test_unparsable_coefficients_name_the_file_and_line(capsys, tmp_path, quadri
     bad_line.write_text("1 0\n0 1/y\n0 0\n0 0\n")
     assert run(capsys, "deform", "contact", "--form", quadric_file, "--line", str(bad_line)) == (
         2, "", f"error: {bad_line}: line 2: '1/y' is not an integer or a fraction a/b\n")
+    # a denominator that is zero in the field: 1/0 over QQ, 1/7 over F_7
+    bad.write_text("1 2 0 0 0\n1/0 0 0 1 1\n")
+    assert run(capsys, "deform", "contact", "--form", str(bad), "--line", line_file) == (
+        2, "", f"error: {bad}: line 2: '1/0' has a zero denominator in QQ\n")
+    bad.write_text("1 2 0 0 0\n1/7 0 0 1 1\n")
+    says = f"error: {bad}: line 2: '1/7' has a zero denominator in GF(7)\n"
+    for argv in (("deform", "contact", "--form", str(bad), "--line", line_file, "--q", "7"),
+                 ("count-vk", "--input", str(bad), "--q", "7", "--k", "2")):
+        assert run(capsys, *argv) == (2, "", says)
+    bad_line.write_text("1 0\n0 1/7\n0 0\n0 0\n")
+    assert run(capsys, "deform", "contact", "--form", quadric_file, "--line", str(bad_line),
+               "--q", "7") == (
+        2, "", f"error: {bad_line}: line 2: '1/7' has a zero denominator in GF(7)\n")
 
 
 def test_fermat_planes_cli(capsys, schema, tmp_path):

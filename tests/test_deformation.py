@@ -33,7 +33,7 @@ from tangency.fields import QQ, PrimeField, kernel_basis, matrix_rank, row_reduc
 from tangency.forms import (
     HyperForm,
     LineParam,
-    expand_each,
+    expand,
     monomials,
     parse_form,
     pullback_of_partial,
@@ -523,14 +523,14 @@ def test_contact_experiment_detects_a_corrupted_truncated_route(monkeypatch):
     assert summary.matched == 20
 
 
-# the conditioning rows as one expand_each pass over the degree-d
-# monomials: the reference for _LineTable.conditioning_rows
+# the conditioning rows as one expand per degree-d monomial: the
+# reference for _LineTable.conditioning_rows
 
 
 def _expanded_conditioning_rows(L, d, k):
     f = L.field
     monos = monomials(L.n, d)
-    got = expand_each({e: f.one for e in monos}, [L.marked_point(), L.direction()], f, k)
+    got = {e: expand({e: f.one}, [L.marked_point(), L.direction()], f, k) for e in monos}
     return monos, [[got[e].get((d - m, m), f.zero) for e in monos] for m in range(k + 1)]
 
 

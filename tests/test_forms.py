@@ -9,12 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tangency.fermat import RootRing
-from tangency.fields import QQ, ZZ, PrimeField
+from tangency.fields import QQ, PrimeField
 from tangency.forms import (
     HyperForm,
     LineParam,
     expand,
-    expand_each,
     monomials,
     parse_form,
     parse_line_param,
@@ -247,9 +246,8 @@ def test_expand_against_sympy():
                 assert expand(terms, cols, field, top) == kept
 
 
-class _FractionRing:
-    """Fractions under the generic expansion: not a RationalField, so expand
-    multiplies Fraction by Fraction, the oracle for the cleared QQ branch."""
+class IntegerRing:
+    """Python ints: lifted as they are, lowered as they come out."""
 
     def add(self, a, b):
         return a + b
@@ -259,6 +257,12 @@ class _FractionRing:
 
     def is_zero(self, a):
         return a == 0
+
+    def lifted(self, terms, cols):
+        return terms, cols, lambda a, num: num
+
+
+ZZ = IntegerRing()
 
 
 _rationals = st.one_of(
@@ -294,18 +298,15 @@ def _all_fractions(expansion: dict) -> bool:
 def test_cleared_qq_expansion_equals_the_fraction_products(case):
     terms, cols, top = case
     got = expand(terms, cols, QQ, top)
-    assert got == expand(terms, cols, _FractionRing(), top)
+    assert got == _per_term_sum(terms, cols, QQ, top)
     assert _all_fractions(got)
-    each = expand_each(terms, cols, QQ, top)
-    assert each == expand_each(terms, cols, _FractionRing(), top)
-    assert all(_all_fractions(part) for part in each.values())
 
 
 def _per_term_sum(terms: dict, cols, ring, top=None) -> dict:
     """F(y_0*cols[0] + ... + y_m*cols[m]) as expand computed it before its
     Horner walk: each term's product of linear forms in ring arithmetic,
     one factor at a time, cut at top, then summed term by term.  The
-    reference for expand and expand_each over every ring."""
+    reference for expand over every ring."""
     width = len(cols)
     total: dict = {}
     for e, c in terms.items():
@@ -342,8 +343,9 @@ def ring_expansions(draw):
         ring, zero = QQ, QQ.zero
         element = lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 9))
     elif name == "root":
-        ring = RootRing(draw(st.integers(1, 4)))
-        zero, element = ring.zero, lambda: tuple(rng.randint(-3, 3) for _ in range(ring.d))
+        ring = RootRing(draw(st.integers(1, 6)))
+        size = draw(st.sampled_from((3, 10**6)))   # small entries cancel more often
+        zero, element = ring.zero, lambda: tuple(rng.randint(-size, size) for _ in range(ring.d))
     else:
         ring = PrimeField(int(name[1:]))
         zero, element = 0, lambda: ring.random(rng)
@@ -378,8 +380,21 @@ def test_expand_equals_the_per_term_sum(case):
     ring, terms, cols, top = case
     want = _per_term_sum(terms, cols, ring, top)
     assert expand(terms, cols, ring, top) == want
-    each = expand_each(terms, cols, ring, top)
-    assert each == {e: _per_term_sum({e: c}, cols, ring, top) for e, c in terms.items()}
+
+
+def test_root_ring_packing_reaches_its_bound():
+    # no cancellation: the coefficients are positive integers and every
+    # entry a positive multiple of z, so F(y_0 * col) is -S y_0^3, z^3 = -1,
+    # where S = sum_e c_e prod_i a_i^e_i is the bound RootRing.lifted packs
+    # against; S is no power of two, so one bit less cannot hold -S
+    ring = RootRing(3)
+    rng = random.Random(3)
+    terms = {e: rng.randint(1, 10**6) for e in monomials(2, 3)}
+    a = [rng.randint(1, 10**6) for _ in range(3)]
+    S = sum(c * a[0] ** e[0] * a[1] ** e[1] * a[2] ** e[2] for e, c in terms.items())
+    assert S & (S - 1)
+    col = [ring.monomial(1, ai) for ai in a]
+    assert expand({e: ring.of(c) for e, c in terms.items()}, [col], ring) == {(3,): (-S, 0, 0)}
 
 
 def test_truncated_substitute_is_the_low_order_part():
