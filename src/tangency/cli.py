@@ -34,7 +34,7 @@ from .enumerative import BOUND_INFO, fano_line_count
 from .fermat import fermat_planes
 from .fields import QQ, PrimeField
 from .flag import FlagElt, hclass, integrate
-from .forms import _parse_scalar, parse_form, parse_line_param
+from .forms import HyperForm, _parse_scalar, parse_form, parse_line_param, parse_terms
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +237,17 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {ex}") from ex
 
 
-def _parsed(parse, path: str, field):
-    """parse(the text of the file at path, field); its errors name the file."""
-    text = _read(path)
+def _named(path: str, make, *args):
+    """make(*args); its errors name the file at path."""
     try:
-        return parse(text, field)
+        return make(*args)
     except ValueError as ex:
         raise ValueError(f"{path}: {ex}") from None
+
+
+def _parsed(parse, path: str, field):
+    """parse(the text of the file at path, field); its errors name the file."""
+    return _named(path, parse, _read(path), field)
 
 
 def _deform_inputs(args):
@@ -342,14 +346,13 @@ def _cmd_deform_congruence(args) -> int:
 
 
 def _cmd_count_vk(args) -> int:
-    rational = _parsed(parse_form, args.input, QQ)
-    if args.q <= rational.d:
-        raise ValueError(
-            "characteristic too small for contact order d "
-            f"(q = {args.q}, d = {rational.d})"
-        )
-    # parsed again over F_q, so a coefficient that is not in F_q is named
-    form = _parsed(parse_form, args.input, PrimeField(args.q))
+    # parsed once over F_q, and the degree judged before the terms are:
+    # a coefficient such as 1/q that is not in F_q is refused first
+    field = PrimeField(args.q)
+    n, d, terms = _parsed(parse_terms, args.input, field)
+    if args.q <= d:
+        raise ValueError(f"characteristic too small for contact order d (q = {args.q}, d = {d})")
+    form = _named(args.input, HyperForm, n, d, terms, field)
     r = count_vk(form, args.k, workers=args.threads)
     return _show(args, r.to_json(),
                  f"|V_{r.k}| over F_{r.q}: {r.count} (n={r.n}, d={r.d}, {r.elapsed_ms}ms)",

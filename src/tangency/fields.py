@@ -1,7 +1,14 @@
 """Exact coefficient fields and the small linear algebra the lab needs.
 
 Two fields: the rationals (Fraction) and prime fields F_p (ints in [0, p)).
-The elimination routines are generic over either; everything is exact.
+Everything is exact, and the linear algebra runs on Python ints: one
+Gauss-Jordan elimination, _eliminate, gives the reduced row echelon form
+as an integer matrix M and one divisor D.  Over F_p each pivot row is
+scaled to 1 and each row operation reduced once by % p, so D = 1; over QQ
+each row's denominators are cleared and the elimination is fraction-free
+(Bareiss), D the last pivot.  row_reduce builds one element per output
+entry, random_kernel_vector solves for its pivot entries in ints, and
+mat_vec takes one integer dot product a row before one % p or Fraction.
 
 forms.expand multiplies in Python ints only, so each exact ring says how
 its elements become ints and come back: lifted(terms, cols) returns the
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 
 # Miller-Rabin to the prime bases 2..41 decides every m below _PRIME_LIMIT
@@ -164,41 +172,76 @@ class PrimeField:
 QQ = RationalField()
 
 
+def _over(num: int, den: int, p: int):
+    # the element num / den: a Fraction over QQ (p = 0), else num % p (den is 1)
+    return num % p if p else Fraction(num, den)
+
+
+def _cleared(values, p: int) -> tuple[list, int]:
+    # ([c_i], D) with values[i] = c_i / D; over F_p the values are ints already
+    return (values, 1) if p else _integral(values)
+
+
+def _eliminate(rows, ncols: int, field) -> tuple[list, list, int]:
+    """(M, pivots, D) in ints: the reduced row echelon form of rows is
+    M[r][j] / D, zero rows dropped.  Input rows are not modified.
+
+    Over F_p each pivot row is scaled to 1 and D = 1.  Over QQ each row's
+    denominators are cleared and the elimination is fraction-free (Bareiss
+    1968): every other row becomes (piv * row - f * pivot row) // prev,
+    prev the previous pivot, and the division is exact since each entry is
+    a minor of the cleared matrix (Sylvester's identity), so a row with 0
+    in the pivot column is rescaled too; D is the last pivot.
+    """
+    p = field.characteristic
+    mat = []
+    for r in rows:
+        row = [a % p for a in r] if p else _integral(r)[0]
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        if any(row):
+            mat.append(row)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        sel = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        piv = mat[rank][col]
+        if p:
+            iv = pow(piv, p - 2, p)
+            mat[rank] = [a * iv % p for a in mat[rank]]
+            piv = 1
+        top = mat[rank]
+        for r, row in enumerate(mat):
+            f = row[col]
+            if r == rank or not (f or piv != prev):
+                continue
+            if p:
+                mat[r] = [(a - f * b) % p for a, b in zip(row, top)]
+            else:
+                mat[r] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = piv
+        pivots.append(col)
+    return mat[:len(pivots)], pivots, prev
+
+
 def row_reduce(rows, ncols: int, field):
     """Reduced row echelon form.  Returns (rref rows, pivot column list).
 
     Input rows are not modified; zero rows are dropped from the output.
     """
-    mat = [list(r) for r in rows]
-    for r in mat:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(mat)):
-            if not field.is_zero(mat[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        iv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(iv, v) for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not field.is_zero(mat[r][col]):
-                f = mat[r][col]
-                mat[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return mat[:rank], pivots
+    mat, pivots, D = _eliminate(rows, ncols, field)
+    p = field.characteristic
+    return [[_over(a, D, p) for a in row] for row in mat], pivots
 
 
 def matrix_rank(rows, ncols: int, field) -> int:
-    return len(row_reduce(rows, ncols, field)[0])
+    return len(_eliminate(rows, ncols, field)[1])
 
 
 def kernel_basis(rows, ncols: int, field):
@@ -208,7 +251,8 @@ def kernel_basis(rows, ncols: int, field):
     alone determines, so systems with one kernel give one list; no rows
     give the identity basis.
     """
-    rref, pivots = row_reduce(rows, ncols, field)
+    mat, pivots, D = _eliminate(rows, ncols, field)
+    p = field.characteristic
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -216,35 +260,33 @@ def kernel_basis(rows, ncols: int, field):
             continue
         v = [field.zero] * ncols
         v[free] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(rref[r][free])
+        for row, pc in zip(mat, pivots):
+            v[pc] = _over(-row[free], D, p)
         basis.append(v)
     return basis
 
 
 def random_kernel_vector(rows, ncols: int, field, rng):
     """A random vector in the right kernel: random values on the free columns."""
-    rref, pivots = row_reduce(rows, ncols, field)
+    mat, pivots, D = _eliminate(rows, ncols, field)
+    p = field.characteristic
     pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
     v = [field.zero] * ncols
-    for free in range(ncols):
-        if free not in pivot_set:
-            v[free] = field.random(rng)
-    for r, pc in enumerate(pivots):
-        acc = field.zero
-        for free in range(ncols):
-            if free not in pivot_set and not field.is_zero(rref[r][free]):
-                acc = field.add(acc, field.mul(rref[r][free], v[free]))
-        v[pc] = field.neg(acc)
+    for j in free:
+        v[j] = field.random(rng)
+    # the free values are nums[i] / Dv; each pivot entry is -sum row[j] v[j] / D
+    nums, Dv = _cleared([v[j] for j in free], p)
+    for row, pc in zip(mat, pivots):
+        v[pc] = _over(-sum(row[j] * c for j, c in zip(free, nums)), D * Dv, p)
     return v
 
 
 def mat_vec(rows, v, field):
+    p = field.characteristic
+    nums, Dv = _cleared(v, p)
     out = []
     for r in rows:
-        acc = field.zero
-        for a, b in zip(r, v):
-            if not (field.is_zero(a) or field.is_zero(b)):
-                acc = field.add(acc, field.mul(a, b))
-        out.append(acc)
+        cs, Dr = _cleared(r, p)
+        out.append(_over(sum(map(mul, cs, nums)), Dr * Dv, p))
     return out
