@@ -346,8 +346,8 @@ def _cmd_deform_congruence(args) -> int:
 
 
 def _cmd_count_vk(args) -> int:
-    # parsed once over F_q, and the degree judged before the terms are:
-    # a coefficient such as 1/q that is not in F_q is refused first
+    # one parse over F_q: a coefficient not in F_q (1/q) is refused by it,
+    # and the degree is judged before HyperForm validates the terms
     field = PrimeField(args.q)
     n, d, terms = _parsed(parse_terms, args.input, field)
     if args.q <= d:

@@ -2,13 +2,9 @@
 
 Two fields: the rationals (Fraction) and prime fields F_p (ints in [0, p)).
 Everything is exact, and the linear algebra runs on Python ints: one
-Gauss-Jordan elimination, _eliminate, gives the reduced row echelon form
-as an integer matrix M and one divisor D.  Over F_p each pivot row is
-scaled to 1 and each row operation reduced once by % p, so D = 1; over QQ
-each row's denominators are cleared and the elimination is fraction-free
-(Bareiss), D the last pivot.  row_reduce builds one element per output
-entry, random_kernel_vector solves for its pivot entries in ints, and
-mat_vec takes one integer dot product a row before one % p or Fraction.
+elimination, _eliminate, gives the reduced row echelon form as an integer
+matrix and one divisor (fraction-free over QQ, one % p an entry over F_p),
+and each routine builds one field element per entry it returns.
 
 forms.expand multiplies in Python ints only, so each exact ring says how
 its elements become ints and come back: lifted(terms, cols) returns the
