@@ -185,7 +185,7 @@ def test_count_vk_small_characteristic_rejected(capsys, tmp_path):
 
 def test_count_vk_refuses_a_coefficient_not_in_f_q_before_the_degree(capsys, tmp_path):
     # the form is parsed once over F_q: 1/3 in a cubic at q = 3 is refused
-    # for its coefficient, a cubic that parses for its characteristic
+    # for its coefficient, and a cubic that parses for its characteristic
     cubic = tmp_path / "cubic.hs"
     cubic.write_text("1 3 0 0\n1/3 0 3 0\n1 0 0 3\n")
     assert run(capsys, "count-vk", "--input", str(cubic), "--q", "3", "--k", "1") == (
