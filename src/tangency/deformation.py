@@ -20,10 +20,10 @@ smooth X and a line of exact contact k the expected value is 2n - k + 1.
 Two independent routes are kept deliberately: the truncated route
 differentiates an explicitly computed F_k (F.substitute(B, upto=k), then
 regrouped, its partials by pullback_of_partial along the canonical line),
-the direct route never forms F_k and instead pulls back the partials
-dF/dx_j of F itself along the original line and combines them through the
-chain rule, dF'/dy_i = sum_j B[j][i] dF/dx_j: one fields.mat_vec per
-column of B against the partials' coefficients, one row per power of s.
+the direct route never forms F_k and instead takes the partials of
+F' = F(B y) along the canonical line by the chain rule on the original
+line: dF'/dy_i = sum_j B[j][i] dF/dx_j, which for B's columns p, u and
+e_c is sum_j p_j dF/dx_j, sum_j u_j dF/dx_j and dF/dx_c along L.
 Both expand polynomials in the integers of field.lifted, written once in
 forms and pinned against a sympy oracle in the tests, and truncate
 completes p alone with the same completion_matrix.  F_k is one
@@ -32,21 +32,25 @@ leading power of a row of B once.  What the routes keep apart is the
 coordinates and the order of differentiation and truncation, so their
 agreement is still a check.
 
-The direct route reads its partials off a _LineTable: the pullbacks along
+The direct route reads its jets off a _LineTable: the pullbacks along
 L of degree-(d-1) monomials, each the product chain of forms._products
 read at the packed keys of t^(deg-j) s^j.  A degree-d monomial is x_i
 times one of them and a partial of F is a combination of them, so the
-same table gives the conditioning rows of a sampled form and its
-gradient at p, each by integer multiply-adds with one lower per output
-coefficient (% p, or one Fraction).
+same table gives the conditioning rows of a sampled form and the jets of
+F', each by integer multiply-adds with one lower per output coefficient
+(% p, or one Fraction); the p and u jets are dot products of the
+partials' integer numerators with the lifted p and u, lowered with one
+more power of p or of u.  The table also builds B = completion_matrix
+([p, u]) once, and the truncated route substitutes F through that B.
 contact_experiment builds one table per trial, over every degree-(d-1)
-monomial to s^k, for the sampling, its smoothness test and the direct
-route; log_sections and congruence_check build theirs over only the
-monomials F's partials use.  The table keeps the per-index lists of F's
-partials for the last F it was asked about, so the smoothness test and
-the direct route read them off once.  Beyond the table nothing of one
-(F, L, k) is computed twice: a _Jets holds B, the table, the chain-rule
-pullbacks mod s^k and F_k with its partials, and log_sections and
+monomial to s^k, for the sampling, its smoothness test (the s^0 jets,
+B^T times the gradient at p, which vanish just when it does) and the
+direct route; log_sections and congruence_check build theirs over only
+the monomials F's partials use.  The table keeps the per-index lists of
+F's partials for the last F it was asked about, so the smoothness test
+and the direct route read them off once.  Beyond the table nothing of
+one (F, L, k) is computed twice: a _Jets holds the table, the direct
+jets mod s^k and F_k with its partials, and log_sections and
 congruence_check are thin wrappers that build one and hand it to the
 shared section and congruence code; contact_experiment takes the contact
 order from the exact check sample_contact_form already makes.
@@ -153,18 +157,22 @@ class _LineTable:
     to s^top, in the integers of L.field.lifted: rows[m][j] is the integer
     whose lower at (deg - j, j) is the s^j t^(deg-j) coefficient of
     m(t*p + s*u), with p and u lifted once (over QQ their denominators
-    cleared, over F_p the rows unreduced).
+    cleared, over F_p the rows unreduced).  B = completion_matrix([p, u])
+    is the line's basis, built once for both routes.
 
     A degree-(deg+1) monomial is x_i times a row's monomial and so pulls
     back to (p_i t + u_i s) times that row, and a partial dF/dx_j of a
     degree-(deg+1) form is a combination of rows: the conditioning rows of
-    a sampled form, its gradient at p (the s^0 coefficients) and the
-    direct route's partial pullbacks are integer multiply-adds on the
-    table, each output coefficient lowered to the field once.
+    a sampled form and the direct route's jets are integer multiply-adds
+    on the table, each output coefficient lowered to the field once.
     """
 
     def __init__(self, L: LineParam, monos, deg: int, top: int):
         self.field, self.cols = L.field, [L.marked_point(), L.direction()]
+        self.B = completion_matrix(self.cols, self.field)
+        # column i >= 2 of B is the standard vector e_c, c its nonzero row
+        self.standard = [next(c for c, row in enumerate(self.B) if row[i])
+                         for i in range(2, len(self.B))]
         _, (self.p, self.u), self.lower = self.field.lifted({}, self.cols)
         self.deg, self.top = deg, top
         # each monomial's product chain, read at the packed keys of
@@ -194,19 +202,30 @@ class _LineTable:
         return monos, out
 
     def partials(self, terms: dict, width: int) -> list[list]:
-        """The first width s-coefficients along L of dF/dx_j for every j,
-        F the degree-(deg+1) form with these terms: pullback_of_partial
-        for each j, read off the table.
+        """For each column i of B, the first width s-coefficients of
+        dF'/dy_i along the canonical line, F' = F(B y) and F the
+        degree-(deg+1) form with these terms.  By the chain rule these are
+        sum_j p_j dF/dx_j, sum_j u_j dF/dx_j and then dF/dx_c for each
+        standard column e_c, along L.
 
-        The table keeps the parent lists of the last terms dict it was
-        given, so the smoothness test of a sampled F and the direct route
-        on the same F build them once."""
+        The integer numerators N_j[m] of the partials dF/dx_j share the
+        lower at (deg - m, m), so the p and u jets lower their dot products
+        with one more power of p or of u.  The table keeps the parent lists
+        of the last terms dict it was given, so the smoothness test of a
+        sampled F and the direct route on the same F build them once."""
         if self._parents is None or self._parents[0] is not terms:
             self._parents = (terms, self._parent_lists(terms))
         lower, cols = self._parents[1]
         deg = self.deg
-        return [[lower((deg - m, m), sum(map(mul, cs, [r[m] for r in rs])))
-                 for m in range(width)] for cs, rs in cols]
+        nums = [[sum(map(mul, cs, [r[m] for r in rs])) for m in range(width)]
+                for cs, rs in cols]
+        by_power = list(zip(*nums))
+        return ([[lower((deg + 1 - m, m), sum(map(mul, self.p, N)))
+                  for m, N in enumerate(by_power)],
+                 [lower((deg - m, m + 1), sum(map(mul, self.u, N)))
+                  for m, N in enumerate(by_power)]]
+                + [[lower((deg - m, m), a) for m, a in enumerate(nums[c])]
+                   for c in self.standard])
 
     def _parent_lists(self, terms: dict) -> tuple:
         # (lower, [(cs, rs) for each j]): dF/dx_j lowers from the sum of
@@ -226,15 +245,6 @@ def _partials_table(F: HyperForm, L: LineParam, width: int) -> _LineTable:
     # the table over only the monomials F's partials use, to s^(width-1)
     support = {_divided(e, j) for e in F.terms for j, ej in enumerate(e) if ej}
     return _LineTable(L, list(support), F.d - 1, width - 1)
-
-
-def _chain_rule_pullbacks(partials: list[list], B, field) -> list[list]:
-    # pullbacks along the canonical line of the partials of F' = F(B y):
-    # dF'/dy_i = sum_j B[j][i] dF/dx_j evaluated on the original line, so
-    # with row m holding the s^m coefficients of the dF/dx_j, column i of B
-    # times that matrix is the binary form of dF'/dy_i
-    by_power = list(zip(*partials))
-    return [mat_vec(by_power, [row[i] for row in B], field) for i in range(len(B))]
 
 
 @dataclass
@@ -257,31 +267,23 @@ class _Jets:
     """The jets of F along L mod s^k that both routes of one (F, L, k) read,
     each computed on first use and then kept.
 
-    chain is the direct route (partials of F read off the _LineTable of L,
-    combined by the chain rule); fk and fk_partials are the truncated route
-    (F_k and its partials along the canonical line).  Neither is derived
-    from the other, so comparing them stays a check.
+    chain is the direct route (the partials of F(B y) read off the
+    _LineTable of L, B the table's basis); fk and fk_partials are the
+    truncated route (F_k, F substituted through the same B, and its
+    partials along the canonical line).  Neither is derived from the
+    other, so comparing them stays a check.
     """
 
-    def __init__(self, F: HyperForm, L: LineParam, k: int, table: _LineTable):
-        self.F, self.L, self.k, self.table = F, L, k, table
-
-    @cached_property
-    def B(self) -> list:
-        return completion_matrix([self.L.marked_point(), self.L.direction()], self.L.field)
-
-    def direct(self, width: int) -> list[list]:
-        """The chain-rule pullbacks, their first width s-coefficients."""
-        partials = self.table.partials(self.F.terms, width)
-        return _chain_rule_pullbacks(partials, self.B, self.F.field)
+    def __init__(self, F: HyperForm, k: int, table: _LineTable):
+        self.F, self.k, self.table = F, k, table
 
     @cached_property
     def chain(self) -> list[list]:
-        return self.direct(min(self.F.d, self.k))
+        return self.table.partials(self.F.terms, min(self.F.d, self.k))
 
     @cached_property
     def fk(self) -> HyperForm:
-        return _grouped_truncation(self.F.substitute(self.B, upto=self.k), self.k)
+        return _grouped_truncation(self.F.substitute(self.table.B, upto=self.k), self.k)
 
     @cached_property
     def fk_partials(self) -> list[list]:
@@ -304,7 +306,7 @@ def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) 
     _require_contact(F, L, k)
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
-    return _congruence(_Jets(F, L, k, _partials_table(F, L, k)), corrupt)
+    return _congruence(_Jets(F, k, _partials_table(F, L, k)), corrupt)
 
 
 def _corrupted_partials(fk: HyperForm, k: int) -> list[list]:
@@ -370,7 +372,7 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
         raise ValueError("k must be >= 0")
     co = _require_contact(F, L, k)
     table = _partials_table(F, L, F.d if co == CONTAINED else min(F.d, k))
-    return _sections(_Jets(F, L, k, table), co, use_truncation)
+    return _sections(_Jets(F, k, table), co, use_truncation)
 
 
 def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
@@ -379,7 +381,7 @@ def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
     expected: int | None = 2 * F.n - k + 1
     used_truncation = False
     if co == CONTAINED:
-        rows = _sections_matrix(jets.direct(F.d), F.d + 1, f)
+        rows = _sections_matrix(jets.table.partials(F.terms, F.d), F.d + 1, f)
         expected = None
     elif k == 0:
         rows = []
@@ -436,7 +438,7 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
     random kernel vector is a random form with contact >= k; the s^k
     coefficients, one more row, decide whether the contact is exactly k.
 
-    Both the rows and the gradient at p come from table, the _LineTable
+    Both the rows and the smoothness test come from table, the _LineTable
     of the degree-(d-1) monomials along L to s^k (built here if not
     given)."""
     f = L.field
@@ -454,7 +456,8 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
         if f.is_zero(mat_vec([s_k], c, f)[0]):
             continue
         F = HyperForm(n, d, dict(zip(monos, c)), f)
-        # the gradient at p: the s^0 coefficients of the partials along L
+        # smooth at p: the s^0 jets are B^T times the gradient at p, and B
+        # is invertible, so they all vanish just when the gradient does
         if all(f.is_zero(g) for (g,) in table.partials(F.terms, 1)):
             continue
         return F
@@ -494,7 +497,7 @@ class ExperimentSummary:
 def _trial_routes(F: HyperForm, L: LineParam, k: int, table: _LineTable):
     """The direct and truncated sections and the congruence report for a
     sampled (F, L) of exact contact k, from one shared _Jets on table."""
-    jets = _Jets(F, L, k, table)
+    jets = _Jets(F, k, table)
     return _sections(jets, k, False), _sections(jets, k, True), _congruence(jets)
 
 
@@ -503,12 +506,14 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
     and verify Euler membership, the congruence, agreement of the truncated
     and direct section systems, and the h0 = 2n-k+1 expectation.
 
-    A trial computes each exact object once: one _LineTable (the
-    conditioning rows, the gradient at p and the direct route's partials),
-    the contact order from the check that sampling makes (no contact_order
-    call), and one _Jets (B, the chain-rule pullbacks mod s^k, F_k and its
-    partials) that both section systems and the congruence read.  The direct and truncated routes stay separate computations, so
-    routes_agree and congruence_ok still compare independent results.
+    A trial computes each exact object once: one _LineTable (B, the
+    conditioning rows and the direct route's jets, whose s^0 coefficients
+    are the smoothness test), the contact order from the check that
+    sampling makes (no contact_order call), and one _Jets (the direct jets
+    mod s^k, F_k and its partials) that both section systems and the
+    congruence read.  The direct and truncated routes stay separate
+    computations, so routes_agree and congruence_ok still compare
+    independent results.
     routes_agree compares the two kernel_basis lists as they are: each is
     canonical for its kernel (see the module docstring), so equal lists
     mean equal section spaces, not only equal dimensions.

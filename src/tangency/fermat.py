@@ -10,24 +10,22 @@ Roots live in the exact ring Z[z]/(z^d + 1), z a formal primitive 2d-th
 root of unity; the d-th roots of -1 are the odd powers z^(2e+1), e in
 [0, d).  The ring can have zero divisors (z^d + 1 factors for most d), so
 plane distinctness is by canonical defining data, and independence is
-certified by a 3x3 minor that is a unit monomial +-z^e rather than by rank
-over a field.  For the constructed planes that minor is the identity at the
-pairs' first columns; an arbitrary spanning set is searched for one.
+certified by a 3x3 minor that is a unit rather than by rank over a field:
+for the constructed planes that minor is the identity at the pairs' first
+columns.
 The substitution is forms.expand in Python ints: RootRing.lifted packs
 each element by Kronecker substitution (Harvey, J. Symb. Comp. 2009) with
 a digit width B worked out from the inputs, and reads each output back
 mod 2^(B*d) + 1, where z^d = -1 (as in Schonhage and Strassen, 1971).
 
 verify_plane checks membership of an arbitrary plane (three spanning
-points) in an arbitrary hypersurface by generic substitution; it works
-over the prime fields and rationals too, where independence falls back
-to ordinary rank.
+points) in a hypersurface over a prime field or the rationals by generic
+substitution, after checking by rank that the points are independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 
 from .fields import matrix_rank
@@ -114,10 +112,6 @@ class RootRing:
         return ({e: pack(c) for e, c in terms.items()},
                 [[pack(a) for a in col] for col in cols], lower)
 
-    def is_unit_monomial(self, a: tuple) -> bool:
-        nz = [x for x in a if x]
-        return len(nz) == 1 and nz[0] in (1, -1)
-
 
 def pairings_of_six() -> list[tuple[tuple[int, int], ...]]:
     """The 15 ways to split {0..5} into three unordered pairs."""
@@ -168,33 +162,13 @@ class FermatPlane:
         }
 
 
-def _certify_independent(points: list, ring) -> None:
-    if hasattr(ring, "inv"):
-        rows = [list(p) for p in points]
-        if matrix_rank(rows, len(points[0]), ring) != 3:
-            raise ValueError("spanning set is dependent: not a plane")
-        return
-    # no division: exhibit a 3x3 minor that is a unit monomial, expanding
-    # each along its first row
-    for cols in combinations(range(len(points[0])), 3):
-        m = [[pt[c] for c in cols] for pt in points]
-        det = ring.zero
-        for k in range(3):
-            a, b = (c for c in range(3) if c != k)
-            term = ring.mul(m[0][k], ring.sub(ring.mul(m[1][a], m[2][b]),
-                                              ring.mul(m[1][b], m[2][a])))
-            det = ring.sub(det, term) if k == 1 else ring.add(det, term)
-        if ring.is_unit_monomial(det):
-            return
-    raise ValueError("cannot certify the spanning set is independent over the ring")
-
-
 def verify_plane(F: HyperForm, points: list) -> bool:
     """Is the plane spanned by three independent points contained in {F = 0}?
 
     Raises if the points do not actually span a plane.
     """
-    _certify_independent(points, F.field)
+    if matrix_rank([list(p) for p in points], len(points[0]), F.field) != 3:
+        raise ValueError("spanning set is dependent: not a plane")
     return not expand(F.terms, points, F.field)
 
 

@@ -269,12 +269,11 @@ class HyperForm:
                              f"got {len(point)}")
         return [self.field.of(x) for x in point]
 
-    def pullback(self, line: LineParam, upto: int | None = None) -> list:
-        """Restriction F(L(s,t)) as a binary form; upto truncates the s-degree."""
+    def pullback(self, line: LineParam) -> list:
+        """Restriction F(L(s,t)) as a binary form."""
         if line.n != self.n:
             raise ValueError(f"line in P^{line.n} cannot pull back a form on P^{self.n}")
-        width = self.d + 1 if upto is None else min(self.d + 1, upto)
-        return _along_line(self.terms, self.d, line, width)
+        return _along_line(self.terms, self.d, line, self.d + 1)
 
     def substitute(self, B, upto: int | None = None) -> "HyperForm":
         """Linear change of coordinates x_i = sum_j B[i][j] * y_j.

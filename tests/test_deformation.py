@@ -13,7 +13,6 @@ from tangency import deformation
 from tangency.deformation import (
     CONTAINED,
     TrialRecord,
-    _chain_rule_pullbacks,
     _corrupted_partials,
     _Jets,
     _LineTable,
@@ -29,7 +28,7 @@ from tangency.deformation import (
     sample_line,
     truncate,
 )
-from tangency.fields import QQ, PrimeField, kernel_basis, matrix_rank, row_reduce
+from tangency.fields import QQ, PrimeField, kernel_basis, mat_vec, row_reduce
 from tangency.forms import (
     HyperForm,
     LineParam,
@@ -232,7 +231,7 @@ def test_conditioning_rows_match_per_monomial_pullbacks(case):
     for k in range(1, d + 1):
         monos, rows = _LineTable(L, monomials(L.n, d - 1), d - 1, k).conditioning_rows()
         assert monos == monomials(L.n, d)
-        cols = [HyperForm(L.n, d, {e: f.one}, f).pullback(L, upto=k + 1) for e in monos]
+        cols = [HyperForm(L.n, d, {e: f.one}, f).pullback(L)[:k + 1] for e in monos]
         assert rows == [[col[m] for col in cols] for m in range(k + 1)]
 
 
@@ -451,7 +450,7 @@ def test_completion_matrix_equals_the_searched_bases(case):
 
 
 # the chain rule one scaled binary form at a time: the reference for
-# _chain_rule_pullbacks, which takes it as one mat_vec per column of B
+# _LineTable.partials, which takes it in the table's integers
 
 
 def _binary_add(a, b, field):
@@ -490,23 +489,18 @@ def chain_rule_cases(draw):
     F = HyperForm(n, d, {e: field.random(rng) for e in monomials(n, d)
                          if rng.random() < 0.5}, field)
     L = sample_line(n, field, rng)
-    if draw(st.booleans()):
-        B = completion_matrix([L.marked_point(), L.direction()], field)
-    else:
-        while True:
-            B = [[field.random(rng) for _ in range(n + 1)] for _ in range(n + 1)]
-            if matrix_rank(B, n + 1, field) == n + 1:
-                break
-    return F, L, B, upto
+    return F, L, upto
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chain_rule_cases())
 def test_chain_rule_equals_the_binary_form_loop(case):
-    F, L, B, upto = case
+    F, L, upto = case
     width = F.d if upto is None else min(F.d, upto)
-    got = _chain_rule_pullbacks(_partials_table(F, L, width).partials(F.terms, width),
-                                B, F.field)
+    B = completion_matrix([L.marked_point(), L.direction()], F.field)
+    table = _partials_table(F, L, width)
+    assert table.B == B
+    got = table.partials(F.terms, width)
     want = _chain_rule_by_binary_forms(F, L, B, upto)
     assert repr(got) == repr(want)
 
@@ -566,17 +560,19 @@ def test_line_table_equals_the_expansions_it_replaces(label, kind):
         n, d = F.n, F.d
         if kind == "contained":
             assert contact_order(F, L) == CONTAINED
-        want = [pullback_of_partial(F, j, L) for j in range(n + 1)]
+        B = completion_matrix([L.marked_point(), L.direction()], F.field)
+        want = _chain_rule_by_binary_forms(F, L, B)
         # the public routes' table, over the monomials F's partials use
         sparse = _partials_table(F, L, d)
         assert repr(sparse.partials(F.terms, d)) == repr(want)
+        # the s^0 jets are B^T times the gradient at p
+        grad = mat_vec([list(col) for col in zip(*B)], F.gradient(L.marked_point()), F.field)
         # contact_experiment's table, over every degree-(d-1) monomial
         for k in range(1, d + 1):
             full = _LineTable(L, monomials(n, d - 1), d - 1, k)
             assert repr(full.partials(F.terms, min(d, k + 1))) == repr(
                 [w[:k + 1] for w in want])
-            assert repr([g for (g,) in full.partials(F.terms, 1)]) == repr(
-                F.gradient(L.marked_point()))
+            assert repr([g for (g,) in full.partials(F.terms, 1)]) == repr(grad)
             assert repr(full.conditioning_rows()) == repr(_expanded_conditioning_rows(L, d, k))
 
 

@@ -2,9 +2,11 @@
 products, and the degree pairing."""
 
 import random
+from math import comb
 
 import pytest
 
+from tangency.cli import parse_expression
 from tangency.dpoly import DPoly
 from tangency.schubert import (
     INHOMOGENEOUS,
@@ -107,6 +109,39 @@ def test_catalan_degrees():
         for _ in range(2 * (n - 1)):
             p = mult(p, sigma(n, 1))
         assert degree(p) == DPoly.const(c)
+
+
+
+def standard_tableaux(m, n):
+    # the terms of sigma_1^m on G(1, n): sigma_(a,b), a + b = m and
+    # a <= n-1, with coefficient f^(a,b) = C(m, b)(a-b+1)/(a+1), the number
+    # of standard tableaux of shape (a, b); a Pieri path only grows a, so
+    # it never leaves the box on the way to a shape inside it
+    out = {}
+    for b in range(m // 2 + 1):
+        a = m - b
+        if a <= n - 1:
+            f, r = divmod(comb(m, b) * (a - b + 1), a + 1)
+            assert r == 0
+            out[(a, b)] = DPoly.const(f)
+    return out
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_powers_of_sigma_1_count_standard_tableaux_at_large_n(n):
+    p, s1 = SchubertElt.one(n), sigma(n, 1)
+    assert p.terms == standard_tableaux(0, n)
+    for m in range(1, 2 * (n - 1) + 1):
+        p = mult(p, s1)
+        assert p.terms == standard_tableaux(m, n), m
+
+
+@pytest.mark.parametrize("m", [59, 118])
+def test_parsed_power_of_sigma_1_counts_standard_tableaux(m):
+    # square-and-multiply and the symbolic budget on the way
+    x = parse_expression(f"s[1]^{m}", 60)
+    assert set(x.terms) == {(0, 0)}
+    assert x.terms[(0, 0)].terms == standard_tableaux(m, 60)
 
 
 def test_duality_pairing():
