@@ -38,22 +38,19 @@ read at the packed keys of t^(deg-j) s^j.  A degree-d monomial is x_i
 times one of them and a partial of F is a combination of them, so the
 same table gives the conditioning rows of a sampled form and the jets of
 F', each by integer multiply-adds with one lower per output coefficient
-(% p, or one Fraction); the p and u jets are dot products of the
-partials' integer numerators with the lifted p and u, lowered with one
-more power of p or of u.  The table also builds B = completion_matrix
-([p, u]) once, and the truncated route substitutes F through that B.
+(% p, or one Fraction).  The table also builds B once, for both routes.
 contact_experiment builds one table per trial, over every degree-(d-1)
-monomial to s^k, for the sampling, its smoothness test (the s^0 jets,
-B^T times the gradient at p, which vanish just when it does) and the
-direct route; log_sections and congruence_check build theirs over only
-the monomials F's partials use.  The table keeps the per-index lists of
-F's partials for the last F it was asked about, so the smoothness test
-and the direct route read them off once.  Beyond the table nothing of
-one (F, L, k) is computed twice: a _Jets holds the table, the direct
-jets mod s^k and F_k with its partials, and log_sections and
-congruence_check are thin wrappers that build one and hand it to the
-shared section and congruence code; contact_experiment takes the contact
-order from the exact check sample_contact_form already makes.
+monomial to s^k, for the sampling, its smoothness test (the s^0 jets)
+and the direct route; log_sections and congruence_check build theirs
+over only the monomials F's partials use.  The table keeps the per-index
+lists of F's partials for the last F it was asked about, so the
+smoothness test and the direct route read them off once.  Beyond the
+table nothing of one (F, L, k) is computed twice: a _Jets holds the
+table, the direct jets mod s^k and F_k with its partials, and
+log_sections and congruence_check are thin wrappers that build one and
+hand it to the shared section and congruence code; contact_experiment
+takes the contact order from the exact check sample_contact_form
+already makes.
 
 The routes agree when their section systems have the same kernel, and
 that is equality of the two kernel_basis lists: the basis is read off the
@@ -204,15 +201,15 @@ class _LineTable:
     def partials(self, terms: dict, width: int) -> list[list]:
         """For each column i of B, the first width s-coefficients of
         dF'/dy_i along the canonical line, F' = F(B y) and F the
-        degree-(deg+1) form with these terms.  By the chain rule these are
-        sum_j p_j dF/dx_j, sum_j u_j dF/dx_j and then dF/dx_c for each
-        standard column e_c, along L.
+        degree-(deg+1) form with these terms: by the chain rule, sum_j p_j
+        dF/dx_j, sum_j u_j dF/dx_j and dF/dx_c for each column e_c, along
+        L.  The partials' integer numerators share one lower per power of
+        s, and their dot products with p and u lower with one more power
+        of p or of u.
 
-        The integer numerators N_j[m] of the partials dF/dx_j share the
-        lower at (deg - m, m), so the p and u jets lower their dot products
-        with one more power of p or of u.  The table keeps the parent lists
-        of the last terms dict it was given, so the smoothness test of a
-        sampled F and the direct route on the same F build them once."""
+        The table keeps the parent lists of the last terms dict it was
+        given, so the smoothness test of a sampled F and the direct route
+        on the same F build them once."""
         if self._parents is None or self._parents[0] is not terms:
             self._parents = (terms, self._parent_lists(terms))
         lower, cols = self._parents[1]
