@@ -17,40 +17,40 @@ sum_i b_i * dF_k/dy_i(a) = 0 mod s^k: a linear system over the base field
 whose kernel dimension (minus the Euler redundancy) is h0.  For a general
 smooth X and a line of exact contact k the expected value is 2n - k + 1.
 
-Two independent routes are kept deliberately: the truncated route
-differentiates an explicitly computed F_k (F.substitute(B, upto=k), then
-regrouped, its partials by pullback_of_partial along the canonical line),
-the direct route never forms F_k and instead takes the partials of
-F' = F(B y) along the canonical line by the chain rule on the original
-line: dF'/dy_i = sum_j B[j][i] dF/dx_j, which for B's columns p, u and
-e_c is sum_j p_j dF/dx_j, sum_j u_j dF/dx_j and dF/dx_c along L.
-Both expand polynomials in the integers of field.lifted, written once in
-forms and pinned against a sympy oracle in the tests, and truncate
-completes p alone with the same completion_matrix.  F_k is one
-forms.expand of F through B, whose Horner walk multiplies each shared
-leading power of a row of B once.  What the routes keep apart is the
+Two independent routes are kept deliberately.  The truncated route
+differentiates an explicit F_k along the canonical line (by
+pullback_of_partial).  The direct route never forms F_k: it takes the
+partials of F' = F(B y) by the chain rule on L, dF'/dy_i = sum_j B[j][i]
+dF/dx_j, which for B's columns p, u and e_c is sum_j p_j dF/dx_j, sum_j
+u_j dF/dx_j and dF/dx_c along L.  What the routes keep apart is the
 coordinates and the order of differentiation and truncation, so their
-agreement is still a check.
+agreement is still a check.  F_k is formed in one place, _truncation,
+for truncate (B completes p alone) and for the truncated route: one
+forms.expand of F through B, cut at order k.  It is priced first, from
+F's terms, the nonzero entries of B's rows, n and k, and refused past
+TRUNCATION_BUDGET before anything expands.
 
-The direct route reads its jets off a _LineTable: the pullbacks along
-L of degree-(d-1) monomials, each the product chain of forms._products
-read at the packed keys of t^(deg-j) s^j.  A degree-d monomial is x_i
-times one of them and a partial of F is a combination of them, so the
-same table gives the conditioning rows of a sampled form and the jets of
-F', each by integer multiply-adds with one lower per output coefficient
-(% p, or one Fraction).  The table also builds B once, for both routes.
-contact_experiment builds one table per trial, over every degree-(d-1)
-monomial to s^k, for the sampling, its smoothness test (the s^0 jets)
-and the direct route; log_sections and congruence_check build theirs
-over only the monomials F's partials use.  The table keeps the per-index
-lists of F's partials for the last F it was asked about, so the
-smoothness test and the direct route read them off once.  Beyond the
-table nothing of one (F, L, k) is computed twice: a _Jets holds the
-table, the direct jets mod s^k and F_k with its partials, and
-log_sections and congruence_check are thin wrappers that build one and
-hand it to the shared section and congruence code; contact_experiment
-takes the contact order from the exact check sample_contact_form
-already makes.
+The direct route reads its jets off a _LineTable: the pullbacks along L
+of degree-(d-1) monomials, each the product chain of forms._products read
+at the packed keys of t^(deg-j) s^j.  A partial of F is a combination of
+them and a degree-d monomial is x_i times one, so the table gives the
+jets of F' and the conditioning rows of a sampled form by integer
+multiply-adds, one lower per output coefficient (% p, or one Fraction).
+It also holds B, which the truncated route reads wherever a table is
+built anyway.  contact_experiment builds one table per trial, over every
+degree-(d-1) monomial to s^k, for the sampling, its smoothness test (the
+s^0 jets) and the direct route.  log_sections and congruence_check build
+theirs over only the monomials F's partials use (_partials_table), so
+their work follows the size of F: all C(n+d-1, n) monomials would be
+chains a sparse form of high degree never reads.  The table keeps the
+parent lists of the last F it was asked about, which the smoothness test
+and the direct route share.
+
+Nothing of one (F, L, k) is computed twice, and the jets are passed
+explicitly: each entry point forms the ones it needs once, and
+_trial_routes hands each route's jets to its section system and both to
+_congruence.  contact_experiment takes the contact order from the exact
+check sample_contact_form makes.
 
 The routes agree when their section systems have the same kernel, and
 that is equality of the two kernel_basis lists: the basis is read off the
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from math import comb, prod
 from operator import mul
 
 from .fields import (
@@ -84,6 +84,10 @@ from .forms import (
 
 CONTAINED = "contained"
 SAMPLE_TRIES = 400   # kernel vectors sample_contact_form draws before it gives up
+# the terms an order-k truncation may form, by _truncation_price: the
+# family x0*x1*...*xn at (0, 1, ..., 1) with k = n + 1 takes about 1 us a
+# priced term over QQ on a 2-core Xeon, so about 9 s at this limit
+TRUNCATION_BUDGET = 2 ** 23
 
 
 def contact_order(F: HyperForm, L: LineParam):
@@ -113,16 +117,35 @@ def canonical_line(n: int, field) -> LineParam:
     return LineParam(rows, field)
 
 
-def _grouped_truncation(Fp: HyperForm, k: int) -> HyperForm:
-    # Fp is F in coordinates where the marked point is e0, already cut to
-    # order <= k there; homogenize its graded pieces to degree k
-    out: dict[tuple[int, ...], object] = {}
-    for e, c in Fp.terms.items():
-        j = Fp.d - e[0]
+def _truncation_price(F: HyperForm, B, k: int) -> int:
+    # an upper bound on the terms expand forms for F(B y) cut at order k:
+    # row i of B has r_i nonzero entries, so lin_i^a has at most
+    # C(a + r_i - 1, a) terms and a product over a term x^e at most
+    # prod_i C(e_i + r_i - 1, e_i); no product has more than the C(n + k, k)
+    # monomials of order <= k, and a term takes at most d products
+    f = F.field
+    rs = [sum(not f.is_zero(b) for b in row) for row in B]
+    cap = comb(F.n + k, k)
+    return F.d * sum(min(prod(comb(a + r - 1, a) for a, r in zip(e, rs) if a), cap)
+                     for e in F.terms)
+
+
+def _truncation(F: HyperForm, B, k: int) -> HyperForm:
+    # F_k in the coordinates x = B y: F(B y) cut to order <= k at the point
+    # e0 (column 0 of B), its graded pieces homogenized to degree k; refused
+    # before it expands when its price passes the budget.  The price is at
+    # most d |F| C(n + k, k), which takes no per-term work to check
+    if (F.d * len(F.terms) * comb(F.n + k, k) > TRUNCATION_BUDGET
+            and (price := _truncation_price(F, B, k)) > TRUNCATION_BUDGET):
+        raise ValueError(f"the order-{k} truncation could form up to 2^{price.bit_length()} "
+                         f"terms, over the budget of 2^{TRUNCATION_BUDGET.bit_length() - 1}")
+    out = {}
+    for e, c in F.substitute(B, upto=k).terms.items():
+        j = F.d - e[0]
         if j == 0:
             raise ValueError("form does not vanish at the marked point")
         out[(k - j,) + e[1:]] = c
-    return HyperForm(Fp.n, k, out, Fp.field)
+    return HyperForm(F.n, k, out, F.field)
 
 
 @dataclass
@@ -141,7 +164,7 @@ def truncate(F: HyperForm, point, k: int) -> Truncation:
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
     B = completion_matrix([point], f)
-    return Truncation(_grouped_truncation(F.substitute(B, upto=k), k), B, k)
+    return Truncation(_truncation(F, B, k), B, k)
 
 
 def _divided(e: tuple, j: int) -> tuple:
@@ -260,33 +283,6 @@ def _require_contact(F: HyperForm, L: LineParam, k: int):
     return co
 
 
-class _Jets:
-    """The jets of F along L mod s^k that both routes of one (F, L, k) read,
-    each computed on first use and then kept.
-
-    chain is the direct route (the partials of F(B y) read off the
-    _LineTable of L, B the table's basis); fk and fk_partials are the
-    truncated route (F_k, F substituted through the same B, and its
-    partials along the canonical line).  Neither is derived from the
-    other, so comparing them stays a check.
-    """
-
-    def __init__(self, F: HyperForm, k: int, table: _LineTable):
-        self.F, self.k, self.table = F, k, table
-
-    @cached_property
-    def chain(self) -> list[list]:
-        return self.table.partials(self.F.terms, min(self.F.d, self.k))
-
-    @cached_property
-    def fk(self) -> HyperForm:
-        return _grouped_truncation(self.F.substitute(self.table.B, upto=self.k), self.k)
-
-    @cached_property
-    def fk_partials(self) -> list[list]:
-        return _canonical_partials(self.fk, self.k)
-
-
 def _canonical_partials(fk: HyperForm, k: int) -> list[list]:
     Lc = canonical_line(fk.n, fk.field)
     return [pullback_of_partial(fk, i, Lc, upto=k) for i in range(fk.n + 1)]
@@ -303,27 +299,28 @@ def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) 
     _require_contact(F, L, k)
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
-    return _congruence(_Jets(F, k, _partials_table(F, L, k)), corrupt)
+    table = _partials_table(F, L, k)
+    fk = _truncation(F, table.B, k)
+    truncated = _canonical_partials(_corrupted(fk, k) if corrupt else fk, k)
+    return _congruence(table.partials(F.terms, k), truncated, k, F.field, corrupt)
 
 
-def _corrupted_partials(fk: HyperForm, k: int) -> list[list]:
+def _corrupted(fk: HyperForm, k: int) -> HyperForm:
     # the fault congruence_check injects: F_k + y0^(k-1) y1, whose
     # y1-partial along the canonical line gains 1 at s^0
     f = fk.field
     bump = (k - 1, 1) + (0,) * (fk.n - 1)
     terms = dict(fk.terms)
     terms[bump] = f.add(terms.get(bump, f.zero), f.one)
-    return _canonical_partials(HyperForm(fk.n, fk.d, terms, f), k)
+    return HyperForm(fk.n, fk.d, terms, f)
 
 
-def _congruence(jets: _Jets, corrupt: bool = False) -> CongruenceReport:
-    k = jets.k
-    f = jets.F.field
-    rhs = _corrupted_partials(jets.fk, k) if corrupt else jets.fk_partials
+def _congruence(direct: list[list], truncated: list[list], k: int, f,
+                corrupt: bool = False) -> CongruenceReport:
     # multiplying by a0^(d-k) = t^(d-k) shifts no s-exponents, so the
     # comparison mod s^k is coefficientwise on the first k entries
-    per = [all(f.is_zero(f.sub(a, b)) for a, b in zip(lhs, rh))
-           for lhs, rh in zip(jets.chain, rhs)]
+    per = [all(f.is_zero(f.sub(a, b)) for a, b in zip(lhs, rhs))
+           for lhs, rhs in zip(direct, truncated)]
     return CongruenceReport(k, per, all(per), corrupt)
 
 
@@ -368,25 +365,23 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     if k < 0:
         raise ValueError("k must be >= 0")
     co = _require_contact(F, L, k)
-    table = _partials_table(F, L, F.d if co == CONTAINED else min(F.d, k))
-    return _sections(_Jets(F, k, table), co, use_truncation)
+    truncated = use_truncation and co != CONTAINED and k > 0
+    if truncated:
+        B = completion_matrix([L.marked_point(), L.direction()], F.field)
+        jets = _canonical_partials(_truncation(F, B, k), k)
+    else:   # a line of finite contact co >= k has k <= d
+        width = F.d if co == CONTAINED else k
+        jets = _partials_table(F, L, width).partials(F.terms, width)
+    return _sections(F, k, co, jets, truncated)
 
 
-def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
-    F, k = jets.F, jets.k
+def _sections(F: HyperForm, k: int, co, jets: list[list], truncated: bool) -> DeformationSpace:
+    # the sections against the binary forms jets: mod s^k, or the full
+    # identity in all d + 1 s-degrees on a contained line
     f = F.field
-    expected: int | None = 2 * F.n - k + 1
-    used_truncation = False
-    if co == CONTAINED:
-        rows = _sections_matrix(jets.table.partials(F.terms, F.d), F.d + 1, f)
-        expected = None
-    elif k == 0:
-        rows = []
-    elif use_truncation:
-        rows = _sections_matrix(jets.fk_partials, k, f)
-        used_truncation = True
-    else:
-        rows = _sections_matrix(jets.chain, k, f)
+    contained = co == CONTAINED
+    rows = _sections_matrix(jets, F.d + 1 if contained else k, f)
+    expected = None if contained else 2 * F.n - k + 1
 
     ncols = 2 * (F.n + 1)
     kern = kernel_basis(rows, ncols, f)   # rows == [] gives the identity basis
@@ -408,7 +403,7 @@ def _sections(jets: _Jets, co, use_truncation: bool) -> DeformationSpace:
         expected_h0=expected,
         matches=(None if expected is None else h0 == expected),
         euler_in_kernel=euler_ok,
-        truncated=used_truncation,
+        truncated=truncated,
         basis=kern,
     )
 
@@ -493,9 +488,13 @@ class ExperimentSummary:
 
 def _trial_routes(F: HyperForm, L: LineParam, k: int, table: _LineTable):
     """The direct and truncated sections and the congruence report for a
-    sampled (F, L) of exact contact k, from one shared _Jets on table."""
-    jets = _Jets(F, k, table)
-    return _sections(jets, k, False), _sections(jets, k, True), _congruence(jets)
+    sampled (F, L) of exact contact k <= d: the direct jets off table and
+    the partials of F_k through table.B, each formed once and read by both
+    the section system of its route and the congruence."""
+    direct = table.partials(F.terms, k)
+    truncated = _canonical_partials(_truncation(F, table.B, k), k)
+    return (_sections(F, k, k, direct, False), _sections(F, k, k, truncated, True),
+            _congruence(direct, truncated, k, F.field))
 
 
 def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> ExperimentSummary:
@@ -506,9 +505,9 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
     A trial computes each exact object once: one _LineTable (B, the
     conditioning rows and the direct route's jets, whose s^0 coefficients
     are the smoothness test), the contact order from the check that
-    sampling makes (no contact_order call), and one _Jets (the direct jets
-    mod s^k, F_k and its partials) that both section systems and the
-    congruence read.  The direct and truncated routes stay separate
+    sampling makes (no contact_order call), and F_k with its partials;
+    _trial_routes hands each list of jets to its section system and both
+    to the congruence.  The direct and truncated routes stay separate
     computations, so routes_agree and congruence_ok still compare
     independent results.
     routes_agree compares the two kernel_basis lists as they are: each is

@@ -326,7 +326,8 @@ def pullback_of_partial(F: HyperForm, i: int, line: LineParam, upto: int | None 
     """Restriction of dF/dx_i to a line, as a binary form of degree d-1.
 
     Works for any d >= 1 (a linear form's partial is a constant, which a
-    HyperForm cannot carry), so every jet computation routes through here.
+    HyperForm cannot carry).  Of deformation's two routes, only the
+    truncated one takes its jets here.
     """
     width = F.d if upto is None else min(F.d, upto)
     return _along_line(_derivative_terms(F, i), F.d - 1, line, width)

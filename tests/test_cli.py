@@ -495,6 +495,19 @@ def test_count_vk_singular_points_beyond_the_budget_exit_2(capsys, tmp_path):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_deform_truncate_beyond_the_budget_exit_2(capsys, tmp_path):
+    # x0 x1 ... x40 truncated at (0, 1, ..., 1) to order 41 would keep 2^39 terms
+    form = tmp_path / "x40.hs"
+    form.write_text("1" + " 1" * 41 + "\n")
+    began = time.perf_counter()
+    code, out, err = run(capsys, "deform", "truncate", "--form", str(form),
+                         "--point", "0" + ",1" * 40, "--k", "41")
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the order-41 truncation could form up to 2^45 terms, "
+                   "over the budget of 2^23\n")
+
+
 def test_fermat_planes_degree_limit_exit_2(capsys):
     began = time.perf_counter()
     code, out, err = run(capsys, "fermat-planes", "--d", "60")

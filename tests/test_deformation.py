@@ -3,6 +3,7 @@ space dimensions h0 = 2n-k+1."""
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from tangency import deformation
 from tangency.deformation import (
     CONTAINED,
+    TRUNCATION_BUDGET,
     TrialRecord,
-    _corrupted_partials,
-    _Jets,
+    _corrupted,
     _LineTable,
     _partials_table,
     _trial_routes,
+    _truncation_price,
     canonical_line,
     completion_matrix,
     congruence_check,
@@ -364,6 +366,63 @@ def test_truncations_are_pinned():
     assert h.hexdigest() == "8fe61cbd763f69dabd0b92b44758aca8de5c7cdda9c093e9827a198632d9219c"
 
 
+def _product_form(n):
+    # x0 x1 ... xn: truncated at (0, 1, ..., 1) to k = n + 1 it keeps
+    # 2^(n-1) terms, and its price is (n + 1) 2^(n-1)
+    return HyperForm(n, n + 1, {(1,) * (n + 1): 1}, QQ)
+
+
+def test_truncation_past_the_budget_is_refused_before_it_expands(monkeypatch):
+    def expanded(*args, **kwargs):
+        raise AssertionError("F_k was expanded")
+
+    monkeypatch.setattr(HyperForm, "substitute", expanded)
+    began = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^the order-41 truncation could form up to 2\^45 "
+                                         r"terms, over the budget of 2\^23$"):
+        truncate(_product_form(40), [0] + [1] * 40, 41)
+    # the truncated route of log_sections and congruence_check: x0^20 x1 ... x40
+    # has contact 20 along p + s e0, p = (0, 1, ..., 1)
+    F = HyperForm(40, 60, {(20,) + (1,) * 40: 1}, QQ)
+    L = LineParam.from_point_direction([0] + [1] * 40, [1] + [0] * 40, QQ)
+    for route in (log_sections, congruence_check):
+        with pytest.raises(ValueError, match="over the budget"):
+            route(F, L, 20)
+    assert time.perf_counter() - began < 1
+    # the direct route never forms F_k, and answers
+    assert log_sections(F, L, 20, use_truncation=False).contact == 20
+
+
+def test_truncation_budget_admits_the_product_form_to_n_19():
+    def price(n):
+        return _truncation_price(_product_form(n), completion_matrix([[0] + [1] * n], QQ), n + 1)
+
+    assert price(19) == 20 * 2 ** 18 <= TRUNCATION_BUDGET < price(20) == 21 * 2 ** 19
+    assert len(truncate(_product_form(12), [0] + [1] * 12, 13).form.terms) == 2 ** 11
+
+
+def test_truncation_price_is_at_least_the_terms_of_the_result():
+    for label in ("QQ", "F7", "F101"):
+        field = FIELDS[label]
+        rng = random.Random(f"truncation price {label}")
+        for _ in range(25):
+            n = rng.randint(1, 5)
+            d = rng.randint(1, 6)
+            share = rng.choice((0.2, 1.0))
+            F = HyperForm(n, d, {e: field.random(rng) for e in monomials(n, d)
+                                 if rng.random() < share}, field)
+            # half the coordinates of p and u zero, so that B's rows are sparse
+            p, u = ([field.random(rng) if rng.random() < 0.5 else field.zero
+                     for _ in range(n + 1)] for _ in range(2))
+            p[rng.randrange(n + 1)] = field.one
+            bases = [completion_matrix([p], field)]
+            if _some_minor_is_nonzero(p, u, field):
+                bases.append(completion_matrix([p, u], field))
+            for B in bases:
+                for k in range(d + 1):
+                    assert _truncation_price(F, B, k) >= len(F.substitute(B, upto=k).terms)
+
+
 # the searches that completed a point, and a line (p, u), to a basis before
 # completion_matrix took the pivots from row_reduce: the reference for it
 
@@ -506,11 +565,12 @@ def test_chain_rule_equals_the_binary_form_loop(case):
 
 
 def test_contact_experiment_detects_a_corrupted_truncated_route(monkeypatch):
-    # every trial's truncated route reads the corrupted partials: the
-    # sections and the congruence both disagree with the direct route,
-    # while the dimensions, and so h0 and matched, do not change
-    monkeypatch.setattr(_Jets, "fk_partials",
-                        property(lambda jets: _corrupted_partials(jets.fk, jets.k)))
+    # every trial's truncated route reads a corrupted F_k: the sections and
+    # the congruence both disagree with the direct route, while the
+    # dimensions, and so h0 and matched, do not change
+    truncation = deformation._truncation
+    monkeypatch.setattr(deformation, "_truncation",
+                        lambda F, B, k: _corrupted(truncation(F, B, k), k))
     summary = contact_experiment(20, seed=5)
     assert summary.route_disagreements == 20
     assert summary.congruence_failures == 20
