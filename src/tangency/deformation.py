@@ -26,9 +26,10 @@ u_j dF/dx_j and dF/dx_c along L.  What the routes keep apart is the
 coordinates and the order of differentiation and truncation, so their
 agreement is still a check.  F_k is formed in one place, _truncation,
 for truncate (B completes p alone) and for the truncated route: one
-forms.expand of F through B, cut at order k.  It is priced first, from
-F's terms, the nonzero entries of B's rows, n and k, and refused past
-TRUNCATION_BUDGET before anything expands.
+forms.expand of F through B, cut at order k.  It is priced first by
+forms._expand_steps, which walks F's exponents as expand's Horner walk
+does with bounds from the nonzero entries of B's rows, n and k, and
+refused past TRUNCATION_BUDGET before anything expands.
 
 The direct route reads its jets off a _LineTable: the pullbacks along L
 of degree-(d-1) monomials, each the product chain of forms._products read
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from math import comb, prod
 from operator import mul
 
 from .fields import (
@@ -76,6 +76,7 @@ from .fields import (
 from .forms import (
     HyperForm,
     LineParam,
+    _expand_steps,
     _products,
     monomials,
     pullback_of_partial,
@@ -84,10 +85,11 @@ from .forms import (
 
 CONTAINED = "contained"
 SAMPLE_TRIES = 400   # kernel vectors sample_contact_form draws before it gives up
-# the terms an order-k truncation may form, by _truncation_price: the
-# family x0*x1*...*xn at (0, 1, ..., 1) with k = n + 1 takes about 1 us a
-# priced term over QQ on a 2-core Xeon, so about 9 s at this limit
-TRUNCATION_BUDGET = 2 ** 23
+# the steps an order-k truncation may take, by forms._expand_steps: over QQ
+# on a 2-core Xeon a priced step took 0.09 to 0.55 us on the forms timed
+# (0.55 us on x0*x1*...*xn at (0, 1, ..., 1) with k = n + 1, priced at
+# about its steps), so about 9 s at most at this limit
+TRUNCATION_BUDGET = 2 ** 24
 
 
 def contact_order(F: HyperForm, L: LineParam):
@@ -117,28 +119,14 @@ def canonical_line(n: int, field) -> LineParam:
     return LineParam(rows, field)
 
 
-def _truncation_price(F: HyperForm, B, k: int) -> int:
-    # an upper bound on the terms expand forms for F(B y) cut at order k:
-    # row i of B has r_i nonzero entries, so lin_i^a has at most
-    # C(a + r_i - 1, a) terms and a product over a term x^e at most
-    # prod_i C(e_i + r_i - 1, e_i); no product has more than the C(n + k, k)
-    # monomials of order <= k, and a term takes at most d products
-    f = F.field
-    rs = [sum(not f.is_zero(b) for b in row) for row in B]
-    cap = comb(F.n + k, k)
-    return F.d * sum(min(prod(comb(a + r - 1, a) for a, r in zip(e, rs) if a), cap)
-                     for e in F.terms)
-
-
 def _truncation(F: HyperForm, B, k: int) -> HyperForm:
     # F_k in the coordinates x = B y: F(B y) cut to order <= k at the point
     # e0 (column 0 of B), its graded pieces homogenized to degree k; refused
-    # before it expands when its price passes the budget.  The price is at
-    # most d |F| C(n + k, k), which takes no per-term work to check
-    if (F.d * len(F.terms) * comb(F.n + k, k) > TRUNCATION_BUDGET
-            and (price := _truncation_price(F, B, k)) > TRUNCATION_BUDGET):
-        raise ValueError(f"the order-{k} truncation could form up to 2^{price.bit_length()} "
-                         f"terms, over the budget of 2^{TRUNCATION_BUDGET.bit_length() - 1}")
+    # before it expands when its price passes the budget
+    cols = [list(col) for col in zip(*B)]
+    if (price := _expand_steps(F.terms, cols, F.field, k, TRUNCATION_BUDGET)) > TRUNCATION_BUDGET:
+        raise ValueError(f"the order-{k} truncation could take up to 2^{price.bit_length()} "
+                         f"steps, over the budget of 2^{TRUNCATION_BUDGET.bit_length() - 1}")
     out = {}
     for e, c in F.substitute(B, upto=k).terms.items():
         j = F.d - e[0]

@@ -30,7 +30,10 @@ F_p reduces by % p, the root ring Z[z]/(z^d + 1) packs by Kronecker
 substitution), so no ring element is built, reduced or added inside the
 expansion.  _products, the walk's products of linear forms, is shared
 with deformation's pullback table of a line, which reads the packed
-output keys of each monomial's product chain directly.
+output keys of each monomial's product chain directly.  _expand_steps
+prices an expansion without making it: it walks the exponents the same
+way with each product replaced by a bound on its terms, so that a caller
+can refuse one that is too large before it starts.
 
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
@@ -38,6 +41,8 @@ of s^m t^(D-m).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .fields import matrix_rank
 
@@ -112,6 +117,69 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
             if not ring.is_zero(c):
                 out[a] = c
     return out
+
+
+def _expand_steps(terms: dict, cols, ring, top: int | None = None,
+                 within: int | None = None) -> int:
+    """An upper bound on the steps expand(terms, cols, ring, top) takes,
+    found without expanding: the coefficient pairs its products multiply,
+    the terms its grouping passes visit and the digits, one per column, of
+    each term it unpacks.  It walks the exponents as the Horner walk does,
+    each product replaced by a bound on its terms: lin_i has the r_i
+    nonzero cols[j][i], its cut power lin_i^a (a >= 2) at most
+    C(min(a, top) + r_i - 1, min(a, top)) with y_0 among them and otherwise
+    C(a + r_i - 1, a), none past a = top, and a product of degree deg at
+    most the C(m + min(deg, top), m) monomials of degree <= top in
+    y_1..y_m.  A walk-free bound, each of the at most |terms| min(n + 1, d)
+    products and grouping visits at its largest, is returned instead when
+    it is at most within.
+    """
+    if not terms or (top is not None and top < 0):
+        return 0
+    d, m = sum(next(iter(terms))), len(cols) - 1
+    if d == 0:   # one constant, unpacked
+        return m + 1
+    top = d if top is None else top
+    cap = [comb(m + min(deg, top), m) for deg in range(d + 1)]
+    size = []   # size[i][a]: the terms of lin_i^a
+    for i in range(len(cols[0])):
+        r = sum(not ring.is_zero(col[i]) for col in cols)
+        if ring.is_zero(cols[0][i]):
+            size.append([1, r] + [comb(a + r - 1, a) * (a <= top) for a in range(2, d + 1)])
+        else:
+            size.append([1, r] + [comb(min(a, top) + r - 1, min(a, top)) for a in range(2, d + 1)])
+    # each power up to lin_i^d, cached, is lin_i^(a-1) times lin_i
+    steps = sum(s[a - 1] * s[1] for s in size for a in range(2, d + 1))
+    if within is not None:
+        coarse = (m + 1) * cap[d] + len(terms) * min(len(cols[0]), d) * (
+            1 + max(cap) * max(map(max, size)))
+        if steps + coarse <= within:
+            return steps + coarse
+
+    def walk(items, deg):
+        # (steps, terms) of walk over items, pairs (nz, at) of the nonzero
+        # (i, e_i) of an exponent and the place of its first factor left
+        groups = {}
+        for nz, at in items:
+            groups.setdefault(nz[at], []).append((nz, at))
+        steps, terms = len(items), 0
+        for (i, a), group in groups.items():
+            if len(group) == 1:   # the chain of one term
+                nz, at = group[0]
+                part, got = 1, 0
+                for j, b in nz[at:]:
+                    got += b
+                    steps += part * size[j][b]
+                    part = min(part * size[j][b], cap[got])
+                terms += part
+            elif size[i][a]:
+                sub_steps, sub_terms = walk([(nz, at + 1) for nz, at in group], deg - a)
+                steps += sub_steps + sub_terms * size[i][a]
+                terms += sub_terms * size[i][a]
+        return steps, min(terms, cap[deg])
+
+    walked, left = walk([(tuple((i, a) for i, a in enumerate(e) if a), 0) for e in terms], d)
+    return steps + walked + (m + 1) * left
 
 
 def _products(d: int, cols, top):

@@ -504,8 +504,8 @@ def test_deform_truncate_beyond_the_budget_exit_2(capsys, tmp_path):
                          "--point", "0" + ",1" * 40, "--k", "41")
     assert time.perf_counter() - began < 1
     assert (code, out) == (2, "")
-    assert err == ("error: the order-41 truncation could form up to 2^45 terms, "
-                   "over the budget of 2^23\n")
+    assert err == ("error: the order-41 truncation could take up to 2^45 steps, "
+                   "over the budget of 2^24\n")
 
 
 def test_fermat_planes_degree_limit_exit_2(capsys):

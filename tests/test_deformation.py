@@ -19,7 +19,6 @@ from tangency.deformation import (
     _LineTable,
     _partials_table,
     _trial_routes,
-    _truncation_price,
     canonical_line,
     completion_matrix,
     congruence_check,
@@ -34,6 +33,7 @@ from tangency.fields import QQ, PrimeField, kernel_basis, mat_vec, row_reduce
 from tangency.forms import (
     HyperForm,
     LineParam,
+    _expand_steps,
     expand,
     monomials,
     parse_form,
@@ -368,7 +368,7 @@ def test_truncations_are_pinned():
 
 def _product_form(n):
     # x0 x1 ... xn: truncated at (0, 1, ..., 1) to k = n + 1 it keeps
-    # 2^(n-1) terms, and its price is (n + 1) 2^(n-1)
+    # 2^(n-1) terms, and expand takes (n + 3) 2^(n-1) + 1 steps for it
     return HyperForm(n, n + 1, {(1,) * (n + 1): 1}, QQ)
 
 
@@ -378,8 +378,8 @@ def test_truncation_past_the_budget_is_refused_before_it_expands(monkeypatch):
 
     monkeypatch.setattr(HyperForm, "substitute", expanded)
     began = time.perf_counter()
-    with pytest.raises(ValueError, match=r"^the order-41 truncation could form up to 2\^45 "
-                                         r"terms, over the budget of 2\^23$"):
+    with pytest.raises(ValueError, match=r"^the order-41 truncation could take up to 2\^45 "
+                                         r"steps, over the budget of 2\^24$"):
         truncate(_product_form(40), [0] + [1] * 40, 41)
     # the truncated route of log_sections and congruence_check: x0^20 x1 ... x40
     # has contact 20 along p + s e0, p = (0, 1, ..., 1)
@@ -393,34 +393,26 @@ def test_truncation_past_the_budget_is_refused_before_it_expands(monkeypatch):
     assert log_sections(F, L, 20, use_truncation=False).contact == 20
 
 
-def test_truncation_budget_admits_the_product_form_to_n_19():
+def test_truncation_budget_admits_the_product_form_to_n_20():
     def price(n):
-        return _truncation_price(_product_form(n), completion_matrix([[0] + [1] * n], QQ), n + 1)
+        B = completion_matrix([[0] + [1] * n], QQ)
+        return _expand_steps(_product_form(n).terms, [list(c) for c in zip(*B)], QQ, n + 1)
 
-    assert price(19) == 20 * 2 ** 18 <= TRUNCATION_BUDGET < price(20) == 21 * 2 ** 19
+    # the steps and the powers lin_i^a, a <= d, priced whether F reads them or not
+    assert 23 * 2 ** 19 < price(20) <= TRUNCATION_BUDGET < 24 * 2 ** 20 < price(21)
     assert len(truncate(_product_form(12), [0] + [1] * 12, 13).form.terms) == 2 ** 11
 
 
-def test_truncation_price_is_at_least_the_terms_of_the_result():
-    for label in ("QQ", "F7", "F101"):
-        field = FIELDS[label]
-        rng = random.Random(f"truncation price {label}")
-        for _ in range(25):
-            n = rng.randint(1, 5)
-            d = rng.randint(1, 6)
-            share = rng.choice((0.2, 1.0))
-            F = HyperForm(n, d, {e: field.random(rng) for e in monomials(n, d)
-                                 if rng.random() < share}, field)
-            # half the coordinates of p and u zero, so that B's rows are sparse
-            p, u = ([field.random(rng) if rng.random() < 0.5 else field.zero
-                     for _ in range(n + 1)] for _ in range(2))
-            p[rng.randrange(n + 1)] = field.one
-            bases = [completion_matrix([p], field)]
-            if _some_minor_is_nonzero(p, u, field):
-                bases.append(completion_matrix([p, u], field))
-            for B in bases:
-                for k in range(d + 1):
-                    assert _truncation_price(F, B, k) >= len(F.substitute(B, upto=k).terms)
+def test_a_dense_septic_in_p8_at_contact_7_is_answered():
+    # 6275 terms over QQ, priced at 680026 steps: F(B y) cut at order 7
+    # takes about 0.2 s
+    rng = random.Random("dense septic")
+    L = sample_line(8, QQ, rng)
+    F = sample_contact_form(L, 7, 7, rng)
+    assert len(F.terms) == 6275
+    assert len(truncate(F, L.marked_point(), 7).form.terms) > 6000
+    assert log_sections(F, L, 7).h0 == 2 * 8 - 7 + 1
+    assert congruence_check(F, L, 7).ok
 
 
 # the searches that completed a point, and a line (p, u), to a basis before
@@ -538,6 +530,17 @@ def _chain_rule_by_binary_forms(F, L, B, upto=None):
     return out
 
 
+def _check_chain_rule(F, L, upto):
+    # the line table's jets of F' = F(B y) against the binary-form chain rule
+    width = F.d if upto is None else min(F.d, upto)
+    B = completion_matrix([L.marked_point(), L.direction()], F.field)
+    table = _partials_table(F, L, width)
+    assert table.B == B
+    got = table.partials(F.terms, width)
+    want = _chain_rule_by_binary_forms(F, L, B, upto)
+    assert repr(got) == repr(want)
+
+
 @st.composite
 def chain_rule_cases(draw):
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
@@ -554,14 +557,7 @@ def chain_rule_cases(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chain_rule_cases())
 def test_chain_rule_equals_the_binary_form_loop(case):
-    F, L, upto = case
-    width = F.d if upto is None else min(F.d, upto)
-    B = completion_matrix([L.marked_point(), L.direction()], F.field)
-    table = _partials_table(F, L, width)
-    assert table.B == B
-    got = table.partials(F.terms, width)
-    want = _chain_rule_by_binary_forms(F, L, B, upto)
-    assert repr(got) == repr(want)
+    _check_chain_rule(*case)
 
 
 def test_contact_experiment_detects_a_corrupted_truncated_route(monkeypatch):

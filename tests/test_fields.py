@@ -249,7 +249,8 @@ def test_elimination_of_no_rows(label):
         assert mat_vec([], [field.one] * ncols, field) == []
 
 
-@pytest.mark.parametrize("rows, rref", [
+# (rows, rref) over QQ with a row that has 0 in a pivot column
+RESCALE_CASES = [
     # each row has 0 in the other's pivot column, and the fraction-free step
     # rescales it all the same (by 2, then by 6 // 2): left as it is, the
     # first row would be read over D = 6 as (2/3, 0, 1/3)
@@ -258,7 +259,10 @@ def test_elimination_of_no_rows(label):
     # multiplied by 3 before the exact division by 2, not by 3 // 2
     ([[2, 1, 0, 1], [1, 2, 0, 1], [0, 0, 1, 1]],
      [[1, 0, 0, Fraction(1, 3)], [0, 1, 0, Fraction(1, 3)], [0, 0, 1, 1]]),
-])
+]
+
+
+@pytest.mark.parametrize("rows, rref", RESCALE_CASES)
 def test_qq_rows_with_0_in_the_pivot_column_are_rescaled(rows, rref):
     _same(row_reduce(rows, len(rows[0]), QQ),
           ([[Fraction(a) for a in r] for r in rref], list(range(len(rows)))))

@@ -2,17 +2,20 @@
 text input formats."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tangency import forms
 from tangency.fermat import RootRing
 from tangency.fields import QQ, PrimeField
 from tangency.forms import (
     HyperForm,
     LineParam,
+    _expand_steps,
     expand,
     monomials,
     parse_form,
@@ -244,6 +247,58 @@ def test_expand_against_sympy():
             for top in range(d):
                 kept = {e: c for e, c in full.items() if sum(e[1:]) <= top}
                 assert expand(terms, cols, field, top) == kept
+
+
+def _steps_taken(terms, cols, ring, top=None):
+    # the steps expand(terms, cols, ring, top) takes, as _expand_steps counts
+    # them: the coefficient pairs each product of _products multiplies, the
+    # terms each grouping pass of the Horner walk visits and the digits,
+    # one per column, of each packed term unpacked at the end
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        code = frame.f_code
+        if code.co_filename != forms.__file__:
+            return
+        if event == "call" and code.co_name == "times":
+            steps += len(frame.f_locals["a"]) * len(frame.f_locals["b"])
+        elif event == "call" and code.co_name == "walk":
+            steps += len(frame.f_locals["items"])
+        elif event == "return" and code.co_name == "expand":
+            steps += len(frame.f_locals.get("packed", ())) * len(cols)
+
+    sys.setprofile(count)
+    try:
+        expand(terms, cols, ring, top)
+    finally:
+        sys.setprofile(None)
+    return steps
+
+
+def test_expand_steps_bounds_the_steps_expand_takes():
+    rng = random.Random("expand steps")
+    for field in (QQ, PrimeField(7), PrimeField(101)):
+        for trial in range(31):
+            n, d = (12, 3) if trial == 30 else (rng.randint(1, 5), rng.randint(0, 6))
+            share = 1.0 if trial == 30 else rng.choice((0.2, 1.0))
+            terms = {e: field.random(rng) for e in monomials(n, d) if rng.random() < share}
+            # about half the entries zero, so that lin_i has few terms
+            cols = [[field.random(rng) if rng.random() < 0.5 else field.zero
+                     for _ in range(n + 1)] for _ in range(rng.randint(1, n + 1))]
+            # the last is a dense cubic in P^12, whose products the
+            # C(m + top, m) monomials of degree <= top cap at small top
+            for top in (1, 2) if trial == 30 else [None] + list(range(d + 1)):
+                steps = _expand_steps(terms, cols, field, top)
+                assert steps >= _steps_taken(terms, cols, field, top)
+                # the walk-free bound is no lower
+                assert _expand_steps(terms, cols, field, top, within=2 ** 200) >= steps
+    # x0 x1 ... x12 through the columns (0, 1, ..., 1), e0, e2, ..., e12 to
+    # top 13: expand keeps 2^11 terms in 15 2^11 + 1 steps
+    n = 12
+    cols = [[0] + [1] * n] + [[int(i == j) for i in range(n + 1)] for j in range(n + 1) if j != 1]
+    assert _steps_taken({(1,) * (n + 1): 1}, cols, QQ, n + 1) == 15 * 2 ** 11 + 1
+    assert _expand_steps({(1,) * (n + 1): 1}, cols, QQ, n + 1) >= 15 * 2 ** 11 + 1
 
 
 class IntegerRing:

@@ -58,15 +58,14 @@ def _routes_agree():
 
 
 def _chain_rule_reference():
-    # the body of test_chain_rule_equals_the_binary_form_loop on seeded QQ
-    # forms and lines, at full and truncated widths
-    body = test_deformation.test_chain_rule_equals_the_binary_form_loop.hypothesis.inner_test
+    # test_chain_rule_equals_the_binary_form_loop's check on seeded QQ forms
+    # and lines, at full and truncated widths
     rng = random.Random("chain rule mutants")
     for n, d in ((2, 3), (3, 4), (4, 2)):
         F = HyperForm(n, d, {e: QQ.random(rng) for e in monomials(n, d)}, QQ)
         L = sample_line(n, QQ, rng)
         for upto in (None, 1, d - 1):
-            body((F, L, upto))
+            test_deformation._check_chain_rule(F, L, upto)
 
 
 def _line_table_reference():
@@ -74,10 +73,8 @@ def _line_table_reference():
 
 
 def _bareiss_case(index: int):
-    # one of the hand-written cases of the rescale test, by its position
-    mark = next(m for m in test_fields.test_qq_rows_with_0_in_the_pivot_column_are_rescaled
-                .pytestmark if m.name == "parametrize")
-    rows, rref = mark.args[1][index]
+    # one of the hand-written cases of the rescale test
+    rows, rref = test_fields.RESCALE_CASES[index]
     return lambda: test_fields.test_qq_rows_with_0_in_the_pivot_column_are_rescaled(rows, rref)
 
 
@@ -95,7 +92,10 @@ MUTANTS = {
                                   (_routes_agree,)),
     # the p jet lowered as if it had no extra power of p: over F_p lowering
     # ignores the exponent, and over QQ only the two references with the
-    # binary-form chain rule see it (test_p_jet_scale_is_equivalent_end_to_end)
+    # binary-form chain rule see it.  Along L, sum_j p_j dF/dx_j is d/dt of
+    # F|_L, so at contact k its first k s-coefficients vanish, and on a
+    # contained line all of them do: a wrong scale on zeros is still zero,
+    # and no section system, congruence or pinned digest can see it
     "p-jet-without-its-power-of-p": (_LineTable, "partials",
                                      {P_JET: P_JET.replace("deg + 1 - m", "deg - m")},
                                      (_chain_rule_reference, _line_table_reference)),
@@ -130,18 +130,6 @@ def test_guards_catch_the_mutant(name, monkeypatch):
     for guard in guards:
         with pytest.raises(AssertionError):
             guard()
-
-
-def test_p_jet_scale_is_equivalent_end_to_end(monkeypatch):
-    # Along L, sum_j p_j dF/dx_j is d/dt of F|_L: at contact k its first k
-    # s-coefficients vanish, and on a contained line all of them do.  A
-    # wrong scale on zeros is still zero, so no section system, congruence
-    # or pinned digest can see this mutant; only the two QQ references do.
-    owner, func, edits, _ = MUTANTS["p-jet-without-its-power-of-p"]
-    _mutate(monkeypatch, owner, func, edits)
-    test_deformation.test_qq_trials_are_pinned()
-    test_deformation.test_trial_routes_equal_the_public_wrappers("QQ")
-    _routes_agree()
 
 
 def test_the_mutated_functions_compile_back_to_themselves(monkeypatch):
