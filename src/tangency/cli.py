@@ -316,18 +316,22 @@ def _cmd_deform_truncate(args) -> int:
 def _cmd_deform_sections(args) -> int:
     _, form, line = _deform_inputs(args)
     space = log_sections(form, line, args.k, use_truncation=(args.route == "truncated"))
-    finite = space.contact != CONTAINED
+    expected = space.expected_h0 is not None
     doc = {
         "contactOrder": space.contact,
         "rawDim": space.raw_dim,
         "h0": space.h0,
-        "expected": "2n-k+1" if finite else None,
+        "expected": "2n-k+1" if expected else None,
         "expectedValue": space.expected_h0,
         "match": space.matches,
     }
-    verdict = (f"expected 2n-k+1 = {space.expected_h0}: "
-               f"{'match' if space.matches else 'MISMATCH'}" if finite
-               else "contained line: no expected value")
+    if expected:
+        verdict = f"expected 2n-k+1 = {space.expected_h0}: " + (
+            "match" if space.matches else "MISMATCH")
+    elif space.contact == CONTAINED:
+        verdict = "contained line: no expected value"
+    else:
+        verdict = "singular marked point: no expected value"
     return _show(args, doc, f"contact order: {space.contact}\n"
                             f"raw solution dimension: {space.raw_dim}\n"
                             f"h0 (Euler quotient): {space.h0}\n{verdict}")

@@ -348,7 +348,9 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     (beta_i, gamma_i); h0 discards the Euler redundancy.  For a line
     contained in the hypersurface the system instead demands the full
     identity sum b_i dF'/dy_i(a) = 0 (all s-degrees), and no expected
-    h0 is attached.
+    h0 is attached.  Nor is one where X is singular at the marked point,
+    since 2n - k + 1 is expected at smooth points only: the s^0 jets are
+    B^T times the gradient there, so they all vanish just when it does.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -357,10 +359,13 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     if truncated:
         B = completion_matrix([L.marked_point(), L.direction()], F.field)
         jets = _canonical_partials(_truncation(F, B, k), k)
-    else:   # a line of finite contact co >= k has k <= d
-        width = F.d if co == CONTAINED else k
+    else:   # a line of finite contact co >= k has k <= d; k = 0 reads the s^0 jets
+        width = F.d if co == CONTAINED else max(k, 1)
         jets = _partials_table(F, L, width).partials(F.terms, width)
-    return _sections(F, k, co, jets, truncated)
+    space = _sections(F, k, co, jets, truncated)
+    if all(F.field.is_zero(jet[0]) for jet in jets):
+        space.expected_h0 = space.matches = None
+    return space
 
 
 def _sections(F: HyperForm, k: int, co, jets: list[list], truncated: bool) -> DeformationSpace:

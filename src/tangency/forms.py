@@ -18,9 +18,13 @@ expand sums the terms by a multivariate Horner walk (Pena and Sauer, On
 the multivariate Horner scheme, SIAM J. Numer. Anal. 37, 2000): the terms
 whose first nonzero exponent is the same x_j^a are expanded together, and
 their sum is multiplied by the cached truncated power lin_j^a once, where
-lin_j = sum_i y_i c_i[j].  A term that shares its leading factor with no
-other goes straight to its product chain, so forms whose terms share
-nothing (the Fermat pure powers) pay only for the grouping pass.  Each
+lin_j = sum_i y_i c_i[j].  A lin_j of one term c y^k is raised in one
+step, to c^a y^(a*k), or to nothing past the cut: nothing in the chain
+of products it replaces reduces, so that is the chain's own result.  The
+Fermat planes' pure powers and the partials along the canonical line
+take that step.  A term that shares its leading factor with no other
+goes straight to its product chain, so forms whose terms share nothing
+(the Fermat pure powers) pay only for the grouping pass.  Each
 group's product, and the last product of each chain, is added straight
 into the sum it belongs to, so no partial expansion is copied or merged.
 The walk runs in Python ints for every ring: ring.lifted(terms, cols)
@@ -130,9 +134,11 @@ def _expand_steps(terms: dict, cols, ring, top: int | None = None,
     C(min(a, top) + r_i - 1, min(a, top)) with y_0 among them and otherwise
     C(a + r_i - 1, a), none past a = top, and a product of degree deg at
     most the C(m + min(deg, top), m) monomials of degree <= top in
-    y_1..y_m.  A walk-free bound, each of the at most |terms| min(n + 1, d)
-    products and grouping visits at its largest, is returned instead when
-    it is at most within.
+    y_1..y_m.  Each cached power lin_i^a is priced as lin_i^(a-1) times
+    lin_i, which a lin_i of one term takes in one step with no product, so
+    the price stays an upper bound there.  A walk-free bound, each of the
+    at most |terms| min(n + 1, d) products and grouping visits at its
+    largest, is returned instead when it is at most within.
     """
     if not terms or (top is not None and top < 0):
         return 0
@@ -148,7 +154,7 @@ def _expand_steps(terms: dict, cols, ring, top: int | None = None,
             size.append([1, r] + [comb(a + r - 1, a) * (a <= top) for a in range(2, d + 1)])
         else:
             size.append([1, r] + [comb(min(a, top) + r - 1, min(a, top)) for a in range(2, d + 1)])
-    # each power up to lin_i^d, cached, is lin_i^(a-1) times lin_i
+    # each power up to lin_i^d, cached, priced as lin_i^(a-1) times lin_i
     steps = sum(s[a - 1] * s[1] for s in size for a in range(2, d + 1))
     if within is not None:
         coarse = (m + 1) * cap[d] + len(terms) * min(len(cols[0]), d) * (
@@ -187,7 +193,8 @@ def _products(d: int, cols, top):
     # forms lin_i = sum_j y_j cols[j][i], cols in ints, each a dict keyed by
     # packed y-monomials, every product cut at top: times(a, b, deg, out)
     # adds a * b into out (a new dict if None), power(i, e) is lin_i^e,
-    # cached, and chain(e, c, j, out) adds c * prod_(i >= j) lin_i^e_i into out
+    # cached and in one step when lin_i has one term, and chain(e, c, j,
+    # out) adds c * prod_(i >= j) lin_i^e_i into out
     #
     # a y-monomial is the packed integer sum_j a_j * base^j: no exponent
     # reaches base, so a product is one integer add and key % base is a_0
@@ -215,7 +222,15 @@ def _products(d: int, cols, top):
     def power(i: int, e: int) -> dict:
         got = powers.get((i, e))
         if got is None:
-            got = lin[i] if e == 1 else times(power(i, e - 1), lin[i], e)
+            if e == 1:
+                got = lin[i]
+            elif len(lin[i]) == 1:
+                # c y^k to the e in one step, cut as the chain of times would
+                # cut it: nothing inside that chain reduces
+                (k, c), = lin[i].items()
+                got = {k * e: c ** e} if top is None or k * e % base >= e - top else {}
+            else:
+                got = times(power(i, e - 1), lin[i], e)
             powers[(i, e)] = got
         return got
 

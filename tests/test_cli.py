@@ -138,6 +138,22 @@ def test_deform_cli(capsys, schema, quadric_file, line_file):
     assert obj["d"] == 1 and obj["k"] == 1
 
 
+def test_deform_sections_at_a_singular_point(capsys, schema, tmp_path):
+    # the cusp x0^2 x1 - x2^3 at its singular point (0, 1, 0), along (1, 0, 0)
+    cusp = tmp_path / "cusp.hs"
+    cusp.write_text("1 2 1 0\n-1 0 0 3\n")
+    line = tmp_path / "line.txt"
+    line.write_text("1 0\n0 1\n0 0\n")
+    argv = ("deform", "sections", "--form", str(cusp), "--line", str(line), "--k", "2")
+    for route in ("direct", "truncated"):
+        assert run(capsys, *argv, "--route", route) == (
+            0, "contact order: 2\nraw solution dimension: 5\nh0 (Euler quotient): 4\n"
+               "singular marked point: no expected value\n", "")
+        assert run_json(capsys, schema, *argv, "--route", route) == {
+            "contactOrder": 2, "rawDim": 5, "h0": 4, "expected": None,
+            "expectedValue": None, "match": None}
+
+
 def test_deform_congruence_exit_codes(capsys, schema, tmp_path):
     conic = tmp_path / "conic.hs"
     conic.write_text("1 1 0 1\n-1 0 2 0\n")

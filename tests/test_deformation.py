@@ -142,6 +142,23 @@ def test_log_sections_contained_line():
     assert space.euler_in_kernel
 
 
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
+def test_log_sections_attach_no_expectation_at_a_singular_point(field):
+    # the cusp x0^2 x1 - x2^3 is singular at p = (0, 1, 0), where the line
+    # p + s (1, 0, 0) has contact 2; 2n - k + 1 is stated for smooth points
+    cusp = HyperForm(2, 3, {(2, 1, 0): 1, (0, 0, 3): -1}, field)
+    L = LineParam([(1, 0), (0, 1), (0, 0)], field)
+    for k, h0 in ((0, 5), (1, 5), (2, 4)):
+        for use_truncation in (False, True):
+            space = log_sections(cusp, L, k, use_truncation)
+            assert (space.contact, space.h0) == (2, h0), (k, use_truncation)
+            assert space.expected_h0 is None and space.matches is None, (k, use_truncation)
+    # a smooth point keeps its expectation, at k = 0 too
+    F, L = conic_and_tangent()
+    assert [(s.expected_h0, s.matches) for s in (log_sections(F, L, 0), log_sections(F, L, 1))] \
+        == [(5, True), (4, True)]
+
+
 def test_log_sections_contact_too_low():
     F, L = conic_and_tangent()
     with pytest.raises(ValueError, match="contact"):

@@ -11,6 +11,7 @@ from tangency.fermat import (
     MAX_DEGREE,
     FermatPlane,
     RootRing,
+    _DegreeLifting,
     fermat_planes,
     pairings_of_six,
     verify_plane,
@@ -122,6 +123,22 @@ def test_containment_failure_is_detected():
     broken[0][1] = ring.monomial(2)  # even power: (z^2)^3 = 1, sum is 2 x^3
     terms = {tuple(3 if t == i else 0 for t in range(6)): ring.one for i in range(6)}
     assert expand(terms, [tuple(r) for r in broken], ring)  # nonzero
+
+
+def test_degree_lifting_refuses_a_plane_wider_than_its_width():
+    # the degree's width B is for columns of norm 1; an entry 2z makes a
+    # column of norm 2, whose x_j^4 alone reaches 16 > 2^(B-1)
+    ring = RootRing(4)
+    terms = {tuple(4 if t == i else 0 for t in range(6)): ring.one for i in range(6)}
+    lifting = _DegreeLifting(ring, terms)
+    pts = [list(p) for p in FermatPlane(((0, 1), (2, 3), (4, 5)), (0, 1, 2), 4)
+           .spanning_points(ring)]
+    assert not expand(terms, pts, lifting)
+    pts[0][1] = ring.monomial(1, 2)
+    with pytest.raises(AssertionError, match="Kronecker width 6, over the degree's 4"):
+        expand(terms, pts, lifting)
+    with pytest.raises(ValueError, match="only the terms"):
+        expand(dict(terms), pts, lifting)
 
 
 def test_verify_plane_over_prime_field():

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tangency import forms
@@ -429,12 +429,59 @@ def ring_expansions(draw):
     return ring, terms, cols, top
 
 
+def _check_expand(ring, terms, cols, top):
+    # expand against the per-term sum, and each power the walk caches
+    # against the chain of times it stands for: a one-entry lin_i is raised
+    # in one step, which must keep exactly the chain's cut integers
+    assert expand(terms, cols, ring, top) == _per_term_sum(terms, cols, ring, top)
+    _, int_cols, _ = ring.lifted(terms, cols)
+    d = sum(next(iter(terms)))
+    _, times, power, _ = forms._products(d, int_cols, top)
+    for i in range(len(cols[0])):
+        chain = power(i, 1)
+        for e in range(2, d + 1):
+            chain = times(chain, power(i, 1), e)
+            assert power(i, e) == chain, (i, e)
+
+
+def _one_entry_cases() -> list:
+    # a dense quartic in x0..x3 (the walk groups at two levels) through
+    # columns in which each x_i has one nonzero entry (x_i = a_i y_i), and
+    # through columns in which x3 has two (x3 = a y0 + b y3), at every top,
+    # over QQ, F_101 and Z[z]/(z^3 + 1)
+    rng = random.Random("one-entry powers")
+    root = RootRing(3)
+    elements = {QQ: lambda: Fraction(rng.randint(-20, 20) or 1, rng.randint(1, 9)),
+                PrimeField(101): lambda: rng.randint(1, 100),
+                root: lambda: (rng.randint(1, 5), rng.randint(-5, 5), rng.randint(-5, 5))}
+    cases = []
+    for ring, element in elements.items():
+        zero = ring.zero
+        terms = {e: element() for e in monomials(3, 4)}
+        one_entry = [[element() if i == j else zero for i in range(4)] for j in range(4)]
+        mixed = [row[:] for row in one_entry]
+        mixed[0][3] = element()
+        for cols in (one_entry, mixed):
+            cases += [(ring, terms, cols, top) for top in (None, 0, 1, 2, 3, 4)]
+    return cases
+
+
+ONE_ENTRY_CASES = _one_entry_cases()
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ring_expansions())
+@_with_examples(ONE_ENTRY_CASES)
 def test_expand_equals_the_per_term_sum(case):
-    ring, terms, cols, top = case
-    want = _per_term_sum(terms, cols, ring, top)
-    assert expand(terms, cols, ring, top) == want
+    _check_expand(*case)
 
 
 def test_root_ring_packing_reaches_its_bound():

@@ -2,15 +2,19 @@
 
 A mutant rewrites fragments of one function's source, compiles the result
 in a copy of the function's module globals and monkeypatches it in for one
-test.  Each fragment must occur exactly once in the live source, so a
-refactor that moves the code fails here instead of leaving the mutant
-untested.  Every guard also runs without its mutant, as a control that must
-pass.
+test, on the owner the guard reads the name from.  Each fragment must occur
+exactly once in the live source, so a refactor that moves the code fails
+here instead of leaving the mutant untested.  Every guard also runs without
+its mutant, as a control that must pass.
 
 The mutants are the ones each change was checked against by hand: the
-direct route's jets off the line table (a swap, a reversal and a wrong
-scale), the Kronecker packing width of the root ring, and the two ways to
-get the rescale of a fraction-free elimination row wrong.
+symbolic route's relation H^2 = s1 H - s11 and principal-parts factors;
+expand's Horner walk (its cut, the cofactor's degree, the one-step power
+of a one-entry linear form, F_p's lowering) and its price _expand_steps;
+the Kronecker packing widths of the root ring and of the Fermat planes'
+per-degree lifting; the direct route's jets off the line table (a swap, a
+reversal and a wrong scale); and the two ways to get the rescale of a
+fraction-free elimination row wrong.
 """
 
 import __future__
@@ -23,12 +27,14 @@ import textwrap
 import pytest
 
 import test_deformation
+import test_enumerative
+import test_fermat
 import test_fields
 import test_forms
-from tangency import fields
+from tangency import enumerative, fields, flag, forms
 from tangency.deformation import _LineTable, completion_matrix, contact_experiment, sample_line
-from tangency.fermat import RootRing
-from tangency.fields import QQ
+from tangency.fermat import RootRing, _DegreeLifting
+from tangency.fields import QQ, PrimeField
 from tangency.forms import HyperForm, monomials
 
 
@@ -78,7 +84,31 @@ def _bareiss_case(index: int):
     return lambda: test_fields.test_qq_rows_with_0_in_the_pivot_column_are_rescaled(rows, rref)
 
 
+def _bott_localization():
+    # every bound of the symbolic route against Bott's residue formula
+    for name in sorted(test_enumerative.LOCALIZED_BOUNDS):
+        test_enumerative.test_bounds_match_bott_localization(name)
+
+
+def _one_entry_cases():
+    # the named cases test_expand_equals_the_per_term_sum runs as examples
+    for case in test_forms.ONE_ENTRY_CASES:
+        test_forms._check_expand(*case)
+
+
+def _failure_as_assertion(test):
+    # a pytest.raises that did not raise fails with pytest's own outcome,
+    # which is no AssertionError
+    def guard():
+        try:
+            test()
+        except pytest.fail.Exception as failed:
+            raise AssertionError(str(failed)) from None
+    return guard
+
+
 P_JET = "lower((deg + 1 - m, m), sum(map(mul, self.p, N)))"
+STEPS_GUARD = (test_forms.test_expand_steps_bounds_the_steps_expand_takes,)
 
 # name: (owner, function, edits, guards); every guard must catch the mutant
 MUTANTS = {
@@ -100,9 +130,66 @@ MUTANTS = {
                                      {P_JET: P_JET.replace("deg + 1 - m", "deg - m")},
                                      (_chain_rule_reference, _line_table_reference)),
     # Kronecker digits one bit narrower than the bound S needs
-    "packing-width-one-bit-short": (RootRing, "lifted",
+    "packing-width-one-bit-short": (RootRing, "width",
                                     {".bit_length() + 1": ".bit_length()"},
                                     (test_forms.test_root_ring_packing_reaches_its_bound,)),
+    # the Fermat planes' per-degree width one bit short: every plane then
+    # needs more than it, and the per-plane check refuses it
+    "degree-width-one-bit-short": (_DegreeLifting, "__init__",
+                                   {"[1] * len(next(iter(terms))))":
+                                    "[1] * len(next(iter(terms)))) - 1"},
+                                   (lambda: test_fermat.check_planes(4),)),
+    # a plane packed at the degree's width without checking that it fits
+    "plane-width-check-removed": (
+        _DegreeLifting, "lifted",
+        {"if (B := RootRing.width(self._term_norms, norms)) > self.B:": "if False:"},
+        (_failure_as_assertion(
+            test_fermat.test_degree_lifting_refuses_a_plane_wider_than_its_width),)),
+    # a one-entry power kept past the cut: expand's products cut it again,
+    # so only the check of the cached powers against their chain sees it
+    "one-entry-power-uncut": (forms, "_products",
+                              {" if top is None or k * e % base >= e - top else {}": ""},
+                              (_one_entry_cases,)),
+    # no product of the walk cut at top
+    "horner-cut-dropped": (forms, "_products",
+                           {"cut = -1 if top is None else deg - top": "cut = -1"},
+                           (_one_entry_cases,)),
+    # a group's cofactor walked at the group's degree, not deg - a
+    "cofactor-at-the-wrong-degree": (test_forms, "expand",
+                                     {"walk(group, j + 1, deg - a, {})":
+                                      "walk(group, j + 1, deg, {})"},
+                                     (_one_entry_cases,)),
+    # F_p's output coefficients not reduced
+    "mod-p-left-out": (PrimeField, "lifted", {"num % p": "num"}, (_one_entry_cases,)),
+    # expand's price: the seven ways it was made too low by hand
+    "steps-without-unpacking": (test_forms, "_expand_steps",
+                                {"return steps + walked + (m + 1) * left":
+                                 "return steps + walked"}, STEPS_GUARD),
+    "steps-chain-without-its-partial-product": (test_forms, "_expand_steps",
+                                                {"steps += part * size[j][b]":
+                                                 "steps += size[j][b]"}, STEPS_GUARD),
+    "steps-group-without-its-sub-walk-terms": (test_forms, "_expand_steps",
+                                               {"sub_steps + sub_terms * size[i][a]":
+                                                "sub_steps + size[i][a]"}, STEPS_GUARD),
+    "steps-power-bounds-one-lower": (
+        test_forms, "_expand_steps",
+        {"comb(a + r - 1, a) * (a <= top)": "(comb(a + r - 1, a) - 1) * (a <= top)",
+         "comb(min(a, top) + r - 1, min(a, top)) for":
+         "comb(min(a, top) + r - 1, min(a, top)) - 1 for"}, STEPS_GUARD),
+    "steps-without-grouping-visits": (test_forms, "_expand_steps",
+                                      {"steps, terms = len(items), 0": "steps, terms = 0, 0"},
+                                      STEPS_GUARD),
+    "steps-power-empty-at-top": (test_forms, "_expand_steps",
+                                 {"(a <= top)": "(a < top)"}, STEPS_GUARD),
+    "steps-cap-one-lower": (test_forms, "_expand_steps",
+                            {"comb(m + min(deg, top), m) for deg": "comb(m + min(deg, top), m) - 1 for deg"},
+                            STEPS_GUARD),
+    # H^2 = s1 H + s11, the sign of s11 flipped
+    "h-squared-sign": (flag, "reduce_class", {"-mult(s11, A)": "mult(s11, A)"},
+                       (_bott_localization,)),
+    # the principal-parts factors (d - 2j) H + (j + 1) s1, off by one in s1
+    "principal-parts-off-by-one": (enumerative, "principal_parts_factors",
+                                   {"coeff=j)": "coeff=j + 1)"}, (_bott_localization,)),
     # a row with 0 in the pivot column left as it is
     "bareiss-row-not-rescaled": (fields, "_eliminate",
                                  {"not (f or piv != prev)": "not f"},
@@ -145,3 +232,11 @@ def test_the_mutated_functions_compile_back_to_themselves(monkeypatch):
     assert (_LineTable(L, monomials(3, 3), 3, 4).partials(F.terms, 4),
             fields.row_reduce(completion_matrix([L.marked_point(), L.direction()], QQ),
                               4, QQ)) == want
+
+
+def test_the_fermat_and_expand_mutants_compile_back_to_themselves(monkeypatch):
+    for owner, name in ((RootRing, "width"), (_DegreeLifting, "__init__"),
+                        (_DegreeLifting, "lifted"), (forms, "_products"), (PrimeField, "lifted")):
+        _mutate(monkeypatch, owner, name, {})
+    test_fermat.check_planes(3)
+    _one_entry_cases()
