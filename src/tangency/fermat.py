@@ -14,17 +14,15 @@ certified by a 3x3 minor that is a unit rather than by rank over a field:
 for the constructed planes that minor is the identity at the pairs' first
 columns.
 The substitution is forms.expand in Python ints: RootRing.lifted packs
-each element by Kronecker substitution (Harvey, J. Symb. Comp. 2009) at a
-digit width B that RootRing.width works out from the terms and the norms
-of the columns, and reads each output back mod 2^(B*d) + 1, where z^d = -1
-(as in Schonhage and Strassen, 1971).  fermat_planes lifts once per
-degree: every spanning-point entry is 0, 1 or an odd power of z, and each
-coordinate column has one nonzero entry, of norm 1, so every plane has the
-bound S = 6 and the same B.  Its _DegreeLifting packs the six terms and
-each distinct entry once.  For every plane it still works out the column
-norms, from a per-entry table, and raises AssertionError when the plane
-needs more than B, as the identity-minor and containment checks raise;
-every plane is still substituted generically and checked to vanish.
+each element by Kronecker substitution (Harvey, J. Symb. Comp. 2009) at
+the digit width B that the terms and the norms of the columns need,
+worked out on every call, and reads each output back mod 2^(B*d) + 1,
+where z^d = -1 (as in Schonhage and Strassen, 1971).  The ring keeps each
+element's norm, and its packing at each width, across calls: the 15 d^3
+planes of fermat_planes share one ring, and their entries are 0, 1 and
+the odd powers of z, so the six terms and the d + 2 distinct entries are
+packed once per degree while every plane is still bounded and
+substituted on its own.
 
 verify_plane checks membership of an arbitrary plane (three spanning
 points) in a hypersurface over a prime field or the rationals by generic
@@ -34,13 +32,14 @@ substitution, after checking by rank that the points are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from .fields import matrix_rank
 from .forms import HyperForm, expand
 
 # fermat_planes refuses any degree above this: the checks grow as d^4
-# (d = 8, 10, 12 take 0.4 s, 0.8 s, 1.4 s on a 2-core Xeon; d = 60 would
+# (d = 8, 10, 12 take 0.4 s, 0.9 s, 1.6 s on a 2-core Xeon; d = 60 would
 # take about a quarter of an hour by that growth)
 MAX_DEGREE = 12
 
@@ -54,6 +53,10 @@ class RootRing:
         self.d = d
         self.zero = (0,) * d
         self.one = self.monomial(0)
+        # lifted's memory, which repeated substitutions share: the norm
+        # |a|_1 of each element met, and pack and lower at each width B
+        self._norm = cache(lambda a: sum(map(abs, a)))
+        self._packings: dict[int, tuple] = {}
 
     def of(self, x: int) -> tuple:
         return self.monomial(0, int(x))
@@ -86,21 +89,25 @@ class RootRing:
     def is_zero(self, a: tuple) -> bool:
         return not any(a)
 
-    @staticmethod
-    def width(term_norms: dict, norms: list) -> int:
-        """The Kronecker digit width B for terms of the norms term_norms
-        {e: |c_e|_1} through linear forms lin_i of the norms norms[i] =
-        sum_j |cols[j][i]|_1.  As |x*y|_1 <= |x|_1 |y|_1 here (|.|_1 the sum
-        of the entries' absolute values), no output entry exceeds S = sum_e
-        |c_e|_1 prod_i norms[i]^e_i, and B is the bit length of S plus one."""
-        return sum(c * prod(norms[i] ** ei for i, ei in enumerate(e) if ei)
-                   for e, c in term_norms.items()).bit_length() + 1
+    def lifted(self, terms: dict, cols):
+        """Kronecker substitution for forms.expand: a packs to sum_i a_i 2^(B*i).
+        As |x*y|_1 <= |x|_1 |y|_1 here (|.|_1 the sum of the entries' absolute
+        values), no output entry exceeds S = sum_e |c_e|_1 prod_i |lin_i|_1^e_i,
+        and B is the bit length of S plus one, worked out on every call."""
+        norm = self._norm
+        norms = [sum(map(norm, entries)) for entries in zip(*cols)]
+        B = sum(norm(c) * prod(map(pow, norms, e)) for e, c in terms.items()).bit_length() + 1
+        pack, lower = self._packing(B)
+        return ({e: pack(c) for e, c in terms.items()},
+                [[pack(a) for a in col] for col in cols], lower)
 
-    def packing(self, B: int):
-        """(pack, lower) at digit width B: a packs to sum_i a_i 2^(B*i), each
-        element packed once, and lower reads the balanced residue mod
+    def _packing(self, B: int):
+        """(pack, lower) at digit width B, made once per B: pack caches each
+        element it packs, and lower reads the balanced residue mod
         2^(B*d) + 1, where 2^(B*d) = -1 as z^d = -1, as d balanced B-bit
         digits."""
+        if B in self._packings:
+            return self._packings[B]
         d = self.d
         modulus, mask, half = (1 << (B * d)) + 1, (1 << B) - 1, 1 << (B - 1)
         packed: dict[tuple, int] = {}   # the points repeat their entries
@@ -123,49 +130,8 @@ class RootRing:
                 r = (r - out[-1]) >> B
             return tuple(out)
 
+        self._packings[B] = pack, lower
         return pack, lower
-
-    def lifted(self, terms: dict, cols):
-        """Kronecker substitution for forms.expand, at the width the terms
-        and the columns need."""
-        norms = [sum(sum(map(abs, a)) for a in entries) for entries in zip(*cols)]
-        pack, lower = self.packing(self.width(_norms(terms), norms))
-        return ({e: pack(c) for e, c in terms.items()},
-                [[pack(a) for a in col] for col in cols], lower)
-
-
-def _norms(terms: dict) -> dict:
-    return {e: sum(map(abs, c)) for e, c in terms.items()}
-
-
-class _DegreeLifting:
-    """The root ring's lifting for forms.expand of one form over the planes
-    of one degree, made once: the terms packed once at the width B of
-    columns of norm 1, which every constructed plane has, and each distinct
-    point entry packed once.  Each call still works out the plane's column
-    norms, from a per-entry table, and raises AssertionError if the plane
-    needs more than B."""
-
-    def __init__(self, ring: RootRing, terms: dict):
-        self.is_zero = ring.is_zero
-        self._terms, self._term_norms = terms, _norms(terms)
-        self.B = RootRing.width(self._term_norms, [1] * len(next(iter(terms))))
-        self._pack, self._lower = ring.packing(self.B)
-        self._packed = {e: self._pack(c) for e, c in terms.items()}
-        self._entries: dict[tuple, tuple[int, int]] = {}   # a: (|a|_1, a packed)
-
-    def lifted(self, terms: dict, cols):
-        if terms is not self._terms:
-            raise ValueError("the lifting lifts only the terms it was made for")
-        entries = self._entries
-        for col in cols:
-            for a in col:
-                if a not in entries:
-                    entries[a] = (sum(map(abs, a)), self._pack(a))
-        norms = [sum(entries[a][0] for a in row) for row in zip(*cols)]
-        if (B := RootRing.width(self._term_norms, norms)) > self.B:
-            raise AssertionError(f"a plane needs Kronecker width {B}, over the degree's {self.B}")
-        return self._packed, [[entries[a][1] for a in col] for col in cols], self._lower
 
 
 def pairings_of_six() -> list[tuple[tuple[int, int], ...]]:
@@ -235,9 +201,8 @@ def fermat_planes(d: int) -> list[FermatPlane]:
     """All 15 d^3 conjugate-pair planes of the degree-d Fermat in P^5.
 
     Each plane is checked symbolically in Z[z]/(z^d + 1): the substituted
-    form vanishes identically, at a Kronecker width the plane is checked
-    to fit, and the spanning points restricted to the pairs' first columns
-    are the identity, a unit minor.  A degree above MAX_DEGREE is refused
+    form vanishes identically, and the spanning points restricted to the
+    pairs' first columns are the identity, a unit minor.  A degree above MAX_DEGREE is refused
     before any of that.
     """
     if d < 1:
@@ -246,7 +211,6 @@ def fermat_planes(d: int) -> list[FermatPlane]:
         raise ValueError(f"degree must be at most {MAX_DEGREE}, got {d}")
     ring = RootRing(d)
     terms = _fermat_terms(ring)
-    lifting = _DegreeLifting(ring, terms)
     identity = [[ring.one if r == c else ring.zero for c in range(3)] for r in range(3)]
     out = []
     for pairing in pairings_of_six():
@@ -257,7 +221,7 @@ def fermat_planes(d: int) -> list[FermatPlane]:
                     pts = plane.spanning_points(ring)
                     if [[pt[i] for i, _ in pairing] for pt in pts] != identity:
                         raise AssertionError(f"plane {plane.key()} has no identity minor")
-                    if expand(terms, pts, lifting):
+                    if expand(terms, pts, ring):
                         raise AssertionError(f"plane {plane.key()} fails containment")
                     out.append(plane)
     return out

@@ -11,7 +11,7 @@ from tangency.fermat import (
     MAX_DEGREE,
     FermatPlane,
     RootRing,
-    _DegreeLifting,
+    _fermat_terms,
     fermat_planes,
     pairings_of_six,
     verify_plane,
@@ -125,20 +125,19 @@ def test_containment_failure_is_detected():
     assert expand(terms, [tuple(r) for r in broken], ring)  # nonzero
 
 
-def test_degree_lifting_refuses_a_plane_wider_than_its_width():
-    # the degree's width B is for columns of norm 1; an entry 2z makes a
-    # column of norm 2, whose x_j^4 alone reaches 16 > 2^(B-1)
+def test_root_ring_packs_each_plane_at_its_own_width():
+    # one ring keeps its packings across calls, and each call packs at the
+    # width its own columns need: the Fermat planes' columns have norm 1,
+    # and an entry 2z makes a column of norm 2, whose output -15 y0^4
+    # (x_i^4 + (2z x_i)^4, z^4 = -1) does not fit their width
     ring = RootRing(4)
-    terms = {tuple(4 if t == i else 0 for t in range(6)): ring.one for i in range(6)}
-    lifting = _DegreeLifting(ring, terms)
+    terms = _fermat_terms(ring)
     pts = [list(p) for p in FermatPlane(((0, 1), (2, 3), (4, 5)), (0, 1, 2), 4)
            .spanning_points(ring)]
-    assert not expand(terms, pts, lifting)
+    assert not expand(terms, pts, ring)
     pts[0][1] = ring.monomial(1, 2)
-    with pytest.raises(AssertionError, match="Kronecker width 6, over the degree's 4"):
-        expand(terms, pts, lifting)
-    with pytest.raises(ValueError, match="only the terms"):
-        expand(dict(terms), pts, lifting)
+    assert expand(terms, pts, ring) == {(4, 0, 0): (-15, 0, 0, 0)}
+    assert expand(terms, pts, RootRing(4)) == {(4, 0, 0): (-15, 0, 0, 0)}
 
 
 def test_verify_plane_over_prime_field():

@@ -11,8 +11,8 @@ The mutants are the ones each change was checked against by hand: the
 symbolic route's relation H^2 = s1 H - s11 and principal-parts factors;
 expand's Horner walk (its cut, the cofactor's degree, the one-step power
 of a one-entry linear form, F_p's lowering) and its price _expand_steps;
-the Kronecker packing widths of the root ring and of the Fermat planes'
-per-degree lifting; the direct route's jets off the line table (a swap, a
+the root ring's Kronecker packing width and its packings kept across
+calls; the direct route's jets off the line table (a swap, a
 reversal and a wrong scale); and the two ways to get the rescale of a
 fraction-free elimination row wrong.
 """
@@ -33,7 +33,7 @@ import test_fields
 import test_forms
 from tangency import enumerative, fields, flag, forms
 from tangency.deformation import _LineTable, completion_matrix, contact_experiment, sample_line
-from tangency.fermat import RootRing, _DegreeLifting
+from tangency.fermat import RootRing
 from tangency.fields import QQ, PrimeField
 from tangency.forms import HyperForm, monomials
 
@@ -96,17 +96,6 @@ def _one_entry_cases():
         test_forms._check_expand(*case)
 
 
-def _failure_as_assertion(test):
-    # a pytest.raises that did not raise fails with pytest's own outcome,
-    # which is no AssertionError
-    def guard():
-        try:
-            test()
-        except pytest.fail.Exception as failed:
-            raise AssertionError(str(failed)) from None
-    return guard
-
-
 P_JET = "lower((deg + 1 - m, m), sum(map(mul, self.p, N)))"
 STEPS_GUARD = (test_forms.test_expand_steps_bounds_the_steps_expand_takes,)
 
@@ -130,21 +119,15 @@ MUTANTS = {
                                      {P_JET: P_JET.replace("deg + 1 - m", "deg - m")},
                                      (_chain_rule_reference, _line_table_reference)),
     # Kronecker digits one bit narrower than the bound S needs
-    "packing-width-one-bit-short": (RootRing, "width",
+    "packing-width-one-bit-short": (RootRing, "lifted",
                                     {".bit_length() + 1": ".bit_length()"},
                                     (test_forms.test_root_ring_packing_reaches_its_bound,)),
-    # the Fermat planes' per-degree width one bit short: every plane then
-    # needs more than it, and the per-plane check refuses it
-    "degree-width-one-bit-short": (_DegreeLifting, "__init__",
-                                   {"[1] * len(next(iter(terms))))":
-                                    "[1] * len(next(iter(terms)))) - 1"},
-                                   (lambda: test_fermat.check_planes(4),)),
-    # a plane packed at the degree's width without checking that it fits
-    "plane-width-check-removed": (
-        _DegreeLifting, "lifted",
-        {"if (B := RootRing.width(self._term_norms, norms)) > self.B:": "if False:"},
-        (_failure_as_assertion(
-            test_fermat.test_degree_lifting_refuses_a_plane_wider_than_its_width),)),
+    # a packing made at one width handed out at any other
+    "packing-kept-across-widths": (
+        RootRing, "_packing",
+        {"if B in self._packings:\n        return self._packings[B]":
+         "if self._packings:\n        return next(iter(self._packings.values()))"},
+        (test_fermat.test_root_ring_packs_each_plane_at_its_own_width,)),
     # a one-entry power kept past the cut: expand's products cut it again,
     # so only the check of the cached powers against their chain sees it
     "one-entry-power-uncut": (forms, "_products",
@@ -235,8 +218,8 @@ def test_the_mutated_functions_compile_back_to_themselves(monkeypatch):
 
 
 def test_the_fermat_and_expand_mutants_compile_back_to_themselves(monkeypatch):
-    for owner, name in ((RootRing, "width"), (_DegreeLifting, "__init__"),
-                        (_DegreeLifting, "lifted"), (forms, "_products"), (PrimeField, "lifted")):
+    for owner, name in ((RootRing, "lifted"), (RootRing, "_packing"), (forms, "_products"),
+                        (PrimeField, "lifted")):
         _mutate(monkeypatch, owner, name, {})
     test_fermat.check_planes(3)
     _one_entry_cases()
