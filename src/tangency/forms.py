@@ -21,10 +21,11 @@ their sum is multiplied by the cached truncated power lin_j^a once, where
 lin_j = sum_i y_i c_i[j].  A lin_j of one term c y^k is raised in one
 step, to c^a y^(a*k), or to nothing past the cut: nothing in the chain
 of products it replaces reduces, so that is the chain's own result.  The
-Fermat planes' pure powers and the partials along the canonical line
-take that step.  A term that shares its leading factor with no other
-goes straight to its product chain, so forms whose terms share nothing
-(the Fermat pure powers) pay only for the grouping pass.  Each
+Fermat planes' pure powers take that step; the partials of F_k along
+the canonical line no longer do, since deformation reads them off F_k's
+terms.  A term that shares its leading factor with no other goes
+straight to its product chain, so forms whose terms share nothing (the
+Fermat pure powers) pay only for the grouping pass.  Each
 group's product, and the last product of each chain, is added straight
 into the sum it belongs to, so no partial expansion is copied or merged.
 The walk runs in Python ints for every ring: ring.lifted(terms, cols)
@@ -295,6 +296,14 @@ class LineParam:
         return [r[0] for r in self.rows]
 
 
+def _check_characteristic(d: int, field) -> None:
+    """Refuse a field whose characteristic is positive and at most d."""
+    if 0 < field.characteristic <= d:
+        raise ValueError(
+            f"field characteristic {field.characteristic} must exceed the degree {d}"
+        )
+
+
 class HyperForm:
     """A homogeneous form of degree d in x_0..x_n over an exact field."""
 
@@ -303,10 +312,7 @@ class HyperForm:
     def __init__(self, n: int, d: int, terms, field):
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        if 0 < field.characteristic <= d:
-            raise ValueError(
-                f"field characteristic {field.characteristic} must exceed the degree {d}"
-            )
+        _check_characteristic(d, field)
         self.n = n
         self.d = d
         self.field = field
@@ -322,6 +328,17 @@ class HyperForm:
                 continue
             clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n: int, d: int, terms: dict, field) -> "HyperForm":
+        """The form of terms already valid: n + 1 exponents of degree d
+        each, coefficients elements of field and none of them zero, n and
+        d at least 1 and the characteristic past d.  Nothing is checked;
+        the results of expand and the sampler's kernel vectors come here,
+        and every outside input goes through HyperForm(...)."""
+        x = cls.__new__(cls)
+        x.n, x.d, x.terms, x.field = n, d, terms, field
+        return x
 
     @classmethod
     def fermat(cls, n: int, d: int, field) -> "HyperForm":
@@ -369,7 +386,7 @@ class HyperForm:
         if len(B) != n1 or any(len(r) != n1 for r in B):
             raise ValueError("substitution matrix has wrong shape")
         cols = [[f.of(row[j]) for row in B] for j in range(n1)]
-        return HyperForm(self.n, self.d, expand(self.terms, cols, f, upto), f)
+        return HyperForm._of(self.n, self.d, expand(self.terms, cols, f, upto), f)
 
     def text(self) -> str:
         lines = []
@@ -409,8 +426,11 @@ def pullback_of_partial(F: HyperForm, i: int, line: LineParam, upto: int | None 
     """Restriction of dF/dx_i to a line, as a binary form of degree d-1.
 
     Works for any d >= 1 (a linear form's partial is a constant, which a
-    HyperForm cannot carry).  Of deformation's two routes, only the
-    truncated one takes its jets here.
+    HyperForm cannot carry).  Neither of deformation's routes takes its
+    jets here any more: the direct route reads them off its line table
+    and the truncated route off F_k's terms.  It stays for the API, for
+    the tests that check both routes against it, and for the tracer that
+    hooks the name in deformation.
     """
     width = F.d if upto is None else min(F.d, upto)
     return _along_line(_derivative_terms(F, i), F.d - 1, line, width)

@@ -16,6 +16,7 @@ from tangency.deformation import (
     TRUNCATION_BUDGET,
     TrialRecord,
     _corrupted,
+    _canonical_partials,
     _LineTable,
     _partials_table,
     _trial_routes,
@@ -393,7 +394,7 @@ def test_truncation_past_the_budget_is_refused_before_it_expands(monkeypatch):
     def expanded(*args, **kwargs):
         raise AssertionError("F_k was expanded")
 
-    monkeypatch.setattr(HyperForm, "substitute", expanded)
+    monkeypatch.setattr(deformation, "expand", expanded)
     began = time.perf_counter()
     with pytest.raises(ValueError, match=r"^the order-41 truncation could take up to 2\^45 "
                                          r"steps, over the budget of 2\^24$"):
@@ -663,3 +664,90 @@ def test_contact_experiment_detects_a_corrupted_line_table(monkeypatch):
     summary = contact_experiment(20, seed=5)
     assert summary.congruence_failures == 20
     assert summary.route_disagreements == 20
+
+
+# the partials of F_k along the canonical line, read off its terms: the
+# reference is the expansion along that line they replaced
+
+
+def _canonical_partials_cases():
+    # (F_k, k) for the truncation at every k of a seeded form over QQ and
+    # F_101 in P^1..P^5, each also with _corrupted's bump
+    cases = []
+    for label in ("QQ", "F101"):
+        field = FIELDS[label]
+        rng = random.Random(f"canonical partials {label}")
+        for n in range(1, 6):
+            for d in range(1, 5):
+                L = sample_line(n, field, rng)
+                # a line of contact past 1 in P^1 meets F at a singular point
+                F = sample_contact_form(L, d, rng.randint(1, d if n > 1 else 1), rng)
+                for k in range(1, d + 1):
+                    fk = truncate(F, L.marked_point(), k).form
+                    cases += [(fk, k), (_corrupted(fk, k), k)]
+    return cases
+
+
+CANONICAL_PARTIALS_CASES = _canonical_partials_cases()
+
+
+def test_canonical_partials_are_read_off_the_terms():
+    for fk, k in CANONICAL_PARTIALS_CASES:
+        line = canonical_line(fk.n, fk.field)
+        want = [pullback_of_partial(fk, i, line, upto=k) for i in range(fk.n + 1)]
+        assert repr(_canonical_partials(fk, k)) == repr(want)
+    # the cases hold terms of order 1, 2 and 3 past y1
+    assert {sum(e[2:]) for fk, _ in CANONICAL_PARTIALS_CASES for e in fk.terms} >= {1, 2, 3}
+
+
+# the forms made by HyperForm._of, which checks nothing: each must be what
+# the checking constructor makes of its terms
+
+
+def _trusted_forms():
+    # seeded sample_contact_form, substitute and truncate outputs
+    for label in ("QQ", "F7", "F101"):
+        field = FIELDS[label]
+        rng = random.Random(f"trusted forms {label}")
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            d = rng.randint(1, 5)
+            k = rng.randint(1, d)
+            L = sample_line(n, field, rng)
+            F = sample_contact_form(L, d, k, rng)
+            B = completion_matrix([L.marked_point(), L.direction()], field)
+            yield from (F, F.substitute(B), F.substitute(B, upto=k),
+                        truncate(F, L.marked_point(), k).form)
+
+
+def test_trusted_forms_equal_their_checked_copies():
+    for G in _trusted_forms():
+        checked = HyperForm(G.n, G.d, G.terms, G.field)
+        assert checked == G and repr(checked.terms) == repr(G.terms)
+        assert not any(G.field.is_zero(c) for c in G.terms.values())
+    # the sampler still refuses a field of characteristic up to d
+    rng = random.Random("sampled over F_3")
+    with pytest.raises(ValueError, match="exceed the degree"):
+        sample_contact_form(sample_line(2, PrimeField(3), rng), 3, 1, rng)
+
+
+def test_direct_jets_satisfy_eulers_identity():
+    # along L, sum_j p_j dF/dx_j = d/dt F|_L and sum_j u_j dF/dx_j = d/ds
+    # F|_L, so t (p jet) + s (u jet) = d F|_L at full width d: in
+    # coefficients p[m] + u[m - 1] = d G[m], G = F|_L
+    for label in ("QQ", "F101"):
+        field = FIELDS[label]
+        rng = random.Random(f"euler jets {label}")
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            d = rng.randint(1, 5)
+            F = HyperForm(n, d, {e: field.random(rng) for e in monomials(n, d)
+                                 if rng.random() < 0.6}, field)
+            L = sample_line(n, field, rng)
+            G = F.pullback(L)
+            for table in (_partials_table(F, L, d), _LineTable(L, monomials(n, d - 1), d - 1, d)):
+                p, u = table.partials(F.terms, d)[:2]
+                for m in range(d + 1):
+                    lhs = field.add(p[m] if m < d else field.zero,
+                                    u[m - 1] if m else field.zero)
+                    assert lhs == field.mul(field.of(d), G[m])

@@ -13,8 +13,10 @@ expand's Horner walk (its cut, the cofactor's degree, the one-step power
 of a one-entry linear form, F_p's lowering) and its price _expand_steps;
 the root ring's Kronecker packing width and its packings kept across
 calls; the direct route's jets off the line table (a swap, a
-reversal and a wrong scale); and the two ways to get the rescale of a
-fraction-free elimination row wrong.
+reversal and a wrong scale); the truncated route's partials read off
+F_k's terms (a factor dropped, a y_i term taken at any exponent) and the
+sampler's forms made without checks (zero coefficients kept); and the
+two ways to get the rescale of a fraction-free elimination row wrong.
 """
 
 import __future__
@@ -98,6 +100,7 @@ def _one_entry_cases():
 
 P_JET = "lower((deg + 1 - m, m), sum(map(mul, self.p, N)))"
 STEPS_GUARD = (test_forms.test_expand_steps_bounds_the_steps_expand_takes,)
+READ_OFF_GUARD = (test_deformation.test_canonical_partials_are_read_off_the_terms,)
 
 # name: (owner, function, edits, guards); every guard must catch the mutant
 MUTANTS = {
@@ -110,14 +113,31 @@ MUTANTS = {
                                   {"for c in self.standard]": "for c in reversed(self.standard)]"},
                                   (_routes_agree,)),
     # the p jet lowered as if it had no extra power of p: over F_p lowering
-    # ignores the exponent, and over QQ only the two references with the
-    # binary-form chain rule see it.  Along L, sum_j p_j dF/dx_j is d/dt of
-    # F|_L, so at contact k its first k s-coefficients vanish, and on a
-    # contained line all of them do: a wrong scale on zeros is still zero,
-    # and no section system, congruence or pinned digest can see it
+    # ignores the exponent, and over QQ only Euler's identity along L and
+    # the two references with the binary-form chain rule see it.  Along L,
+    # sum_j p_j dF/dx_j is d/dt of F|_L, so at contact k its first k
+    # s-coefficients vanish, and on a contained line all of them do: a
+    # wrong scale on zeros is still zero, and no section system, congruence
+    # or pinned digest can see it
     "p-jet-without-its-power-of-p": (_LineTable, "partials",
                                      {P_JET: P_JET.replace("deg + 1 - m", "deg - m")},
-                                     (_chain_rule_reference, _line_table_reference)),
+                                     (test_deformation.test_direct_jets_satisfy_eulers_identity,
+                                      _chain_rule_reference, _line_table_reference)),
+    # F_k's y0-partial read off its terms without the factor a of y0^a
+    "read-off-partial-without-its-exponent": (
+        test_deformation, "_canonical_partials",
+        {"out[0][b] = f.mul(c, f.of(a))": "out[0][b] = c"}, READ_OFF_GUARD),
+    # a term y0^a y1^b y_i^e taken into the y_i-partial at any e, and with
+    # other y_j beside it
+    "read-off-partial-at-any-exponent": (
+        test_deformation, "_canonical_partials",
+        {"elif a + b == k - 1:\n            out[e.index(1, 2)][b] = c":
+         "else:\n            out[next(i for i in range(2, len(e)) if e[i])][b] = c"},
+        READ_OFF_GUARD),
+    # the sampled form made unchecked with the kernel vector's zeros kept
+    "sampled-zeros-kept": (test_deformation, "sample_contact_form",
+                           {"{m: a for m, a in zip(monos, c) if a}": "dict(zip(monos, c))"},
+                           (test_deformation.test_trusted_forms_equal_their_checked_copies,)),
     # Kronecker digits one bit narrower than the bound S needs
     "packing-width-one-bit-short": (RootRing, "lifted",
                                     {".bit_length() + 1": ".bit_length()"},
@@ -223,3 +243,10 @@ def test_the_fermat_and_expand_mutants_compile_back_to_themselves(monkeypatch):
         _mutate(monkeypatch, owner, name, {})
     test_fermat.check_planes(3)
     _one_entry_cases()
+
+
+def test_the_truncated_route_mutants_compile_back_to_themselves(monkeypatch):
+    for name in ("_canonical_partials", "sample_contact_form"):
+        _mutate(monkeypatch, test_deformation, name, {})
+    test_deformation.test_canonical_partials_are_read_off_the_terms()
+    test_deformation.test_trusted_forms_equal_their_checked_copies()
