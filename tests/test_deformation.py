@@ -15,8 +15,8 @@ from tangency.deformation import (
     CONTAINED,
     TRUNCATION_BUDGET,
     TrialRecord,
-    _corrupted,
     _canonical_partials,
+    _corrupted,
     _LineTable,
     _partials_table,
     _trial_routes,
