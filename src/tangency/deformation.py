@@ -55,7 +55,13 @@ Nothing of one (F, L, k) is computed twice, and the jets are passed
 explicitly: each entry point forms the ones it needs once, and
 _trial_routes hands each route's jets to its section system and both to
 _congruence.  contact_experiment takes the contact order from the exact
-check sample_contact_form makes.
+check sample_contact_form makes.  What depends on exponents alone is
+shared across trials: forms.monomials keeps the lists of the last
+forms.MONOMIALS_MEMO (n, d), and _exponent_parents the triples (j, e_j,
+x^e / x_j) of the last PARENTS_MEMO exponents e, which the conditioning
+rows, the parent lists and _partials_table read.  They fill from the
+exponents asked about, never from all of a degree, and hold no field
+element, so no trial sees another's field.
 
 The routes agree when their section systems have the same kernel, and
 that is equality of the two kernel_basis lists: the basis is read off the
@@ -68,6 +74,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from operator import mul
 
 from .fields import (
@@ -96,6 +103,9 @@ SAMPLE_TRIES = 400   # kernel vectors sample_contact_form draws before it gives 
 # (0.55 us on x0*x1*...*xn at (0, 1, ..., 1) with k = n + 1, priced at
 # about its steps), so about 9 s at most at this limit
 TRUNCATION_BUDGET = 2 ** 24
+# the exponents whose parents stay memoized (_exponent_parents): deform-fp's
+# 35 classes ask about 2023
+PARENTS_MEMO = 4096
 
 
 def contact_order(F: HyperForm, L: LineParam):
@@ -161,9 +171,11 @@ def truncate(F: HyperForm, point, k: int) -> Truncation:
     return Truncation(_truncation(F, B, k), B, k)
 
 
-def _divided(e: tuple, j: int) -> tuple:
-    # the exponent vector of x^e / x_j
-    return e[:j] + (e[j] - 1,) + e[j + 1:]
+@lru_cache(maxsize=PARENTS_MEMO)
+def _exponent_parents(e: tuple) -> tuple:
+    # (j, e_j, the exponent of x^e / x_j) for each j with e_j > 0, in
+    # increasing j
+    return tuple((j, ej, e[:j] + (ej - 1,) + e[j + 1:]) for j, ej in enumerate(e) if ej)
 
 
 class _LineTable:
@@ -207,8 +219,8 @@ class _LineTable:
         monos = monomials(len(self.p) - 1, d)
         out = [[] for _ in range(top + 1)]
         for e in monos:
-            i = next(i for i, ei in enumerate(e) if ei)
-            r = self.rows[_divided(e, i)]
+            i, _, parent = _exponent_parents(e)[0]
+            r = self.rows[parent]
             pi, ui = self.p[i], self.u[i]
             out[0].append(lower((d, 0), pi * r[0]))
             for j in range(1, top + 1):
@@ -247,17 +259,16 @@ class _LineTable:
         ints, _, lower = self.field.lifted(terms, self.cols)
         cols = [([], []) for _ in self.p]
         for e, c in ints.items():
-            for j, ej in enumerate(e):
-                if ej:
-                    cs, rs = cols[j]
-                    cs.append(c * ej)
-                    rs.append(self.rows[_divided(e, j)])
+            for j, ej, parent in _exponent_parents(e):
+                cs, rs = cols[j]
+                cs.append(c * ej)
+                rs.append(self.rows[parent])
         return lower, cols
 
 
 def _partials_table(F: HyperForm, L: LineParam, width: int) -> _LineTable:
     # the table over only the monomials F's partials use, to s^(width-1)
-    support = {_divided(e, j) for e in F.terms for j, ej in enumerate(e) if ej}
+    support = {parent for e in F.terms for _, _, parent in _exponent_parents(e)}
     return _LineTable(L, list(support), F.d - 1, width - 1)
 
 

@@ -47,13 +47,27 @@ of s^m t^(D-m).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .fields import matrix_rank
 
+# the (n, d) whose monomial lists stay memoized: deform-fp's trials ask
+# for 12 across its nine (n, d) pairs
+MONOMIALS_MEMO = 32
+
 
 def monomials(n: int, d: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of degree d in n+1 variables, lex order."""
+    """All exponent vectors of degree d in n+1 variables, lex order.
+
+    The exponents of the last MONOMIALS_MEMO (n, d) asked for are kept, as
+    a tuple, so that trials over the same (n, d) enumerate them once; each
+    call returns a fresh list, which the caller may change."""
+    return list(_monomials(n, d))
+
+
+@lru_cache(maxsize=MONOMIALS_MEMO)
+def _monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
 
     def rec(prefix, remaining, slots):
@@ -64,7 +78,7 @@ def monomials(n: int, d: int) -> list[tuple[int, ...]]:
             rec(prefix + (e,), remaining - e, slots - 1)
 
     rec((), d, n + 1)
-    return out
+    return tuple(out)
 
 
 def expand(terms: dict, cols, ring, top: int | None = None) -> dict:

@@ -7,10 +7,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from tangency import deformation
+from tangency import deformation, forms
 from tangency.deformation import (
     CONTAINED,
     TRUNCATION_BUDGET,
@@ -20,6 +20,7 @@ from tangency.deformation import (
     _LineTable,
     _partials_table,
     _trial_routes,
+    _truncation,
     canonical_line,
     completion_matrix,
     congruence_check,
@@ -578,6 +579,23 @@ def test_chain_rule_equals_the_binary_form_loop(case):
     _check_chain_rule(*case)
 
 
+def test_contact_experiment_counts_one_route_failing_euler_membership(monkeypatch):
+    # the truncated route's Euler membership made to fail alone: a trial's
+    # euler_ok needs both routes, so every trial counts as an Euler failure
+    sections = deformation._sections
+
+    def failing(F, k, co, jets, truncated):
+        space = sections(F, k, co, jets, truncated)
+        space.euler_in_kernel = space.euler_in_kernel and not truncated
+        return space
+
+    monkeypatch.setattr(deformation, "_sections", failing)
+    summary = contact_experiment(8, seed=5)
+    assert summary.euler_failures == summary.trials == 8
+    assert not any(r.euler_ok for r in summary.records)
+    assert (summary.matched, summary.congruence_failures, summary.route_disagreements) == (8, 0, 0)
+
+
 def test_contact_experiment_detects_a_corrupted_truncated_route(monkeypatch):
     # every trial's truncated route reads a corrupted F_k: the sections and
     # the congruence both disagree with the direct route, while the
@@ -751,3 +769,117 @@ def test_direct_jets_satisfy_eulers_identity():
                     lhs = field.add(p[m] if m < d else field.zero,
                                     u[m - 1] if m else field.zero)
                     assert lhs == field.mul(field.of(d), G[m])
+
+
+# the exponent memos: forms.monomials' lists and deformation's parents of
+# each exponent, kept across calls
+
+
+def _memoized_outputs():
+    # criterion-7 records over F_101 and F_7 (seed 5's ten trials draw no
+    # d = 7, which F_7 cannot carry), and seeded QQ trials through both
+    # routes of log_sections and congruence_check, as exact-rings runs them
+    out = [contact_experiment(12, seed=26).records,
+           contact_experiment(10, seed=5, prime=7).records]
+    rng = random.Random("memoized QQ trials")
+    for n, d, k in ((3, 3, 2), (3, 4, 4), (4, 5, 3), (5, 5, 1)):
+        L = sample_line(n, QQ, rng)
+        F = sample_contact_form(L, d, k, rng)
+        out.append((F.terms, log_sections(F, L, k, use_truncation=False),
+                    log_sections(F, L, k, use_truncation=True), congruence_check(F, L, k)))
+    return out
+
+
+def test_exponent_memos_change_no_output(monkeypatch):
+    memos = (forms._monomials, deformation._exponent_parents)
+    for memo in memos:
+        memo.cache_clear()
+    cold = _memoized_outputs()
+    assert all(memo.cache_info().currsize for memo in memos)
+    warm = _memoized_outputs()
+    assert all(memo.cache_info().hits for memo in memos)
+    # and the functions the memos wrap, called afresh every time
+    for module, memo in zip((forms, deformation), memos):
+        monkeypatch.setattr(module, memo.__name__, memo.__wrapped__)
+    assert repr(warm) == repr(cold) == repr(_memoized_outputs())
+
+
+def test_exponent_memos_are_bounded_and_hold_exponents():
+    # deform-fp's 35 classes ask for 12 monomial lists and about 2023
+    # exponents' parents
+    assert 12 <= forms._monomials.cache_info().maxsize == forms.MONOMIALS_MEMO < 2 ** 10
+    assert 2 ** 12 <= deformation._exponent_parents.cache_info().maxsize \
+        == deformation.PARENTS_MEMO < 2 ** 16
+    assert forms._monomials(2, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert deformation._exponent_parents((2, 0, 1)) == ((0, 2, (1, 0, 1)), (2, 1, (2, 0, 0)))
+
+
+# reduction mod 101 as an oracle for the exact route: the conditioning
+# rows, the direct route's jets and F_k are polynomials in the
+# coordinates of the line and the coefficients of F, so reducing the QQ
+# answers mod 101 gives the F_101 answers on the reduced inputs, as long
+# as no denominator is divisible by 101 and B keeps its pivots
+
+
+F101 = PrimeField(101)
+
+
+@st.composite
+def reducible_cases(draw):
+    # (F, L, k) over QQ, entries a / b with b in {1, 2, 3, 7}, F through
+    # the marked point of L
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(1, d))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
+    p = draw(st.lists(entry, min_size=n + 1, max_size=n + 1))
+    u = draw(st.lists(entry, min_size=n + 1, max_size=n + 1))
+    try:
+        L = LineParam.from_point_direction(p, u, QQ)
+    except ValueError:
+        assume(False)
+    terms = {e: draw(entry) for e in monomials(n, d) if draw(st.booleans())}
+    # subtract G(p) / p_r^d x_r^d, p_r the first nonzero coordinate, so that F(p) = 0
+    r = next(i for i, x in enumerate(p) if x)
+    top = tuple(d if i == r else 0 for i in range(n + 1))
+    G = HyperForm(n, d, terms, QQ)
+    terms[top] = terms.get(top, 0) - G.evaluate(p) / p[r] ** d
+    return HyperForm(n, d, terms, QQ), L, k
+
+
+def _reduced(x):
+    # x mod 101, entrywise through lists, tuples and dict values
+    if isinstance(x, dict):
+        return {e: _reduced(c) for e, c in x.items() if not F101.is_zero(_reduced(c))}
+    if isinstance(x, (list, tuple)):
+        return type(x)(_reduced(c) for c in x)
+    return F101.of(x)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reducible_cases())
+def test_exact_route_commutes_with_reduction_mod_101(case):
+    F, L, k = case
+    try:
+        terms = _reduced(F.terms)
+        rows = [_reduced(row) for row in L.rows]
+    except ZeroDivisionError:
+        event("bad reduction: 101 in a denominator")
+        assume(False)
+    try:
+        L101 = LineParam(rows, F101)
+    except ValueError:
+        event("bad reduction: (p, u) of rank < 2 mod 101")
+        assume(False)
+    B = completion_matrix([L.marked_point(), L.direction()], QQ)
+    B101 = completion_matrix([L101.marked_point(), L101.direction()], F101)
+    if _reduced(B) != B101:
+        event("bad reduction: a pivot moves")
+        assume(False)
+    F101_form = HyperForm(F.n, F.d, terms, F101)
+    monos, cond = _LineTable(L, monomials(F.n, F.d - 1), F.d - 1, k).conditioning_rows()
+    assert (monos, _reduced(cond)) == \
+        _LineTable(L101, monomials(F.n, F.d - 1), F.d - 1, k).conditioning_rows()
+    assert _reduced(_partials_table(F, L, k).partials(F.terms, k)) == \
+        _partials_table(F101_form, L101, k).partials(terms, k)
+    assert _reduced(_truncation(F, B, k).terms) == _truncation(F101_form, B101, k).terms

@@ -51,6 +51,15 @@ def test_is_prime_near_and_past_its_limit():
         PrimeField(2 ** 89 - 1)
 
 
+def test_prime_fields_are_equal_and_hash_alike_by_their_prime():
+    a, b = PrimeField(101), PrimeField(101)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != PrimeField(103) and not a == PrimeField(103)
+    assert a != QQ and a != 101
+    # so a field made twice finds the same dict entry
+    assert {a: "F_101"}[b] == "F_101" and PrimeField(103) not in {a: "F_101"}
+
+
 # the row-reduced span of a basis identifies its space: the reference for
 # kernel_basis, whose lists must be equal exactly when their spans are
 

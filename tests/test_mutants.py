@@ -10,13 +10,16 @@ its mutant, as a control that must pass.
 The mutants are the ones each change was checked against by hand: the
 symbolic route's relation H^2 = s1 H - s11 and principal-parts factors;
 expand's Horner walk (its cut, the cofactor's degree, the one-step power
-of a one-entry linear form, F_p's lowering) and its price _expand_steps;
-the root ring's Kronecker packing width and its packings kept across
-calls; the direct route's jets off the line table (a swap, a
-reversal and a wrong scale); the truncated route's partials read off
-F_k's terms (a factor dropped, a y_i term taken at any exponent) and the
-sampler's forms made without checks (zero coefficients kept); and the
-two ways to get the rescale of a fraction-free elimination row wrong.
+of a one-entry linear form, F_p's lowering) and its price _expand_steps,
+made too low and too high; the root ring's Kronecker packing width and
+its packings kept across calls; the direct route's jets off the line
+table (a swap, a reversal and a wrong scale) and the memoized parents of
+an exponent it reads them through (the multiplicity dropped); the
+truncated route's partials read off F_k's terms (a factor dropped, a y_i
+term taken at any exponent) and the sampler's forms made without checks
+(zero coefficients kept); a trial's Euler membership taken from one
+route; PrimeField equality flipped; and the two ways to get the rescale
+of a fraction-free elimination row wrong.
 """
 
 import __future__
@@ -27,13 +30,14 @@ import re
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
 
 import test_deformation
 import test_enumerative
 import test_fermat
 import test_fields
 import test_forms
-from tangency import enumerative, fields, flag, forms
+from tangency import deformation, enumerative, fields, flag, forms
 from tangency.deformation import _LineTable, completion_matrix, contact_experiment, sample_line
 from tangency.fermat import RootRing
 from tangency.fields import QQ, PrimeField
@@ -41,8 +45,10 @@ from tangency.forms import HyperForm, monomials
 
 
 def _mutate(monkeypatch, owner, name: str, edits: dict):
-    # owner.name with each key of edits replaced by its value, all at once
-    func = getattr(owner, name)
+    # owner.name with each key of edits replaced by its value, all at once;
+    # a memoized function is recompiled with its decorator, so the mutant
+    # has a memo of its own
+    func = inspect.unwrap(getattr(owner, name))
     source = textwrap.dedent(inspect.getsource(func))
     for old in edits:
         assert source.count(old) == 1, f"{old!r} does not occur once in {name}"
@@ -96,6 +102,23 @@ def _one_entry_cases():
     # the named cases test_expand_equals_the_per_term_sum runs as examples
     for case in test_forms.ONE_ENTRY_CASES:
         test_forms._check_expand(*case)
+
+
+def _reduction_mod_101():
+    # test_exact_route_commutes_with_reduction_mod_101 stopped at its first
+    # failing case: shrinking it would take seconds and tell a guard nothing
+    test = test_deformation.test_exact_route_commutes_with_reduction_mod_101.hypothesis.inner_test
+    settings(max_examples=150, deadline=None, phases=[Phase.generate], database=None,
+             suppress_health_check=[HealthCheck.too_slow])(
+        given(test_deformation.reducible_cases())(test))()
+
+
+def _with_monkeypatch(test):
+    # a test that takes the monkeypatch fixture, as a guard
+    def guard():
+        with pytest.MonkeyPatch.context() as mp:
+            test(mp)
+    return guard
 
 
 P_JET = "lower((deg + 1 - m, m), sum(map(mul, self.p, N)))"
@@ -163,7 +186,23 @@ MUTANTS = {
                                       "walk(group, j + 1, deg, {})"},
                                      (_one_entry_cases,)),
     # F_p's output coefficients not reduced
-    "mod-p-left-out": (PrimeField, "lifted", {"num % p": "num"}, (_one_entry_cases,)),
+    "mod-p-left-out": (PrimeField, "lifted", {"num % p": "num"},
+                       (_one_entry_cases, _reduction_mod_101)),
+    # the memoized parents of an exponent without the multiplicity e_j, so
+    # dF/dx_j takes c where it needs e_j c
+    "parents-without-their-multiplicity": (
+        deformation, "_exponent_parents", {"(j, ej, e[:j]": "(j, 1, e[:j]"},
+        (_routes_agree, _chain_rule_reference)),
+    # a trial's Euler membership taken from either route, not from both
+    "euler-ok-from-either-route": (
+        test_deformation, "contact_experiment",
+        {"direct.euler_in_kernel and trunc.euler_in_kernel":
+         "direct.euler_in_kernel or trunc.euler_in_kernel"},
+        (_with_monkeypatch(
+            test_deformation.test_contact_experiment_counts_one_route_failing_euler_membership),)),
+    # two fields of one prime unequal, and of two primes equal
+    "field-equality-flipped": (PrimeField, "__eq__", {"other.p == self.p": "other.p != self.p"},
+                               (test_fields.test_prime_fields_are_equal_and_hash_alike_by_their_prime,)),
     # expand's price: the seven ways it was made too low by hand
     "steps-without-unpacking": (test_forms, "_expand_steps",
                                 {"return steps + walked + (m + 1) * left":
@@ -187,6 +226,12 @@ MUTANTS = {
     "steps-cap-one-lower": (test_forms, "_expand_steps",
                             {"comb(m + min(deg, top), m) for deg": "comb(m + min(deg, top), m) - 1 for deg"},
                             STEPS_GUARD),
+    # and two of the ways to make it too high, which the upper bound of the
+    # same guard sees
+    "steps-one-column-too-many": (test_forms, "_expand_steps",
+                                  {"len(cols) - 1": "len(cols)"}, STEPS_GUARD),
+    "steps-power-bounds-two-higher": (test_forms, "_expand_steps",
+                                      {"comb(a + r - 1, a)": "comb(a + r + 1, a)"}, STEPS_GUARD),
     # H^2 = s1 H + s11, the sign of s11 flipped
     "h-squared-sign": (flag, "reduce_class", {"-mult(s11, A)": "mult(s11, A)"},
                        (_bott_localization,)),
@@ -243,6 +288,14 @@ def test_the_fermat_and_expand_mutants_compile_back_to_themselves(monkeypatch):
         _mutate(monkeypatch, owner, name, {})
     test_fermat.check_planes(3)
     _one_entry_cases()
+
+
+def test_the_memoized_parents_compile_back_to_themselves(monkeypatch):
+    _mutate(monkeypatch, deformation, "_exponent_parents", {})
+    parents = deformation._exponent_parents
+    assert parents.cache_info() == (0, 0, deformation.PARENTS_MEMO, 0)
+    assert parents((2, 0, 1)) == ((0, 2, (1, 0, 1)), (2, 1, (2, 0, 0)))
+    _routes_agree()
 
 
 def test_the_truncated_route_mutants_compile_back_to_themselves(monkeypatch):
