@@ -8,97 +8,10 @@ planes and high-order contact loci in hypersurfaces.  The exact layer
 verifies the underlying deformation theory over Q and F_p, and the
 finite-field layer counts contact pairs over F_q to probe dimensions
 empirically.
+
+Names are imported from their modules (tangency.schubert, tangency.counting,
+...): the package re-exports nothing, so importing one module loads only
+what that module needs, and numpy only with tangency.counting.
 """
 
-from .counting import (
-    CountRecord,
-    SlopeReport,
-    closed_count_k1,
-    closed_count_k2_smooth,
-    count_vk,
-    count_vk_bruteforce,
-    dimension_slope,
-    hypersurface_points,
-    lines_in_hypersurface,
-    pp_count,
-    rational_singular_points,
-)
-from .deformation import (
-    CONTAINED,
-    DeformationSpace,
-    congruence_check,
-    contact_experiment,
-    contact_order,
-    log_sections,
-    sample_contact_form,
-    sample_line,
-    truncate,
-)
-from .dpoly import DPoly
-from .enumerative import (
-    BOUND_INFO,
-    fano_line_count,
-    flecnodal_degree,
-    flex_count,
-    plane_bound,
-    principal_parts_class,
-    z6_conditional_bound,
-)
-from .fermat import FermatPlane, RootRing, fermat_planes, verify_plane
-from .fields import QQ, PrimeField
-from .flag import FlagElt, hclass, integrate, pushforward, reduce_class
-from .forms import HyperForm, LineParam, parse_form, parse_line_param
-from .schubert import SchubertElt, degree, mult, pieri, sigma
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOUND_INFO",
-    "CONTAINED",
-    "CountRecord",
-    "DPoly",
-    "DeformationSpace",
-    "FermatPlane",
-    "FlagElt",
-    "HyperForm",
-    "LineParam",
-    "PrimeField",
-    "QQ",
-    "RootRing",
-    "SchubertElt",
-    "SlopeReport",
-    "closed_count_k1",
-    "closed_count_k2_smooth",
-    "congruence_check",
-    "contact_experiment",
-    "contact_order",
-    "count_vk",
-    "count_vk_bruteforce",
-    "degree",
-    "dimension_slope",
-    "fano_line_count",
-    "fermat_planes",
-    "flecnodal_degree",
-    "flex_count",
-    "hclass",
-    "hypersurface_points",
-    "integrate",
-    "lines_in_hypersurface",
-    "log_sections",
-    "mult",
-    "parse_form",
-    "parse_line_param",
-    "pieri",
-    "plane_bound",
-    "pp_count",
-    "principal_parts_class",
-    "pushforward",
-    "rational_singular_points",
-    "reduce_class",
-    "sample_contact_form",
-    "sample_line",
-    "sigma",
-    "truncate",
-    "verify_plane",
-    "z6_conditional_bound",
-]

@@ -46,7 +46,8 @@ pulled-back form vanishes at it, which one contraction per order and
 tile decides: (grid monomials, R x C(nfree-1+j, j)) times (coefficients,
 C(nfree-1+j, j) x points).  Everything that depends only on the form, k
 and q (the derivative matrices, the charts' jet rows, the grid
-monomials, the inverse table) is built once per count_vk call.
+monomials) is built once per count_vk call; the only inverses taken are
+those of the pivot gradients the pullback divides by.
 
 Exactness of a count.  A Horner step adds at most n-1 products of
 residues in [0, q) to a residue, a contraction sum C(n-1+j, j); both stay
@@ -83,13 +84,6 @@ each filled by several tiles.
 
 Counts are exact integers; the worker count (capped by the CPUs and by the
 size of the count) only changes the chunking, never the sum.
-
-A full brute-force route (explicit row-echelon enumeration of all lines)
-exists for cross-checking at small q, and doubles as an exhaustive
-line-containment oracle.  It walks every (point, line) pair and asks
-deformation.contact_order, the exact s-adic valuation of F along the
-line, so it shares no code with the chart counter's derivatives, charts
-or GEMMs.
 """
 
 from __future__ import annotations
@@ -99,14 +93,12 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 import numpy as np
 
-from .deformation import CONTAINED, contact_order
 from .fields import PrimeField
-from .forms import HyperForm, LineParam, monomials
+from .forms import HyperForm, monomials
 
 
 def pp_count(m: int, q: int) -> int:
@@ -564,8 +556,7 @@ class _Chart:
                 self.orders.append((pos, j, rows))
 
 
-def _pullback(chart: _Chart, jets: list[np.ndarray], inverse: np.ndarray,
-              q: int) -> list[np.ndarray]:
+def _pullback(chart: _Chart, jets: list[np.ndarray], q: int) -> list[np.ndarray]:
     """For each of chart.orders, j: C[beta, p], in the kind's dtype, the
     coefficient mod q of r^beta in G_j(p, v) on the chart (v_free = r,
     v_pivot = w.r), at the points whose jets (gradient, then the kernel's
@@ -577,7 +568,7 @@ def _pullback(chart: _Chart, jets: list[np.ndarray], inverse: np.ndarray,
     at most nfree products of two residues to a residue, exact in int64.
     """
     kind, grad = chart.kind, jets[0]
-    w = -grad[chart.free] * inverse[grad[chart.pivot]] % q
+    w = -grad[chart.free] * _inverse(grad[chart.pivot], q) % q
     out = []
     for pos, j, rows in chart.orders:
         P = None
@@ -597,10 +588,9 @@ class _Kernel:
     """Everything the counter needs that depends only on the form, k and q.
 
     Built once per count_vk call and handed to forked pool workers: the
-    divided derivatives of orders 1..k-1 (at most d), the inverse table of
-    F_q, the dtype of the direction test (float32 when exactness_bound is
-    below _EXACT32, float64 otherwise), and the charts with their direction
-    grids.  `count` does the per-point work for a chunk of points sorted by
+    divided derivatives of orders 1..k-1 (at most d), the dtype of the
+    direction test (float32 when exactness_bound is below _EXACT32, float64
+    otherwise), and the charts with their direction grids.  `count` does the per-point work for a chunk of points sorted by
     chart key.
     """
 
@@ -611,7 +601,6 @@ class _Kernel:
         exact32 = exactness_bound(self.n, F.d, k, self.q) < _EXACT32
         self.dtype = np.dtype(np.float32 if exact32 else np.float64)
         self.jets = _Derivatives(F, [1] + self.orders)
-        self.inverse = _inverses(self.q)
         self.charts: dict[int, _Chart] = {}
 
     def chart_keys(self, pts: np.ndarray) -> np.ndarray:
@@ -651,7 +640,7 @@ class _Kernel:
         if not chart.orders:
             return chart.kind.size * jets[0].shape[1]
         return _grid_zeros([chart.kind.grid[pos] for pos, _, _ in chart.orders],
-                           _pullback(chart, jets, self.inverse, self.q), self.q)
+                           _pullback(chart, jets, self.q), self.q)
 
 
 # The kernel of the count a forked pool worker serves: the fork hands it
@@ -668,15 +657,16 @@ def _count_chunk(pts: np.ndarray, keys: np.ndarray) -> int:
     return _worker_kernel.count(pts, keys)
 
 
-def _inverses(q: int) -> np.ndarray:
-    """x^(q-2) mod q for x = 0..q-1: the inverse of every unit."""
-    base = np.arange(q, dtype=np.int64)
-    out = np.ones(q, dtype=np.int64)
+def _inverse(x: np.ndarray, q: int) -> np.ndarray:
+    """x^(q-2) mod q entrywise, by square-and-multiply: the inverse of each
+    unit.  Only the entries asked about are inverted; a table of all of F_q
+    would take 8q bytes."""
+    out = np.ones_like(x)
     e = q - 2
     while e:
         if e & 1:
-            out = out * base % q
-        base = base * base % q
+            out = out * x % q
+        x = x * x % q
         e >>= 1
     return out
 
@@ -811,65 +801,6 @@ def closed_count_k2_smooth(F: HyperForm) -> int:
     """|X| * |P^(n-2)|; valid when X has no rational singular points."""
     q = _prime_of(F)
     return hypersurface_points(F).shape[0] * pp_count(F.n - 2, q)
-
-
-# ---------------------------------------------------------------------------
-# brute-force route: explicit line enumeration
-
-
-def _rref_lines(n: int, q: int):
-    """Every line of P^n(F_q) exactly once, as a reduced row pair (r1, r2)."""
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            free1 = [c for c in range(i + 1, n + 1) if c != j]
-            free2 = [c for c in range(j + 1, n + 1)]
-            for vals in product(range(q), repeat=len(free1) + len(free2)):
-                r1 = [0] * (n + 1)
-                r2 = [0] * (n + 1)
-                r1[i] = 1
-                r2[j] = 1
-                for c, v in zip(free1, vals):
-                    r1[c] = v
-                for c, v in zip(free2, vals[len(free1):]):
-                    r2[c] = v
-                yield tuple(r1), tuple(r2)
-
-
-def count_vk_bruteforce(F: HyperForm, k: int) -> int:
-    """Same count as count_vk, by walking every line and every marked point.
-
-    Only sensible at very small q; kept as the independent correctness
-    route for the chart-based counter.
-    """
-    q = _prime_of(F)
-    if k < 1:
-        raise ValueError("contact order k must be >= 1")
-    f = F.field
-    count = 0
-    for r1, r2 in _rref_lines(F.n, q):
-        # marked points of the line: canonical P^1 combinations
-        marks = [([(r1[i] + lam * r2[i]) % q for i in range(F.n + 1)], r2)
-                 for lam in range(q)]
-        marks.append((list(r2), r1))
-        for p, u in marks:
-            v = contact_order(F, LineParam.from_point_direction(p, u, f))
-            if v == CONTAINED or v >= k:
-                count += 1
-    return count
-
-
-def lines_in_hypersurface(F: HyperForm) -> int:
-    """Exhaustive count of F_q-lines contained in {F = 0}."""
-    q = _prime_of(F)
-    f = F.field
-    count = 0
-    for r1, r2 in _rref_lines(F.n, q):
-        if contact_order(F, LineParam.from_point_direction(r1, r2, f)) == CONTAINED:
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass

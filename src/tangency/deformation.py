@@ -129,12 +129,6 @@ def completion_matrix(vectors, field):
     return [[col[i] for col in cols] for i in range(n1)]
 
 
-def canonical_line(n: int, field) -> LineParam:
-    rows = [(field.zero, field.one), (field.one, field.zero)]
-    rows += [(field.zero, field.zero)] * (n - 1)
-    return LineParam(rows, field)
-
-
 def _truncation(F: HyperForm, B, k: int) -> HyperForm:
     # F_k in the coordinates x = B y: F(B y) cut to order <= k at the point
     # e0 (column 0 of B), its graded pieces homogenized to degree k; refused

@@ -31,22 +31,22 @@ from .schubert import SchubertElt, degree, sigma
 MAX_FANO_N = 400
 
 
-def principal_parts_factors(n: int, m: int, arity: int = 1, slot: int = 1) -> list[FlagElt]:
-    """The m+1 linear factors ((d-2j)H + j*s1), j = 0..m, unreduced."""
+def principal_parts_factors(n: int, m: int, arity: int = 1) -> list[FlagElt]:
+    """The m+1 linear factors ((d-2j)H1 + j*s1), j = 0..m, unreduced."""
     if m < 0:
         raise ValueError(f"jet order must be >= 0, got {m}")
     d = DPoly.var()
-    h = hclass(n, arity, slot)
+    h = hclass(n, arity)
     out = []
     for j in range(m + 1):
         out.append(h.scale(d - 2 * j) + FlagElt.from_base(sigma(n, 1, coeff=j), arity))
     return out
 
 
-def principal_parts_class(n: int, m: int, arity: int = 1, slot: int = 1) -> FlagElt:
+def principal_parts_class(n: int, m: int, arity: int = 1) -> FlagElt:
     """Reduced top Chern class of the order-m relative principal parts of O(d)."""
     acc = FlagElt.from_base(SchubertElt.one(n), arity)
-    for f in principal_parts_factors(n, m, arity, slot):
+    for f in principal_parts_factors(n, m, arity):
         acc = acc * f
     return acc
 
@@ -63,7 +63,7 @@ def plane_bound() -> DPoly:
     s11 = FlagElt.from_base(sigma(n, 1, 1), arity=2)
     h1 = hclass(n, 2, 1)
     h2 = hclass(n, 2, 2)
-    cls = s11 * h1 * h2 * principal_parts_class(n, 4, arity=2, slot=1) * h2.scale(d)
+    cls = s11 * h1 * h2 * principal_parts_class(n, 4, arity=2) * h2.scale(d)
     return integrate(cls)
 
 

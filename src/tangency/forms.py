@@ -21,12 +21,10 @@ their sum is multiplied by the cached truncated power lin_j^a once, where
 lin_j = sum_i y_i c_i[j].  A lin_j of one term c y^k is raised in one
 step, to c^a y^(a*k), or to nothing past the cut: nothing in the chain
 of products it replaces reduces, so that is the chain's own result.  The
-Fermat planes' pure powers take that step; the partials of F_k along
-the canonical line no longer do, since deformation reads them off F_k's
-terms.  A term that shares its leading factor with no other goes
-straight to its product chain, so forms whose terms share nothing (the
-Fermat pure powers) pay only for the grouping pass.  Each
-group's product, and the last product of each chain, is added straight
+Fermat planes' pure powers take that step.  A term that shares its
+leading factor with no other goes straight to its product chain, so
+forms whose terms share nothing (the Fermat pure powers) pay only for the
+grouping pass.  Each group's product, and the last product of each chain, is added straight
 into the sum it belongs to, so no partial expansion is copied or merged.
 The walk runs in Python ints for every ring: ring.lifted(terms, cols)
 gives the terms and columns as ints and a lower(a, num) that makes each
@@ -441,10 +439,9 @@ def pullback_of_partial(F: HyperForm, i: int, line: LineParam, upto: int | None 
 
     Works for any d >= 1 (a linear form's partial is a constant, which a
     HyperForm cannot carry).  Neither of deformation's routes takes its
-    jets here any more: the direct route reads them off its line table
-    and the truncated route off F_k's terms.  It stays for the API, for
-    the tests that check both routes against it, and for the tracer that
-    hooks the name in deformation.
+    jets here: the direct route reads them off its line table and the
+    truncated route off F_k's terms.  The tests check both routes against
+    it, and the benchmark's tracer hooks the name in deformation.
     """
     width = F.d if upto is None else min(F.d, upto)
     return _along_line(_derivative_terms(F, i), F.d - 1, line, width)

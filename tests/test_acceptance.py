@@ -9,12 +9,12 @@ import random
 import sys
 import time
 
+from oracles import lines_in_hypersurface
 from tangency.counting import (
     closed_count_k1,
     closed_count_k2_smooth,
     count_vk,
     dimension_slope,
-    lines_in_hypersurface,
 )
 from tangency.deformation import contact_experiment
 from tangency.dpoly import DPoly

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import _rref_lines, count_vk_bruteforce, lines_in_hypersurface
 from tangency import counting
 from tangency.counting import (
     CountRecord,
@@ -22,12 +23,10 @@ from tangency.counting import (
     closed_count_k1,
     closed_count_k2_smooth,
     count_vk,
-    count_vk_bruteforce,
     dimension_slope,
     direction_work,
     exactness_bound,
     hypersurface_points,
-    lines_in_hypersurface,
     pp_count,
     projective_reps,
     rational_singular_points,
@@ -312,7 +311,7 @@ def test_pullback_is_the_expansion_along_the_chart(case):
     for key in np.unique(keys).tolist():
         lead, pivot = divmod(key, n + 1)
         chart, group = kernel.charts[key], pts[keys == key]
-        pulled = counting._pullback(chart, kernel.jets(group), kernel.inverse, q)
+        pulled = counting._pullback(chart, kernel.jets(group), q)
         by_order = {j: C for (_, j, _), C in zip(chart.orders, pulled)}
         for i, p in enumerate(group[:4].tolist()):
             grad = F.gradient(p)
@@ -380,6 +379,21 @@ def test_count_on_the_projective_line():
     double = HyperForm(1, 3, {(2, 1): 1}, f7)
     assert count_vk(double, 2).count == count_vk_bruteforce(double, 2) == 1
     assert count_vk(double, 3).count == count_vk_bruteforce(double, 3) == 0
+
+
+def test_count_at_a_large_q_allocates_nothing_of_size_q():
+    # P^1 admits q up to about 9.5e7 at k >= 2; the double root of
+    # x0^2 x1 is its one pair, and no array of q entries (80 MB of int64
+    # here) may be built for it
+    F = HyperForm(1, 3, {(2, 1): 1}, PrimeField(10000019))
+    tracemalloc.start()
+    try:
+        count = count_vk(F, 2).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < 32 * 2 ** 20
 
 
 def test_count_matches_bruteforce_random_forms():
@@ -754,8 +768,8 @@ def test_count_vk_validation():
 
 
 def test_line_count_formulas():
-    assert sum(1 for _ in counting._rref_lines(2, 3)) == 13
-    assert sum(1 for _ in counting._rref_lines(3, 3)) == (3 ** 2 + 1) * (3 ** 2 + 3 + 1)
+    assert sum(1 for _ in _rref_lines(2, 3)) == 13
+    assert sum(1 for _ in _rref_lines(3, 3)) == (3 ** 2 + 1) * (3 ** 2 + 3 + 1)
 
 
 def test_lines_on_smooth_quadric_surface():

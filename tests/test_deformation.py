@@ -21,7 +21,6 @@ from tangency.deformation import (
     _partials_table,
     _trial_routes,
     _truncation,
-    canonical_line,
     completion_matrix,
     congruence_check,
     contact_experiment,
@@ -179,13 +178,6 @@ def test_sample_contact_form_has_exact_valuation():
         assert s_valuation(F.pullback(L), gf) == k
         grad = F.gradient(L.marked_point())
         assert any(not gf.is_zero(g) for g in grad)
-
-
-def test_canonical_line():
-    # normalization sends the marked point to e0, the direction to e1
-    line = canonical_line(3, QQ)
-    assert line.marked_point() == [1, 0, 0, 0]
-    assert line.direction() == [0, 1, 0, 0]
 
 
 def test_small_experiment_summary():
@@ -711,7 +703,9 @@ CANONICAL_PARTIALS_CASES = _canonical_partials_cases()
 
 def test_canonical_partials_are_read_off_the_terms():
     for fk, k in CANONICAL_PARTIALS_CASES:
-        line = canonical_line(fk.n, fk.field)
+        # the canonical line (t, s, 0, ..., 0): marked point e0, direction e1
+        f = fk.field
+        line = LineParam([(f.zero, f.one), (f.one, f.zero)] + [(f.zero, f.zero)] * (fk.n - 1), f)
         want = [pullback_of_partial(fk, i, line, upto=k) for i in range(fk.n + 1)]
         assert repr(_canonical_partials(fk, k)) == repr(want)
     # the cases hold terms of order 1, 2 and 3 past y1

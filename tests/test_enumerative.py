@@ -54,7 +54,7 @@ def test_flex_polynomial():
 def test_principal_parts_factors_shape():
     # j-th factor is (d - 2j) H + j s1
     n, m = 5, 4
-    factors = principal_parts_factors(n, m, arity=2, slot=1)
+    factors = principal_parts_factors(n, m, arity=2)
     assert len(factors) == m + 1
     for j, f in enumerate(factors):
         h_coeff = f.terms.get((1, 0))
@@ -129,7 +129,7 @@ def test_plane_bound_pipeline_equivalent_forms():
     s11 = FlagElt.from_base(sigma(n, 1, 1), arity=2)
     h1 = hclass(n, 2, 1)
     h2 = hclass(n, 2, 2)
-    jet = principal_parts_class(n, 4, arity=2, slot=1)
+    jet = principal_parts_class(n, 4, arity=2)
     from tangency.flag import integrate
 
     a = integrate(s11 * h1 * h2 * jet * h2.scale(d))

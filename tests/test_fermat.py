@@ -16,8 +16,8 @@ from tangency.fermat import (
     pairings_of_six,
     verify_plane,
 )
-from tangency.fields import QQ, PrimeField
-from tangency.forms import HyperForm, expand
+from tangency.fields import QQ, PrimeField, is_prime
+from tangency.forms import HyperForm, expand, monomials
 
 # sha256 of json.dumps([p.to_json() for p in fermat_planes(d)]), recorded
 # when each plane was still certified by the minor search
@@ -110,6 +110,65 @@ def test_fermat_planes_hold_over_a_prime_field(d):
         pts = [tuple(sum(c * zeta ** k for k, c in enumerate(x)) % p for x in pt)
                for pt in plane.spanning_points(ring)]
         assert verify_plane(F, pts), plane.key()
+
+
+def _reduction(d: int) -> tuple[int, int]:
+    # (p, zeta): the least prime p = 1 mod 2d and the least zeta with
+    # zeta^d = -1 in F_p, so z -> zeta maps Z[z]/(z^d + 1) onto F_p
+    p = next(p for p in range(2 * d + 1, 100 * d, 2 * d) if is_prime(p))
+    return p, next(x for x in range(2, p) if pow(x, d, p) == p - 1)
+
+
+def _at(a: tuple, zeta: int, p: int) -> int:
+    return sum(c * pow(zeta, i, p) for i, c in enumerate(a)) % p
+
+
+def test_root_ring_expansions_reduce_to_fp():
+    # expand commutes with z -> zeta: 200 seeded forms of degree 1..4 in
+    # P^1..P^3 through 1-3 columns, cut at top None, 1 or 2, in one ring per
+    # d = 2..6 that keeps its packings across the calls, as fermat_planes'
+    # ring does.  Entries are signed, small (cancelling) or large, or all
+    # positive multiples of one z^t, whose outputs cancel nothing and, on
+    # one column, reach the bound lifted packs against
+    rng = random.Random("root ring to F_p")
+    rings = {d: RootRing(d) for d in range(2, 7)}
+    for _ in range(200):
+        ring = rings[rng.randint(2, 6)]
+        d = ring.d
+        p, zeta = _reduction(d)
+        kind = rng.choice(("small", "large", "positive"))
+        if kind == "positive":
+            t = rng.randrange(d)
+            element = lambda: ring.monomial(t, rng.randint(1, 10 ** 6))
+        else:
+            size = 3 if kind == "small" else 10 ** 6
+            element = lambda: tuple(rng.randint(-size, size) for _ in range(d))
+        n, deg = rng.randint(1, 3), rng.randint(1, 4)
+        terms = {e: element() for e in monomials(n, deg) if rng.random() < 0.7}
+        terms = terms or {monomials(n, deg)[0]: element()}
+        cols = [[element() for _ in range(n + 1)] for _ in range(rng.randint(1, 3))]
+        top = rng.choice((None, 1, 2))
+        got = {e: v for e, c in expand(terms, cols, ring, top).items()
+               if (v := _at(c, zeta, p))}
+        want = expand({e: _at(c, zeta, p) for e, c in terms.items()},
+                      [[_at(a, zeta, p) for a in col] for col in cols], PrimeField(p), top)
+        assert got == want, (d, terms, cols, top)
+
+
+def test_a_plane_off_the_roots_of_minus_one_fails_in_both_rings():
+    # x1 = z^2 x0 in place of x1 = z x0: (z^2)^d = 1, so x0^d + x1^d = 2 x0^d
+    # in Z[z]/(z^d + 1) and, at z = zeta, in F_p
+    for d in range(2, 7):
+        p, zeta = _reduction(d)
+        ring = RootRing(d)
+        pts = [list(pt) for pt in FermatPlane(((0, 1), (2, 3), (4, 5)), (0, 0, 0), d)
+               .spanning_points(ring)]
+        pts[0][1] = ring.monomial(2)
+        assert expand(_fermat_terms(ring), pts, ring)
+        reduced = [[_at(a, zeta, p) for a in pt] for pt in pts]
+        assert not verify_plane(HyperForm.fermat(5, d, PrimeField(p)), reduced)
+        reduced[0][1] = zeta
+        assert verify_plane(HyperForm.fermat(5, d, PrimeField(p)), reduced)
 
 
 def test_containment_failure_is_detected():

@@ -12,9 +12,10 @@ symbolic route's relation H^2 = s1 H - s11 and principal-parts factors;
 expand's Horner walk (its cut, the cofactor's degree, the one-step power
 of a one-entry linear form, F_p's lowering) and its price _expand_steps,
 made too low and too high; the root ring's Kronecker packing width and
-its packings kept across calls; the direct route's jets off the line
-table (a swap, a reversal and a wrong scale) and the memoized parents of
-an exponent it reads them through (the multiplicity dropped); the
+its packings kept across calls, each also caught by the reduction of its
+expansions to F_p; the direct route's jets off the line table (a swap, a
+reversal and a wrong scale) and the memoized parents of an exponent it
+reads them through (the multiplicity dropped); the
 truncated route's partials read off F_k's terms (a factor dropped, a y_i
 term taken at any exponent) and the sampler's forms made without checks
 (zero coefficients kept); a trial's Euler membership taken from one
@@ -164,13 +165,15 @@ MUTANTS = {
     # Kronecker digits one bit narrower than the bound S needs
     "packing-width-one-bit-short": (RootRing, "lifted",
                                     {".bit_length() + 1": ".bit_length()"},
-                                    (test_forms.test_root_ring_packing_reaches_its_bound,)),
+                                    (test_forms.test_root_ring_packing_reaches_its_bound,
+                                     test_fermat.test_root_ring_expansions_reduce_to_fp)),
     # a packing made at one width handed out at any other
     "packing-kept-across-widths": (
         RootRing, "_packing",
         {"if B in self._packings:\n        return self._packings[B]":
          "if self._packings:\n        return next(iter(self._packings.values()))"},
-        (test_fermat.test_root_ring_packs_each_plane_at_its_own_width,)),
+        (test_fermat.test_root_ring_packs_each_plane_at_its_own_width,
+         test_fermat.test_root_ring_expansions_reduce_to_fp)),
     # a one-entry power kept past the cut: expand's products cut it again,
     # so only the check of the cached powers against their chain sees it
     "one-entry-power-uncut": (forms, "_products",
