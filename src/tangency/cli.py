@@ -34,7 +34,7 @@ from .enumerative import BOUND_INFO, fano_line_count
 from .fermat import fermat_planes
 from .fields import QQ, PrimeField
 from .flag import FlagElt, hclass, integrate
-from .forms import HyperForm, _parse_scalar, parse_form, parse_line_param, parse_terms
+from .forms import _parse_scalar, parse_form, parse_line_param
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +237,13 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {ex}") from ex
 
 
-def _named(path: str, make, *args):
-    """make(*args); its errors name the file at path."""
-    try:
-        return make(*args)
-    except ValueError as ex:
-        raise ValueError(f"{path}: {ex}") from None
-
-
 def _parsed(parse, path: str, field):
     """parse(the text of the file at path, field); its errors name the file."""
-    return _named(path, parse, _read(path), field)
+    text = _read(path)
+    try:
+        return parse(text, field)
+    except ValueError as ex:
+        raise ValueError(f"{path}: {ex}") from None
 
 
 def _deform_inputs(args):
@@ -351,12 +347,8 @@ def _cmd_deform_congruence(args) -> int:
 
 def _cmd_count_vk(args) -> int:
     # one parse over F_q: a coefficient not in F_q (1/q) is refused by it,
-    # and the degree is judged before HyperForm validates the terms
-    field = PrimeField(args.q)
-    n, d, terms = _parsed(parse_terms, args.input, field)
-    if args.q <= d:
-        raise ValueError(f"characteristic too small for contact order d (q = {args.q}, d = {d})")
-    form = _named(args.input, HyperForm, n, d, terms, field)
+    # and a degree not below q by HyperForm
+    form = _parsed(parse_form, args.input, PrimeField(args.q))
     r = count_vk(form, args.k, workers=args.threads)
     return _show(args, r.to_json(),
                  f"|V_{r.k}| over F_{r.q}: {r.count} (n={r.n}, d={r.d}, {r.elapsed_ms}ms)",

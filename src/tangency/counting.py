@@ -49,17 +49,20 @@ and q (the derivative matrices, the charts' jet rows, the grid
 monomials) is built once per count_vk call; the only inverses taken are
 those of the pivot gradients the pullback divides by.
 
-Exactness of a count.  A Horner step adds at most n-1 products of
-residues in [0, q) to a residue, a contraction sum C(n-1+j, j); both stay
-below exactness_bound(n, d, k, q), and count_vk refuses, before it
-enumerates anything, a q for which that bound reaches 2^53.  The
-contraction is a BLAS GEMM (np.matmul) in one dtype per count: float32
-(precision p = 24 bits) when the bound is below 2^24, float64 (p = 53)
-otherwise.  Its grid monomials and pulled-back coefficients are residues
-in [0, q), so every product, and every partial sum in whatever order,
-blocking or fused multiply-add the BLAS kernel uses, is a non-negative
-integer no larger than the full sum: below 2^p, each is exact in the
-dtype.  So is the result V, and rint(V * fl(1/q)) * q == V, with 1/q
+Exactness of a count.  The contraction is the only sum taken in floats:
+per order j = 2..min(k-1, d), C(nfree-1+j, j) products of residues in
+[0, q), widest at a singular chart (nfree = n).  exactness_bound(n, d, k,
+q) bounds it, and count_vk refuses, before it enumerates anything, a q for
+which that bound reaches 2^53; with no such order (k <= 2) the bound is 0.
+A Horner step adds at most n-1 products and a residue in int64, less than
+n (q-1)^2 <= C(n+1, 2) (q-1)^2, the order-2 sum's bound: so below 2^63 for
+every q the bound admits.  The contraction is a BLAS GEMM (np.matmul) in
+one dtype per count: float32 (precision p = 24 bits) when the bound is
+below 2^24, float64 (p = 53) otherwise.  Its grid monomials and
+pulled-back coefficients are residues in [0, q), so every product, and
+every partial sum in whatever order, blocking or fused multiply-add the
+BLAS kernel uses, is a non-negative integer no larger than the full sum:
+below 2^p, each is exact in the dtype.  So is the result V, and rint(V * fl(1/q)) * q == V, with 1/q
 correctly rounded in the dtype, is an exact divisibility test.  If q does
 not divide V, no integer times q equals V.  If q | V and V/q < 2^(p-2),
 then fl(1/q) and the product each round by a relative 2^-p at most, so
@@ -255,7 +258,7 @@ def rational_singular_points(F: HyperForm) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in row) for row in pts[singular]]
 
 
-# Every integer the counter's exact sums reach must stay below _EXACT: the
+# Every float sum of the direction test must stay below _EXACT: the
 # contraction runs in float64 at worst, whose integers are exact below 2^53.
 # A count whose sums stay below _EXACT32 runs it in float32 (24 bits).
 _EXACT = 1 << 53
@@ -305,21 +308,15 @@ _TABLE = 1 << 17
 
 
 def exactness_bound(n: int, d: int, k: int, q: int) -> int:
-    """A bound on every integer a count_vk sum reaches for k >= 2 over F_q.
+    """A bound on every float sum of count_vk's direction test over F_q.
 
-    Every sum adds products of two residues in [0, q), so it is at most
-    (terms) * (q-1)^2.  The widest is the contraction's (monomials of
-    degree j in a singular chart's n variables); a Horner step of the
-    pullback adds n-1.  The bound keeps the wider term of the multinomial
-    pullback once used (pairs of monomials in n-1 variables) so that the
-    q check_exact refuses, and its message, stay put.  The derivatives
-    reduce their int64 sums mod q, exact whenever (q-1)^2 < 2^63.  The
-    direction test runs in float32 when the bound is below 2^24 and in
-    float64 otherwise.
+    The widest is one GEMM row at a singular chart: the C(n-1+j, j)
+    monomials of degree j in its n variables, times residues, at most
+    C(n-1+j, j) (q-1)^2, over the orders j = 2..min(k-1, d) the test
+    takes; 0 when there are none (k <= 2).  The direction test runs in
+    float32 when the bound is below 2^24 and in float64 otherwise.
     """
-    terms = 1
-    for j in range(1, min(k - 1, d) + 1):
-        terms = max(terms, comb(2 * n - 3 + j, j), comb(n - 1 + j, j))
+    terms = max((comb(n - 1 + j, j) for j in range(2, min(k - 1, d) + 1)), default=0)
     return terms * (q - 1) ** 2
 
 
@@ -764,8 +761,7 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
     q = _prime_of(F)
     if k < 1:
         raise ValueError("contact order k must be >= 1")
-    if k >= 2:
-        check_exact(F.n, F.d, k, q)
+    check_exact(F.n, F.d, k, q)
     _check_budget((F.d + 1) * pp_count(F.n, q), f"enumerating X(F_{q}) in P^{F.n}")
     _check_memory(F)
     t0 = time.perf_counter()

@@ -498,10 +498,6 @@ class ExperimentSummary:
     route_disagreements: int
     records: list[TrialRecord]
 
-    @property
-    def match_rate(self) -> float:
-        return self.matched / self.trials if self.trials else 0.0
-
 
 def _trial_routes(F: HyperForm, L: LineParam, k: int, table: _LineTable):
     """The direct and truncated sections and the congruence report for a
@@ -532,6 +528,8 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
     mean equal section spaces, not only equal dimensions.
     """
     gf = PrimeField(prime)
+    # the trials draw d up to n + 2 = 7, which F_prime must carry
+    _check_characteristic(7, gf)
     master = random.Random(seed)
     trial_seeds = [master.getrandbits(64) for _ in range(trials)]
     records = []

@@ -448,13 +448,8 @@ def pullback_of_partial(F: HyperForm, i: int, line: LineParam, upto: int | None 
 
 
 def parse_form(text: str, field) -> HyperForm:
-    """Parse the one-term-per-line format "c m0 m1 ... mn"; '#' starts a comment."""
-    return HyperForm(*parse_terms(text, field), field)
-
-
-def parse_terms(text: str, field) -> tuple[int, int, dict]:
-    """(n, d, terms) of a form file, before HyperForm validates the terms:
-    n + 1 exponents a line, d the degree of the first term."""
+    """Parse the one-term-per-line format "c m0 m1 ... mn"; '#' starts a
+    comment.  n + 1 exponents a line; d is the degree of the first term."""
     terms: dict[tuple[int, ...], object] = {}
     n = None
     d = None
@@ -479,7 +474,7 @@ def parse_terms(text: str, field) -> tuple[int, int, dict]:
         terms[e] = field.add(terms.get(e, field.zero), c)
     if n is None:
         raise ValueError("empty form description")
-    return n, d, terms
+    return HyperForm(n, d, terms, field)
 
 
 def parse_line_param(text: str, field) -> LineParam:

@@ -176,10 +176,10 @@ def test_criterion_7_deformation_suite(capfd):
     ok = summary.euler_failures == 0
     ok = ok and summary.congruence_failures == 0
     ok = ok and summary.route_disagreements == 0
-    ok = ok and summary.match_rate >= 0.95
+    ok = ok and summary.matched >= 0.95 * summary.trials
     report(capfd, 7, ok,
            f"200 trials p=101: euler exact, congruence exact, "
-           f"h0 match rate {summary.match_rate:.3f} >= 0.95",
+           f"h0 matched {summary.matched} >= 0.95 * 200",
            time.perf_counter() - t0, 300.0)
 
 

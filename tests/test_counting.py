@@ -1,6 +1,7 @@
 """Finite-field contact-pair counts: chart enumeration against brute
 force, closed forms, determinism under chunking, and the slope report."""
 
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _rref_lines, count_vk_bruteforce, lines_in_hypersurface
+from oracles import _rref_lines, count_v3_second_form, count_vk_bruteforce, lines_in_hypersurface
 from tangency import counting
 from tangency.counting import (
     CountRecord,
@@ -414,6 +415,44 @@ def test_count_matches_bruteforce_random_forms():
                 assert count_vk(F, k).count == count_vk_bruteforce(F, k), (F, k)
 
 
+def oracle_b_forms() -> list[HyperForm]:
+    """One seeded form per n = 2..4 and d = 2..5, dense when n + d is even:
+    the quadrics at q = 3, the rest at a prime q in 5..13 above d (at most
+    11 in P^3, 7 in P^4).  Then singular ones: two cones of degree 3 and 4,
+    Q_p = 0 (rank 0) at the vertex, a quadric cone at q = 3 (rank 3 at the
+    vertex) and a line pair at q = 3 (rank 2 where they meet)."""
+    rng = random.Random("oracle B")
+    forms = []
+    for n, d in product(range(2, 5), range(2, 6)):
+        q = 3 if d == 2 else rng.choice([q for q in (5, 7, 11, 13) if d < q <= (13, 11, 7)[n - 2]])
+        f = PrimeField(q)
+        forms.append(HyperForm(n, d, {e: f.random(rng) for e in monomials(n, d)
+                                      if (n + d) % 2 == 0 or rng.random() < 0.3}, f))
+    f3, f5, f7 = PrimeField(3), PrimeField(5), PrimeField(7)
+    return forms + [
+        HyperForm(3, 3, {(0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1}, f7),
+        HyperForm(3, 4, {(0,) + e: f5.random(rng) for e in monomials(2, 4)}, f5),
+        HyperForm(3, 2, {(0, 1, 1, 0): 1, (0, 0, 0, 2): 1}, f3),
+        HyperForm(2, 2, {(1, 1, 0): 1}, f3),
+    ]
+
+
+@functools.cache
+def oracle_b_counts() -> tuple:
+    """(F, |V_3| by oracle B) for the oracle_b_forms, computed once: the
+    counter's mutants leave the oracle's code alone."""
+    return tuple((F, count_v3_second_form(F)) for F in oracle_b_forms())
+
+
+def check_oracle_b() -> None:
+    for F, v3 in oracle_b_counts():
+        assert count_vk(F, 3).count == v3, F
+
+
+def test_v3_counts_equal_the_second_fundamental_form_oracle():
+    check_oracle_b()
+
+
 def sweep_forms(count, seed):
     """Dense, sparse and cone forms (a cone leaves x_0 out, so it is singular
     at (1, 0, ..., 0)) over n = 1..5, d = 1..6 and primes q = d+1..13, small
@@ -463,10 +502,10 @@ def test_seeded_counts_are_pinned_in_float64(monkeypatch):
 def test_fermat_cubic_flexes_on_both_sides_of_the_float32_bound(q, flexes, dtype):
     # x^3 + y^3 + z^3 has 9 rational flexes when q = 1 mod 3 and 3 when
     # q = 2 mod 3, each with one line of contact exactly 3; its sums reach
-    # 3 (q-1)^2, below 2^24 up to q = 2365
+    # 3 (q-1)^2, below 2^24 up to q = 2365; oracle B counts them too
     F = HyperForm.fermat(2, 3, PrimeField(q))
     assert counting._Kernel(F, 3).dtype == dtype
-    assert count_vk(F, 3).count == flexes
+    assert count_vk(F, 3).count == count_v3_second_form(F) == flexes
     assert count_vk(F, 4).count == 0
 
 
@@ -518,15 +557,25 @@ def test_worker_count_clamps():
 
 
 def test_exactness_guard_at_the_boundary():
-    # n = 2, d = 3, k = 3: the widest sums are the order-2 pullback's and
-    # contraction's, over the C(3, 2) = 3 monomials of degree 2 in two
-    # variables; the gradient's 6 monomials sum in int64, reduced mod q
+    # n = 2, d = 3, k = 3: the one float sum is the order-2 contraction's,
+    # over the C(3, 2) = 3 monomials of degree 2 in two variables; the
+    # gradient's 6 monomials sum in int64, reduced mod q
     assert exactness_bound(2, 3, 3, 11) == 3 * 10 ** 2
     last = math.isqrt((2 ** 53 - 1) // 3) + 1  # largest q with 3 (q-1)^2 < 2^53
     assert exactness_bound(2, 3, 3, last) < 2 ** 53 <= exactness_bound(2, 3, 3, last + 1)
     check_exact(2, 3, 3, last)
     with pytest.raises(ValueError, match="too large for exact counting"):
         check_exact(2, 3, 3, last + 1)
+
+
+def test_exactness_bound_counts_only_the_contractions():
+    # the widest GEMM row, C(n-1+j, j) for the top order j = min(k-1, d),
+    # and 0 when no order 2..min(k-1, d) is tested: k <= 2 sums nothing in
+    # floats, nor does d = 1
+    assert [exactness_bound(5, 5, k, 2) for k in range(1, 8)] == [0, 0, 15, 35, 70, 126, 126]
+    assert exactness_bound(3, 5, 5, 701) == 15 * 700 ** 2
+    assert exactness_bound(3, 1, 5, 7) == 0
+    check_exact(1, 3, 2, 2 ** 61 - 1)
 
 
 def planted_grid(rng, q, width, targets, coefs):
@@ -582,7 +631,7 @@ def largest_exact_q(terms: int) -> int:
 
 def test_grid_contraction_is_exact_at_the_largest_q():
     # the largest prime q that check_exact admits for (n, d, k) = (5, 5, 5);
-    # its widest sum adds 330 products, and with every residue in [7q/8, q)
+    # its widest sum adds 70 products, and with every residue in [7q/8, q)
     # those sums pass 2^52.6, where float32 (or any rounding) would be wrong
     n, d, k = 5, 5, 5
     terms = exactness_bound(n, d, k, 2)
@@ -593,16 +642,22 @@ def test_grid_contraction_is_exact_at_the_largest_q():
 
 
 def test_grid_contraction_is_exact_in_the_dtype_the_kernel_picks(monkeypatch):
-    # 223 is the largest prime with 330 (q-1)^2 < 2^24, the widest sum of
-    # (n, d, k) = (5, 5, 5): there float32 sums pass 2^23.8; from 227 on the
-    # count runs in float64, and float32 would miss zeros at 251
+    # 487 is the largest prime with 70 (q-1)^2 < 2^24, the widest sum of
+    # (n, d, k) = (5, 5, 5), C(8, 4) monomials of degree 4 in 5 variables:
+    # there float32 sums reach 2^23.9; from 491 on the count runs in
+    # float64, and float32 misses zeros at 541
     terms = exactness_bound(5, 5, 5, 2)
-    assert terms * 222 ** 2 < 2 ** 24 <= terms * 226 ** 2
-    for q, dtype in ((223, np.float32), (227, np.float64), (251, np.float64)):
+    assert terms == math.comb(8, 4) and terms * 486 ** 2 < 2 ** 24 <= terms * 490 ** 2
+    for q, dtype in ((487, np.float32), (491, np.float64), (541, np.float64)):
         kernel = counting._Kernel(HyperForm.fermat(5, 5, PrimeField(q)), 5)
         assert kernel.dtype == dtype, q
         check_planted_grids(q, terms, kernel.dtype)
-    # only a bound below 2^24 keeps float32 (2^24 itself needs n = 129)
+    with pytest.raises(AssertionError):
+        check_planted_grids(541, terms, np.float32)
+    # the Fermat quintic surface in P^3 at k = 5: 15 (q-1)^2 < 2^24 up to q = 1058
+    assert counting._Kernel(HyperForm.fermat(3, 5, PrimeField(701)), 5).dtype == np.float32
+    # only a bound below 2^24 keeps float32 (a patched bound sits on either
+    # side: 2^24 itself needs, say, n = 2, q = 17 and order 65535)
     F = HyperForm.fermat(5, 5, PrimeField(11))
     for bound, dtype in ((2 ** 24 - 1, np.float32), (2 ** 24, np.float64)):
         monkeypatch.setattr(counting, "exactness_bound", lambda *args: bound)

@@ -186,9 +186,20 @@ def test_small_experiment_summary():
     assert summary.euler_failures == 0
     assert summary.congruence_failures == 0
     assert summary.route_disagreements == 0
-    assert summary.match_rate >= 0.9
+    assert summary.matched >= 0.9 * summary.trials
     assert summary.seed == 4 and summary.prime == 53
     assert len(summary.records) == 25
+
+
+def test_contact_experiment_refuses_a_prime_up_to_7_before_its_first_trial(monkeypatch):
+    # the trials draw d up to 7: F_7 is refused at once, not after the
+    # trials it can carry
+    lines, sample = [], deformation.sample_line
+    monkeypatch.setattr(deformation, "sample_line", lambda *args: lines.append(args) or sample(*args))
+    for prime in (2, 5, 7):
+        with pytest.raises(ValueError, match=f"characteristic {prime} must exceed the degree 7"):
+            contact_experiment(10, seed=0, prime=prime)
+    assert lines == []
 
 
 def test_prime_field_degree_guard():
@@ -770,11 +781,11 @@ def test_direct_jets_satisfy_eulers_identity():
 
 
 def _memoized_outputs():
-    # criterion-7 records over F_101 and F_7 (seed 5's ten trials draw no
-    # d = 7, which F_7 cannot carry), and seeded QQ trials through both
-    # routes of log_sections and congruence_check, as exact-rings runs them
+    # criterion-7 records over F_101 and F_11, and seeded QQ trials through
+    # both routes of log_sections and congruence_check, as exact-rings runs
+    # them
     out = [contact_experiment(12, seed=26).records,
-           contact_experiment(10, seed=5, prime=7).records]
+           contact_experiment(10, seed=5, prime=11).records]
     rng = random.Random("memoized QQ trials")
     for n, d, k in ((3, 3, 2), (3, 4, 4), (4, 5, 3), (5, 5, 1)):
         L = sample_line(n, QQ, rng)
@@ -841,13 +852,13 @@ def reducible_cases(draw):
     return HyperForm(n, d, terms, QQ), L, k
 
 
-def _reduced(x):
-    # x mod 101, entrywise through lists, tuples and dict values
+def _reduced(x, field=F101):
+    # x mod 101 (or in field), entrywise through lists, tuples and dict values
     if isinstance(x, dict):
-        return {e: _reduced(c) for e, c in x.items() if not F101.is_zero(_reduced(c))}
+        return {e: r for e, c in x.items() if not field.is_zero(r := _reduced(c, field))}
     if isinstance(x, (list, tuple)):
-        return type(x)(_reduced(c) for c in x)
-    return F101.of(x)
+        return type(x)(_reduced(c, field) for c in x)
+    return field.of(x)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -876,4 +887,53 @@ def test_exact_route_commutes_with_reduction_mod_101(case):
         _LineTable(L101, monomials(F.n, F.d - 1), F.d - 1, k).conditioning_rows()
     assert _reduced(_partials_table(F, L, k).partials(F.terms, k)) == \
         _partials_table(F101_form, L101, k).partials(terms, k)
-    assert _reduced(_truncation(F, B, k).terms) == _truncation(F101_form, B101, k).terms
+    Fk, Fk101 = _truncation(F, B, k), _truncation(F101_form, B101, k)
+    assert _reduced(Fk.terms) == Fk101.terms
+    assert _reduced(_canonical_partials(Fk, k)) == _canonical_partials(Fk101, k)
+
+
+# expand and kernel_basis reduced mod a prime p drawn from 5, 7 and 101:
+# at 7 a denominator of 7 makes a bad reduction, skipped and counted
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
+
+
+def _reduced_mod(x, p: int):
+    """x mod p as _reduced gives it, or None where p divides a denominator."""
+    try:
+        return _reduced(x, PrimeField(p))
+    except ZeroDivisionError:
+        event(f"bad reduction: {p} in a denominator")
+        return None
+
+
+@st.composite
+def expansion_cases(draw):
+    # (terms, cols, top, p): a form in P^1..P^4 of degree 1..4 and 1..3 columns
+    n, d, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    terms = {e: draw(FRACTIONS) for e in monomials(n, d) if draw(st.booleans())}
+    cols = [draw(st.lists(FRACTIONS, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
+    return terms, cols, draw(st.sampled_from((None, 1, 2))), draw(st.sampled_from((5, 7, 101)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(expansion_cases())
+def test_expand_commutes_with_reduction_mod_p(case):
+    terms, cols, top, p = case
+    reduced = _reduced_mod((terms, cols), p)
+    assume(reduced is not None)
+    assert _reduced_mod(expand(terms, cols, QQ, top), p) == \
+        expand(*reduced, PrimeField(p), top)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from((5, 7, 101)), st.data())
+def test_kernel_basis_commutes_with_reduction_mod_p(rows, cols, p, data):
+    # the reduced row echelon form, which the basis is read off, reduces
+    # to F_p's where the pivot columns are the same
+    M = [data.draw(st.lists(FRACTIONS, min_size=cols, max_size=cols)) for _ in range(rows)]
+    reduced = _reduced_mod(M, p)
+    assume(reduced is not None)
+    if row_reduce(M, cols, QQ)[1] != row_reduce(reduced, cols, PrimeField(p))[1]:
+        event(f"bad reduction: a pivot vanishes mod {p}")
+        assume(False)
+    assert _reduced_mod(kernel_basis(M, cols, QQ), p) == kernel_basis(reduced, cols, PrimeField(p))

@@ -19,8 +19,11 @@ reads them through (the multiplicity dropped); the
 truncated route's partials read off F_k's terms (a factor dropped, a y_i
 term taken at any exponent) and the sampler's forms made without checks
 (zero coefficients kept); a trial's Euler membership taken from one
-route; PrimeField equality flipped; and the two ways to get the rescale
-of a fraction-free elimination row wrong.
+route; PrimeField equality flipped; the two ways to get the rescale
+of a fraction-free elimination row wrong; the counter's pullback (a Horner
+sign flipped, the pivot solved with the wrong sign), each caught by oracle
+B, and its float exactness bound without its top order; and QQ's lowering
+without one column's denominator power, caught by reduction mod p.
 """
 
 import __future__
@@ -33,15 +36,16 @@ import textwrap
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
+import test_counting
 import test_deformation
 import test_enumerative
 import test_fermat
 import test_fields
 import test_forms
-from tangency import deformation, enumerative, fields, flag, forms
+from tangency import counting, deformation, enumerative, fields, flag, forms
 from tangency.deformation import _LineTable, completion_matrix, contact_experiment, sample_line
 from tangency.fermat import RootRing
-from tangency.fields import QQ, PrimeField
+from tangency.fields import QQ, PrimeField, RationalField
 from tangency.forms import HyperForm, monomials
 
 
@@ -105,13 +109,22 @@ def _one_entry_cases():
         test_forms._check_expand(*case)
 
 
-def _reduction_mod_101():
-    # test_exact_route_commutes_with_reduction_mod_101 stopped at its first
-    # failing case: shrinking it would take seconds and tell a guard nothing
-    test = test_deformation.test_exact_route_commutes_with_reduction_mod_101.hypothesis.inner_test
-    settings(max_examples=150, deadline=None, phases=[Phase.generate], database=None,
-             suppress_health_check=[HealthCheck.too_slow])(
-        given(test_deformation.reducible_cases())(test))()
+def _stopped_at_first_failure(test, cases, examples: int):
+    # a hypothesis test of one strategy, stopped at its first failing case:
+    # shrinking it would take seconds and tell a guard nothing
+    def guard():
+        settings(max_examples=examples, deadline=None, phases=[Phase.generate], database=None,
+                 suppress_health_check=[HealthCheck.too_slow])(
+            given(cases())(test.hypothesis.inner_test))()
+    return guard
+
+
+_reduction_mod_101 = _stopped_at_first_failure(
+    test_deformation.test_exact_route_commutes_with_reduction_mod_101,
+    test_deformation.reducible_cases, 150)
+_expand_mod_p = _stopped_at_first_failure(
+    test_deformation.test_expand_commutes_with_reduction_mod_p,
+    test_deformation.expansion_cases, 60)
 
 
 def _with_monkeypatch(test):
@@ -125,6 +138,9 @@ def _with_monkeypatch(test):
 P_JET = "lower((deg + 1 - m, m), sum(map(mul, self.p, N)))"
 STEPS_GUARD = (test_forms.test_expand_steps_bounds_the_steps_expand_takes,)
 READ_OFF_GUARD = (test_deformation.test_canonical_partials_are_read_off_the_terms,)
+
+# every seeded form's |V_3| against the second fundamental form
+ORACLE_B = (test_counting.check_oracle_b,)
 
 # name: (owner, function, edits, guards); every guard must catch the mutant
 MUTANTS = {
@@ -190,7 +206,23 @@ MUTANTS = {
                                      (_one_entry_cases,)),
     # F_p's output coefficients not reduced
     "mod-p-left-out": (PrimeField, "lifted", {"num % p": "num"},
-                       (_one_entry_cases, _reduction_mod_101)),
+                       (_one_entry_cases, _reduction_mod_101, _expand_mod_p)),
+    # QQ's output coefficients without the denominator power of column 0
+    "qq-column-denominator-dropped": (
+        RationalField, "lifted",
+        {"zip(dens, a)": "zip(dens[1:], a[1:])"}, (_expand_mod_p,)),
+    # the counter's Horner step P <- H_a - (w.r) P
+    "pullback-horner-sign-flipped": (counting, "_pullback",
+                                     {"H[at] += w[i] * P": "H[at] -= w[i] * P"}, ORACLE_B),
+    # v_pivot = -w.r, w solved from grad.v = 0 with the wrong sign
+    "pivot-solved-with-the-wrong-sign": (counting, "_pullback",
+                                         {"w = -grad[chart.free]": "w = grad[chart.free]"},
+                                         ORACLE_B),
+    # the float32/float64 choice made without the widest (top) order's sums
+    "exactness-bound-without-its-top-order": (
+        counting, "exactness_bound", {"min(k - 1, d) + 1)": "min(k - 1, d))"},
+        (_with_monkeypatch(
+            test_counting.test_grid_contraction_is_exact_in_the_dtype_the_kernel_picks),)),
     # the memoized parents of an exponent without the multiplicity e_j, so
     # dF/dx_j takes c where it needs e_j c
     "parents-without-their-multiplicity": (
@@ -306,3 +338,13 @@ def test_the_truncated_route_mutants_compile_back_to_themselves(monkeypatch):
         _mutate(monkeypatch, test_deformation, name, {})
     test_deformation.test_canonical_partials_are_read_off_the_terms()
     test_deformation.test_trusted_forms_equal_their_checked_copies()
+
+
+def test_the_counter_and_lowering_mutants_compile_back_to_themselves(monkeypatch):
+    for owner, name in ((counting, "_pullback"), (counting, "exactness_bound"),
+                        (RationalField, "lifted")):
+        _mutate(monkeypatch, owner, name, {})
+    assert counting.exactness_bound(5, 5, 5, 2) == 70
+    F = test_counting.oracle_b_forms()[5]
+    assert counting.count_vk(F, 3).count == test_counting.count_v3_second_form(F)
+    _one_entry_cases()
