@@ -112,6 +112,8 @@ def contact_order(F: HyperForm, L: LineParam):
     """s-adic valuation of F along L at the marked point; "contained" if F|_L = 0."""
     if F.n != L.n:
         raise ValueError("form and line live in different projective spaces")
+    if F.field.characteristic != L.field.characteristic:
+        raise ValueError("form and line live over fields of different characteristic")
     v = s_valuation(F.pullback(L), F.field)
     return CONTAINED if v is None else v
 

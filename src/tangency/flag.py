@@ -14,13 +14,14 @@ of valid elements go through the trusted FlagElt._of.
 from __future__ import annotations
 
 from .dpoly import DPoly
-from .schubert import SchubertElt, _add, degree, mult, sigma
+from .schubert import SchubertElt, _add, _Combination, degree, mult, sigma
 
 
-class FlagElt:
+class FlagElt(_Combination):
     """Polynomial in the bundle classes H1 (and H2) over the Schubert ring."""
 
-    __slots__ = ("n", "arity", "terms")
+    __slots__ = ("arity",)
+    _ring = staticmethod(lambda x: (x.n, x.arity))
 
     def __init__(self, n: int, arity: int, terms=None):
         if arity not in (1, 2):
@@ -42,8 +43,7 @@ class FlagElt:
     def _of(cls, n: int, arity: int, terms: dict) -> "FlagElt":
         """The element of terms already checked; drops zero coefficients."""
         x = cls.__new__(cls)
-        x.n, x.arity = n, arity
-        x.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        x.n, x.arity, x.terms = n, arity, {e: c for e, c in terms.items() if not c.is_zero()}
         return x
 
     @classmethod
@@ -54,48 +54,8 @@ class FlagElt:
     def from_base(cls, c: SchubertElt, arity: int) -> "FlagElt":
         return cls(c.n, arity, {(0, 0): c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_compatible(self, other: "FlagElt"):
-        if self.n != other.n:
-            raise ValueError(f"ambient mismatch: G(1,{self.n}) vs G(1,{other.n})")
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "FlagElt") -> "FlagElt":
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _add(out, e, c)
-        return FlagElt._of(self.n, self.arity, out)
-
-    def __neg__(self) -> "FlagElt":
-        return FlagElt._of(self.n, self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "FlagElt") -> "FlagElt":
-        return self + (-other)
-
-    def scale(self, c) -> "FlagElt":
-        """Multiply by a base Schubert class (or int/DPoly scalar)."""
-        if isinstance(c, (int, DPoly)):
-            return FlagElt._of(self.n, self.arity, {e: v.scale(c) for e, v in self.terms.items()})
-        return FlagElt._of(self.n, self.arity, {e: mult(v, c) for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, DPoly)):
-            return self.scale(other)
+    def _product(self, other: "FlagElt") -> "FlagElt":
         return reduce_class(multiply_unreduced(self, other))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, DPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlagElt):
-            return NotImplemented
-        return (self.n, self.arity, self.terms) == (other.n, other.arity, other.terms)
 
     def text(self) -> str:
         if not self.terms:
@@ -129,7 +89,7 @@ def hclass(n: int, arity: int, slot: int = 1) -> FlagElt:
 
 def multiply_unreduced(x: FlagElt, y: FlagElt) -> FlagElt:
     """Bilinear product without applying the H^2 rewrite."""
-    x._require_compatible(y)
+    x._require_same_ring(y)
     out: dict[tuple[int, int], SchubertElt] = {}
     for (i1, j1), c1 in x.terms.items():
         for (i2, j2), c2 in y.terms.items():

@@ -53,10 +53,71 @@ def _check_ambient(n: int):
         raise ValueError(f"ambient projective dimension must be an int >= 2, got {n!r}")
 
 
-class SchubertElt:
-    """A Chow class on G(1, n): a DPoly combination of Schubert classes."""
+class _Combination:
+    """Basis classes with coefficients in one ring: the arithmetic SchubertElt
+    and FlagElt share.  A subclass supplies _ring(x), the ring of its value x
+    as the trusted _of(*ring, terms) takes it, and _product.  Classes of two
+    rings or two types never mix: sums and products raise, and == is False."""
 
     __slots__ = ("n", "terms")
+
+    def _same_ring(self, other) -> bool:
+        # the class first: a FlagElt has the n of a SchubertElt
+        return type(other) is type(self) and self._ring(other) == self._ring(self)
+
+    def _require_same_ring(self, other):
+        if not self._same_ring(other):
+            raise ValueError(f"ambient mismatch: {_ring_text(self)} and {_ring_text(other)} "
+                             "live in different rings")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._require_same_ring(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            _add(out, e, c)
+        return self._of(*self._ring(self), out)
+
+    def __neg__(self):
+        return self._of(*self._ring(self), {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Every coefficient times c."""
+        return self._of(*self._ring(self), {e: v * c for e, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, DPoly)):
+            return self.scale(other)
+        self._require_same_ring(other)
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, DPoly)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Combination):
+            return NotImplemented
+        return self._same_ring(other) and self.terms == other.terms
+
+
+def _ring_text(x) -> str:
+    # "FlagElt(4, 2)": the class and its ring, as its constructor takes them
+    ring = x._ring(x) if isinstance(x, _Combination) else ()
+    return f"{type(x).__name__}({', '.join(map(str, ring))})"
+
+
+class SchubertElt(_Combination):
+    """A Chow class on G(1, n): a DPoly combination of Schubert classes."""
+
+    __slots__ = ()
+    _ring = staticmethod(lambda x: (x.n,))
 
     def __init__(self, n: int, terms=None):
         _check_ambient(n)
@@ -79,50 +140,11 @@ class SchubertElt:
     def one(cls, n: int) -> "SchubertElt":
         return cls(n, {(0, 0): DPoly.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, p: Partition) -> DPoly:
         return self.terms.get(check_partition(p), DPoly.zero())
 
-    def _require_same_ambient(self, other: "SchubertElt"):
-        if self.n != other.n:
-            raise ValueError(
-                f"ambient mismatch: G(1,{self.n}) vs G(1,{other.n}) classes "
-                "live in different rings"
-            )
-
-    def __add__(self, other: "SchubertElt") -> "SchubertElt":
-        self._require_same_ambient(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            _add(out, p, c)
-        return SchubertElt._of(self.n, out)
-
-    def __neg__(self) -> "SchubertElt":
-        return SchubertElt._of(self.n, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "SchubertElt") -> "SchubertElt":
-        return self + (-other)
-
-    def scale(self, c) -> "SchubertElt":
-        c = DPoly.coerce(c)
-        return SchubertElt._of(self.n, {p: c * v for p, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, DPoly)):
-            return self.scale(other)
+    def _product(self, other: "SchubertElt") -> "SchubertElt":
         return mult(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, DPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchubertElt):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
@@ -204,7 +226,7 @@ def mult(x: SchubertElt, y: SchubertElt) -> SchubertElt:
     Pieri(Pieri(p, m2), m1) - Pieri(Pieri(p, m2-1), m1+1)."""
     if not isinstance(x, SchubertElt) or not isinstance(y, SchubertElt):
         raise TypeError("mult takes two SchubertElt values")
-    x._require_same_ambient(y)
+    x._require_same_ring(y)
     n, out = x.n, {}
     for p, cp in x.terms.items():
         for (m1, m2), cq in y.terms.items():

@@ -30,7 +30,7 @@ from tangency.deformation import (
     sample_line,
     truncate,
 )
-from tangency.fields import QQ, PrimeField, kernel_basis, mat_vec, row_reduce
+from tangency.fields import QQ, PrimeField, RationalField, kernel_basis, mat_vec, row_reduce
 from tangency.forms import (
     HyperForm,
     LineParam,
@@ -164,6 +164,25 @@ def test_log_sections_contact_too_low():
     F, L = conic_and_tangent()
     with pytest.raises(ValueError, match="contact"):
         log_sections(F, L, 3)
+
+
+def test_a_line_over_another_characteristic_is_refused():
+    # the conic over QQ and its tangent over F_7 once gave contact 2, h0 3
+    # and a failed congruence; fields are compared by characteristic, so a
+    # second instance of QQ or of F_7 is the same field
+    F, L = conic_and_tangent()
+    calls = (contact_order, lambda F, L: log_sections(F, L, 2),
+             lambda F, L: congruence_check(F, L, 2))
+    for form_field, line_field in ((QQ, PrimeField(7)), (PrimeField(7), QQ),
+                                   (PrimeField(7), PrimeField(11))):
+        G = HyperForm(2, 2, F.terms, form_field)
+        for call in calls:
+            with pytest.raises(ValueError, match="different characteristic"):
+                call(G, LineParam(L.rows, line_field))
+    for form_field, line_field in ((QQ, RationalField()), (PrimeField(7), PrimeField(7))):
+        G, M = HyperForm(2, 2, F.terms, form_field), LineParam(L.rows, line_field)
+        assert (contact_order(G, M), log_sections(G, M, 2).h0, congruence_check(G, M, 2).ok) \
+            == (2, 3, True)
 
 
 def test_sample_contact_form_has_exact_valuation():
@@ -937,3 +956,45 @@ def test_kernel_basis_commutes_with_reduction_mod_p(rows, cols, p, data):
         event(f"bad reduction: a pivot vanishes mod {p}")
         assume(False)
     assert _reduced_mod(kernel_basis(M, cols, QQ), p) == kernel_basis(reduced, cols, PrimeField(p))
+
+
+# h0 commutes with reduction: a seeded QQ trial (F, L, k), reduced mod 101,
+# 103 or 107, has the same raw_dim and h0 over F_p on both routes.  A
+# reduction is bad, skipped and counted, when p divides a denominator, the
+# line drops rank, the contact order changes, or the marked point, smooth
+# on every sampled form, becomes singular
+
+
+@st.composite
+def reducible_trials(draw):
+    n, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    k = draw(st.integers(1, d))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    L = sample_line(n, QQ, rng)
+    return sample_contact_form(L, d, k, rng), L, k, draw(st.sampled_from((101, 103, 107)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reducible_trials())
+def test_h0_commutes_with_reduction_mod_p(trial):
+    F, L, k, p = trial
+    field = PrimeField(p)
+    reduced = _reduced_mod((F.terms, L.rows), p)
+    assume(reduced is not None)
+    try:
+        Lp = LineParam(reduced[1], field)
+    except ValueError:
+        event(f"bad reduction: (p, u) of rank < 2 mod {p}")
+        assume(False)
+    Fp = HyperForm(F.n, F.d, reduced[0], field)
+    if contact_order(Fp, Lp) != k:
+        event(f"bad reduction: the contact order changes mod {p}")
+        assume(False)
+    if all(field.is_zero(c) for c in Fp.gradient(Lp.marked_point())):
+        event(f"bad reduction: the marked point is singular mod {p}")
+        assume(False)
+    qq = log_sections(F, L, k)
+    direct, trunc = (log_sections(Fp, Lp, k, use_truncation=t) for t in (False, True))
+    assert (direct.raw_dim, direct.h0) == (trunc.raw_dim, trunc.h0) == (qq.raw_dim, qq.h0)
+    ncols = 2 * (F.n + 1)
+    assert row_reduce(direct.basis, ncols, field) == row_reduce(trunc.basis, ncols, field)

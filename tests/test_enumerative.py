@@ -7,7 +7,10 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tangency.cli import parse_expression
 from tangency.dpoly import DPoly
 from tangency.enumerative import (
     BOUND_INFO,
@@ -21,7 +24,7 @@ from tangency.enumerative import (
     symmetric_roots_to_schubert,
     z6_conditional_bound,
 )
-from tangency.flag import FlagElt, hclass
+from tangency.flag import FlagElt, hclass, integrate
 from tangency.schubert import sigma
 
 d = DPoly.var()
@@ -130,7 +133,6 @@ def test_plane_bound_pipeline_equivalent_forms():
     h1 = hclass(n, 2, 1)
     h2 = hclass(n, 2, 2)
     jet = principal_parts_class(n, 4, arity=2)
-    from tangency.flag import integrate
 
     a = integrate(s11 * h1 * h2 * jet * h2.scale(d))
     b = integrate(s11 * h1 * jet * h2.scale(d) * h2)
@@ -190,3 +192,60 @@ def test_fano_counts_match_bott_localization():
         value = bott_sum(n, 0, lambda a, b, h: prod(j * a + (dd - j) * b for j in range(dd + 1)),
                          seed=f"fano:{n}")
         assert value == lines, (n, dd)
+
+
+# Bott's formula against random top-degree products parsed as the CLI
+# parses them, over the fiber square of the universal line of G(1, n),
+# n = 2..6: factors s[a,b] inside the box, H1 and H2, each to a power, and
+# a nonzero integer scalar; and sums and differences of two such products.
+# This guards the +, -, * and ^ of the classes.  At a fixed point s[a,b] is
+# the Schur polynomial sum_{r=b..a} a^r b^(a+b-r) in the roots, the lift
+# symmetric_roots_to_schubert reads.
+
+
+def _schur(i, j, a, b):
+    return sum(a ** r * b ** (i + j - r) for r in range(j, i + 1))
+
+
+@st.composite
+def top_products(draw, n):
+    # (text, value at a fixed point) of a product of degree 2n, in any
+    # order; it holds H1 and H2, without which it would integrate to 0
+    left = 2 * n - 2
+    factors = [("H1", lambda a, b, h: h[0]), ("H2", lambda a, b, h: h[1])]
+    while left:
+        if draw(st.booleans()):
+            i = draw(st.integers(1, min(n - 1, left)))
+            j = draw(st.integers(0, min(i, left - i)))
+            e = draw(st.integers(1, left // (i + j)))
+            factors.append((f"s[{i},{j}]^{e}",
+                            lambda a, b, h, i=i, j=j, e=e: _schur(i, j, a, b) ** e))
+            left -= e * (i + j)
+        else:
+            slot, e = draw(st.integers(1, 2)), draw(st.integers(1, left))
+            factors.append((f"H{slot}^{e}", lambda a, b, h, slot=slot, e=e: h[slot - 1] ** e))
+            left -= e
+    c = draw(st.integers(-5, 5).filter(bool))
+    factors.append((f"({c})", lambda a, b, h: c))
+    factors = draw(st.permutations(factors))
+    return "*".join(t for t, _ in factors), lambda a, b, h: prod(v(a, b, h) for _, v in factors)
+
+
+@st.composite
+def top_classes(draw):
+    n = draw(st.integers(2, 6))
+    text, value = draw(top_products(n))
+    if not draw(st.booleans()):
+        return n, text, value
+    op = draw(st.sampled_from("+-"))
+    other, other_value = draw(top_products(n))
+    sign = 1 if op == "+" else -1
+    return n, f"{text} {op} {other}", lambda a, b, h: value(a, b, h) + sign * other_value(a, b, h)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(top_classes())
+def test_random_top_products_match_bott_localization(case):
+    n, text, value = case
+    integral = integrate(parse_expression(text, n)).constant_value()
+    assert integral == bott_sum(n, 2, value, seed=text), text

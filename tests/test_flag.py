@@ -2,6 +2,7 @@
 H^2 = s1*H - s11, pushforward, and integration."""
 
 import hashlib
+import operator
 import random
 
 import pytest
@@ -137,6 +138,42 @@ def test_arity_and_ambient_validation():
         hclass(4, 1, 1) * hclass(5, 1, 1)
     with pytest.raises(ValueError):
         hclass(4, 1, 1) * hclass(4, 2, 1)
+
+
+def _refused(op, x, y):
+    # op(x, y) stopped by the ring check's ValueError; any other outcome, a
+    # result or another exception, is an AssertionError
+    try:
+        out = op(x, y)
+    except ValueError as e:
+        assert "ambient mismatch" in str(e), e
+        return
+    except (AttributeError, TypeError) as e:
+        raise AssertionError(f"{op.__name__}({x!r}, {y!r}) raised {e!r}") from e
+    raise AssertionError(f"{op.__name__}({x!r}, {y!r}) returned a {type(out).__name__}")
+
+
+# pairs from two rings: a Schubert class and a flag class of the same n
+# (which once added into a corrupted class), and classes of two n or arities
+MIXED_PAIRS = (
+    (sigma(4, 2), hclass(4, 1)),
+    (sigma(4, 1), hclass(4, 2, 2)),
+    (sigma(3, 1), sigma(4, 1)),
+    (hclass(4, 1), hclass(5, 1)),
+    (hclass(4, 1), hclass(4, 2)),
+    (hclass(4, 2, 2), hclass(5, 2, 2)),
+)
+
+
+def test_classes_of_two_rings_never_mix():
+    for x, y in MIXED_PAIRS:
+        for a, b in ((x, y), (y, x)):
+            for op in (operator.add, operator.sub, operator.mul):
+                _refused(op, a, b)
+            assert not a == b and a != b, (a, b)
+    _refused(multiply_unreduced, hclass(4, 1), hclass(4, 2))
+    with pytest.raises(TypeError):
+        mult(sigma(4, 2), hclass(4, 1))
 
 
 def test_scale_by_base_class_and_dpoly():

@@ -22,8 +22,9 @@ term taken at any exponent) and the sampler's forms made without checks
 route; PrimeField equality flipped; the two ways to get the rescale
 of a fraction-free elimination row wrong; the counter's pullback (a Horner
 sign flipped, the pivot solved with the wrong sign), each caught by oracle
-B, and its float exactness bound without its top order; and QQ's lowering
-without one column's denominator power, caught by reduction mod p.
+B, and its float exactness bound without its top order; QQ's lowering
+without one column's denominator power, caught by reduction mod p; and the
+ring check Schubert and flag classes share without its class comparison.
 """
 
 import __future__
@@ -41,8 +42,9 @@ import test_deformation
 import test_enumerative
 import test_fermat
 import test_fields
+import test_flag
 import test_forms
-from tangency import counting, deformation, enumerative, fields, flag, forms
+from tangency import counting, deformation, enumerative, fields, flag, forms, schubert
 from tangency.deformation import _LineTable, completion_matrix, contact_experiment, sample_line
 from tangency.fermat import RootRing
 from tangency.fields import QQ, PrimeField, RationalField
@@ -273,6 +275,11 @@ MUTANTS = {
     # the principal-parts factors (d - 2j) H + (j + 1) s1, off by one in s1
     "principal-parts-off-by-one": (enumerative, "principal_parts_factors",
                                    {"coeff=j)": "coeff=j + 1)"}, (_bott_localization,)),
+    # the one ring check of Schubert and flag classes without its class
+    # comparison: a flag class passes as a Schubert class of the same n
+    "ring-check-without-its-class": (
+        schubert._Combination, "_same_ring", {"type(other) is type(self) and ": ""},
+        (test_flag.test_classes_of_two_rings_never_mix,)),
     # a row with 0 in the pivot column left as it is
     "bareiss-row-not-rescaled": (fields, "_eliminate",
                                  {"not (f or piv != prev)": "not f"},
