@@ -326,6 +326,8 @@ def _cmd_deform_sections(args) -> int:
             "match" if space.matches else "MISMATCH")
     elif space.contact == CONTAINED:
         verdict = "contained line: no expected value"
+    elif space.k > 2 * space.n - 1:
+        verdict = "k > 2n-1: no expected value"
     else:
         verdict = "singular marked point: no expected value"
     return _show(args, doc, f"contact order: {space.contact}\n"

@@ -35,21 +35,17 @@ forms._expand_steps, which walks F's exponents as expand's Horner walk
 does with bounds from the nonzero entries of B's rows, n and k, and
 refused past TRUNCATION_BUDGET before anything expands.
 
-The direct route reads its jets off a _LineTable: the pullbacks along L
-of degree-(d-1) monomials, each the product chain of forms._products read
-at the packed keys of t^(deg-j) s^j.  A partial of F is a combination of
-them and a degree-d monomial is x_i times one, so the table gives the
-jets of F' and the conditioning rows of a sampled form by integer
-multiply-adds, one lower per output coefficient (% p, or one Fraction).
-It also holds B, which the truncated route reads wherever a table is
-built anyway.  contact_experiment builds one table per trial, over every
-degree-(d-1) monomial to s^k, for the sampling, its smoothness test (the
-s^0 jets) and the direct route.  log_sections and congruence_check build
-theirs over only the monomials F's partials use (_partials_table), so
-their work follows the size of F: all C(n+d-1, n) monomials would be
-chains a sparse form of high degree never reads.  The table keeps the
-parent lists of the last F it was asked about, which the smoothness test
-and the direct route share.
+The direct route reads its jets off a _LineTable, the pullbacks along L
+of monomials, each row made on first use from its first parent's: x_i m'
+pulls back to (p_i t + u_i s) times the pullback of m'.  A partial of F
+is a combination of degree-(d-1) rows and a degree-d monomial is x_i
+times one, so the table gives the jets of F' and the conditioning rows of
+a sampled form by integer multiply-adds, one lower per output coefficient
+(% p, or one Fraction), and makes only the rows they ask for, so its work
+follows the size of F.  It also holds B, which the truncated route reads
+wherever a table is built anyway.  contact_experiment builds one table a
+trial, to s^k, for the sampling, its smoothness test (the s^0 jets) and
+the direct route; the last two share the parent lists of F it keeps.
 
 Nothing of one (F, L, k) is computed twice, and the jets are passed
 explicitly: each entry point forms the ones it needs once, and
@@ -59,9 +55,9 @@ check sample_contact_form makes.  What depends on exponents alone is
 shared across trials: forms.monomials keeps the lists of the last
 forms.MONOMIALS_MEMO (n, d), and _exponent_parents the triples (j, e_j,
 x^e / x_j) of the last PARENTS_MEMO exponents e, which the conditioning
-rows, the parent lists and _partials_table read.  They fill from the
-exponents asked about, never from all of a degree, and hold no field
-element, so no trial sees another's field.
+rows and the parent lists read.  They fill from the exponents asked
+about, never from all of a degree, and hold no field element, so no
+trial sees another's field.
 
 The routes agree when their section systems have the same kernel, and
 that is equality of the two kernel_basis lists: the basis is read off the
@@ -89,7 +85,6 @@ from .forms import (
     LineParam,
     _check_characteristic,
     _expand_steps,
-    _products,
     expand,
     monomials,
     pullback_of_partial,  # not called here: perfbench's tracer hooks this name
@@ -175,70 +170,75 @@ def _exponent_parents(e: tuple) -> tuple:
 
 
 class _LineTable:
-    """The pullbacks along L(s, t) = s*u + t*p of some degree-deg monomials,
-    to s^top, in the integers of L.field.lifted: rows[m][j] is the integer
-    whose lower at (deg - j, j) is the s^j t^(deg-j) coefficient of
-    m(t*p + s*u), with p and u lifted once (over QQ their denominators
-    cleared, over F_p the rows unreduced).  B = completion_matrix([p, u])
-    is the line's basis, built once for both routes.
-
-    A degree-(deg+1) monomial is x_i times a row's monomial and so pulls
-    back to (p_i t + u_i s) times that row, and a partial dF/dx_j of a
-    degree-(deg+1) form is a combination of rows: the conditioning rows of
-    a sampled form and the direct route's jets are integer multiply-adds
-    on the table, each output coefficient lowered to the field once.
+    """The pullbacks along L(s, t) = s*u + t*p of monomials to s^top, in
+    the integers of L.field.lifted: rows[m][j] is the integer whose lower
+    at (deg - j, j) is the s^j t^(deg-j) coefficient of m(t*p + s*u), deg
+    the degree of m, with p and u lifted once (over QQ their denominators
+    cleared, over F_p the rows unreduced).  A row is made on first use and
+    kept.  B = completion_matrix([p, u]) is the line's basis, built once
+    for both routes.
     """
 
-    def __init__(self, L: LineParam, monos, deg: int, top: int):
+    def __init__(self, L: LineParam, top: int):
         self.field, self.cols = L.field, [L.marked_point(), L.direction()]
         self.B = completion_matrix(self.cols, self.field)
         # column i >= 2 of B is the standard vector e_c, c its nonzero row
         self.standard = [next(c for c, row in enumerate(self.B) if row[i])
                          for i in range(2, len(self.B))]
         _, (self.p, self.u), self.lower = self.field.lifted({}, self.cols)
-        self.deg, self.top = deg, top
-        # each monomial's product chain, read at the packed keys of
-        # t^(deg-j) s^j, zero past s^deg
-        base, _, _, chain = _products(deg, [self.p, self.u], top)
-        keys = [deg - j + j * base for j in range(min(deg, top) + 1)]
-        pad = [0] * (top + 1 - len(keys))
-        self.rows = {}
-        for m in monos:
-            got = chain(m, 1, 0, {})
-            self.rows[m] = [got.get(key, 0) for key in keys] + pad
+        self.top = top
+        self.rows = {(0,) * len(self.p): [1] + [0] * top}
         self._parents: tuple | None = None   # (terms, _parent_lists(terms)) of the last F
 
-    def conditioning_rows(self):
-        """The degree-(deg+1) monomials and the (top+1) x N matrix whose
-        column e holds the s^0..s^top coefficients of e along L."""
-        d, top, lower = self.deg + 1, self.top, self.lower
+    def row(self, m: tuple) -> list:
+        """The row of m, made down from the nearest first parent with a
+        row (m = x_i m', i the first variable of m, pulls back to (p_i t +
+        u_i s) times m') in a loop, since m can have any degree.  The hot
+        loops read rows first and call this on a miss: a call per lookup
+        measured slower."""
+        rows, path = self.rows, []
+        while m not in rows:
+            i = next(i for i, a in enumerate(m) if a)
+            path.append((m, i))
+            m = m[:i] + (m[i] - 1,) + m[i + 1:]
+        r = rows[m]
+        for m, i in reversed(path):
+            pi, ui = self.p[i], self.u[i]
+            r = rows[m] = [pi * r[0]] + [pi * a + ui * b for a, b in zip(r[1:], r)]
+        return r
+
+    def conditioning_rows(self, d: int):
+        """The degree-d monomials and the (top+1) x N matrix whose column e
+        holds the s^0..s^top coefficients of e along L."""
+        top, lower, rows = self.top, self.lower, self.rows
         monos = monomials(len(self.p) - 1, d)
         out = [[] for _ in range(top + 1)]
         for e in monos:
+            # row's step inline, its result lowered and not kept: keeping
+            # the degree-d rows to take that step through row measured slower
             i, _, parent = _exponent_parents(e)[0]
-            r = self.rows[parent]
+            r = rows.get(parent) or self.row(parent)
             pi, ui = self.p[i], self.u[i]
             out[0].append(lower((d, 0), pi * r[0]))
             for j in range(1, top + 1):
                 out[j].append(lower((d - j, j), pi * r[j] + ui * r[j - 1]))
         return monos, out
 
-    def partials(self, terms: dict, width: int) -> list[list]:
+    def partials(self, F: HyperForm, width: int) -> list[list]:
         """For each column i of B, the first width s-coefficients of
-        dF'/dy_i along the canonical line, F' = F(B y) and F the
-        degree-(deg+1) form with these terms: by the chain rule, sum_j p_j
-        dF/dx_j, sum_j u_j dF/dx_j and dF/dx_c for each column e_c, along
-        L.  The partials' integer numerators share one lower per power of
-        s, and their dot products with p and u lower with one more power
-        of p or of u.
+        dF'/dy_i along the canonical line, F' = F(B y): by the chain rule,
+        sum_j p_j dF/dx_j, sum_j u_j dF/dx_j and dF/dx_c for each column
+        e_c, along L.  The partials' integer numerators share one lower per
+        power of s, and their dot products with p and u lower with one more
+        power of p or of u.
 
         The table keeps the parent lists of the last terms dict it was
         given, so the smoothness test of a sampled F and the direct route
         on the same F build them once."""
-        if self._parents is None or self._parents[0] is not terms:
-            self._parents = (terms, self._parent_lists(terms))
+        if self._parents is None or self._parents[0] is not F.terms:
+            self._parents = (F.terms, self._parent_lists(F.terms))
         lower, cols = self._parents[1]
-        deg = self.deg
+        deg = F.d - 1
         nums = [[sum(map(mul, cs, [r[m] for r in rs])) for m in range(width)]
                 for cs, rs in cols]
         by_power = list(zip(*nums))
@@ -253,19 +253,14 @@ class _LineTable:
         # (lower, [(cs, rs) for each j]): dF/dx_j lowers from the sum of
         # c * row over the pairs (c, row) of cs and rs, F lifted with the line
         ints, _, lower = self.field.lifted(terms, self.cols)
+        rows = self.rows
         cols = [([], []) for _ in self.p]
         for e, c in ints.items():
             for j, ej, parent in _exponent_parents(e):
                 cs, rs = cols[j]
                 cs.append(c * ej)
-                rs.append(self.rows[parent])
+                rs.append(rows.get(parent) or self.row(parent))
         return lower, cols
-
-
-def _partials_table(F: HyperForm, L: LineParam, width: int) -> _LineTable:
-    # the table over only the monomials F's partials use, to s^(width-1)
-    support = {parent for e in F.terms for _, _, parent in _exponent_parents(e)}
-    return _LineTable(L, list(support), F.d - 1, width - 1)
 
 
 @dataclass
@@ -312,10 +307,10 @@ def congruence_check(F: HyperForm, L: LineParam, k: int, corrupt: bool = False) 
     _require_contact(F, L, k)
     if not 1 <= k <= F.d:
         raise ValueError(f"need 1 <= k <= d = {F.d}, got k = {k}")
-    table = _partials_table(F, L, k)
+    table = _LineTable(L, k - 1)
     fk = _truncation(F, table.B, k)
     truncated = _canonical_partials(_corrupted(fk, k) if corrupt else fk, k)
-    return _congruence(table.partials(F.terms, k), truncated, k, F.field, corrupt)
+    return _congruence(table.partials(F, k), truncated, k, F.field, corrupt)
 
 
 def _corrupted(fk: HyperForm, k: int) -> HyperForm:
@@ -373,9 +368,10 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     (beta_i, gamma_i); h0 discards the Euler redundancy.  For a line
     contained in the hypersurface the system instead demands the full
     identity sum b_i dF'/dy_i(a) = 0 (all s-degrees), and no expected
-    h0 is attached.  Nor is one where X is singular at the marked point,
-    since 2n - k + 1 is expected at smooth points only: the s^0 jets are
-    B^T times the gradient there, so they all vanish just when it does.
+    h0 is attached.  Nor is one past k = 2n - 1, or where X is singular
+    at the marked point: 2n - k + 1 is expected for k <= 2n - 1 at smooth
+    points only, and the s^0 jets are B^T times the gradient there, so
+    they all vanish just when it does.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -386,7 +382,7 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
         jets = _canonical_partials(_truncation(F, B, k), k)
     else:   # a line of finite contact co >= k has k <= d; k = 0 reads the s^0 jets
         width = F.d if co == CONTAINED else max(k, 1)
-        jets = _partials_table(F, L, width).partials(F.terms, width)
+        jets = _LineTable(L, width - 1).partials(F, width)
     space = _sections(F, k, co, jets, truncated)
     if all(F.field.is_zero(jet[0]) for jet in jets):
         space.expected_h0 = space.matches = None
@@ -399,7 +395,7 @@ def _sections(F: HyperForm, k: int, co, jets: list[list], truncated: bool) -> De
     f = F.field
     contained = co == CONTAINED
     rows = _sections_matrix(jets, F.d + 1 if contained else k, f)
-    expected = None if contained else 2 * F.n - k + 1
+    expected = None if contained or k > 2 * F.n - 1 else 2 * F.n - k + 1
 
     ncols = 2 * (F.n + 1)
     kern = kernel_basis(rows, ncols, f)   # rows == [] gives the identity basis
@@ -449,16 +445,15 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
     coefficients, one more row, decide whether the contact is exactly k.
 
     Both the rows and the smoothness test come from table, the _LineTable
-    of the degree-(d-1) monomials along L to s^k (built here if not
-    given)."""
+    of L to s^k (built here if not given)."""
     f = L.field
     n = L.n
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k = {k}, d = {d}")
     _check_characteristic(d, f)
     if table is None:
-        table = _LineTable(L, monomials(n, d - 1), d - 1, k)
-    monos, rows = table.conditioning_rows()
+        table = _LineTable(L, k)
+    monos, rows = table.conditioning_rows(d)
     conditions, s_k = rows[:k], rows[k]
     for _ in range(SAMPLE_TRIES):
         c = random_kernel_vector(conditions, len(monos), f, rng)
@@ -469,7 +464,7 @@ def sample_contact_form(L: LineParam, d: int, k: int, rng: random.Random,
         F = HyperForm._of(n, d, {m: a for m, a in zip(monos, c) if a}, f)
         # smooth at p: the s^0 jets are B^T times the gradient at p, and B
         # is invertible, so they all vanish just when the gradient does
-        if all(f.is_zero(g) for (g,) in table.partials(F.terms, 1)):
+        if all(f.is_zero(g) for (g,) in table.partials(F, 1)):
             continue
         return F
     raise RuntimeError("failed to sample a form of exact contact order")
@@ -506,7 +501,7 @@ def _trial_routes(F: HyperForm, L: LineParam, k: int, table: _LineTable):
     sampled (F, L) of exact contact k <= d: the direct jets off table and
     the partials of F_k through table.B, each formed once and read by both
     the section system of its route and the congruence."""
-    direct = table.partials(F.terms, k)
+    direct = table.partials(F, k)
     truncated = _canonical_partials(_truncation(F, table.B, k), k)
     return (_sections(F, k, k, direct, False), _sections(F, k, k, truncated, True),
             _congruence(direct, truncated, k, F.field))
@@ -541,7 +536,7 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
         d = rng.choice((n, n + 1, n + 2))
         k = rng.choice(tuple(range(1, min(4, d) + 1)))
         L = sample_line(n, gf, rng)
-        table = _LineTable(L, monomials(n, d - 1), d - 1, k)
+        table = _LineTable(L, k)
         F = sample_contact_form(L, d, k, rng, table)
 
         direct, trunc, cc = _trial_routes(F, L, k, table)

@@ -31,12 +31,10 @@ gives the terms and columns as ints and a lower(a, num) that makes each
 output coefficient one ring element at the end (QQ clears denominators,
 F_p reduces by % p, the root ring Z[z]/(z^d + 1) packs by Kronecker
 substitution), so no ring element is built, reduced or added inside the
-expansion.  _products, the walk's products of linear forms, is shared
-with deformation's pullback table of a line, which reads the packed
-output keys of each monomial's product chain directly.  _expand_steps
-prices an expansion without making it: it walks the exponents the same
-way with each product replaced by a bound on its terms, so that a caller
-can refuse one that is too large before it starts.
+expansion.  _expand_steps prices an expansion without making it: it
+walks the exponents the same way with each product replaced by a bound
+on its terms, so that a caller can refuse one that is too large before
+it starts.
 
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
@@ -242,8 +240,11 @@ def _products(d: int, cols, top):
                 # cut it: nothing inside that chain reduces
                 (k, c), = lin[i].items()
                 got = {k * e: c ** e} if top is None or k * e % base >= e - top else {}
-            else:
-                got = times(power(i, e - 1), lin[i], e)
+            else:   # up from lin_i in a loop, each power kept: e can be large
+                got = powers.setdefault((i, 1), lin[i])
+                for b in range(2, e + 1):
+                    got = powers[(i, b)] if (i, b) in powers else times(got, lin[i], b)
+                    powers[(i, b)] = got
             powers[(i, e)] = got
         return got
 

@@ -154,6 +154,22 @@ def test_deform_sections_at_a_singular_point(capsys, schema, tmp_path):
             "expectedValue": None, "match": None}
 
 
+def test_deform_sections_past_k_2n_minus_1(capsys, schema, tmp_path):
+    # x1^4 + x0^3 x2 along a line of contact 4 > 2n - 1 = 3 at a smooth point
+    quartic = tmp_path / "quartic.hs"
+    quartic.write_text("1 0 4 0\n1 3 0 1\n")
+    line = tmp_path / "line.txt"
+    line.write_text("0 1\n1 0\n0 0\n")
+    argv = ("deform", "sections", "--form", str(quartic), "--line", str(line), "--k", "4")
+    for route in ("direct", "truncated"):
+        assert run(capsys, *argv, "--route", route) == (
+            0, "contact order: 4\nraw solution dimension: 3\nh0 (Euler quotient): 2\n"
+               "k > 2n-1: no expected value\n", "")
+        assert run_json(capsys, schema, *argv, "--route", route) == {
+            "contactOrder": 4, "rawDim": 3, "h0": 2, "expected": None,
+            "expectedValue": None, "match": None}
+
+
 def test_deform_congruence_exit_codes(capsys, schema, tmp_path):
     conic = tmp_path / "conic.hs"
     conic.write_text("1 1 0 1\n-1 0 2 0\n")

@@ -18,7 +18,6 @@ from tangency.deformation import (
     _canonical_partials,
     _corrupted,
     _LineTable,
-    _partials_table,
     _trial_routes,
     _truncation,
     completion_matrix,
@@ -160,6 +159,20 @@ def test_log_sections_attach_no_expectation_at_a_singular_point(field):
         == [(5, True), (4, True)]
 
 
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
+def test_log_sections_attach_no_expectation_past_k_2n_minus_1(field):
+    # x1^4 + x0^3 x2 is smooth at p = (1, 0, 0), where the line p + s (0, 1,
+    # 0) has contact 4 > 2n - 1 = 3; 2n - k + 1 = 1 would be a mismatch
+    F = HyperForm(2, 4, {(0, 4, 0): 1, (3, 0, 1): 1}, field)
+    L = LineParam([(0, 1), (1, 0), (0, 0)], field)
+    for use_truncation in (False, True):
+        space = log_sections(F, L, 4, use_truncation)
+        assert (space.contact, space.h0) == (4, 2), use_truncation
+        assert space.expected_h0 is None and space.matches is None, use_truncation
+        space = log_sections(F, L, 2, use_truncation)
+        assert (space.h0, space.expected_h0, space.matches) == (3, 3, True), use_truncation
+
+
 def test_log_sections_contact_too_low():
     F, L = conic_and_tangent()
     with pytest.raises(ValueError, match="contact"):
@@ -272,7 +285,7 @@ def test_conditioning_rows_match_per_monomial_pullbacks(case):
     L, d = case
     f = L.field
     for k in range(1, d + 1):
-        monos, rows = _LineTable(L, monomials(L.n, d - 1), d - 1, k).conditioning_rows()
+        monos, rows = _LineTable(L, k).conditioning_rows(d)
         assert monos == monomials(L.n, d)
         cols = [HyperForm(L.n, d, {e: f.one}, f).pullback(L)[:k + 1] for e in monos]
         assert rows == [[col[m] for col in cols] for m in range(k + 1)]
@@ -312,7 +325,7 @@ def test_trial_routes_equal_the_public_wrappers(label):
         k = rng.randint(1, min(4, d))
         L = sample_line(n, field, rng)
         F = sample_contact_form(L, d, k, rng)
-        direct, trunc, cc = _trial_routes(F, L, k, _LineTable(L, monomials(n, d - 1), d - 1, k))
+        direct, trunc, cc = _trial_routes(F, L, k, _LineTable(L, k))
         assert direct == log_sections(F, L, k, use_truncation=False)
         assert trunc == log_sections(F, L, k, use_truncation=True)
         assert cc == congruence_check(F, L, k)
@@ -575,9 +588,9 @@ def _check_chain_rule(F, L, upto):
     # the line table's jets of F' = F(B y) against the binary-form chain rule
     width = F.d if upto is None else min(F.d, upto)
     B = completion_matrix([L.marked_point(), L.direction()], F.field)
-    table = _partials_table(F, L, width)
+    table = _LineTable(L, width - 1)
     assert table.B == B
-    got = table.partials(F.terms, width)
+    got = table.partials(F, width)
     want = _chain_rule_by_binary_forms(F, L, B, upto)
     assert repr(got) == repr(want)
 
@@ -676,18 +689,64 @@ def test_line_table_equals_the_expansions_it_replaces(label, kind):
             assert contact_order(F, L) == CONTAINED
         B = completion_matrix([L.marked_point(), L.direction()], F.field)
         want = _chain_rule_by_binary_forms(F, L, B)
-        # the public routes' table, over the monomials F's partials use
-        sparse = _partials_table(F, L, d)
-        assert repr(sparse.partials(F.terms, d)) == repr(want)
+        # the public routes' table, to the width they read
+        assert repr(_LineTable(L, d - 1).partials(F, d)) == repr(want)
         # the s^0 jets are B^T times the gradient at p
         grad = mat_vec([list(col) for col in zip(*B)], F.gradient(L.marked_point()), F.field)
-        # contact_experiment's table, over every degree-(d-1) monomial
+        # contact_experiment's table, to s^k
         for k in range(1, d + 1):
-            full = _LineTable(L, monomials(n, d - 1), d - 1, k)
-            assert repr(full.partials(F.terms, min(d, k + 1))) == repr(
+            table = _LineTable(L, k)
+            assert repr(table.partials(F, min(d, k + 1))) == repr(
                 [w[:k + 1] for w in want])
-            assert repr([g for (g,) in full.partials(F.terms, 1)]) == repr(grad)
-            assert repr(full.conditioning_rows()) == repr(_expanded_conditioning_rows(L, d, k))
+            assert repr([g for (g,) in table.partials(F, 1)]) == repr(grad)
+            assert repr(table.conditioning_rows(d)) == repr(_expanded_conditioning_rows(L, d, k))
+
+
+def test_line_table_rows_are_made_in_a_loop():
+    # x0^1099 x1's row walks up 1100 first parents, past Python's recursion
+    # limit; it is expand's pullback of the monomial, cut at top
+    L = LineParam([(Fraction(1, 2), 3), (2, Fraction(-1, 3))], QQ)
+    table = _LineTable(L, 3)
+    m = (1099, 1)
+    got = expand({m: QQ.one}, [L.marked_point(), L.direction()], QQ, 3)
+    assert [table.lower((1100 - j, j), a) for j, a in enumerate(table.row(m))] == \
+        [got.get((1100 - j, j), QQ.zero) for j in range(4)]
+    assert len(table.rows) == 1 + 1100
+
+
+def test_line_table_work_follows_the_size_of_f():
+    # a sparse form of degree 40 in P^4: the table makes at most the rows
+    # of F's parents and of their first parents, 1 + sum of deg(parent)
+    field = FIELDS["F101"]
+    rng = random.Random("sparse line table")
+    terms = {}
+    while len(terms) < 6:
+        cut = sorted(rng.randint(0, 40) for _ in range(4))
+        e = tuple(b - a for a, b in zip([0] + cut, cut + [40]))
+        terms[e] = field.random(rng) or field.one
+    F = HyperForm(4, 40, terms, field)
+    L = sample_line(4, field, rng)
+    table = _LineTable(L, 5)
+    got = table.partials(F, 6)
+    parents = {parent for e in F.terms for _, _, parent in deformation._exponent_parents(e)}
+    assert len(table.rows) <= 1 + 39 * len(parents)
+    assert repr(got) == repr(_chain_rule_by_binary_forms(F, L, table.B, 6))
+
+
+@pytest.mark.parametrize("label", ["QQ", "F101"])
+def test_line_table_rows_do_not_depend_on_the_order_asked(label):
+    field = FIELDS[label]
+    rng = random.Random(f"row order {label}")
+    L = sample_line(3, field, rng)
+    monos = monomials(3, 4)
+    shuffled = list(monos)
+    rng.shuffle(shuffled)
+    tables = []
+    for order in (monos, reversed(monos), shuffled):
+        tables.append(_LineTable(L, 3))
+        for m in order:
+            tables[-1].row(m)
+    assert tables[0].rows == tables[1].rows == tables[2].rows
 
 
 def test_contact_experiment_detects_a_corrupted_line_table(monkeypatch):
@@ -787,8 +846,8 @@ def test_direct_jets_satisfy_eulers_identity():
                                  if rng.random() < 0.6}, field)
             L = sample_line(n, field, rng)
             G = F.pullback(L)
-            for table in (_partials_table(F, L, d), _LineTable(L, monomials(n, d - 1), d - 1, d)):
-                p, u = table.partials(F.terms, d)[:2]
+            for table in (_LineTable(L, d - 1), _LineTable(L, d)):
+                p, u = table.partials(F, d)[:2]
                 for m in range(d + 1):
                     lhs = field.add(p[m] if m < d else field.zero,
                                     u[m - 1] if m else field.zero)
@@ -901,11 +960,10 @@ def test_exact_route_commutes_with_reduction_mod_101(case):
         event("bad reduction: a pivot moves")
         assume(False)
     F101_form = HyperForm(F.n, F.d, terms, F101)
-    monos, cond = _LineTable(L, monomials(F.n, F.d - 1), F.d - 1, k).conditioning_rows()
-    assert (monos, _reduced(cond)) == \
-        _LineTable(L101, monomials(F.n, F.d - 1), F.d - 1, k).conditioning_rows()
-    assert _reduced(_partials_table(F, L, k).partials(F.terms, k)) == \
-        _partials_table(F101_form, L101, k).partials(terms, k)
+    monos, cond = _LineTable(L, k).conditioning_rows(F.d)
+    assert (monos, _reduced(cond)) == _LineTable(L101, k).conditioning_rows(F.d)
+    assert _reduced(_LineTable(L, k - 1).partials(F, k)) == \
+        _LineTable(L101, k - 1).partials(F101_form, k)
     Fk, Fk101 = _truncation(F, B, k), _truncation(F101_form, B101, k)
     assert _reduced(Fk.terms) == Fk101.terms
     assert _reduced(_canonical_partials(Fk, k)) == _canonical_partials(Fk101, k)

@@ -25,6 +25,13 @@ from tangency.forms import (
 )
 
 
+def test_a_form_of_degree_1100_is_differentiated():
+    # expand's cached powers lin_i^e are built in a loop: one call per
+    # exponent ran past Python's recursion limit here
+    F = HyperForm(1, 1100, {(1099, 1): 1, (1, 1099): 1}, QQ)
+    assert F.gradient([2, 1]) == [1099 * 2 ** 1098 + 1, 2 ** 1099 + 1099 * 2]
+
+
 def test_monomials_enumeration():
     ms = monomials(2, 2)
     assert len(ms) == 6

@@ -15,7 +15,8 @@ made too low and too high; the root ring's Kronecker packing width and
 its packings kept across calls, each also caught by the reduction of its
 expansions to F_p; the direct route's jets off the line table (a swap, a
 reversal and a wrong scale) and the memoized parents of an exponent it
-reads them through (the multiplicity dropped); the
+reads them through (the multiplicity dropped), and a row of that table
+made from its first parent's without the shift by s; the
 truncated route's partials read off F_k's terms (a factor dropped, a y_i
 term taken at any exponent) and the sampler's forms made without checks
 (zero coefficients kept); a trial's Euler membership taken from one
@@ -124,6 +125,9 @@ def _stopped_at_first_failure(test, cases, examples: int):
 _reduction_mod_101 = _stopped_at_first_failure(
     test_deformation.test_exact_route_commutes_with_reduction_mod_101,
     test_deformation.reducible_cases, 150)
+_conditioning_rows_reference = _stopped_at_first_failure(
+    test_deformation.test_conditioning_rows_match_per_monomial_pullbacks,
+    test_deformation.lines_and_degrees, 80)
 _expand_mod_p = _stopped_at_first_failure(
     test_deformation.test_expand_commutes_with_reduction_mod_p,
     test_deformation.expansion_cases, 60)
@@ -165,6 +169,11 @@ MUTANTS = {
                                      {P_JET: P_JET.replace("deg + 1 - m", "deg - m")},
                                      (test_deformation.test_direct_jets_satisfy_eulers_identity,
                                       _chain_rule_reference, _line_table_reference)),
+    # a line table row made from its first parent's without the shift by
+    # s of u_i's part: (p_i t + u_i) times the parent's row
+    "row-step-without-its-s-shift": (_LineTable, "row",
+                                     {"zip(r[1:], r)]": "zip(r[1:], r[1:])]"},
+                                     (_line_table_reference, _conditioning_rows_reference)),
     # F_k's y0-partial read off its terms without the factor a of y0^a
     "read-off-partial-without-its-exponent": (
         test_deformation, "_canonical_partials",
@@ -314,12 +323,13 @@ def test_the_mutated_functions_compile_back_to_themselves(monkeypatch):
     rng = random.Random("identity mutants")
     L = sample_line(3, QQ, rng)
     F = HyperForm(3, 4, {e: QQ.random(rng) for e in monomials(3, 4)}, QQ)
-    table = _LineTable(L, monomials(3, 3), 3, 4)
-    want = (table.partials(F.terms, 4), fields.row_reduce(completion_matrix(
+    table = _LineTable(L, 4)
+    want = (table.partials(F, 4), table.rows, fields.row_reduce(completion_matrix(
         [L.marked_point(), L.direction()], QQ), 4, QQ))
-    for owner, name in ((_LineTable, "partials"), (fields, "_eliminate")):
+    for owner, name in ((_LineTable, "partials"), (_LineTable, "row"), (fields, "_eliminate")):
         _mutate(monkeypatch, owner, name, {})
-    assert (_LineTable(L, monomials(3, 3), 3, 4).partials(F.terms, 4),
+    table = _LineTable(L, 4)
+    assert (table.partials(F, 4), table.rows,
             fields.row_reduce(completion_matrix([L.marked_point(), L.direction()], QQ),
                               4, QQ)) == want
 
