@@ -328,6 +328,8 @@ def _cmd_deform_sections(args) -> int:
         verdict = "contained line: no expected value"
     elif space.k > 2 * space.n - 1:
         verdict = "k > 2n-1: no expected value"
+    elif space.contact > space.k:
+        verdict = f"contact {space.contact} > k: no expected value"
     else:
         verdict = "singular marked point: no expected value"
     return _show(args, doc, f"contact order: {space.contact}\n"

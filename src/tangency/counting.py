@@ -21,9 +21,12 @@ coordinate, indexed by the exponents of it that occur.  Contracting an
 axis against the powers x^e of a coordinate's values evaluates it there:
 the trailing axes over all of F_q while the result stays near _TABLE
 entries, then the leading ones one value at a time, the last of them a
-slice of values at a time.  The values come out in base-q order, the
-order of projective_reps, so a zero's index decodes to its point, and no
-array holds much more than _TABLE values.
+slice of values at a time.  Each axis but a cell's first is walked once
+per value of the axes before it, so its powers over all of F_q are made
+once per cell, a table of q rows where the cell holds at least q^2
+values.  The values come out in base-q order, the order of
+projective_reps, so a zero's index decodes to its point, and no array of
+values holds much more than _TABLE of them.
 
 At the points of X, one evaluator, _Derivatives, gives the gradient
 (charts, singular points) and the divided derivatives d^alpha F / alpha!
@@ -32,11 +35,6 @@ over the monomials of degree d-j that occur, D_alpha(c x^e) = c prod_i
 C(e_i, alpha_i) x^(e - alpha).  A block of points holds as many as keep one
 table of those monomials near _TABLE entries; each matrix multiplies that
 table.
-
-Both evaluate in int64 sums of products of two residues: at most d+1 per
-sum along an axis, at most C(n+d-j, n) per derivative of order j.  Each
-reduces mod q after every (2^63 - 1) // (q-1)^2 products (_dot), so both
-are exact for any q with (q-1)^2 < 2^63.
 
 The higher orders are pulled back per group of points sharing a chart:
 G_j(p, v) = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha!
@@ -49,27 +47,55 @@ and q (the derivative matrices, the charts' jet rows, the grid
 monomials) is built once per count_vk call; the only inverses taken are
 those of the pivot gradients the pullback divides by.
 
-Exactness of a count.  The contraction is the only sum taken in floats:
-per order j = 2..min(k-1, d), C(nfree-1+j, j) products of residues in
-[0, q), widest at a singular chart (nfree = n).  exactness_bound(n, d, k,
-q) bounds it, and count_vk refuses, before it enumerates anything, a q for
-which that bound reaches 2^53; with no such order (k <= 2) the bound is 0.
-A Horner step adds at most n-1 products and a residue in int64, less than
-n (q-1)^2 <= C(n+1, 2) (q-1)^2, the order-2 sum's bound: so below 2^63 for
-every q the bound admits.  The contraction is a BLAS GEMM (np.matmul) in
-one dtype per count: float32 (precision p = 24 bits) when the bound is
-below 2^24, float64 (p = 53) otherwise.  Its grid monomials and
-pulled-back coefficients are residues in [0, q), so every product, and
-every partial sum in whatever order, blocking or fused multiply-add the
-BLAS kernel uses, is a non-negative integer no larger than the full sum:
-below 2^p, each is exact in the dtype.  So is the result V, and rint(V * fl(1/q)) * q == V, with 1/q
-correctly rounded in the dtype, is an exact divisibility test.  If q does
-not divide V, no integer times q equals V.  If q | V and V/q < 2^(p-2),
-then fl(1/q) and the product each round by a relative 2^-p at most, so
-V * fl(1/q) lies within 1/2 of V/q, rint returns V/q, and V/q times q is
-V exactly.  V < 2^p <= q 2^(p-2) for every q >= 4; at q = 2, 1/q is exact,
-and at q = 3 it rounds by a relative 2^-(p+1), which keeps the product
-within 1/2 of V/3 for every V < 2^p.
+Exactness of a count.  Every stage sums products of two residues in
+[0, q), each stage in one dtype of the ladder float32 (precision p = 24
+bits), float64 (p = 53), int64, which stage_dtype picks from a bound on
+the stage's largest sum:
+- a monomial step, x^e = x^(e - e_i) x_i: (q-1)^2;
+- a cell axis: at most d+1 products, (d+1) (q-1)^2;
+- a derivative of order j: the width of its matrix (the monomials of
+  degree d-j that occur) times (q-1)^2;
+- a Horner step: at most nfree products plus one residue, nfree (q-1)^2
+  + q - 1;
+- the direction test: exactness_bound(n, d, k, q).
+A float stage forms each sum with one BLAS GEMM (np.matmul) or one
+elementwise product and add.  Its operands are integers, so every
+product, and every partial sum in whatever order, blocking or fused
+multiply-add the BLAS kernel uses, is an integer no larger in absolute
+value than the bound: below 2^p, each is exact in the dtype.  It then
+reduces each sum x mod q by r = x - q rint(x fl(1/q)) and one step, r + q
+where r < 0 (_reduce).  With u = 2^-p, x fl(1/q) lies within |x| (2u +
+u^2) / q < 2/q of x/q, so |r| < q/2 + 2 < q for q >= 5; at q = 2 the
+product is exact, and at q = 3 fl(1/3) rounds by a relative 2^-(p+1),
+which keeps |r| <= 2.  The product q rint(x fl(1/q)) is x - r, which can
+exceed |x| by |r| < q, so it is exact while |x| + q < 2^p: a stage runs
+in float32 when bound + q < 2^24, in float64 when bound + q < 2^53, and
+otherwise in int64, where it reduces (np.remainder) after every
+(2^63 - 1) // (q-1)^2 products (_span), exact for any q with (q-1)^2 <
+2^63.  The int64 band is the same
+code: only _reduce and the span of a sum depend on the dtype.  A cell's
+last axis is not reduced at all, only tested for divisibility, like the
+direction test's sums.
+
+The direction test never reduces, so it needs no headroom: count_vk
+refuses, before it enumerates anything, a q for which exactness_bound
+reaches 2^53, and the test runs in float32 when the bound is below 2^24
+and in float64 otherwise.  The bound is C(nfree-1+j, j) (q-1)^2 for the
+orders j = 2..min(k-1, d), widest at a singular chart (nfree = n); 0
+when there is no such order (k <= 2).  The pullback runs in the same
+dtype, so the coefficients it hands over need no conversion.  That dtype
+holds a Horner step: with nfree <= n-1, nfree (q-1)^2 + q - 1 + q < n
+(q-1)^2 <= C(n+1, 2) (q-1)^2, the order-2 sum's bound, for every q >= 5,
+and at q <= 3 every such sum is far below 2^24 for any n the work budget
+admits.  Each sum V of the test is an integer exact in the dtype, and
+rint(V * fl(1/q)) * q == V, with 1/q correctly rounded in the dtype, is
+an exact divisibility test.  If q does not divide V, no integer times q
+equals V.  If q | V and V/q < 2^(p-2), then fl(1/q) and the product each
+round by a relative 2^-p at most, so V * fl(1/q) lies within 1/2 of V/q,
+rint returns V/q, and V/q times q is V exactly.  V < 2^p <= q 2^(p-2) for
+every q >= 4; at q = 2, 1/q is exact, and at q = 3 it rounds by a
+relative 2^-(p+1), which keeps the product within 1/2 of V/3 for every V
+< 2^p.
 
 The pool is the only parallelism: every GEMM must run on the calling
 thread, or each forked worker starts BLAS threads of its own on top of
@@ -127,7 +153,9 @@ def _decode(indices: list[np.ndarray], q: int) -> np.ndarray:
         cell = rows[at:at + len(index)]
         cell[:, lead] = 1
         for c in range(m, lead, -1):
-            index, cell[:, c] = np.divmod(index, q)
+            quotient = index // q
+            cell[:, c] = index - quotient * q
+            index = quotient
         at += len(cell)
     return rows
 
@@ -157,74 +185,117 @@ def hypersurface_points(F: HyperForm) -> np.ndarray:
     projective_reps: each affine cell's values come out in base-q order, so
     its zeros are decoded from their indices."""
     q, n = _prime_of(F), F.n
-    span = _span(q)
     _check_enumerable(n, q)
     found = []
     for lead in range(n + 1):
         A, exps = _cell(F, lead, q)
-        found.append(np.concatenate(list(_cell_zeros(A[..., None], exps, q, span, 0))))
+        # the powers of every axis walked more than once (module docstring)
+        tables = [None] + [_powers(np.arange(q, dtype=A.dtype), E, q) for E in exps[1:]]
+        found.append(np.concatenate(list(_cell_zeros(A[..., None], exps, tables, q, 0))))
     return _decode(found, q)
 
 
 def _cell(F: HyperForm, lead: int, q: int) -> tuple[np.ndarray, list[list[int]]]:
     """F on the cell x_lead = 1, x_c = 0 for c < lead: its coefficients mod q
     as a tensor with one axis per free coordinate x_(lead+1)..x_n, indexed
-    by the exponents of that coordinate that occur (exps, ascending)."""
+    by the exponents of that coordinate that occur (exps, ascending), in
+    the dtype of a cell axis, whose sums add at most d+1 products."""
+    dtype = stage_dtype((F.d + 1) * (q - 1) ** 2, q)
     terms = [(e[lead + 1:], int(c) % q) for e, c in F.terms.items() if not any(e[:lead])]
     exps = [sorted({e[i] for e, _ in terms} or {0}) for i in range(F.n - lead)]
-    A = np.zeros([len(E) for E in exps], dtype=np.int64)
+    A = np.zeros([len(E) for E in exps], dtype=dtype)
     for e, c in terms:
         A[tuple(E.index(x) for E, x in zip(exps, e))] = c
     return A, exps
 
 
-def _cell_zeros(A: np.ndarray, exps: list[list[int]], q: int, span: int, base: int):
+def _cell_zeros(A: np.ndarray, exps: list[list[int]], tables: list, q: int, base: int):
     """Base-q indices, plus `base`, of the zeros of sum_e A[e, y] prod_i x_i^e_i
     over x in F_q^len(exps), the first coordinate slowest, and over the
-    trailing value axis y of A.
+    trailing value axis y of A.  tables[i] holds the powers x^e, e in
+    exps[i], of all of F_q (_powers), or is None: then they are made as
+    they are needed.
 
     The last exponent axis is contracted over all of F_q while the result
     stays within _TABLE entries.  Past that the first one is walked one
     value at a time, or a slice of values at a time when it is the only one
-    left, so no array grows much beyond _TABLE entries.
+    left, so no array grows much beyond _TABLE entries.  The contraction of
+    the last axis left is not reduced, only tested for divisibility by q.
     """
-    exps = list(exps)
+    exps, tables = list(exps), list(tables)
     while exps and A.size // len(exps[-1]) * q <= _TABLE:
-        A = _axis(A, len(exps) - 1, np.arange(q, dtype=np.int64), exps.pop(), q, span)
+        E, powers = exps.pop(), tables.pop()
+        if powers is None:
+            powers = _powers(np.arange(q, dtype=A.dtype), E, q)
+        A = _axis(A, len(exps), powers, q, reduce=bool(exps))
         A = A.reshape(A.shape[:-2] + (-1,))
     if not exps:
-        yield base + np.flatnonzero(A == 0)
+        yield base + np.flatnonzero(_multiple(A, q))
         return
     stride = q ** (len(exps) - 1) * A.shape[-1]
     step = max(1, _TABLE // (stride * len(exps[0]))) if len(exps) == 1 else 1
     for lo in range(0, q, step):
-        B = _axis(A, 0, np.arange(lo, min(lo + step, q), dtype=np.int64), exps[0], q, span)
-        yield from _cell_zeros(B.reshape((-1,) + B.shape[2:]), exps[1:], q, span,
+        hi = min(lo + step, q)
+        if tables[0] is None:
+            powers = _powers(np.arange(lo, hi, dtype=A.dtype), exps[0], q)
+        else:
+            powers = tables[0][lo:hi]
+        B = _axis(A, 0, powers, q, reduce=len(exps) > 1)
+        yield from _cell_zeros(B.reshape((-1,) + B.shape[2:]), exps[1:], tables[1:], q,
                                base + lo * stride)
 
 
-def _axis(A: np.ndarray, axis: int, x: np.ndarray, exps: list[int], q: int,
-          span: int) -> np.ndarray:
-    """sum_e A[..., e, ...] x^e mod q along `axis`, whose entries belong to
-    the exponents exps: the residues x take that axis's place."""
+def _axis(A: np.ndarray, axis: int, powers: np.ndarray, q: int, reduce: bool = True) -> np.ndarray:
+    """sum_e A[..., e, ...] x^e along `axis`, mod q unless `reduce` is False
+    (see _dot), for the residues x whose powers, one row each over that
+    axis's exponents, are given: they take the axis's place."""
     shape = A.shape
-    out = np.empty((math.prod(shape[:axis]), len(x), math.prod(shape[axis + 1:])),
-                   dtype=np.int64)
-    _dot(_powers(x, exps, q), A.reshape(len(out), len(exps), -1), q, span, out)
-    return out.reshape(shape[:axis] + (len(x),) + shape[axis + 1:])
+    out = np.empty((math.prod(shape[:axis]), len(powers), math.prod(shape[axis + 1:])),
+                   dtype=A.dtype)
+    _dot(powers, A.reshape(len(out), powers.shape[1], -1), q, out, reduce)
+    return out.reshape(shape[:axis] + (len(powers),) + shape[axis + 1:])
 
 
 def _powers(x: np.ndarray, exps: list[int], q: int) -> np.ndarray:
-    """x^e mod q for e in exps (ascending), one column each, built by
-    repeated multiplication."""
-    out = np.empty((len(x), len(exps)), dtype=np.int64)
+    """x^e mod q for e in exps (ascending), one column each, in x's dtype,
+    built by repeated multiplication."""
+    out = np.empty((len(x), len(exps)), dtype=x.dtype)
     power, done = np.ones_like(x), 0
     for j, e in enumerate(exps):
         for _ in range(e - done):
             power *= x
-            np.remainder(power, q, out=power)
+            _reduce(power, q)
         out[:, j], done = power, e
     return out
+
+
+def _multiple(V: np.ndarray, q: int) -> np.ndarray:
+    """Where q divides V, for integers V exact in V's dtype, reduced or not:
+    by _divisible in a float dtype, with no reduction."""
+    if V.dtype == np.int64:
+        return V % q == 0
+    out = np.empty(V.shape, dtype=bool)
+    _divisible(V, q, np.empty_like(V), out)
+    return out
+
+
+def stage_dtype(bound: int, q: int = 0) -> np.dtype:
+    """The dtype a counter stage runs in, from a bound on its largest sum
+    (the module docstring lists each stage's): float32 when bound + q <
+    2^24, float64 when bound + q < 2^53, and int64 otherwise.
+
+    q is the modulus the stage reduces its sums by: _reduce's q rint(x
+    fl(1/q)) can exceed |x| by up to q.  The direction test, which never
+    reduces, passes none.  An int64 stage refuses a q for which not even
+    one product of two residues fits (_span).
+    """
+    top = bound + q
+    if top < _EXACT32:
+        return np.dtype(np.float32)
+    if top < _EXACT:
+        return np.dtype(np.float64)
+    _span(q)
+    return np.dtype(np.int64)
 
 
 def _span(q: int) -> int:
@@ -235,16 +306,52 @@ def _span(q: int) -> int:
     return (_INT64 - 1) // (q - 1) ** 2
 
 
-def _dot(M: np.ndarray, X: np.ndarray, q: int, span: int, out: np.ndarray) -> None:
-    """out[a] = M @ X[a] mod q for M (r, e), X (a, e, y), out (a, r, y),
-    reducing after every `span` columns of M."""
-    np.einsum("re,aey->ary", M[:, :span], X[:, :span], out=out, optimize=False)
-    np.remainder(out, q, out=out)
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, and x, for integers x exact in x's dtype: in a
+    float dtype of precision p, where |x| + q < 2^p, x - q rint(x fl(1/q))
+    and one step, + q where that is negative (the module docstring says
+    why it is exact); np.remainder in int64."""
+    if x.dtype == np.int64:
+        return np.remainder(x, q, out=x)
+    t = x * (x.dtype.type(1) / x.dtype.type(q))
+    np.rint(t, out=t)
+    t *= q
+    x -= t
+    x += np.less(x, 0) * x.dtype.type(q)
+    return x
+
+
+def _dot(M: np.ndarray, X: np.ndarray, q: int, out: np.ndarray, reduce: bool = True) -> None:
+    """out = M @ X mod q, for residues M (r, e) and X (e, m) or a stack X
+    (a, e, y), out (r, m) or (a, r, y), all in one dtype.
+
+    A float dtype holds the whole sum (stage_dtype picked it for that), so
+    one product forms it; an int64 sum is reduced after every _span(q)
+    columns of M.  reduce=False leaves the last reduction out, for a sum
+    that is only tested for divisibility (_multiple).
+    """
+    span = _span(q) if out.dtype == np.int64 else max(1, M.shape[1])
+    matmul = _gemm if X.ndim == 2 else np.matmul
+    matmul(M[:, :span], X[..., :span, :], out=out)
     for lo in range(span, M.shape[1], span):
-        part = np.einsum("re,aey->ary", M[:, lo:lo + span], X[:, lo:lo + span],
-                         optimize=False)
-        out += np.remainder(part, q, out=part)
-        np.remainder(out, q, out=out)
+        _reduce(out, q)
+        part = np.empty_like(out)
+        matmul(M[:, lo:lo + span], X[..., lo:lo + span, :], out=part)
+        out += _reduce(part, q)
+    if reduce:
+        _reduce(out, q)
+
+
+def _gemm(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+    """out = M @ X for M (r, e) and X (e, m), in GEMMs that OpenBLAS runs on
+    the calling thread (see the module docstring): each of at most
+    _GEMM_WORK multiply-adds and _GEMV_ENTRIES entries of M."""
+    width = max(1, M.shape[1])
+    step = max(1, _GEMV_ENTRIES // width)
+    cols = max(1, _GEMM_WORK // (max(1, min(step, len(M))) * width))
+    for r in range(0, len(M), step):
+        for c in range(0, X.shape[1], cols):
+            np.matmul(M[r:r + step], X[:, c:c + cols], out=out[r:r + step, c:c + cols])
 
 
 def rational_singular_points(F: HyperForm) -> list[tuple[int, ...]]:
@@ -258,9 +365,8 @@ def rational_singular_points(F: HyperForm) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in row) for row in pts[singular]]
 
 
-# Every float sum of the direction test must stay below _EXACT: the
-# contraction runs in float64 at worst, whose integers are exact below 2^53.
-# A count whose sums stay below _EXACT32 runs it in float32 (24 bits).
+# The ladder of stage_dtype: float32's integers are exact below _EXACT32,
+# float64's below _EXACT; the direction test must stay below _EXACT.
 _EXACT = 1 << 53
 _EXACT32 = 1 << 24
 
@@ -298,7 +404,7 @@ _COPIES = 3
 # memory of the per-point work.
 _POINTS = 2048
 
-# The evaluator's int64 sums must stay below this; numpy wraps silently.
+# An int64 stage's sums must stay below this; numpy wraps silently.
 _INT64 = 1 << 63
 
 # Entries of one block's monomial table (1 MB of int64): the evaluator takes
@@ -313,8 +419,9 @@ def exactness_bound(n: int, d: int, k: int, q: int) -> int:
     The widest is one GEMM row at a singular chart: the C(n-1+j, j)
     monomials of degree j in its n variables, times residues, at most
     C(n-1+j, j) (q-1)^2, over the orders j = 2..min(k-1, d) the test
-    takes; 0 when there are none (k <= 2).  The direction test runs in
-    float32 when the bound is below 2^24 and in float64 otherwise.
+    takes; 0 when there are none (k <= 2).  stage_dtype(bound) is the
+    direction test's dtype: float32 when the bound is below 2^24 and
+    float64 otherwise.
     """
     terms = max((comb(n - 1 + j, j) for j in range(2, min(k - 1, d) + 1)), default=0)
     return terms * (q - 1) ** 2
@@ -422,12 +529,13 @@ class _Monomials:
                       for index, es in zip(self.index, self.exps[1:])]
 
     def values(self, x: np.ndarray, q: int, top: int | None = None) -> list[np.ndarray]:
-        """[x^e mod q for e of degree t, as rows] for t = 0..top; x is (nvars, m)."""
-        out = [np.ones((1, x.shape[1]), dtype=np.int64)]
+        """[x^e mod q for e of degree t, as rows] for t = 0..top, in x's
+        dtype; x is (nvars, m)."""
+        out = [np.ones((1, x.shape[1]), dtype=x.dtype)]
         for parent, var in self.steps[:top]:
             t = out[-1][parent]
             t *= x[var]
-            out.append(np.remainder(t, q, out=t))
+            out.append(_reduce(t, q))
         return out
 
 
@@ -435,12 +543,15 @@ class _Derivatives:
     """F's divided derivatives d^alpha F / alpha! of the given orders |alpha|
     at points (m, n+1), mod q.  `rows` maps each order's alphas to rows: F
     for order 0, the whole gradient in coordinate order for order 1, the
-    alphas whose derivative is not zero above that.
+    alphas whose derivative is not zero above that, ascending, so that
+    `keys`, each row's alpha as one integer in the radix d+1 (alpha_0 the
+    most significant digit), ascends too.  They are evaluated in the dtype
+    of the widest matrix's sums.
     """
 
     def __init__(self, F: HyperForm, orders: list[int]):
         q, n, d = _prime_of(F), F.n, F.d
-        self.q, self.d, self.orders, self.span = q, d, orders, _span(q)
+        self.q, self.d, self.orders = q, d, orders
         # every pair (term e, alpha <= e) with no alpha_i above the top order,
         # alpha counting in the mixed radix min(e, top) + 1
         E = np.array(list(F.terms), dtype=np.int64).reshape(-1, n + 1)
@@ -460,28 +571,33 @@ class _Derivatives:
         order = alpha.sum(axis=1)
         picked = [order == j for j in orders]
         rests = [_distinct(E[term[p]] - alpha[p], d + 1) for p in picked]
+        place = (d + 1) ** np.arange(n, -1, -1)
         self.mons = _Monomials(n + 1, d - min(orders), (r for rest, _ in rests for r in rest))
         self.block = max(1, _TABLE // sum(map(len, self.mons.exps)))
-        self.rows, self.mats = [], []
+        self.rows, self.keys, mats = [], [], []
         for j, p, (rest, col) in zip(orders, picked, rests):
             A, row = _distinct(alpha[p], d + 1)
             alphas = A if j >= 2 else _exps(n + 1, j)
             rows = {a: i for i, a in enumerate(alphas)}
+            self.keys.append(np.array(alphas, dtype=np.int64).reshape(-1, n + 1) @ place)
             cols = self.mons.index[d - j]
             M = np.zeros((len(rows), len(cols)), dtype=np.int64)
             M[_lookup(rows, A)[row], _lookup(cols, rest)[col]] = value[p]
             self.rows.append(rows)
-            self.mats.append(M)
+            mats.append(M)
+        self.dtype = stage_dtype(max(1, *(M.shape[1] for M in mats)) * (q - 1) ** 2, q)
+        self.mats = [M.astype(self.dtype) for M in mats]
 
     def __call__(self, pts: np.ndarray, upto: int | None = None) -> list[np.ndarray]:
-        """[D_alpha F at pts, (alphas, m)] for the first `upto` orders."""
+        """[D_alpha F at pts, (alphas, m)] for the first `upto` orders, in
+        self.dtype."""
         mats = self.mats[:upto]
-        out = [np.empty((len(M), len(pts)), dtype=np.int64) for M in mats]
+        out = [np.empty((len(M), len(pts)), dtype=self.dtype) for M in mats]
         for lo in range(0, len(pts), self.block):
-            pows = self.mons.values(np.ascontiguousarray(pts[lo:lo + self.block].T), self.q)
+            x = np.ascontiguousarray(pts[lo:lo + self.block].T, dtype=self.dtype)
+            pows = self.mons.values(x, self.q)
             for o, M, j in zip(out, mats, self.orders):
-                _dot(M, pows[self.d - j][None], self.q, self.span,
-                     o[None, :, lo:lo + self.block])
+                _dot(M, pows[self.d - j], self.q, o[:, lo:lo + self.block])
         return out
 
 
@@ -507,6 +623,7 @@ class _Kind:
     leading coordinate), and:
     - grid: per order j, the grid's monomials of degree j,
       R x C(nfree-1+j, j), in the count's dtype;
+    - exps[t]: the monomials of degree t, as rows of exponents;
     - shifts[t][i]: the position of mu + e_i among the monomials of degree
       t+1, for each monomial mu of degree t.
     """
@@ -516,12 +633,17 @@ class _Kind:
         self.size, self.dtype = pp_count(nfree - 1, q), dtype
         top = max(orders, default=0)
         self.mons = _Monomials(nfree, top, _exps(nfree, top))
+        self.exps = [np.array(es, dtype=np.int64).reshape(len(es), nfree) for es in self.mons.exps]
         self.wtop = top if pivoted else 0
         self.shifts = [[_lookup(up, [mu[:i] + (mu[i] + 1,) + mu[i + 1:] for mu in es])
                         for i in range(nfree)]
                        for es, up in zip(self.mons.exps, self.mons.index[1:])]
-        grid = self.mons.values(projective_reps(nfree - 1, q).T, q, top) if orders else []
-        self.grid = [np.ascontiguousarray(grid[j].T, dtype=dtype) for j in orders]
+        if orders:   # a monomial step's sums, then the test's dtype
+            reps = projective_reps(nfree - 1, q).T.astype(stage_dtype((q - 1) ** 2, q))
+            grid = self.mons.values(reps, q, top)
+            self.grid = [np.ascontiguousarray(grid[j].T, dtype=dtype) for j in orders]
+        else:
+            self.grid = []
 
 
 class _Chart:
@@ -541,14 +663,17 @@ class _Chart:
         self.free = np.array([c for c in range(n + 1) if c not in (lead, pivot)], dtype=np.intp)
         self.kind = kind
         self.orders = []
-        for pos, (j, index) in enumerate(zip(jets.orders[1:], jets.rows[1:])):
+        # each alpha's key in the radix of the jets' keys, looked up among
+        # the order's keys
+        place = (jets.d + 1) ** np.arange(n, -1, -1)
+        for pos, (j, keys) in enumerate(zip(jets.orders[1:], jets.keys[1:])):
             rows = []
             for a in range(min(j, kind.wtop) + 1):
-                alpha = np.zeros((len(kind.mons.exps[j - a]), n + 1), dtype=np.int64)
-                alpha[:, self.free] = np.reshape(kind.mons.exps[j - a], alpha[:, self.free].shape)
-                alpha[:, pivot] += a
-                rows.append(np.array([index.get(tuple(e), -1) for e in alpha.tolist()],
-                                     dtype=np.intp))
+                wanted = kind.exps[j - a] @ place[self.free] + a * place[pivot]
+                at = np.searchsorted(keys, wanted)
+                hit = at < len(keys)
+                hit[hit] = keys[at[hit]] == wanted[hit]
+                rows.append(np.where(hit, at, -1))
             if kind.size and any((r >= 0).any() for r in rows):
                 self.orders.append((pos, j, rows))
 
@@ -561,11 +686,13 @@ def _pullback(chart: _Chart, jets: list[np.ndarray], q: int) -> list[np.ndarray]
 
     G_j = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha! with
     alpha_pivot = a: Horner's rule P <- H_a + (w.r) P, for a from
-    min(j, wtop) down to 0, reducing mod q after each step.  A step adds
-    at most nfree products of two residues to a residue, exact in int64.
+    min(j, wtop) down to 0, reducing mod q after each step.  The jets are
+    in the kind's dtype, which holds a step's nfree products of two
+    residues plus a residue (see the module docstring).
     """
     kind, grad = chart.kind, jets[0]
-    w = -grad[chart.free] * _inverse(grad[chart.pivot], q) % q
+    w = -grad[chart.free] * _inverse(grad[chart.pivot], q)
+    _reduce(w, q)
     out = []
     for pos, j, rows in chart.orders:
         P = None
@@ -575,9 +702,9 @@ def _pullback(chart: _Chart, jets: list[np.ndarray], q: int) -> list[np.ndarray]
             if P is not None:
                 for i, at in enumerate(kind.shifts[j - a - 1]):
                     H[at] += w[i] * P
-                np.remainder(H, q, out=H)
+                _reduce(H, q)
             P = H
-        out.append(P.astype(kind.dtype))
+        out.append(P)
     return out
 
 
@@ -586,28 +713,28 @@ class _Kernel:
 
     Built once per count_vk call and handed to forked pool workers: the
     divided derivatives of orders 1..k-1 (at most d), the dtype of the
-    direction test (float32 when exactness_bound is below _EXACT32, float64
-    otherwise), and the charts with their direction grids.  `count` does the per-point work for a chunk of points sorted by
-    chart key.
+    direction test and the pullback (stage_dtype of exactness_bound), and
+    the charts with their direction grids.  `count` does the per-point work
+    for a chunk of points sorted by chart key.
     """
 
     def __init__(self, F: HyperForm, k: int):
         self.q, self.n = _prime_of(F), F.n
         # G_j vanishes identically for j > d
         self.orders = list(range(2, min(k - 1, F.d) + 1))
-        exact32 = exactness_bound(self.n, F.d, k, self.q) < _EXACT32
-        self.dtype = np.dtype(np.float32 if exact32 else np.float64)
+        self.dtype = stage_dtype(exactness_bound(self.n, F.d, k, self.q))
         self.jets = _Derivatives(F, [1] + self.orders)
         self.charts: dict[int, _Chart] = {}
 
     def chart_keys(self, pts: np.ndarray) -> np.ndarray:
         """lead * (n+1) + pivot for every point: the leading index and the first
         coordinate != lead where the gradient is nonzero (lead if none is)."""
-        grad = self.jets(pts, 1)[0].T
+        grad = self.jets(pts, 1)[0]
         lead = np.argmax(pts != 0, axis=1)
-        grad[np.arange(len(pts)), lead] = 0
-        nonzero = grad != 0
-        pivot = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), lead)
+        grad[lead, np.arange(len(pts))] = 0
+        pivot = lead.copy()
+        for c in range(self.n, -1, -1):   # the first nonzero coordinate wins
+            pivot[grad[c] != 0] = c
         return lead * (self.n + 1) + pivot
 
     def add_charts(self, keys) -> None:
@@ -621,23 +748,26 @@ class _Kernel:
             self.charts[int(key)] = _Chart(self.n, lead, pivot, kinds[pivoted], self.jets)
 
     def count(self, pts: np.ndarray, keys: np.ndarray) -> int:
-        """Pairs (p, tangent direction) with G_2 = ... = G_{k-1} = 0 at p."""
+        """Pairs (p, tangent direction) with G_2 = ... = G_{k-1} = 0 at p:
+        every G_j pulled back to each point's chart, then the kind's grid
+        tested; every direction of a chart with nothing to pull back."""
         total = 0
         for start in range(0, len(pts), _POINTS):
             part = keys[start:start + _POINTS]
-            jets = self.jets(pts[start:start + _POINTS])
-            cuts = [0, *(np.flatnonzero(np.diff(part)) + 1), len(part)]
+            # residues, so exact in either dtype (no copy where the two
+            # agree); with no order to test (k <= 2) no jet is needed
+            jets = [J.astype(self.dtype, copy=False)
+                    for J in self.jets(pts[start:start + _POINTS])] if self.orders else []
+            cuts = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(part)]
             for lo, hi in zip(cuts, cuts[1:]):
                 chart = self.charts[int(part[lo])]
-                total += self._survivors(chart, [h[:, lo:hi] for h in jets])
+                if chart.orders:
+                    total += _grid_zeros([chart.kind.grid[pos] for pos, _, _ in chart.orders],
+                                         _pullback(chart, [h[:, lo:hi] for h in jets], self.q),
+                                         self.q)
+                else:
+                    total += chart.kind.size * (hi - lo)
         return total
-
-    def _survivors(self, chart: _Chart, jets: list[np.ndarray]) -> int:
-        """Pull every G_j back to the chart, then test the kind's grid."""
-        if not chart.orders:
-            return chart.kind.size * jets[0].shape[1]
-        return _grid_zeros([chart.kind.grid[pos] for pos, _, _ in chart.orders],
-                           _pullback(chart, jets, self.q), self.q)
 
 
 # The kernel of the count a forked pool worker serves: the fork hands it
@@ -655,15 +785,15 @@ def _count_chunk(pts: np.ndarray, keys: np.ndarray) -> int:
 
 
 def _inverse(x: np.ndarray, q: int) -> np.ndarray:
-    """x^(q-2) mod q entrywise, by square-and-multiply: the inverse of each
-    unit.  Only the entries asked about are inverted; a table of all of F_q
-    would take 8q bytes."""
+    """x^(q-2) mod q entrywise, in x's dtype, by square-and-multiply: the
+    inverse of each unit.  Only the entries asked about are inverted; a
+    table of all of F_q would take 8q bytes."""
     out = np.ones_like(x)
     e = q - 2
     while e:
         if e & 1:
-            out = out * x % q
-        x = x * x % q
+            out = _reduce(out * x, q)
+        x = _reduce(x * x, q)
         e >>= 1
     return out
 

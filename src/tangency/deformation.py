@@ -368,9 +368,10 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     (beta_i, gamma_i); h0 discards the Euler redundancy.  For a line
     contained in the hypersurface the system instead demands the full
     identity sum b_i dF'/dy_i(a) = 0 (all s-degrees), and no expected
-    h0 is attached.  Nor is one past k = 2n - 1, or where X is singular
-    at the marked point: 2n - k + 1 is expected for k <= 2n - 1 at smooth
-    points only, and the s^0 jets are B^T times the gradient there, so
+    h0 is attached.  Nor is one past k = 2n - 1, along a line of contact
+    above k, or where X is singular at the marked point: 2n - k + 1 is
+    expected for k <= 2n - 1 along a line of exact contact k at a smooth
+    point only, and the s^0 jets are B^T times the gradient there, so
     they all vanish just when it does.
     """
     if k < 0:
@@ -395,7 +396,8 @@ def _sections(F: HyperForm, k: int, co, jets: list[list], truncated: bool) -> De
     f = F.field
     contained = co == CONTAINED
     rows = _sections_matrix(jets, F.d + 1 if contained else k, f)
-    expected = None if contained or k > 2 * F.n - 1 else 2 * F.n - k + 1
+    # 2n - k + 1 counts the sections along a line of exact contact k
+    expected = 2 * F.n - k + 1 if co == k and k <= 2 * F.n - 1 else None
 
     ncols = 2 * (F.n + 1)
     kern = kernel_basis(rows, ncols, f)   # rows == [] gives the identity basis

@@ -64,17 +64,22 @@ def monomials(n: int, d: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=MONOMIALS_MEMO)
 def _monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, n + 1)
-    return tuple(out)
+    # each exponent from the one before it in lex order, in a loop: the
+    # last of x_0..x_(n-1) that is nonzero gives one to the variable after
+    # it, which also takes x_n's exponent
+    e = [d] + [0] * n
+    out = [tuple(e)]
+    i = n - 1
+    while True:
+        while i >= 0 and not e[i]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        tail, e[n] = e[n], 0
+        e[i] -= 1
+        e[i + 1] = tail + 1
+        out.append(tuple(e))
+        i = n - 1
 
 
 def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
@@ -98,28 +103,45 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
     d = sum(first)
     base, times, power, chain = _products(d, cols, top)
 
-    def walk(items, pos: int, deg: int, out: dict) -> dict:
-        # out plus the sum of c * prod_(i >= pos) lin_i^e_i over the items
-        # (e, c), every e of degree deg in x_pos..x_n: the items that share
-        # a leading factor x_j^a (j their first nonzero exponent from pos)
-        # are expanded together from j + 1 and multiplied by lin_j^a once
-        groups: dict = {}
+    def groups(items, pos: int):
+        # the items (e, c) by their leading factor x_j^a, j the first
+        # nonzero exponent from pos, in the order they first occur
+        out: dict = {}
         for item in items:
             e = item[0]
             j = pos
             while not e[j]:
                 j += 1
-            groups.setdefault((j, e[j]), []).append(item)
-        for (j, a), group in groups.items():
-            if len(group) == 1:
-                e, c = group[0]
-                chain(e, c, j, out)
-            elif lead := power(j, a):
-                times(walk(group, j + 1, deg - a, {}), lead, deg, out)
+            out.setdefault((j, e[j]), []).append(item)
+        return iter(out.items())
+
+    def walk(items) -> dict:
+        # the sum of c * prod_i lin_i^e_i over the items (e, c): the items
+        # that share a leading factor x_j^a are expanded together from
+        # j + 1 and multiplied by lin_j^a once.  Each frame of the stack
+        # holds the groups it has left, its degree in x_pos..x_n, its sum
+        # and where that sum goes when its groups are done (lin_j^a, the
+        # degree and sum it is multiplied into), so the groups are visited
+        # as a recursion would visit them, with no recursion
+        out: dict = {}
+        stack = [(groups(items, 0), d, out, None)]
+        while stack:
+            left, deg, part, up = stack[-1]
+            for (j, a), group in left:
+                if len(group) == 1:
+                    e, c = group[0]
+                    chain(e, c, j, part)
+                elif lead := power(j, a):
+                    stack.append((groups(group, j + 1), deg - a, {}, (lead, deg)))
+                    break
+            else:
+                stack.pop()
+                if up:
+                    times(part, *up, stack[-1][2])
         return out
 
     # a form of degree 0 is one constant, which has no leading factor
-    packed = walk(terms.items(), 0, d, {}) if d else chain(first, terms[first], 0, {})
+    packed = walk(terms.items()) if d else chain(first, terms[first], 0, {})
     out = {}
     for k, num in packed.items():
         if num:
@@ -173,29 +195,47 @@ def _expand_steps(terms: dict, cols, ring, top: int | None = None,
         if steps + coarse <= within:
             return steps + coarse
 
-    def walk(items, deg):
-        # (steps, terms) of walk over items, pairs (nz, at) of the nonzero
-        # (i, e_i) of an exponent and the place of its first factor left
+    def frame(items, deg, lead):
+        # items: pairs (nz, at) of the nonzero (i, e_i) of an exponent and
+        # the place of its first factor left; [groups left, deg, steps,
+        # terms, the leading (i, a) whose lin_i^a the frame's terms are
+        # multiplied by when it is done]
         groups = {}
         for nz, at in items:
             groups.setdefault(nz[at], []).append((nz, at))
         steps, terms = len(items), 0
-        for (i, a), group in groups.items():
-            if len(group) == 1:   # the chain of one term
-                nz, at = group[0]
-                part, got = 1, 0
-                for j, b in nz[at:]:
-                    got += b
-                    steps += part * size[j][b]
-                    part = min(part * size[j][b], cap[got])
-                terms += part
-            elif size[i][a]:
-                sub_steps, sub_terms = walk([(nz, at + 1) for nz, at in group], deg - a)
-                steps += sub_steps + sub_terms * size[i][a]
-                terms += sub_terms * size[i][a]
-        return steps, min(terms, cap[deg])
+        return [iter(groups.items()), deg, steps, terms, lead]
 
-    walked, left = walk([(tuple((i, a) for i, a in enumerate(e) if a), 0) for e in terms], d)
+    def walk(items):
+        # (steps, terms) of expand's walk over items, visiting the groups
+        # in its order, with a stack of frames as it has
+        stack = [frame(items, d, None)]
+        while True:
+            here = stack[-1]
+            left, deg, steps, terms, _ = here
+            for (i, a), group in left:
+                if len(group) == 1:   # the chain of one term
+                    nz, at = group[0]
+                    part, got = 1, 0
+                    for j, b in nz[at:]:
+                        got += b
+                        steps += part * size[j][b]
+                        part = min(part * size[j][b], cap[got])
+                    terms += part
+                elif size[i][a]:
+                    here[2:4] = steps, terms
+                    stack.append(frame([(nz, at + 1) for nz, at in group], deg - a, (i, a)))
+                    break
+            else:
+                stack.pop()
+                sub_steps, sub_terms = steps, min(terms, cap[deg])
+                if not stack:
+                    return sub_steps, sub_terms
+                here, (i, a) = stack[-1], here[4]
+                here[2] += sub_steps + sub_terms * size[i][a]
+                here[3] += sub_terms * size[i][a]
+
+    walked, left = walk([(tuple((i, a) for i, a in enumerate(e) if a), 0) for e in terms])
     return steps + walked + (m + 1) * left
 
 

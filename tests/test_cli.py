@@ -170,6 +170,23 @@ def test_deform_sections_past_k_2n_minus_1(capsys, schema, tmp_path):
             "expectedValue": None, "match": None}
 
 
+def test_deform_sections_above_exact_contact(capsys, schema, tmp_path):
+    # x1^4 + x0^3 x2 along a line of contact 4 > k = 3 at a smooth point:
+    # 2n - k + 1 = 2 counts exact contact k, and h0 is 3
+    quartic = tmp_path / "quartic.hs"
+    quartic.write_text("1 0 4 0\n1 3 0 1\n")
+    line = tmp_path / "line.txt"
+    line.write_text("0 1\n1 0\n0 0\n")
+    argv = ("deform", "sections", "--form", str(quartic), "--line", str(line), "--k", "3")
+    for route in ("direct", "truncated"):
+        assert run(capsys, *argv, "--route", route) == (
+            0, "contact order: 4\nraw solution dimension: 4\nh0 (Euler quotient): 3\n"
+               "contact 4 > k: no expected value\n", "")
+        assert run_json(capsys, schema, *argv, "--route", route) == {
+            "contactOrder": 4, "rawDim": 4, "h0": 3, "expected": None,
+            "expectedValue": None, "match": None}
+
+
 def test_deform_congruence_exit_codes(capsys, schema, tmp_path):
     conic = tmp_path / "conic.hs"
     conic.write_text("1 1 0 1\n-1 0 2 0\n")

@@ -178,11 +178,11 @@ def test_cell_values_are_exact_near_int64_limits():
     F = HyperForm(2, d, {e: rng.randrange(q - q // 8, q) for e in monomials(2, d)},
                   PrimeField(q))
     A, exps = counting._cell(F, 0, q)
-    span = counting._span(q)
+    assert A.dtype == np.int64
     xs = [large_powers(rng, q, d, 8) for _ in exps]
     # the last axis first, as hypersurface_points contracts them: 8 x 8 points
-    values = counting._axis(counting._axis(A, 1, xs[1], exps[1], q, span),
-                            0, xs[0], exps[0], q, span)
+    pows = [counting._powers(x, E, q) for x, E in zip(xs, exps)]
+    values = counting._axis(counting._axis(A, 1, pows[1], q), 0, pows[0], q)
     for i, a in enumerate(xs[0]):
         for j, b in enumerate(xs[1]):
             assert int(values[i, j]) == F.evaluate([1, int(a), int(b)]), (a, b)
@@ -274,9 +274,10 @@ def test_derivative_matrices_match_the_term_loop():
             rows, mats = derivative_matrices_by_term_loop(F, orders)
             jets = counting._Derivatives(F, orders)
             assert [list(r.items()) for r in jets.rows] == [list(r.items()) for r in rows]
+            # the matrices are held in the evaluator's dtype, exactly
             for got, want in zip(jets.mats, mats, strict=True):
-                assert (got.dtype, got.shape) == (want.dtype, want.shape), (F, orders)
-                assert got.tobytes() == want.tobytes(), (F, orders)
+                assert (got.dtype, got.shape) == (jets.dtype, want.shape), (F, orders)
+                assert got.astype(np.int64).tobytes() == want.tobytes(), (F, orders)
 
 
 @st.composite
@@ -370,6 +371,15 @@ def test_count_matches_bruteforce_smooth_and_singular():
     for F in [quadric_f3(), cone_f3()] + reducible_forms():
         for k in range(1, F.d + 2):
             assert count_vk(F, k).count == count_vk_bruteforce(F, k)
+
+
+def test_the_zero_form_counts_every_pair():
+    # F = 0 vanishes on all of P^n and on every line: a jet matrix of no
+    # rows must still multiply out
+    for n in (1, 2, 3):
+        F = HyperForm(n, 3, {}, PrimeField(5))
+        every = pp_count(n, 5) * pp_count(n - 1, 5)
+        assert [count_vk(F, k).count for k in range(1, 6)] == [every] * 5
 
 
 def test_count_on_the_projective_line():
@@ -697,10 +707,203 @@ def test_divisibility_by_the_rounded_inverse_is_exact():
         assert np.array_equal(got, v % q == 0), q
 
 
+# the exactness ladder: every stage at the primes on both sides of its
+# float32 and float64 edges, on residues drawn in [7q/8, q), against
+# Python ints
+
+
+def is_prime(m: int) -> bool:
+    return m > 1 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+
+def ladder_edges(bound, limits=(2 ** 24, 2 ** 53)) -> list:
+    """(q, dtype) for the largest prime q with bound(q) + q below each limit
+    and the next prime, with the dtype stage_dtype must pick at each."""
+    narrower = {2 ** 24: (np.float32, np.float64), 2 ** 53: (np.float64, np.int64)}
+    out = []
+    for limit in limits:
+        lo, hi = 2, 2 ** 32   # the largest q with bound(q) + q < limit
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if bound(mid) + mid < limit else (lo, mid)
+        q, above = lo, hi
+        while not is_prime(q):
+            q -= 1
+        while not is_prime(above):
+            above += 1
+        out += [(q, np.dtype(narrower[limit][0])), (above, np.dtype(narrower[limit][1]))]
+    return out
+
+
+def large_residues(rng, q, shape):
+    # residues in [7q/8, q), q - 1 (the largest) among them
+    out = np.array([rng.randrange(q - q // 8, q) for _ in range(math.prod(shape))], dtype=object)
+    out[0] = q - 1
+    return out.reshape(shape)
+
+
+@pytest.mark.parametrize("q, dtype", ladder_edges(lambda q: (q - 1) ** 2))
+def test_monomial_steps_are_exact_on_both_sides_of_each_edge(q, dtype):
+    # x^e = x^(e - e_i) x_i, one product of two residues a step; x and x^2
+    # are drawn in [7q/8, q) (past that, F_q holds few x with every power
+    # there)
+    assert counting.stage_dtype((q - 1) ** 2, q) == dtype
+    rng = random.Random(q)
+    for nvars in (1, 3):
+        mons = counting._Monomials(nvars, 4, counting._exps(nvars, 4))
+        x = np.array([large_powers(rng, q, 2, 16) for _ in range(nvars)])
+        got = mons.values(x.astype(dtype), q)
+        for es, values in zip(mons.exps, got):
+            assert values.dtype == dtype
+            want = [[math.prod(pow(int(v), a, q) for v, a in zip(x[:, p], e)) % q
+                     for p in range(x.shape[1])] for e in es]
+            assert values.astype(np.int64).tolist() == want, (q, nvars)
+
+
+def large_gradient_form(rng, q: int, d: int) -> HyperForm:
+    """A dense binary form of degree d whose gradient's matrix entries,
+    c e_i mod q, all lie in [7q/8, q)."""
+    terms = {}
+    for e in monomials(1, d):
+        while not all(c * a % q >= q - q // 8 for a in e if a for c in [terms.get(e, 0)]):
+            terms[e] = rng.randrange(1, q)
+    return HyperForm(1, d, terms, PrimeField(q))
+
+
+@pytest.mark.parametrize("q, dtype", ladder_edges(lambda q: 3 * (q - 1) ** 2))
+def test_jets_are_exact_on_both_sides_of_each_edge(q, dtype):
+    # the gradient of a dense cubic in two variables: 3 monomials of degree
+    # 2, so 3 products a sum, every factor drawn in [7q/8, q)
+    rng = random.Random(q)
+    F = large_gradient_form(rng, q, 3)
+    jets = counting._Derivatives(F, [1])
+    assert jets.dtype == dtype and jets.mats[0].shape == (2, 3)
+    pts = np.array([[1] + [int(x)] for x in large_powers(rng, q, 2, 8)] +
+                   [[int(x), 1] for x in large_powers(rng, q, 2, 8)], dtype=np.int64)
+    got = jets(pts)[0]
+    assert got.dtype == dtype
+    assert got.T.astype(np.int64).tolist() == [F.gradient(p) for p in pts.tolist()], q
+
+
+@pytest.mark.parametrize("q, dtype", ladder_edges(lambda q: 4 * (q - 1) ** 2))
+def test_cell_axes_are_exact_on_both_sides_of_each_edge(q, dtype):
+    # a dense cubic in P^2 on the cell x_0 = 1: each axis sums 4 products,
+    # the coefficients and x, x^2 drawn in [7q/8, q); the last axis is only
+    # tested for divisibility, unreduced
+    rng = random.Random(q)
+    F = HyperForm(2, 3, {e: rng.randrange(q - q // 8, q) for e in monomials(2, 3)},
+                  PrimeField(q))
+    A, exps = counting._cell(F, 0, q)
+    assert A.dtype == dtype and [len(E) for E in exps] == [4, 4]
+    xs = [large_powers(rng, q, 2, 8).astype(dtype) for _ in exps]
+    pows = [counting._powers(x, E, q) for x, E in zip(xs, exps)]
+    inner = counting._axis(A, 1, pows[1], q)
+    for reduce in (True, False):
+        values = counting._axis(inner, 0, pows[0], q, reduce)
+        want = np.array([[F.evaluate([1, int(a), int(b)]) for b in xs[1]] for a in xs[0]])
+        got = values.astype(np.int64)
+        assert (got % q == want).all() and ((got == want).all() or not reduce), (q, reduce)
+        assert np.array_equal(counting._multiple(values, q), want == 0)
+
+
+def horner_reference(chart, jets, q: int) -> list:
+    """_pullback's coefficients with Python ints: sum_a (w.r)^a H_a(r) at
+    each point, w = -grad_free / grad_pivot."""
+    kind, out = chart.kind, []
+    for pos, j, rows in chart.orders:
+        cols = []
+        for p in range(jets[0].shape[1]):
+            grad = [int(g) for g in jets[0][:, p]]
+            w = [-grad[c] * pow(grad[chart.pivot], -1, q) for c in chart.free]
+            total = {}
+            for a, at in enumerate(rows):
+                term = {delta: int(jets[1 + pos][r, p]) if r >= 0 else 0
+                        for delta, r in zip(kind.mons.exps[j - a], at.tolist())}
+                for _ in range(a):   # times w.r
+                    times = {}
+                    for mu, c in term.items():
+                        for i, wi in enumerate(w):
+                            up = mu[:i] + (mu[i] + 1,) + mu[i + 1:]
+                            times[up] = times.get(up, 0) + c * wi
+                    term = times
+                for beta, c in term.items():
+                    total[beta] = total.get(beta, 0) + c
+            cols.append([total.get(beta, 0) % q for beta in kind.mons.exps[j]])
+        out.append(np.array(cols, dtype=object).T)
+    return out
+
+
+# (n, d, k) = (3, 3, 4): orders 2 and 3, whose widest sum is C(5, 3) (q-1)^2
+HORNER_BOUND = math.comb(5, 3)
+
+
+@pytest.mark.parametrize("q, dtype", ladder_edges(lambda q: HORNER_BOUND * (q - 1) ** 2 - q)[:3])
+def test_horner_steps_are_exact_on_both_sides_of_each_edge(q, dtype, monkeypatch):
+    # the pullback runs in the direction test's dtype, whose edges carry no
+    # headroom (past the float64 edge the count is refused); a pivoted chart
+    # takes Horner steps of 2 products plus a residue, here on jets drawn in
+    # [7q/8, q), the pivot gradient a unit.  The chart's direction grid,
+    # q + 1 rows, is not needed: one row stands in for it
+    monkeypatch.setattr(counting, "projective_reps", lambda m, q: np.ones((1, m + 1), np.int64))
+    rng = random.Random(q)
+    F = HyperForm(3, 3, {e: rng.randrange(1, q) for e in monomials(3, 3)}, PrimeField(q))
+    kernel = counting._Kernel(F, 4)
+    assert kernel.dtype == dtype == counting.stage_dtype(exactness_bound(3, 3, 4, q))
+    key = 0 * 4 + 1   # lead 0, pivot 1
+    kernel.add_charts([key])
+    chart = kernel.charts[key]
+    assert [j for _, j, _ in chart.orders] == [2, 3] and chart.kind.wtop == 3
+    jets = [large_residues(rng, q, (len(rows), 24)) for rows in kernel.jets.rows]
+    got = counting._pullback(chart, [J.astype(dtype) for J in jets], q)
+    for C, want in zip(got, horner_reference(chart, jets, q), strict=True):
+        assert C.dtype == dtype
+        assert C.astype(np.int64).tolist() == want.tolist(), q
+
+
+def reduces_exactly(x: np.ndarray, q: int, dtype) -> bool:
+    got = counting._reduce(x.astype(dtype), q)
+    return got.astype(np.int64).tolist() == (x % q).tolist()
+
+
+def headroom_prime(limit: int, below: int) -> int:
+    """The largest prime q < below whose multiple above limit, ceil(limit/q)
+    q, is odd and more than q/2 + 65 above limit: the 65 integers just below
+    limit are nearer that multiple than the one below it."""
+    q = below
+    while not (-limit // q % 2 and limit % q > q // 2 + 65 and is_prime(q)):
+        q -= 1
+    return q
+
+
+@pytest.mark.parametrize("limit", [2 ** 24, 2 ** 53])
+def test_the_reduction_needs_its_headroom(limit):
+    # q rint(x fl(1/q)) can exceed x by q/2: for a sum x just below 2^p it
+    # may be an odd integer past 2^p, which the float rounds, so the
+    # narrower float reduces x wrongly.  A stage whose bound sits within q
+    # of 2^p therefore goes one rung up; below that, the narrower float
+    # reduces every sum exactly
+    narrow, wide = (np.float32, np.float64) if limit == 2 ** 24 else (np.float64, np.int64)
+    for below in (4096, 94906249)[:1 if limit == 2 ** 24 else 2]:
+        q = headroom_prime(limit, below)
+        bound = limit - 1
+        assert counting.stage_dtype(bound, q) == wide, q
+        assert counting.stage_dtype(bound - q, q) == narrow, q
+        x = np.arange(bound - 64, bound + 1, dtype=np.int64)
+        assert reduces_exactly(x, q, wide) and reduces_exactly(x - q, q, narrow), q
+        assert not reduces_exactly(x, q, narrow), q
+
+
+def dense_form(n: int, d: int, q: int, seed) -> HyperForm:
+    rng = random.Random(seed)
+    return HyperForm(n, d, {e: rng.randrange(1, q) for e in monomials(n, d)}, PrimeField(q))
+
+
 def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
     """Run _grid_zeros on the Fermat quintic's direction grids in P^5, both
     kinds in both dtypes, over a full tile plus a one-point one and over a
-    single point; return this process's thread count."""
+    single point; then the jets of a dense quartic in P^8 in both dtypes,
+    and the pullback of a quartic's in P^7 to one chart; return this
+    process's thread count."""
     rng = np.random.default_rng(66)
     for dtype in (np.float32, np.float64):
         for nfree, pivoted in ((4, True), (5, False)):
@@ -708,6 +911,20 @@ def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
             for m in (counting._TILE_POINTS + 1, 1):
                 coefs = [rng.integers(0, q, (M.shape[1], m)).astype(dtype) for M in kind.grid]
                 counting._grid_zeros(kind.grid, coefs, q)
+    # a dense quartic in P^8: at q = 5 its jets run in float32, at q = 331
+    # in float64 (165 (q-1)^2, the gradient's sums, passes 2^24); one
+    # block's order-2 product, 45 x 45 times 595 points, would be a GEMM of
+    # 1.2e6 multiply-adds
+    for p in (5, 331):
+        jets = counting._Derivatives(dense_form(8, 4, p, p), [1, 2, 3])
+        assert jets.dtype == (np.float32 if p == 5 else np.float64)
+        assert max(M.size for M in jets.mats) * jets.block > 2 ** 20
+        for m in (2 * jets.block + 1, 1):
+            jets(rng.integers(0, p, (m, 9)))
+    kernel = counting._Kernel(dense_form(7, 4, 5, 5), 4)
+    kernel.add_charts([0 * 8 + 1])
+    pts = rng.integers(1, 5, (counting._POINTS, 8))
+    assert counting._pullback(kernel.charts[1], kernel.jets(pts), 5)
     return len(os.listdir("/proc/self/task"))
 
 
@@ -715,7 +932,8 @@ def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
 def test_grid_contraction_starts_no_threads_in_a_forked_worker():
     # the pool is the only parallelism: a BLAS thread in each worker would
     # oversubscribe the CPUs; k = 6 gives the widest tiles of the cone count,
-    # and OpenBLAS decides sgemm's threads apart from dgemm's
+    # and OpenBLAS decides sgemm's threads apart from dgemm's.  The jets'
+    # GEMMs, which the workers run too, are tiled the same way
     with multiprocessing.get_context("fork").Pool(1) as pool:
         threads = pool.apply_async(threads_after_grid_zeros, (11, [2, 3, 4, 5])).get(timeout=120)
     assert threads == 1

@@ -153,10 +153,9 @@ def test_log_sections_attach_no_expectation_at_a_singular_point(field):
             space = log_sections(cusp, L, k, use_truncation)
             assert (space.contact, space.h0) == (2, h0), (k, use_truncation)
             assert space.expected_h0 is None and space.matches is None, (k, use_truncation)
-    # a smooth point keeps its expectation, at k = 0 too
+    # a smooth point keeps its expectation along a line of exact contact k
     F, L = conic_and_tangent()
-    assert [(s.expected_h0, s.matches) for s in (log_sections(F, L, 0), log_sections(F, L, 1))] \
-        == [(5, True), (4, True)]
+    assert (log_sections(F, L, 2).expected_h0, log_sections(F, L, 2).matches) == (3, True)
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
@@ -169,8 +168,28 @@ def test_log_sections_attach_no_expectation_past_k_2n_minus_1(field):
         space = log_sections(F, L, 4, use_truncation)
         assert (space.contact, space.h0) == (4, 2), use_truncation
         assert space.expected_h0 is None and space.matches is None, use_truncation
+        # contact 4 > k = 2: no expectation either, though h0 = 3 = 2n - k + 1
         space = log_sections(F, L, 2, use_truncation)
-        assert (space.h0, space.expected_h0, space.matches) == (3, 3, True), use_truncation
+        assert (space.h0, space.expected_h0, space.matches) == (3, None, None), use_truncation
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
+def test_log_sections_expect_2n_minus_k_plus_1_only_at_exact_contact(field):
+    # x1^4 + x0^3 x2 along p + s (0, 1, 0), p = (1, 0, 0), has contact 4; at
+    # k = 3 <= 2n - 1 its h0 is 3, not 2n - k + 1 = 2, which counts the
+    # sections along a line of exact contact k.  The conic's tangent, of
+    # contact 2, keeps its expectation at k = 2 and has none at k = 0, 1
+    F = HyperForm(2, 4, {(0, 4, 0): 1, (3, 0, 1): 1}, field)
+    L = LineParam([(0, 1), (1, 0), (0, 0)], field)
+    conic = HyperForm(2, 2, {(1, 0, 1): 1, (0, 2, 0): -1}, field)
+    tangent = LineParam([(0, 1), (1, 0), (0, 0)], field)
+    for use_truncation in (False, True):
+        space = log_sections(F, L, 3, use_truncation)
+        assert (space.contact, space.h0) == (4, 3), use_truncation
+        assert space.expected_h0 is None and space.matches is None, use_truncation
+        got = [(s.h0, s.expected_h0, s.matches)
+               for s in (log_sections(conic, tangent, k, use_truncation) for k in range(3))]
+        assert got == [(5, None, None), (4, None, None), (3, 3, True)], use_truncation
 
 
 def test_log_sections_contact_too_low():

@@ -4,6 +4,7 @@ text input formats."""
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -32,6 +33,24 @@ def test_a_form_of_degree_1100_is_differentiated():
     assert F.gradient([2, 1]) == [1099 * 2 ** 1098 + 1, 2 ** 1099 + 1099 * 2]
 
 
+def test_both_walks_take_a_leading_prefix_past_the_recursion_limit():
+    # x0 x1 ... x1198 (x1199 + x1200): the two terms share 1199 leading
+    # factors, a group inside a group for each, which once took one level
+    # of recursion apiece in expand's walk and in _expand_steps'
+    n = 1200
+    assert n > sys.getrecursionlimit()
+    terms = {(1,) * n + (0,): 1, (1,) * (n - 1) + (0, 1): 1}
+    # through p = (1, ..., 1, 2) and u = e_1199: y0^1199 (3 y0 + y1)
+    cols = [[1] * n + [2], [int(i == n - 1) for i in range(n + 1)]]
+    for field in (QQ, PrimeField(101)):
+        assert expand(terms, cols, field) == {(n, 0): field.of(3), (n - 1, 1): field.one}
+        # the price's powers of each lin_i up to d make it loose here
+        assert _steps_taken(terms, cols, field) <= _expand_steps(terms, cols, field)
+    F = HyperForm(n, n, terms, QQ)
+    assert F.evaluate([0] + [1] * (n - 1) + [-1]) == 0
+    assert F.gradient([0] + [1] * (n - 1) + [-1]) == [0] * (n + 1)
+
+
 def test_monomials_enumeration():
     ms = monomials(2, 2)
     assert len(ms) == 6
@@ -40,6 +59,14 @@ def test_monomials_enumeration():
     from math import comb
 
     assert len(monomials(4, 3)) == comb(4 + 3, 3)
+    # lex order, largest first, as the recursion it replaced enumerated them
+    for n, d in ((0, 3), (1, 0), (2, 3), (4, 2), (3, 5)):
+        every = [e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d]
+        assert monomials(n, d) == sorted(every, reverse=True), (n, d)
+    # one loop, not one level of recursion per variable
+    ms = monomials(1200, 1)
+    assert len(ms) == 1201 and ms[0] == (1,) + (0,) * 1200 and ms[-1] == (0,) * 1200 + (1,)
+    assert ms == [tuple(int(i == j) for i in range(1201)) for j in range(1201)]
 
 
 def test_monomials_hands_out_a_fresh_list():
@@ -280,7 +307,7 @@ def _steps_taken(terms, cols, ring, top=None):
             return
         if event == "call" and code.co_name == "times":
             steps += len(frame.f_locals["a"]) * len(frame.f_locals["b"])
-        elif event == "call" and code.co_name == "walk":
+        elif event == "call" and code.co_name == "groups":
             steps += len(frame.f_locals["items"])
         elif event == "return" and code.co_name == "expand":
             steps += len(frame.f_locals.get("packed", ())) * len(cols)

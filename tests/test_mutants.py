@@ -23,7 +23,10 @@ term taken at any exponent) and the sampler's forms made without checks
 route; PrimeField equality flipped; the two ways to get the rescale
 of a fraction-free elimination row wrong; the counter's pullback (a Horner
 sign flipped, the pivot solved with the wrong sign), each caught by oracle
-B, and its float exactness bound without its top order; QQ's lowering
+B, its float exactness bound without its top order, its reduction mod q
+without the step that makes a residue non-negative and a stage's dtype
+picked without the reduction's headroom; the expected h0 attached past
+exact contact; QQ's lowering
 without one column's denominator power, caught by reduction mod p; and the
 ring check Schubert and flag classes share without its class comparison.
 """
@@ -148,6 +151,10 @@ READ_OFF_GUARD = (test_deformation.test_canonical_partials_are_read_off_the_term
 # every seeded form's |V_3| against the second fundamental form
 ORACLE_B = (test_counting.check_oracle_b,)
 
+# sums just below 2^24 and 2^53, reduced in the dtype their bound picks
+HEADROOM = tuple(lambda limit=limit: test_counting.test_the_reduction_needs_its_headroom(limit)
+                 for limit in (2 ** 24, 2 ** 53))
+
 # name: (owner, function, edits, guards); every guard must catch the mutant
 MUTANTS = {
     # the jets of the columns p and u of B trade places
@@ -212,8 +219,8 @@ MUTANTS = {
                            (_one_entry_cases,)),
     # a group's cofactor walked at the group's degree, not deg - a
     "cofactor-at-the-wrong-degree": (test_forms, "expand",
-                                     {"walk(group, j + 1, deg - a, {})":
-                                      "walk(group, j + 1, deg, {})"},
+                                     {"(groups(group, j + 1), deg - a, {}, (lead, deg))":
+                                      "(groups(group, j + 1), deg, {}, (lead, deg))"},
                                      (_one_entry_cases,)),
     # F_p's output coefficients not reduced
     "mod-p-left-out": (PrimeField, "lifted", {"num % p": "num"},
@@ -229,6 +236,19 @@ MUTANTS = {
     "pivot-solved-with-the-wrong-sign": (counting, "_pullback",
                                          {"w = -grad[chart.free]": "w = grad[chart.free]"},
                                          ORACLE_B),
+    # the counter's reduction mod q left in (-q, q), without the step that
+    # adds q to a negative residue
+    "reduction-without-its-one-step-fix": (
+        counting, "_reduce", {"    x += np.less(x, 0) * x.dtype.type(q)\n": ""}, HEADROOM),
+    # a stage's dtype picked from its bound alone, without the q that
+    # q rint(x fl(1/q)) may pass x by
+    "stage-bound-without-its-headroom": (counting, "stage_dtype",
+                                         {"top = bound + q": "top = bound"}, HEADROOM),
+    # 2n - k + 1 expected along a line of any contact >= k, not just exact k
+    "expected-h0-past-exact-contact": (
+        deformation, "_sections", {"co == k and": "co >= k and"},
+        (lambda: test_deformation.test_log_sections_expect_2n_minus_k_plus_1_only_at_exact_contact(
+            QQ),)),
     # the float32/float64 choice made without the widest (top) order's sums
     "exactness-bound-without-its-top-order": (
         counting, "exactness_bound", {"min(k - 1, d) + 1)": "min(k - 1, d))"},
@@ -359,9 +379,12 @@ def test_the_truncated_route_mutants_compile_back_to_themselves(monkeypatch):
 
 def test_the_counter_and_lowering_mutants_compile_back_to_themselves(monkeypatch):
     for owner, name in ((counting, "_pullback"), (counting, "exactness_bound"),
-                        (RationalField, "lifted")):
+                        (counting, "_reduce"), (counting, "stage_dtype"),
+                        (deformation, "_sections"), (RationalField, "lifted")):
         _mutate(monkeypatch, owner, name, {})
     assert counting.exactness_bound(5, 5, 5, 2) == 70
+    test_counting.test_the_reduction_needs_its_headroom(2 ** 24)
+    test_deformation.test_log_sections_expect_2n_minus_k_plus_1_only_at_exact_contact(QQ)
     F = test_counting.oracle_b_forms()[5]
     assert counting.count_vk(F, 3).count == test_counting.count_v3_second_form(F)
     _one_entry_cases()
