@@ -126,7 +126,7 @@ from math import comb
 
 import numpy as np
 
-from .fields import PrimeField
+from .fields import PrimeField, is_prime
 from .forms import HyperForm, monomials
 
 
@@ -866,8 +866,12 @@ class CountRecord:
         if not isinstance(obj, dict):
             raise ValueError(f"a count record must be a JSON object, got {obj!r}")
         got = {key: _whole(obj, key) for key in ("q", "k", "count", "n", "d")}
-        if got["q"] < 2:
-            raise ValueError(f"count record has q = {got['q']}; q must be at least 2")
+        for key, least in (("k", 1), ("count", 0), ("n", 1), ("d", 1)):
+            if got[key] < least:
+                raise ValueError(f"count record has {key} = {got[key]}; "
+                                 f"{key} must be at least {least}")
+        if not is_prime(got["q"]):
+            raise ValueError(f"count record has q = {got['q']}; q must be a prime")
         return cls(**got, elapsed_ms=_whole(obj, "elapsedMs") if "elapsedMs" in obj else 0)
 
 

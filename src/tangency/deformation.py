@@ -31,9 +31,9 @@ agreement is still a check.  F_k is formed in one place, _truncation,
 for truncate (B completes p alone) and for the truncated route: one
 forms.expand of F through the columns of B, cut at order k and regrouped
 straight into F_k, with no form in between.  It is priced first by
-forms._expand_steps, which walks F's exponents as expand's Horner walk
-does with bounds from the nonzero entries of B's rows, n and k, and
-refused past TRUNCATION_BUDGET before anything expands.
+forms._expand_steps, which runs expand's own Horner walk over F's
+exponents with bounds from B's nonzero entries, n and k for its
+products, and refused past TRUNCATION_BUDGET before anything expands.
 
 The direct route reads its jets off a _LineTable, the pullbacks along L
 of monomials, each row made on first use from its first parent's: x_i m'

@@ -24,17 +24,18 @@ of products it replaces reduces, so that is the chain's own result.  The
 Fermat planes' pure powers take that step.  A term that shares its
 leading factor with no other goes straight to its product chain, so
 forms whose terms share nothing (the Fermat pure powers) pay only for the
-grouping pass.  Each group's product, and the last product of each chain, is added straight
-into the sum it belongs to, so no partial expansion is copied or merged.
+grouping pass.  Each group's product, and the last product of each chain,
+is added straight into the sum it belongs to, so no partial expansion is
+copied or merged.
 The walk runs in Python ints for every ring: ring.lifted(terms, cols)
 gives the terms and columns as ints and a lower(a, num) that makes each
 output coefficient one ring element at the end (QQ clears denominators,
 F_p reduces by % p, the root ring Z[z]/(z^d + 1) packs by Kronecker
 substitution), so no ring element is built, reduced or added inside the
-expansion.  _expand_steps prices an expansion without making it: it
-walks the exponents the same way with each product replaced by a bound
-on its terms, so that a caller can refuse one that is too large before
-it starts.
+expansion.  The walk is written once, as _walk, over the operations it
+is given: expand gives it _products' dict products, and _expand_steps
+bounds on their terms, so an expansion is priced by the very walk that
+makes it, and a caller can refuse one that is too large before it starts.
 
 Restriction to a line produces binary forms in (s, t), stored as plain
 coefficient lists indexed by the s-exponent: form[m] is the coefficient
@@ -103,45 +104,9 @@ def expand(terms: dict, cols, ring, top: int | None = None) -> dict:
     d = sum(first)
     base, times, power, chain = _products(d, cols, top)
 
-    def groups(items, pos: int):
-        # the items (e, c) by their leading factor x_j^a, j the first
-        # nonzero exponent from pos, in the order they first occur
-        out: dict = {}
-        for item in items:
-            e = item[0]
-            j = pos
-            while not e[j]:
-                j += 1
-            out.setdefault((j, e[j]), []).append(item)
-        return iter(out.items())
-
-    def walk(items) -> dict:
-        # the sum of c * prod_i lin_i^e_i over the items (e, c): the items
-        # that share a leading factor x_j^a are expanded together from
-        # j + 1 and multiplied by lin_j^a once.  Each frame of the stack
-        # holds the groups it has left, its degree in x_pos..x_n, its sum
-        # and where that sum goes when its groups are done (lin_j^a, the
-        # degree and sum it is multiplied into), so the groups are visited
-        # as a recursion would visit them, with no recursion
-        out: dict = {}
-        stack = [(groups(items, 0), d, out, None)]
-        while stack:
-            left, deg, part, up = stack[-1]
-            for (j, a), group in left:
-                if len(group) == 1:
-                    e, c = group[0]
-                    chain(e, c, j, part)
-                elif lead := power(j, a):
-                    stack.append((groups(group, j + 1), deg - a, {}, (lead, deg)))
-                    break
-            else:
-                stack.pop()
-                if up:
-                    times(part, *up, stack[-1][2])
-        return out
-
     # a form of degree 0 is one constant, which has no leading factor
-    packed = walk(terms.items()) if d else chain(first, terms[first], 0, {})
+    packed = (_walk(terms.items(), d, chain, power, times, lambda items: {}) if d
+              else chain(first, terms[first], 0, {}))
     out = {}
     for k, num in packed.items():
         if num:
@@ -161,8 +126,8 @@ def _expand_steps(terms: dict, cols, ring, top: int | None = None,
     """An upper bound on the steps expand(terms, cols, ring, top) takes,
     found without expanding: the coefficient pairs its products multiply,
     the terms its grouping passes visit and the digits, one per column, of
-    each term it unpacks.  It walks the exponents as the Horner walk does,
-    each product replaced by a bound on its terms: lin_i has the r_i
+    each term it unpacks.  It runs expand's walk, _walk, with each product
+    replaced by a bound on its terms: lin_i has the r_i
     nonzero cols[j][i], its cut power lin_i^a (a >= 2) at most
     C(min(a, top) + r_i - 1, min(a, top)) with y_0 among them and otherwise
     C(a + r_i - 1, a), none past a = top, and a product of degree deg at
@@ -195,48 +160,69 @@ def _expand_steps(terms: dict, cols, ring, top: int | None = None,
         if steps + coarse <= within:
             return steps + coarse
 
-    def frame(items, deg, lead):
-        # items: pairs (nz, at) of the nonzero (i, e_i) of an exponent and
-        # the place of its first factor left; [groups left, deg, steps,
-        # terms, the leading (i, a) whose lin_i^a the frame's terms are
-        # multiplied by when it is done]
-        groups = {}
-        for nz, at in items:
-            groups.setdefault(nz[at], []).append((nz, at))
-        steps, terms = len(items), 0
-        return [iter(groups.items()), deg, steps, terms, lead]
+    def chain(e, c, j, out):
+        # each product of one term's chain priced at its factors' terms, the
+        # partial product then cut at the monomials of its degree
+        part, got = 1, 0
+        for i in range(j, len(e)):
+            if e[i]:
+                got += e[i]
+                out[0] += part * size[i][e[i]]
+                part = min(part * size[i][e[i]], cap[got])
+        out[1] += part
 
-    def walk(items):
-        # (steps, terms) of expand's walk over items, visiting the groups
-        # in its order, with a stack of frames as it has
-        stack = [frame(items, d, None)]
-        while True:
-            here = stack[-1]
-            left, deg, steps, terms, _ = here
-            for (i, a), group in left:
-                if len(group) == 1:   # the chain of one term
-                    nz, at = group[0]
-                    part, got = 1, 0
-                    for j, b in nz[at:]:
-                        got += b
-                        steps += part * size[j][b]
-                        part = min(part * size[j][b], cap[got])
-                    terms += part
-                elif size[i][a]:
-                    here[2:4] = steps, terms
-                    stack.append(frame([(nz, at + 1) for nz, at in group], deg - a, (i, a)))
-                    break
-            else:
-                stack.pop()
-                sub_steps, sub_terms = steps, min(terms, cap[deg])
-                if not stack:
-                    return sub_steps, sub_terms
-                here, (i, a) = stack[-1], here[4]
-                here[2] += sub_steps + sub_terms * size[i][a]
-                here[3] += sub_terms * size[i][a]
+    def power(i, a):
+        return (size[i][a], a) if size[i][a] else None
 
-    walked, left = walk([(tuple((i, a) for i, a in enumerate(e) if a), 0) for e in terms])
-    return steps + walked + (m + 1) * left
+    def times(part, lead, deg, out):
+        # a group's sum, cut at its degree deg - a, times lin_i^a
+        s, a = lead
+        kept = min(part[1], cap[deg - a])
+        out[0] += part[0] + kept * s
+        out[1] += kept * s
+
+    walked, left = _walk(terms.items(), d, chain, power, times,
+                         lambda items: [len(items), 0])
+    return steps + walked + (m + 1) * min(left, cap[d])
+
+
+def _walk(items, d: int, chain, power, times, new):
+    # the sum new(items) of the items (e, c) of a degree-d form, d >= 1, by
+    # the Horner walk: the items that share a leading x_j^a are summed from
+    # j + 1 into new(group), and times(sum, lead, deg, out) adds that sum
+    # times lead = power(j, a) into the sum of degree deg it belongs to (a
+    # falsy lead drops the group); an item alone in its group goes to
+    # chain(e, c, j, out).  A frame of the stack holds the groups left, its
+    # degree, its sum and the (lead, deg) it goes to: no recursion
+    out = new(items)
+    stack = [(_groups(items, 0), d, out, None)]
+    while stack:
+        left, deg, part, up = stack[-1]
+        for (j, a), group in left:
+            if len(group) == 1:
+                e, c = group[0]
+                chain(e, c, j, part)
+            elif lead := power(j, a):
+                stack.append((_groups(group, j + 1), deg - a, new(group), (lead, deg)))
+                break
+        else:
+            stack.pop()
+            if up:
+                times(part, *up, stack[-1][2])
+    return out
+
+
+def _groups(items, pos: int):
+    # the items (e, c) by their leading factor x_j^a, j the first nonzero
+    # exponent from pos, in the order they first occur
+    out: dict = {}
+    for item in items:
+        e = item[0]
+        j = pos
+        while not e[j]:
+            j += 1
+        out.setdefault((j, e[j]), []).append(item)
+    return iter(out.items())
 
 
 def _products(d: int, cols, top):
@@ -450,7 +436,8 @@ class HyperForm:
     def __eq__(self, other):
         if not isinstance(other, HyperForm):
             return NotImplemented
-        return (self.n, self.d, self.terms) == (other.n, other.d, other.terms)
+        return ((self.n, self.d, self.field.characteristic, self.terms)
+                == (other.n, other.d, other.field.characteristic, other.terms))
 
     def __repr__(self):
         return f"HyperForm(n={self.n}, d={self.d}, {len(self.terms)} terms)"

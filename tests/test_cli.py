@@ -269,7 +269,14 @@ GOOD_RECORD = {"q": 7, "k": 5, "count": 2401, "n": 5, "d": 5}
     [dict(GOOD_RECORD, q=q, k=True) for q in (7, 11, 13)],       # a bool
     [dict(GOOD_RECORD, q=q, count="9") for q in (7, 11, 13)],    # a string
     [dict(GOOD_RECORD, q=q, elapsedMs=0.5) for q in (7, 11, 13)],
-], ids=["missing", "not-object", "float-q", "q-one", "bool", "string", "float-elapsed"])
+    [dict(GOOD_RECORD, q=q, k=0) for q in (7, 11, 13)],          # k < 1
+    [dict(GOOD_RECORD, q=q, count=-5 if q == 7 else q ** 4)      # a negative count
+     for q in (7, 11, 13)],
+    [dict(GOOD_RECORD, q=q, n=-3) for q in (7, 11, 13)],         # n < 1
+    [dict(GOOD_RECORD, q=q, d=0) for q in (7, 11, 13)],          # d < 1
+    [dict(GOOD_RECORD, q=q) for q in (4, 7, 11)],                # a composite q
+], ids=["missing", "not-object", "float-q", "q-one", "bool", "string", "float-elapsed",
+        "k-zero", "negative-count", "negative-n", "d-zero", "composite-q"])
 def test_slope_malformed_series_exit_2(capsys, tmp_path, entries):
     series = tmp_path / "records.json"
     series.write_text(json.dumps(entries))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tangency import forms
 from tangency.fermat import RootRing
-from tangency.fields import QQ, PrimeField
+from tangency.fields import QQ, PrimeField, RationalField
 from tangency.forms import (
     HyperForm,
     LineParam,
@@ -103,6 +103,16 @@ def test_hyperform_validation():
         HyperForm(2, 3, {(3, 0, 0): 1}, PrimeField(3))
     F = HyperForm(2, 2, {(2, 0, 0): 0, (0, 2, 0): 1}, f)
     assert (2, 0, 0) not in F.terms  # zero coefficients dropped
+
+
+def test_forms_over_two_fields_are_unequal():
+    # x0 over F_7, F_11 and QQ: the same terms, three forms; QQ and another
+    # RationalField are one field
+    x0 = {(1, 0): 1}
+    over = [HyperForm(1, 1, x0, f) for f in (PrimeField(7), PrimeField(11), QQ)]
+    assert [F == G for F in over for G in over] == [F is G for F in over for G in over]
+    assert HyperForm(1, 1, x0, RationalField()) == over[2]
+    assert HyperForm(1, 1, x0, PrimeField(7)) == over[0]
 
 
 def test_evaluate_and_gradient_euler_identity():
@@ -307,7 +317,7 @@ def _steps_taken(terms, cols, ring, top=None):
             return
         if event == "call" and code.co_name == "times":
             steps += len(frame.f_locals["a"]) * len(frame.f_locals["b"])
-        elif event == "call" and code.co_name == "groups":
+        elif event == "call" and code.co_name == "_groups":
             steps += len(frame.f_locals["items"])
         elif event == "return" and code.co_name == "expand":
             steps += len(frame.f_locals.get("packed", ())) * len(cols)

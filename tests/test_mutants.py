@@ -9,26 +9,27 @@ its mutant, as a control that must pass.
 
 The mutants are the ones each change was checked against by hand: the
 symbolic route's relation H^2 = s1 H - s11 and principal-parts factors;
-expand's Horner walk (its cut, the cofactor's degree, the one-step power
-of a one-entry linear form, F_p's lowering) and its price _expand_steps,
-made too low and too high; the root ring's Kronecker packing width and
-its packings kept across calls, each also caught by the reduction of its
-expansions to F_p; the direct route's jets off the line table (a swap, a
-reversal and a wrong scale) and the memoized parents of an exponent it
-reads them through (the multiplicity dropped), and a row of that table
-made from its first parent's without the shift by s; the
-truncated route's partials read off F_k's terms (a factor dropped, a y_i
-term taken at any exponent) and the sampler's forms made without checks
-(zero coefficients kept); a trial's Euler membership taken from one
-route; PrimeField equality flipped; the two ways to get the rescale
-of a fraction-free elimination row wrong; the counter's pullback (a Horner
-sign flipped, the pivot solved with the wrong sign), each caught by oracle
-B, its float exactness bound without its top order, its reduction mod q
-without the step that makes a residue non-negative and a stage's dtype
-picked without the reduction's headroom; the expected h0 attached past
-exact contact; QQ's lowering
-without one column's denominator power, caught by reduction mod p; and the
-ring check Schubert and flag classes share without its class comparison.
+expand's Horner walk (its cut, the cofactor's degree, the degree a
+group's product is cut at, a chain without its leading factor, the
+one-step power of a one-entry linear form, F_p's lowering) and the
+operations of its price _expand_steps, made too low and too high; the
+root ring's Kronecker packing width and its packings kept across calls,
+each also caught by the reduction of its expansions to F_p; the direct
+route's jets off the line table (a swap, a reversal and a wrong scale)
+and the memoized parents of an exponent it reads them through (the
+multiplicity dropped), and a row of that table made from its first
+parent's without the shift by s; the truncated route's partials read off
+F_k's terms (a factor dropped, a y_i term taken at any exponent) and the
+sampler's forms made without checks (zero coefficients kept); a trial's
+Euler membership taken from one route; PrimeField equality flipped; the
+two ways to get the rescale of a fraction-free elimination row wrong; the
+counter's pullback (a Horner sign flipped, the pivot solved with the
+wrong sign), each caught by oracle B, its float exactness bound without
+its top order, its reduction mod q without the step that makes a residue
+non-negative and a stage's dtype picked without the reduction's headroom;
+the expected h0 attached past exact contact; QQ's lowering without one
+column's denominator power, caught by reduction mod p; and the ring check
+Schubert and flag classes share without its class comparison.
 """
 
 import __future__
@@ -218,10 +219,19 @@ MUTANTS = {
                            {"cut = -1 if top is None else deg - top": "cut = -1"},
                            (_one_entry_cases,)),
     # a group's cofactor walked at the group's degree, not deg - a
-    "cofactor-at-the-wrong-degree": (test_forms, "expand",
-                                     {"(groups(group, j + 1), deg - a, {}, (lead, deg))":
-                                      "(groups(group, j + 1), deg, {}, (lead, deg))"},
-                                     (_one_entry_cases,)),
+    "cofactor-at-the-wrong-degree": (forms, "_walk",
+                                     {"deg - a, new(group)": "deg, new(group)"},
+                                     (_one_entry_cases,) + STEPS_GUARD),
+    # expand and its price share the walk, so a fault in it is seen both by
+    # the expansions and by the price against the steps expand takes: a
+    # group's product cut and priced at its cofactor's degree, and a term
+    # alone in its group sent to its chain without its leading factor
+    "group-product-at-its-cofactor-degree": (forms, "_walk",
+                                             {"(lead, deg))": "(lead, deg - a))"},
+                                             (_one_entry_cases,) + STEPS_GUARD),
+    "chain-without-its-leading-factor": (forms, "_walk",
+                                         {"chain(e, c, j, part)": "chain(e, c, j + 1, part)"},
+                                         (_one_entry_cases,) + STEPS_GUARD),
     # F_p's output coefficients not reduced
     "mod-p-left-out": (PrimeField, "lifted", {"num % p": "num"},
                        (_one_entry_cases, _reduction_mod_101, _expand_mod_p)),
@@ -271,21 +281,20 @@ MUTANTS = {
                                (test_fields.test_prime_fields_are_equal_and_hash_alike_by_their_prime,)),
     # expand's price: the seven ways it was made too low by hand
     "steps-without-unpacking": (test_forms, "_expand_steps",
-                                {"return steps + walked + (m + 1) * left":
+                                {"return steps + walked + (m + 1) * min(left, cap[d])":
                                  "return steps + walked"}, STEPS_GUARD),
     "steps-chain-without-its-partial-product": (test_forms, "_expand_steps",
-                                                {"steps += part * size[j][b]":
-                                                 "steps += size[j][b]"}, STEPS_GUARD),
+                                                {"out[0] += part * size[i][e[i]]":
+                                                 "out[0] += size[i][e[i]]"}, STEPS_GUARD),
     "steps-group-without-its-sub-walk-terms": (test_forms, "_expand_steps",
-                                               {"sub_steps + sub_terms * size[i][a]":
-                                                "sub_steps + size[i][a]"}, STEPS_GUARD),
+                                               {"part[0] + kept * s": "part[0] + s"}, STEPS_GUARD),
     "steps-power-bounds-one-lower": (
         test_forms, "_expand_steps",
         {"comb(a + r - 1, a) * (a <= top)": "(comb(a + r - 1, a) - 1) * (a <= top)",
          "comb(min(a, top) + r - 1, min(a, top)) for":
          "comb(min(a, top) + r - 1, min(a, top)) - 1 for"}, STEPS_GUARD),
     "steps-without-grouping-visits": (test_forms, "_expand_steps",
-                                      {"steps, terms = len(items), 0": "steps, terms = 0, 0"},
+                                      {"[len(items), 0]": "[0, 0]"},
                                       STEPS_GUARD),
     "steps-power-empty-at-top": (test_forms, "_expand_steps",
                                  {"(a <= top)": "(a < top)"}, STEPS_GUARD),
@@ -356,7 +365,7 @@ def test_the_mutated_functions_compile_back_to_themselves(monkeypatch):
 
 def test_the_fermat_and_expand_mutants_compile_back_to_themselves(monkeypatch):
     for owner, name in ((RootRing, "lifted"), (RootRing, "_packing"), (forms, "_products"),
-                        (PrimeField, "lifted")):
+                        (forms, "_walk"), (PrimeField, "lifted")):
         _mutate(monkeypatch, owner, name, {})
     test_fermat.check_planes(3)
     _one_entry_cases()
