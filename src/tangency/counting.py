@@ -72,9 +72,9 @@ exceed |x| by |r| < q, so it is exact while |x| + q < 2^p: a stage runs
 in float32 when bound + q < 2^24, in float64 when bound + q < 2^53, and
 otherwise in int64, where it reduces (np.remainder) after every
 (2^63 - 1) // (q-1)^2 products (_span), exact for any q with (q-1)^2 <
-2^63.  The int64 band is the same
-code: only _reduce and the span of a sum depend on the dtype.  A cell's
-last axis is not reduced at all, only tested for divisibility, like the
+2^63.  The int64 band is the same code: only _reduce, _divisible and
+the span of a sum depend on the dtype.  A cell's last axis is not
+reduced at all, only tested for divisibility (_divisible), like the
 direction test's sums.
 
 The direction test never reduces, so it needs no headroom: count_vk
@@ -105,11 +105,11 @@ the tiles are sized for it.  In forked workers on a 2-core Xeon (OpenBLAS
 x 256 x 35 did, 112 x 256 x 35 started a second thread), and sgemm and
 dgemm both stayed on one at 2^19 and started a second at 2^20; a
 one-point or one-row tile is a GEMV, which stayed on one thread below
-about 4.6e5 matrix entries, and a dot product up to 10^4 terms.  A GEMM
-tile therefore holds at most _GEMM_WORK multiply-adds (rows x points x
-monomials) and at most _GEMV_ENTRIES grid entries (rows x monomials),
-well inside both limits; the divisibility test runs on larger blocks,
-each filled by several tiles.
+about 4.6e5 matrix entries, and a dot product up to 10^4 terms.  _gemm
+makes every two-dimensional product, the jets' and the direction test's,
+in tiles of at most _GEMM_WORK multiply-adds and _GEMV_ENTRIES entries
+of the left factor, well inside both limits; the divisibility test runs
+on larger blocks, each filled by several tiles.
 
 Counts are exact integers; the worker count (capped by the CPUs and by the
 size of the count) only changes the chunking, never the sum.
@@ -230,7 +230,8 @@ def _cell_zeros(A: np.ndarray, exps: list[list[int]], tables: list, q: int, base
         A = _axis(A, len(exps), powers, q, reduce=bool(exps))
         A = A.reshape(A.shape[:-2] + (-1,))
     if not exps:
-        yield base + np.flatnonzero(_multiple(A, q))
+        yield base + np.flatnonzero(_divisible(A, q, np.empty_like(A),
+                                               np.empty(A.shape, dtype=bool)))
         return
     stride = q ** (len(exps) - 1) * A.shape[-1]
     step = max(1, _TABLE // (stride * len(exps[0]))) if len(exps) == 1 else 1
@@ -266,16 +267,6 @@ def _powers(x: np.ndarray, exps: list[int], q: int) -> np.ndarray:
             power *= x
             _reduce(power, q)
         out[:, j], done = power, e
-    return out
-
-
-def _multiple(V: np.ndarray, q: int) -> np.ndarray:
-    """Where q divides V, for integers V exact in V's dtype, reduced or not:
-    by _divisible in a float dtype, with no reduction."""
-    if V.dtype == np.int64:
-        return V % q == 0
-    out = np.empty(V.shape, dtype=bool)
-    _divisible(V, q, np.empty_like(V), out)
     return out
 
 
@@ -328,7 +319,7 @@ def _dot(M: np.ndarray, X: np.ndarray, q: int, out: np.ndarray, reduce: bool = T
     A float dtype holds the whole sum (stage_dtype picked it for that), so
     one product forms it; an int64 sum is reduced after every _span(q)
     columns of M.  reduce=False leaves the last reduction out, for a sum
-    that is only tested for divisibility (_multiple).
+    that is only tested for divisibility (_divisible).
     """
     span = _span(q) if out.dtype == np.int64 else max(1, M.shape[1])
     matmul = _gemm if X.ndim == 2 else np.matmul
@@ -345,10 +336,11 @@ def _dot(M: np.ndarray, X: np.ndarray, q: int, out: np.ndarray, reduce: bool = T
 def _gemm(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
     """out = M @ X for M (r, e) and X (e, m), in GEMMs that OpenBLAS runs on
     the calling thread (see the module docstring): each of at most
-    _GEMM_WORK multiply-adds and _GEMV_ENTRIES entries of M."""
+    _GEMM_WORK multiply-adds and _GEMV_ENTRIES entries of M, over as many
+    columns of X as that allows."""
     width = max(1, M.shape[1])
-    step = max(1, _GEMV_ENTRIES // width)
-    cols = max(1, _GEMM_WORK // (max(1, min(step, len(M))) * width))
+    cols = max(1, min(X.shape[1], _GEMM_WORK // width))
+    step = max(1, min(_GEMV_ENTRIES // width, _GEMM_WORK // (cols * width)))
     for r in range(0, len(M), step):
         for c in range(0, X.shape[1], cols):
             np.matmul(M[r:r + step], X[:, c:c + cols], out=out[r:r + step, c:c + cols])
@@ -372,11 +364,13 @@ _EXACT32 = 1 << 24
 
 # One test block: at most _BLOCK grid rows x points (256 KB of float32,
 # 512 KB of float64), at most _TILE_POINTS of them points; small enough for
-# the block's buffers to stay in cache.  Several GEMM tiles fill a block,
-# each of at most _GEMM_WORK multiply-adds and _GEMV_ENTRIES grid entries,
-# so that OpenBLAS runs it on the calling thread (see the module docstring).
+# the block's buffers to stay in cache.
 _BLOCK = 1 << 16
 _TILE_POINTS = 256
+
+# One tile of _gemm: at most _GEMM_WORK multiply-adds and _GEMV_ENTRIES
+# entries of the left factor, so that OpenBLAS runs it on the calling
+# thread (see the module docstring).
 _GEMM_WORK = 1 << 19
 _GEMV_ENTRIES = 1 << 13
 
@@ -541,12 +535,12 @@ class _Monomials:
 
 class _Derivatives:
     """F's divided derivatives d^alpha F / alpha! of the given orders |alpha|
-    at points (m, n+1), mod q.  `rows` maps each order's alphas to rows: F
-    for order 0, the whole gradient in coordinate order for order 1, the
-    alphas whose derivative is not zero above that, ascending, so that
-    `keys`, each row's alpha as one integer in the radix d+1 (alpha_0 the
-    most significant digit), ascends too.  They are evaluated in the dtype
-    of the widest matrix's sums.
+    at points (m, n+1), mod q.  keys[i] gives the alpha of each row of order
+    orders[i], as one integer in the radix d+1 (alpha_0 the most
+    significant digit): F for order 0, the whole gradient in coordinate
+    order for order 1, the alphas whose derivative is not zero above that,
+    ascending, so that their keys ascend too.  They are evaluated in the
+    dtype of the widest matrix's sums.
     """
 
     def __init__(self, F: HyperForm, orders: list[int]):
@@ -574,7 +568,7 @@ class _Derivatives:
         place = (d + 1) ** np.arange(n, -1, -1)
         self.mons = _Monomials(n + 1, d - min(orders), (r for rest, _ in rests for r in rest))
         self.block = max(1, _TABLE // sum(map(len, self.mons.exps)))
-        self.rows, self.keys, mats = [], [], []
+        self.keys, mats = [], []
         for j, p, (rest, col) in zip(orders, picked, rests):
             A, row = _distinct(alpha[p], d + 1)
             alphas = A if j >= 2 else _exps(n + 1, j)
@@ -583,7 +577,6 @@ class _Derivatives:
             cols = self.mons.index[d - j]
             M = np.zeros((len(rows), len(cols)), dtype=np.int64)
             M[_lookup(rows, A)[row], _lookup(cols, rest)[col]] = value[p]
-            self.rows.append(rows)
             mats.append(M)
         self.dtype = stage_dtype(max(1, *(M.shape[1] for M in mats)) * (q - 1) ** 2, q)
         self.mats = [M.astype(self.dtype) for M in mats]
@@ -804,19 +797,15 @@ def _grid_zeros(grid: list[np.ndarray], coefs: list[np.ndarray], q: int) -> int:
 
     The grids' dtype (float32 or float64, see _Kernel) is the dtype of every
     sum.  A test block holds at most _TILE_POINTS points and about _BLOCK
-    rows x points; the points shrink when the monomials alone exceed
-    _GEMM_WORK.  Several GEMMs, np.matmul, fill a block, each on a tile
-    small enough that OpenBLAS runs it on the calling thread: at most
-    _GEMM_WORK multiply-adds and _GEMV_ENTRIES grid entries.  Every sum V
-    is an integer exact in the dtype, and rint(V * fl(1/q)) * q == V tests
-    divisibility (the module docstring says why).
+    rows x points; _gemm fills it, one order at a time, in tiles that
+    OpenBLAS runs on the calling thread.  Every sum V is an integer exact
+    in the dtype, and rint(V * fl(1/q)) * q == V tests divisibility
+    (_divisible; the module docstring says why).
     """
     dtype = grid[0].dtype
     R, m = len(grid[0]), coefs[0].shape[1]
-    width = max(M.shape[1] for M in grid)
-    cols = min(m, _TILE_POINTS, max(1, _GEMM_WORK // width))
+    cols = min(m, _TILE_POINTS)
     rows = max(1, min(R, _BLOCK // cols))
-    step = max(1, min(rows, _GEMM_WORK // (cols * width), _GEMV_ENTRIES // width))
     V, T = np.empty(rows * cols, dtype=dtype), np.empty(rows * cols, dtype=dtype)
     ok, alive = np.empty(rows * cols, dtype=bool), np.empty(rows * cols, dtype=bool)
     count = 0
@@ -825,9 +814,7 @@ def _grid_zeros(grid: list[np.ndarray], coefs: list[np.ndarray], q: int) -> int:
             nr, nc = min(rows, R - r), min(cols, m - c)
             v, t, o, a = (B[:nr * nc].reshape(nr, nc) for B in (V, T, ok, alive))
             for i, (M, C) in enumerate(zip(grid, coefs)):
-                G = M[r:r + nr]
-                for s in range(0, nr, step):
-                    np.matmul(G[s:s + step], C[:, c:c + nc], out=v[s:s + step])
+                _gemm(M[r:r + nr], C[:, c:c + nc], v)
                 _divisible(v, q, t, a if i == 0 else o)
                 if i:
                     a &= o
@@ -835,13 +822,18 @@ def _grid_zeros(grid: list[np.ndarray], coefs: list[np.ndarray], q: int) -> int:
     return count
 
 
-def _divisible(v: np.ndarray, q: int, t: np.ndarray, out: np.ndarray) -> None:
-    """out = (q divides v) for integers v exact in v's float dtype, by
-    rint(v * fl(1/q)) * q == v; t is scratch of v's shape and dtype."""
+def _divisible(v: np.ndarray, q: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (q divides v), and out, for integers v exact in v's dtype,
+    reduced or not: by rint(v * fl(1/q)) * q == v in a float dtype (the
+    module docstring says why it is exact), by np.remainder in int64; t is
+    scratch of v's shape and dtype."""
+    if v.dtype == np.int64:
+        np.remainder(v, q, out=t)
+        return np.equal(t, 0, out=out)
     np.multiply(v, v.dtype.type(1) / v.dtype.type(q), out=t)
     np.rint(t, out=t)
     t *= q
-    np.equal(t, v, out=out)
+    return np.equal(t, v, out=out)
 
 
 @dataclass
@@ -953,9 +945,9 @@ def dimension_slope(records: list[CountRecord]) -> SlopeReport:
     """Least-squares slope of log(count) against log(q).
 
     An empirical dimension proxy: a d-dimensional count grows like c*q^d.
-    Zero counts are excluded with a warning (the locus may be empty or
-    irrational over small fields); at least two positive counts must
-    remain.
+    The records must share k, n and d.  Zero counts are excluded with a
+    warning (the locus may be empty or irrational over small fields); at
+    least two positive counts must remain.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 count records")
@@ -965,6 +957,9 @@ def dimension_slope(records: list[CountRecord]) -> SlopeReport:
     ks = {r.k for r in records}
     if len(ks) != 1:
         raise ValueError(f"records mix contact orders {sorted(ks)}")
+    shapes = {(r.n, r.d) for r in records}
+    if len(shapes) != 1:
+        raise ValueError(f"records mix hypersurfaces (n, d) {sorted(shapes)}")
     warnings = []
     used = []
     for r in sorted(records, key=lambda r: r.q):

@@ -12,6 +12,7 @@ import pytest
 
 from tangency import cli, counting
 from tangency.cli import main, parse_expression
+from tangency.deformation import CongruenceReport
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,33 @@ def test_deform_congruence_exit_codes(capsys, schema, tmp_path):
     assert obj["ok"] is True and obj["corrupted"] is False
 
 
+def test_deform_sections_refuses_a_negative_k(capsys, quadric_file, line_file):
+    assert run(capsys, "deform", "sections", "--form", quadric_file, "--line", line_file,
+               "--k", "-1") == (2, "", "error: k must be >= 0\n")
+
+
+def failed_congruence(F, L, k, corrupt=False):
+    return CongruenceReport(k=k, per_index=[False] * (F.n + 1), ok=False, corrupted=False)
+
+
+@pytest.mark.parametrize("name, fake, argv, says", [
+    ("congruence_check", failed_congruence, ("deform", "congruence", "--k", "1"),
+     "exact congruence identity failed on valid input"),
+    ("fano_line_count", lambda n, d: 0, ("replicate-paper",),
+     "replication targets no longer reproduce"),
+], ids=["congruence", "replicate-paper"])
+def test_a_failed_identity_exits_3(capsys, monkeypatch, quadric_file, line_file,
+                                   name, fake, argv, says):
+    # an identity that should hold and does not: the report is still shown,
+    # then one line on stderr
+    monkeypatch.setattr(cli, name, fake)
+    if argv[0] == "deform":
+        argv += ("--form", quadric_file, "--line", line_file)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, f"internal assertion failure: {says}\n")
+    assert out
+
+
 def fermat_file(tmp_path, n, d):
     rows = []
     for i in range(n + 1):
@@ -275,8 +303,10 @@ GOOD_RECORD = {"q": 7, "k": 5, "count": 2401, "n": 5, "d": 5}
     [dict(GOOD_RECORD, q=q, n=-3) for q in (7, 11, 13)],         # n < 1
     [dict(GOOD_RECORD, q=q, d=0) for q in (7, 11, 13)],          # d < 1
     [dict(GOOD_RECORD, q=q) for q in (4, 7, 11)],                # a composite q
+    [dict(GOOD_RECORD, q=q, n=n, d=d)                            # three hypersurfaces
+     for q, n, d in ((7, 5, 5), (11, 3, 4), (13, 4, 5))],
 ], ids=["missing", "not-object", "float-q", "q-one", "bool", "string", "float-elapsed",
-        "k-zero", "negative-count", "negative-n", "d-zero", "composite-q"])
+        "k-zero", "negative-count", "negative-n", "d-zero", "composite-q", "mixed-hypersurfaces"])
 def test_slope_malformed_series_exit_2(capsys, tmp_path, entries):
     series = tmp_path / "records.json"
     series.write_text(json.dumps(entries))

@@ -211,10 +211,17 @@ def test_derivatives_are_the_pullback_coefficients(q):
         jets = counting._Derivatives(F, list(range(d + 1)))
         values = jets(np.array([p], dtype=np.int64))
         pulled = F.pullback(LineParam.from_point_direction(p, v, f))
-        for j, rows, vals in zip(jets.orders, jets.rows, values):
+        for j, alphas, vals in zip(jets.orders, jet_alphas(jets, n), values):
             got = sum(int(vals[i, 0]) * math.prod(x ** a for x, a in zip(v, alpha))
-                      for alpha, i in rows.items())
+                      for i, alpha in enumerate(alphas))
             assert got % q == pulled[j], (F, p, v, j)
+
+
+def jet_alphas(jets, n: int) -> list[list[tuple[int, ...]]]:
+    """Each order's alphas, one per row of its jets, decoded from
+    _Derivatives.keys (radix d+1, alpha_0 the most significant digit)."""
+    return [list(zip(*(D.tolist() for D in np.unravel_index(keys, (jets.d + 1,) * (n + 1)))))
+            for keys in jets.keys]
 
 
 def test_derivatives_are_exact_near_int64_limits():
@@ -232,8 +239,9 @@ def test_derivatives_are_exact_near_int64_limits():
 
 
 def derivative_matrices_by_term_loop(F, orders):
-    """_Derivatives' rows and matrices, built one term and one alpha <= e at
-    a time with math.comb: the reference for its vectorized set-up."""
+    """_Derivatives' alphas (one list per order, in row order) and matrices,
+    built one term and one alpha <= e at a time with math.comb: the
+    reference for its vectorized set-up."""
     q, n, d = F.field.p, F.n, F.d
     where = {j: pos for pos, j in enumerate(orders)}
     coefs = [{} for _ in orders]
@@ -244,7 +252,7 @@ def derivative_matrices_by_term_loop(F, orders):
                 rest = tuple(x - a for x, a in zip(e, alpha))
                 coefs[pos][alpha, rest] = int(c) * math.prod(map(math.comb, e, alpha)) % q
     mons = counting._Monomials(n + 1, d - min(orders), (r for co in coefs for _, r in co))
-    all_rows, mats = [], []
+    all_alphas, mats = [], []
     for j, co in zip(orders, coefs):
         alphas = sorted({a for a, _ in co}) if j >= 2 else monomials(n, j)
         rows = {a: i for i, a in enumerate(alphas)}
@@ -252,9 +260,9 @@ def derivative_matrices_by_term_loop(F, orders):
         M = np.zeros((len(rows), len(cols)), dtype=np.int64)
         for (a, r), c in co.items():
             M[rows[a], cols[r]] = c
-        all_rows.append(rows)
+        all_alphas.append(list(alphas))
         mats.append(M)
-    return all_rows, mats
+    return all_alphas, mats
 
 
 def test_derivative_matrices_match_the_term_loop():
@@ -271,9 +279,9 @@ def test_derivative_matrices_match_the_term_loop():
         F = HyperForm(n, d, terms, PrimeField(q))
         for orders in ([1], [0, 1], list(range(1, d + 1)), list(range(d + 1)),
                        sorted(rng.sample(range(d + 1), rng.randint(1, d + 1)))):
-            rows, mats = derivative_matrices_by_term_loop(F, orders)
+            alphas, mats = derivative_matrices_by_term_loop(F, orders)
             jets = counting._Derivatives(F, orders)
-            assert [list(r.items()) for r in jets.rows] == [list(r.items()) for r in rows]
+            assert jet_alphas(jets, n) == alphas, (F, orders)
             # the matrices are held in the evaluator's dtype, exactly
             for got, want in zip(jets.mats, mats, strict=True):
                 assert (got.dtype, got.shape) == (jets.dtype, want.shape), (F, orders)
@@ -566,6 +574,16 @@ def test_worker_count_clamps():
     assert worker_count(2, 2 * counting._WORK_PER_WORKER) == min(2, cpus)
 
 
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    # no affinity call outside Linux: every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    plenty = 10 ** 6 * counting._WORK_PER_WORKER
+    assert worker_count(10 ** 6, plenty) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(10 ** 6, plenty) == 1
+
+
 def test_exactness_guard_at_the_boundary():
     # n = 2, d = 3, k = 3: the one float sum is the order-2 contraction's,
     # over the C(3, 2) = 3 monomials of degree 2 in two variables; the
@@ -803,7 +821,9 @@ def test_cell_axes_are_exact_on_both_sides_of_each_edge(q, dtype):
         want = np.array([[F.evaluate([1, int(a), int(b)]) for b in xs[1]] for a in xs[0]])
         got = values.astype(np.int64)
         assert (got % q == want).all() and ((got == want).all() or not reduce), (q, reduce)
-        assert np.array_equal(counting._multiple(values, q), want == 0)
+        divisible = np.empty(want.shape, dtype=bool)
+        counting._divisible(values, q, np.empty_like(values), divisible)
+        assert np.array_equal(divisible, want == 0)
 
 
 def horner_reference(chart, jets, q: int) -> list:
@@ -853,7 +873,7 @@ def test_horner_steps_are_exact_on_both_sides_of_each_edge(q, dtype, monkeypatch
     kernel.add_charts([key])
     chart = kernel.charts[key]
     assert [j for _, j, _ in chart.orders] == [2, 3] and chart.kind.wtop == 3
-    jets = [large_residues(rng, q, (len(rows), 24)) for rows in kernel.jets.rows]
+    jets = [large_residues(rng, q, (len(keys), 24)) for keys in kernel.jets.keys]
     got = counting._pullback(chart, [J.astype(dtype) for J in jets], q)
     for C, want in zip(got, horner_reference(chart, jets, q), strict=True):
         assert C.dtype == dtype
@@ -932,8 +952,8 @@ def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
 def test_grid_contraction_starts_no_threads_in_a_forked_worker():
     # the pool is the only parallelism: a BLAS thread in each worker would
     # oversubscribe the CPUs; k = 6 gives the widest tiles of the cone count,
-    # and OpenBLAS decides sgemm's threads apart from dgemm's.  The jets'
-    # GEMMs, which the workers run too, are tiled the same way
+    # and OpenBLAS decides sgemm's threads apart from dgemm's.  _gemm tiles
+    # the direction test's GEMMs and the jets', which the workers run too
     with multiprocessing.get_context("fork").Pool(1) as pool:
         threads = pool.apply_async(threads_after_grid_zeros, (11, [2, 3, 4, 5])).get(timeout=120)
     assert threads == 1
@@ -1055,6 +1075,9 @@ def test_count_record_json_roundtrip():
     obj = rec.to_json()
     assert obj == {"q": 7, "k": 5, "count": 49470, "n": 5, "d": 5, "elapsedMs": 12}
     assert CountRecord.from_json(obj) == rec
+    # an integral float, as another JSON writer may give it, is read as an int
+    again = CountRecord.from_json(dict(obj, q=7.0))
+    assert again == rec and type(again.q) is int
 
 
 def mk_records(pairs, k=5):
@@ -1090,3 +1113,9 @@ def test_dimension_slope_validation():
         )
     with pytest.raises(ValueError, match="positive counts"):
         dimension_slope(mk_records([(7, 0), (11, 0), (13, 5)]))
+    # a quintic in P^5, a quartic in P^3 and a quintic in P^4: one series of
+    # q^4 would read slope 4.0 across three hypersurfaces
+    mixed = [CountRecord(q=q, k=5, count=q ** 4, n=n, d=d, elapsed_ms=0)
+             for q, n, d in ((7, 5, 5), (11, 3, 4), (13, 4, 5))]
+    with pytest.raises(ValueError, match=r"mix hypersurfaces \(n, d\) \[\(3, 4\), \(4, 5\), "):
+        dimension_slope(mixed)

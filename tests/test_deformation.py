@@ -89,6 +89,39 @@ def test_truncate_validation():
         truncate(F, [1, 0, 0], 3)
 
 
+def quadric_and_contained_line():
+    # x0 x3 - x1 x2 and the line x2 = x3 = 0 on it
+    F = HyperForm(3, 2, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}, QQ)
+    return F, LineParam([(1, 0), (0, 1), (0, 0), (0, 0)], QQ)
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda F, L: log_sections(F, L, -1), "k must be >= 0"),
+    (lambda F, L: congruence_check(F, L, 3), "need 1 <= k <= d = 2, got k = 3"),
+    (lambda F, L: sample_contact_form(L, 2, 3, random.Random(0)),
+     "need 1 <= k <= d, got k = 3, d = 2"),
+], ids=["sections-k-negative", "congruence-k-past-d", "sample-k-past-d"])
+def test_orders_out_of_range_are_refused_on_a_contained_line(call, says):
+    # a contained line has every contact order, so only the range of k is
+    # left to refuse
+    F, L = quadric_and_contained_line()
+    assert contact_order(F, L) == CONTAINED
+    with pytest.raises(ValueError, match=says):
+        call(F, L)
+
+
+def test_the_sampler_gives_up_after_its_tries(monkeypatch):
+    # a zero kernel vector never has contact exactly k, so every try is
+    # drawn and none is kept
+    draws = []
+    monkeypatch.setattr(deformation, "random_kernel_vector",
+                        lambda rows, ncols, f, rng: draws.append(ncols) or [f.zero] * ncols)
+    _, L = quadric_and_contained_line()
+    with pytest.raises(RuntimeError, match="failed to sample a form of exact contact order"):
+        sample_contact_form(L, 2, 1, random.Random(0))
+    assert len(draws) == deformation.SAMPLE_TRIES
+
+
 def test_congruence_holds_and_corrupts():
     F, L = conic_and_tangent()
     rep = congruence_check(F, L, 2)

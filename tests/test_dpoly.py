@@ -68,6 +68,15 @@ def test_text_rejects_unknown_order():
         DPoly.one().text("sideways")
 
 
+@pytest.mark.parametrize("call, error, says", [
+    (lambda: DPoly.coerce("x"), TypeError, "cannot coerce str to DPoly"),
+    (lambda: DPoly.var() ** -1, ValueError, "negative power"),
+], ids=["coerce-a-string", "negative-power"])
+def test_refusals(call, error, says):
+    with pytest.raises(error, match=says):
+        call()
+
+
 def test_coerce():
     assert DPoly.coerce(5) == DPoly.const(5)
     p = DPoly.var()

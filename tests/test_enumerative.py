@@ -67,6 +67,8 @@ def test_principal_parts_factors_shape():
             assert base is None or base.coefficient((1, 0)) == 0
         else:
             assert base.coefficient((1, 0)) == DPoly.const(j)
+    with pytest.raises(ValueError, match="jet order must be >= 0, got -1"):
+        principal_parts_factors(n, -1)
 
 
 def test_principal_parts_class_is_reduced():

@@ -58,6 +58,8 @@ def test_root_ring_basics():
         p = R.mul(p, z)
     assert p == R.monomial(0, -1)  # z^4 = -1
     assert R.is_zero(R.sub(p, R.of(-1)))
+    with pytest.raises(ValueError, match="ring degree must be >= 1"):
+        RootRing(0)
 
 
 def test_root_ring_mul_commutative_associative():
@@ -182,6 +184,33 @@ def test_containment_failure_is_detected():
     broken[0][1] = ring.monomial(2)  # even power: (z^2)^3 = 1, sum is 2 x^3
     terms = {tuple(3 if t == i else 0 for t in range(6)): ring.one for i in range(6)}
     assert expand(terms, [tuple(r) for r in broken], ring)  # nonzero
+
+
+SPANNING_POINTS = FermatPlane.spanning_points
+
+
+def first_point_doubled(plane, ring):
+    # the same plane, but its first spanning point is no longer e_i + ...
+    pts = SPANNING_POINTS(plane, ring)
+    return [tuple(ring.add(x, x) for x in pts[0])] + pts[1:]
+
+
+def first_root_even(plane, ring):
+    # x_j = z^(2e) x_i in the first pair, as in the test above: the minor
+    # stays the identity and the plane leaves the Fermat hypersurface
+    pts = SPANNING_POINTS(plane, ring)
+    (_, j), e = plane.pairing[0], plane.roots[0]
+    return [tuple(ring.monomial(2 * e) if c == j else x for c, x in enumerate(pts[0]))] + pts[1:]
+
+
+@pytest.mark.parametrize("points, says", [
+    (first_point_doubled, "has no identity minor"),
+    (first_root_even, "fails containment"),
+], ids=["no-identity-minor", "off-the-hypersurface"])
+def test_fermat_planes_stop_at_a_plane_that_fails_its_checks(monkeypatch, points, says):
+    monkeypatch.setattr(FermatPlane, "spanning_points", points)
+    with pytest.raises(AssertionError, match=says):
+        fermat_planes(3)
 
 
 def test_root_ring_packs_each_plane_at_its_own_width():

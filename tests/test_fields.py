@@ -258,6 +258,16 @@ def test_elimination_of_no_rows(label):
         assert mat_vec([], [field.one] * ncols, field) == []
 
 
+@pytest.mark.parametrize("call, error, says", [
+    (lambda: QQ.inv(0), ZeroDivisionError, "inverse of zero"),
+    (lambda: row_reduce([[1, 2], [3]], 2, QQ), ValueError, "ragged matrix"),
+    (lambda: matrix_rank([[1, 2], [3, 4, 5]], 2, PrimeField(7)), ValueError, "ragged matrix"),
+], ids=["qq-inverse-of-zero", "ragged-over-qq", "ragged-over-f7"])
+def test_refusals(call, error, says):
+    with pytest.raises(error, match=says):
+        call()
+
+
 # (rows, rref) over QQ with a row that has 0 in a pivot column
 RESCALE_CASES = [
     # each row has 0 in the other's pivot column, and the fraction-free step

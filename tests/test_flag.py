@@ -140,6 +140,18 @@ def test_arity_and_ambient_validation():
         hclass(4, 1, 1) * hclass(4, 2, 1)
 
 
+@pytest.mark.parametrize("make, error, says", [
+    (lambda: FlagElt(4, 2, {(-1, 0): sigma(4, 1)}), ValueError, "negative bundle-class exponent"),
+    (lambda: FlagElt(4, 1, {(0, 1): sigma(4, 1)}), ValueError, "cannot carry H2"),
+    (lambda: FlagElt(4, 1, {(1, 0): 1}), TypeError, "must be SchubertElt"),
+    (lambda: FlagElt(4, 1, {(1, 0): sigma(5, 1)}), ValueError, "ambient mismatch"),
+    (lambda: hclass(4, 2, 3), ValueError, "slot must be 1 or 2"),
+], ids=["negative-exponent", "h2-at-arity-1", "int-coefficient", "other-ambient", "slot-3"])
+def test_malformed_flag_classes_are_refused(make, error, says):
+    with pytest.raises(error, match=says):
+        make()
+
+
 def _refused(op, x, y):
     # op(x, y) stopped by the ring check's ValueError; any other outcome, a
     # result or another exception, is an AssertionError

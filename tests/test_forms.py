@@ -603,6 +603,27 @@ def test_parse_line_param():
         parse_line_param("1 0\n2 0\n0 0\n", f)
 
 
+QUADRIC = HyperForm(2, 2, {(2, 0, 0): 1, (0, 1, 1): 1}, QQ)
+
+
+@pytest.mark.parametrize("make, says", [
+    (lambda: HyperForm(0, 2, {(2,): 1}, QQ), "need n >= 1"),
+    (lambda: HyperForm(2, 2, {(3, -1, 0): 1}, QQ), "bad exponent vector"),
+    (lambda: parse_form("1 2\n", QQ), "line 1: need a coefficient and n\\+1 exponents"),
+    (lambda: parse_form("1 2 0\n1 1.5 0.5\n", QQ), "line 2: exponents must be integers"),
+    (lambda: parse_line_param("1 0\n1\n0 0\n", QQ), "line 2: need exactly two entries"),
+    (lambda: LineParam([(1, 0)], QQ), "needs n\\+1 rows of two entries"),
+    (lambda: QUADRIC.pullback(LineParam.from_point_direction([1, 0, 0, 0], [0, 1, 0, 0], QQ)),
+     "line in P\\^3 cannot pull back a form on P\\^2"),
+    (lambda: QUADRIC.substitute([[1, 0, 0], [0, 1, 0]]), "wrong shape"),
+    (lambda: QUADRIC.substitute([[1, 0, 0], [0, 1], [0, 0, 1]]), "wrong shape"),
+], ids=["n-zero", "negative-exponent", "short-line", "fractional-exponent", "one-entry-row",
+        "one-row", "line-in-another-space", "short-matrix", "ragged-matrix"])
+def test_malformed_forms_and_lines_are_refused(make, says):
+    with pytest.raises(ValueError, match=says):
+        make()
+
+
 def test_fermat_constructor():
     f = PrimeField(7)
     F = HyperForm.fermat(3, 5, f)

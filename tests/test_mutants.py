@@ -5,7 +5,8 @@ in a copy of the function's module globals and monkeypatches it in for one
 test, on the owner the guard reads the name from.  Each fragment must occur
 exactly once in the live source, so a refactor that moves the code fails
 here instead of leaving the mutant untested.  Every guard also runs without
-its mutant, as a control that must pass.
+its mutant, as a control that must pass, and gives the same verdict on
+every run: the hypothesis guards draw derandomized examples.
 
 The mutants are the ones each change was checked against by hand: the
 symbolic route's relation H^2 = s1 H - s11 and principal-parts factors;
@@ -26,7 +27,9 @@ two ways to get the rescale of a fraction-free elimination row wrong; the
 counter's pullback (a Horner sign flipped, the pivot solved with the
 wrong sign), each caught by oracle B, its float exactness bound without
 its top order, its reduction mod q without the step that makes a residue
-non-negative and a stage's dtype picked without the reduction's headroom;
+non-negative, a stage's dtype picked without the reduction's headroom,
+its GEMMs made in one tile, caught by the threads of a forked worker, and
+its int64 divisibility test read off the wrong side of the remainder;
 the expected h0 attached past exact contact; QQ's lowering without one
 column's denominator power, caught by reduction mod p; and the ring check
 Schubert and flag classes share without its class comparison.
@@ -39,6 +42,7 @@ import random
 import re
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
@@ -118,10 +122,12 @@ def _one_entry_cases():
 
 def _stopped_at_first_failure(test, cases, examples: int):
     # a hypothesis test of one strategy, stopped at its first failing case:
-    # shrinking it would take seconds and tell a guard nothing
+    # shrinking it would take seconds and tell a guard nothing.  Its
+    # examples are derandomized, the same on every run, so that whether it
+    # catches a mutant is the same on every run too
     def guard():
         settings(max_examples=examples, deadline=None, phases=[Phase.generate], database=None,
-                 suppress_health_check=[HealthCheck.too_slow])(
+                 derandomize=True, suppress_health_check=[HealthCheck.too_slow])(
             given(cases())(test.hypothesis.inner_test))()
     return guard
 
@@ -155,6 +161,12 @@ ORACLE_B = (test_counting.check_oracle_b,)
 # sums just below 2^24 and 2^53, reduced in the dtype their bound picks
 HEADROOM = tuple(lambda limit=limit: test_counting.test_the_reduction_needs_its_headroom(limit)
                  for limit in (2 ** 24, 2 ** 53))
+
+# a cell's last axis, summed past float64 in int64, tested for divisibility
+CELL_AXES_INT64 = tuple(
+    lambda q=q, dtype=dtype: test_counting.test_cell_axes_are_exact_on_both_sides_of_each_edge(
+        q, dtype)
+    for q, dtype in test_counting.ladder_edges(lambda q: 4 * (q - 1) ** 2) if dtype == np.int64)
 
 # name: (owner, function, edits, guards); every guard must catch the mutant
 MUTANTS = {
@@ -225,13 +237,16 @@ MUTANTS = {
     # expand and its price share the walk, so a fault in it is seen both by
     # the expansions and by the price against the steps expand takes: a
     # group's product cut and priced at its cofactor's degree, and a term
-    # alone in its group sent to its chain without its leading factor
+    # alone in its group sent to its chain without its leading factor.  The
+    # seeded commutation with reduction mod p sees both, and the seeded
+    # conditioning rows the second
     "group-product-at-its-cofactor-degree": (forms, "_walk",
                                              {"(lead, deg))": "(lead, deg - a))"},
-                                             (_one_entry_cases,) + STEPS_GUARD),
+                                             (_one_entry_cases, _expand_mod_p) + STEPS_GUARD),
     "chain-without-its-leading-factor": (forms, "_walk",
                                          {"chain(e, c, j, part)": "chain(e, c, j + 1, part)"},
-                                         (_one_entry_cases,) + STEPS_GUARD),
+                                         (_one_entry_cases, _expand_mod_p,
+                                          _conditioning_rows_reference) + STEPS_GUARD),
     # F_p's output coefficients not reduced
     "mod-p-left-out": (PrimeField, "lifted", {"num % p": "num"},
                        (_one_entry_cases, _reduction_mod_101, _expand_mod_p)),
@@ -254,6 +269,17 @@ MUTANTS = {
     # q rint(x fl(1/q)) may pass x by
     "stage-bound-without-its-headroom": (counting, "stage_dtype",
                                          {"top = bound + q": "top = bound"}, HEADROOM),
+    # every GEMM of the counter in one tile, which OpenBLAS may split
+    # across threads of its own in each forked worker
+    "gemm-untiled": (counting, "_gemm",
+                     {"min(X.shape[1], _GEMM_WORK // width)": "X.shape[1]",
+                      "min(_GEMV_ENTRIES // width, _GEMM_WORK // (cols * width))": "len(M)"},
+                     (test_counting.test_grid_contraction_starts_no_threads_in_a_forked_worker,)),
+    # int64 divisibility read off the remainder as the float test reads off
+    # its product: q | v taken where v mod q == v
+    "int64-divisible-against-v": (counting, "_divisible",
+                                  {"np.equal(t, 0, out=out)": "np.equal(t, v, out=out)"},
+                                  CELL_AXES_INT64),
     # 2n - k + 1 expected along a line of any contact >= k, not just exact k
     "expected-h0-past-exact-contact": (
         deformation, "_sections", {"co == k and": "co >= k and"},
@@ -389,6 +415,7 @@ def test_the_truncated_route_mutants_compile_back_to_themselves(monkeypatch):
 def test_the_counter_and_lowering_mutants_compile_back_to_themselves(monkeypatch):
     for owner, name in ((counting, "_pullback"), (counting, "exactness_bound"),
                         (counting, "_reduce"), (counting, "stage_dtype"),
+                        (counting, "_gemm"), (counting, "_divisible"),
                         (deformation, "_sections"), (RationalField, "lifted")):
         _mutate(monkeypatch, owner, name, {})
     assert counting.exactness_bound(5, 5, 5, 2) == 70

@@ -11,6 +11,7 @@ from tangency.dpoly import DPoly
 from tangency.schubert import (
     INHOMOGENEOUS,
     SchubertElt,
+    check_partition,
     degree,
     mult,
     pieri,
@@ -36,6 +37,17 @@ def test_sigma_validation():
     with pytest.raises(ValueError):
         sigma(1, 0, 0)  # ambient too small
     assert sigma(3, 2, 2).coefficient((2, 2)) == 1
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: check_partition([2, 1]), "must be a pair of ints, got \\[2, 1\\]"),
+    (lambda: check_partition((2, 1, 0)), "must be a pair of ints"),
+    (lambda: check_partition((2, "1")), "must be a pair of ints"),
+    (lambda: pieri((1, 0), -1, 4), "one-row index must be >= 0, got -1"),
+], ids=["list", "triple", "string-entry", "negative-row"])
+def test_malformed_partitions_and_rows_are_refused(call, says):
+    with pytest.raises(ValueError, match=says):
+        call()
 
 
 def test_zero_coefficients_dropped():
