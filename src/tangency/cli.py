@@ -22,13 +22,7 @@ from math import log2
 
 from . import schubert
 from .counting import CountRecord, count_vk, dimension_slope, magnitude
-from .deformation import (
-    CONTAINED,
-    congruence_check,
-    contact_order,
-    log_sections,
-    truncate,
-)
+from .deformation import congruence_check, contact_order, log_sections, truncate
 from .dpoly import DPoly
 from .enumerative import BOUND_INFO, fano_line_count
 from .fermat import fermat_planes
@@ -324,14 +318,8 @@ def _cmd_deform_sections(args) -> int:
     if expected:
         verdict = f"expected 2n-k+1 = {space.expected_h0}: " + (
             "match" if space.matches else "MISMATCH")
-    elif space.contact == CONTAINED:
-        verdict = "contained line: no expected value"
-    elif space.k > 2 * space.n - 1:
-        verdict = "k > 2n-1: no expected value"
-    elif space.contact > space.k:
-        verdict = f"contact {space.contact} > k: no expected value"
     else:
-        verdict = "singular marked point: no expected value"
+        verdict = f"{space.unexpected}: no expected value"
     return _show(args, doc, f"contact order: {space.contact}\n"
                             f"raw solution dimension: {space.raw_dim}\n"
                             f"h0 (Euler quotient): {space.h0}\n{verdict}")
@@ -354,9 +342,10 @@ def _cmd_count_vk(args) -> int:
     # and a degree not below q by HyperForm
     form = _parsed(parse_form, args.input, PrimeField(args.q))
     r = count_vk(form, args.k, workers=args.threads)
-    return _show(args, r.to_json(),
+    doc = r.to_json()
+    return _show(args, doc,
                  f"|V_{r.k}| over F_{r.q}: {r.count} (n={r.n}, d={r.d}, {r.elapsed_ms}ms)",
-                 csv=f"q,k,count,n,d,elapsedMs\n{r.q},{r.k},{r.count},{r.n},{r.d},{r.elapsed_ms}")
+                 csv=f"{','.join(doc)}\n{','.join(map(str, doc.values()))}")
 
 
 def _cmd_slope(args) -> int:
@@ -380,8 +369,7 @@ def _cmd_fermat_planes(args) -> int:
         return _show(args, doc, f"{len(planes)} verified planes (15*d^3 = {15 * args.d ** 3})")
     with open(args.emit, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
-    print(f"{len(planes)} verified planes written to {args.emit}")
-    return 0
+    return _show(args, doc, f"{len(planes)} verified planes written to {args.emit}")
 
 
 def _cmd_replicate(args) -> int:

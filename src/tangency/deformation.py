@@ -339,8 +339,9 @@ class DeformationSpace:
     contact: object            # int or "contained"
     raw_dim: int
     h0: int
-    expected_h0: int | None
+    expected_h0: int | None    # 2n - k + 1, or None for the reason in unexpected
     matches: bool | None
+    unexpected: str | None
     euler_in_kernel: bool
     truncated: bool
     basis: list = dc_field(repr=False, default_factory=list)
@@ -367,12 +368,8 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     Returns the kernel data of the k-equation system on tuples
     (beta_i, gamma_i); h0 discards the Euler redundancy.  For a line
     contained in the hypersurface the system instead demands the full
-    identity sum b_i dF'/dy_i(a) = 0 (all s-degrees), and no expected
-    h0 is attached.  Nor is one past k = 2n - 1, along a line of contact
-    above k, or where X is singular at the marked point: 2n - k + 1 is
-    expected for k <= 2n - 1 along a line of exact contact k at a smooth
-    point only, and the s^0 jets are B^T times the gradient there, so
-    they all vanish just when it does.
+    identity sum b_i dF'/dy_i(a) = 0 (all s-degrees).  Whether 2n - k + 1
+    is expected, and why not, _sections decides.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -384,10 +381,7 @@ def log_sections(F: HyperForm, L: LineParam, k: int, use_truncation: bool = True
     else:   # a line of finite contact co >= k has k <= d; k = 0 reads the s^0 jets
         width = F.d if co == CONTAINED else max(k, 1)
         jets = _LineTable(L, width - 1).partials(F, width)
-    space = _sections(F, k, co, jets, truncated)
-    if all(F.field.is_zero(jet[0]) for jet in jets):
-        space.expected_h0 = space.matches = None
-    return space
+    return _sections(F, k, co, jets, truncated)
 
 
 def _sections(F: HyperForm, k: int, co, jets: list[list], truncated: bool) -> DeformationSpace:
@@ -396,8 +390,20 @@ def _sections(F: HyperForm, k: int, co, jets: list[list], truncated: bool) -> De
     f = F.field
     contained = co == CONTAINED
     rows = _sections_matrix(jets, F.d + 1 if contained else k, f)
-    # 2n - k + 1 counts the sections along a line of exact contact k
-    expected = 2 * F.n - k + 1 if co == k and k <= 2 * F.n - 1 else None
+    # 2n - k + 1 counts the sections along a line of exact contact k <= 2n - 1
+    # at a smooth point: the s^0 jets are B^T times the gradient there, and B
+    # is invertible, so they all vanish just when the point is singular
+    if contained:
+        unexpected = "contained line"
+    elif k > 2 * F.n - 1:
+        unexpected = "k > 2n-1"
+    elif co != k:
+        unexpected = f"contact {co} > k"
+    elif all(f.is_zero(jet[0]) for jet in jets):
+        unexpected = "singular marked point"
+    else:
+        unexpected = None
+    expected = None if unexpected else 2 * F.n - k + 1
 
     ncols = 2 * (F.n + 1)
     kern = kernel_basis(rows, ncols, f)   # rows == [] gives the identity basis
@@ -418,6 +424,7 @@ def _sections(F: HyperForm, k: int, co, jets: list[list], truncated: bool) -> De
         h0=h0,
         expected_h0=expected,
         matches=(None if expected is None else h0 == expected),
+        unexpected=unexpected,
         euler_in_kernel=euler_ok,
         truncated=truncated,
         basis=kern,
@@ -542,12 +549,11 @@ def contact_experiment(trials: int = 200, seed: int = 0, prime: int = 101) -> Ex
         F = sample_contact_form(L, d, k, rng, table)
 
         direct, trunc, cc = _trial_routes(F, L, k, table)
-        expected = 2 * n - k + 1
         records.append(TrialRecord(
             index=idx, n=n, d=d, k=k,
             h0=trunc.h0,
-            expected_h0=expected,
-            matched=(trunc.h0 == expected and direct.h0 == expected),
+            expected_h0=trunc.expected_h0,
+            matched=bool(trunc.matches and direct.matches),
             euler_ok=(direct.euler_in_kernel and trunc.euler_in_kernel),
             congruence_ok=cc.ok,
             routes_agree=(direct.basis == trunc.basis),

@@ -8,9 +8,8 @@ the marked point is p = L([0:1]).
 
 One routine, expand, writes a form in new linear coordinates:
 F(y_0*c_0 + ... + y_m*c_m), optionally cut to degree <= top in y_1..y_m
-while it multiplies.  Values, gradients, pullbacks and substitutions are
-all this one expansion, over QQ, F_p or the Fermat root ring: F(p) is
-F(y_0*p), the gradient F(y_0*p + sum_j y_(j+1)*e_j) cut at top = 1, a
+while it multiplies.  Values, pullbacks and substitutions are all this
+one expansion, over QQ, F_p or the Fermat root ring: F(p) is F(y_0*p), a
 pullback F(t*p + s*u) = sum_m s^m t^(d-m) G_m(p, u) (also of dF/dx_i), and
 the truncation F_k comes from F(B*y) cut at top = k.
 
@@ -392,15 +391,6 @@ class HyperForm:
         """F(point): the y_0^d coefficient of F(y_0*point)."""
         got = expand(self.terms, [self._point(point)], self.field)
         return got.get((self.d,), self.field.zero)
-
-    def gradient(self, point) -> list:
-        """The partials at point: dF/dx_i(p) is the y_0^(d-1) y_(i+1)
-        coefficient of F(y_0*p + y_1*e_0 + ... + y_(n+1)*e_n)."""
-        f = self.field
-        units = [tuple(int(i == j) for j in range(self.n + 1)) for i in range(self.n + 1)]
-        cols = [self._point(point)] + [[f.of(x) for x in e] for e in units]
-        got = expand(self.terms, cols, f, top=1)
-        return [got.get((self.d - 1,) + e, f.zero) for e in units]
 
     def _point(self, point) -> list:
         if len(point) != self.n + 1:

@@ -9,6 +9,8 @@ small q.  It also counts the lines a hypersurface contains, exhaustively.
 Oracle B counts V_3 from the second fundamental form, one quadratic form
 per point of X, with no line enumerated, so it reaches large q in P^2
 and larger n at small q; of the counter it shares only the points of X.
+The gradient it reads is one expand at the point, which other tests use as
+the reference for the gradients the program computes its own ways.
 
 Import them from a test module as `oracles`; pytest does not collect
 this file.
@@ -75,6 +77,16 @@ def lines_in_hypersurface(F: HyperForm) -> int:
     return count
 
 
+def gradient(F: HyperForm, point) -> list:
+    """The partials of F at point: dF/dx_i(p) is the y_0^(d-1) y_(i+1)
+    coefficient of F(y_0*p + y_1*e_0 + ... + y_(n+1)*e_n)."""
+    f = F.field
+    units = [tuple(int(i == j) for j in range(F.n + 1)) for i in range(F.n + 1)]
+    cols = [F._point(point)] + [[f.of(x) for x in e] for e in units]
+    got = expand(F.terms, cols, f, top=1)
+    return [got.get((F.d - 1,) + e, f.zero) for e in units]
+
+
 def count_v3_second_form(F: HyperForm) -> int:
     """|V_3(X)(F_q)| for odd q > d, from the rank and discriminant of the
     second fundamental form at each point of X.
@@ -93,7 +105,7 @@ def count_v3_second_form(F: HyperForm) -> int:
     total = 0
     for p in hypersurface_points(F).tolist():
         lead = p.index(1)
-        basis = kernel_basis([F.gradient(p), [int(i == lead) for i in range(n + 1)]], n + 1, f)
+        basis = kernel_basis([gradient(F, p), [int(i == lead) for i in range(n + 1)]], n + 1, f)
         m = len(basis)
         A = [[0] * m for _ in range(m)]
         for e, c in expand(F.terms, [p] + basis, f, top=2).items():

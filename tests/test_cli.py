@@ -362,10 +362,13 @@ def test_fermat_planes_cli(capsys, schema, tmp_path):
     assert obj["count"] == 120 and len(obj["planes"]) == 120
     emitted = tmp_path / "planes.json"
     code, out, _ = run(capsys, "fermat-planes", "--d", "3", "--emit", str(emitted))
-    assert code == 0
+    assert (code, out) == (0, f"405 verified planes written to {emitted}\n")
     doc = json.loads(emitted.read_text())
     jsonschema.validate(doc, schema)
     assert doc["count"] == 405
+    # under --format json the document written is what stdout prints
+    assert run_json(capsys, schema, "fermat-planes", "--d", "2", "--emit", str(emitted)) \
+        == json.loads(emitted.read_text())
 
 
 def test_replicate_paper(capsys, schema):
@@ -501,7 +504,8 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
     # CLI whose handlers each chose their own output format, re-recorded when
     # the error for --point 1,x,0,0 came to name --point, and when count-vk
     # left its q <= d refusal to HyperForm and check_exact counted only the
-    # float sums (15 (q-1)^2 at n = 5, k = 3)
+    # float sums (15 (q-1)^2 at n = 5, k = 3), and when fermat-planes --emit
+    # came to print its result through _show, the document under json
     monkeypatch.setenv("COLUMNS", "80")
     files = {
         "quadric.hs": QUADRIC, "line.txt": CONTAINED_LINE, "conic.hs": CONIC,
@@ -528,7 +532,7 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
             if emit is not None:
                 emitted.unlink()
             h.update(repr((argv, fmt, code, out, err, emit)).encode())
-    assert h.hexdigest() == "05bd677db433e4f5ede7a810ea41a48011a12bb90a583ef1a86d25ccbe57b584"
+    assert h.hexdigest() == "3a95e44bdd3e5ae8ae4c330ff0cf883546decb9d2c8ac44adfb7891f02c26238"
 
 
 def test_huge_q_is_answered_or_refused_at_once(capsys, tmp_path):

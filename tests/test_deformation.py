@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
+from hypothesis.errors import HypothesisException
 
+from oracles import gradient
 from tangency import deformation, forms
 from tangency.deformation import (
     CONTAINED,
@@ -147,13 +149,15 @@ def test_congruence_on_seeded_random_samples():
 
 def test_log_sections_worked_example():
     F, L = conic_and_tangent()
-    space = log_sections(F, L, 2)
-    assert space.contact == 2
-    assert space.raw_dim == 4
-    assert space.h0 == 3
-    assert space.expected_h0 == 3  # 2n-k+1 with n=2, k=2
-    assert space.matches
-    assert space.euler_in_kernel
+    for use_truncation in (False, True):
+        space = log_sections(F, L, 2, use_truncation)
+        assert space.contact == 2
+        assert space.raw_dim == 4
+        assert space.h0 == 3
+        assert space.expected_h0 == 3  # 2n-k+1 with n=2, k=2
+        assert space.matches
+        assert space.unexpected is None
+        assert space.euler_in_kernel
 
 
 def test_log_sections_no_condition_and_one_condition():
@@ -168,11 +172,13 @@ def test_log_sections_contained_line():
     f = QQ
     quadric = HyperForm(3, 2, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}, f)
     inside = LineParam([(1, 0), (0, 1), (0, 0), (0, 0)], f)
-    space = log_sections(quadric, inside, 2)
-    assert space.contact == CONTAINED
-    assert space.expected_h0 is None
-    assert space.matches is None
-    assert space.euler_in_kernel
+    for use_truncation in (False, True):
+        space = log_sections(quadric, inside, 2, use_truncation)
+        assert space.contact == CONTAINED
+        assert space.expected_h0 is None
+        assert space.matches is None
+        assert space.unexpected == "contained line"
+        assert space.euler_in_kernel
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
@@ -181,11 +187,13 @@ def test_log_sections_attach_no_expectation_at_a_singular_point(field):
     # p + s (1, 0, 0) has contact 2; 2n - k + 1 is stated for smooth points
     cusp = HyperForm(2, 3, {(2, 1, 0): 1, (0, 0, 3): -1}, field)
     L = LineParam([(1, 0), (0, 1), (0, 0)], field)
-    for k, h0 in ((0, 5), (1, 5), (2, 4)):
+    for k, h0, reason in ((0, 5, "contact 2 > k"), (1, 5, "contact 2 > k"),
+                          (2, 4, "singular marked point")):
         for use_truncation in (False, True):
             space = log_sections(cusp, L, k, use_truncation)
             assert (space.contact, space.h0) == (2, h0), (k, use_truncation)
             assert space.expected_h0 is None and space.matches is None, (k, use_truncation)
+            assert space.unexpected == reason, (k, use_truncation)
     # a smooth point keeps its expectation along a line of exact contact k
     F, L = conic_and_tangent()
     assert (log_sections(F, L, 2).expected_h0, log_sections(F, L, 2).matches) == (3, True)
@@ -201,9 +209,11 @@ def test_log_sections_attach_no_expectation_past_k_2n_minus_1(field):
         space = log_sections(F, L, 4, use_truncation)
         assert (space.contact, space.h0) == (4, 2), use_truncation
         assert space.expected_h0 is None and space.matches is None, use_truncation
+        assert space.unexpected == "k > 2n-1", use_truncation
         # contact 4 > k = 2: no expectation either, though h0 = 3 = 2n - k + 1
         space = log_sections(F, L, 2, use_truncation)
-        assert (space.h0, space.expected_h0, space.matches) == (3, None, None), use_truncation
+        assert (space.h0, space.expected_h0, space.matches, space.unexpected) \
+            == (3, None, None, "contact 4 > k"), use_truncation
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
@@ -220,9 +230,64 @@ def test_log_sections_expect_2n_minus_k_plus_1_only_at_exact_contact(field):
         space = log_sections(F, L, 3, use_truncation)
         assert (space.contact, space.h0) == (4, 3), use_truncation
         assert space.expected_h0 is None and space.matches is None, use_truncation
-        got = [(s.h0, s.expected_h0, s.matches)
+        assert space.unexpected == "contact 4 > k", use_truncation
+        got = [(s.h0, s.expected_h0, s.matches, s.unexpected)
                for s in (log_sections(conic, tangent, k, use_truncation) for k in range(3))]
-        assert got == [(5, None, None), (4, None, None), (3, 3, True)], use_truncation
+        assert got == [(5, None, None, "contact 2 > k"), (4, None, None, "contact 2 > k"),
+                       (3, 3, True, None)], use_truncation
+
+
+def _product(G: HyperForm, H: HyperForm) -> HyperForm:
+    f = G.field
+    terms = {}
+    for a, c in G.terms.items():
+        for b, e in H.terms.items():
+            m = tuple(x + y for x, y in zip(a, b))
+            terms[m] = f.add(terms.get(m, f.zero), f.mul(c, e))
+    return HyperForm(G.n, G.d + H.d, {m: c for m, c in terms.items() if not f.is_zero(c)}, f)
+
+
+def _seeded_expectation_cases(field, rng):
+    # (F, L, kind) in P^2..P^4 of degree 2..5: a sampled form, smooth at p
+    # with exact contact c along L; a product of two such forms, singular
+    # at p; and a linear form vanishing on L times a random form, which
+    # contains L
+    n, d = rng.randint(2, 4), rng.randint(2, 5)
+    L = sample_line(n, field, rng)
+    kind = rng.choice(("smooth", "singular", "contained"))
+    if kind == "smooth":
+        return sample_contact_form(L, d, rng.randint(1, d), rng), L, kind
+    if kind == "singular":
+        d1 = rng.randint(1, d - 1)
+        return _product(sample_contact_form(L, d1, rng.randint(1, d1), rng),
+                        sample_contact_form(L, d - d1, rng.randint(1, d - d1), rng)), L, kind
+    normal = [(field.random(rng), v) for v in kernel_basis([L.marked_point(), L.direction()],
+                                                           n + 1, field)]
+    coeffs = [sum((field.mul(a, v[i]) for a, v in normal), field.zero) for i in range(n + 1)]
+    linear = HyperForm(n, 1, {tuple(int(i == j) for j in range(n + 1)): c
+                              for i, c in enumerate(coeffs) if not field.is_zero(c)}, field)
+    rest = HyperForm(n, d - 1, {e: field.random(rng) for e in monomials(n, d - 1)}, field)
+    return _product(linear, rest), L, kind
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
+def test_both_routes_attach_the_same_expectation(field):
+    # each route decides the expectation from its own jets, the singular
+    # test from its own s^0 coefficients: at every k up to the contact
+    # order (up to d on a contained line) the two agree on the value and
+    # on the reason there is none
+    rng = random.Random(f"expectations {field}")
+    reasons = set()
+    for _ in range(24):
+        F, L, kind = _seeded_expectation_cases(field, rng)
+        co = contact_order(F, L)
+        for k in range(F.d + 1 if co == CONTAINED else co + 1):
+            direct, trunc = (log_sections(F, L, k, use_truncation) for use_truncation in (False, True))
+            assert (direct.expected_h0, direct.unexpected) == \
+                (trunc.expected_h0, trunc.unexpected), (kind, F.n, F.d, co, k)
+            assert (direct.expected_h0 is None) == (direct.unexpected is not None)
+            reasons.add(direct.unexpected and direct.unexpected.split(" ")[0])
+    assert reasons == {None, "contained", "k", "contact", "singular"}
 
 
 def test_log_sections_contact_too_low():
@@ -260,7 +325,7 @@ def test_sample_contact_form_has_exact_valuation():
         L = sample_line(n, gf, rng)
         F = sample_contact_form(L, d, k, rng)
         assert s_valuation(F.pullback(L), gf) == k
-        grad = F.gradient(L.marked_point())
+        grad = gradient(F, L.marked_point())
         assert any(not gf.is_zero(g) for g in grad)
 
 
@@ -307,7 +372,7 @@ def test_sample_contact_form_linear():
         F = sample_contact_form(L, 1, 1, rng)
         assert F.d == 1
         assert s_valuation(F.pullback(L), f) == 1
-        assert any(not f.is_zero(g) for g in F.gradient(L.marked_point()))
+        assert any(not f.is_zero(g) for g in gradient(F, L.marked_point()))
 
 
 FIELDS = {"QQ": QQ, "F7": PrimeField(7), "F101": PrimeField(101)}
@@ -744,7 +809,7 @@ def test_line_table_equals_the_expansions_it_replaces(label, kind):
         # the public routes' table, to the width they read
         assert repr(_LineTable(L, d - 1).partials(F, d)) == repr(want)
         # the s^0 jets are B^T times the gradient at p
-        grad = mat_vec([list(col) for col in zip(*B)], F.gradient(L.marked_point()), F.field)
+        grad = mat_vec([list(col) for col in zip(*B)], gradient(F, L.marked_point()), F.field)
         # contact_experiment's table, to s^k
         for k in range(1, d + 1):
             table = _LineTable(L, k)
@@ -1011,14 +1076,21 @@ def test_exact_route_commutes_with_reduction_mod_101(case):
     if _reduced(B) != B101:
         event("bad reduction: a pivot moves")
         assume(False)
-    F101_form = HyperForm(F.n, F.d, terms, F101)
-    monos, cond = _LineTable(L, k).conditioning_rows(F.d)
-    assert (monos, _reduced(cond)) == _LineTable(L101, k).conditioning_rows(F.d)
-    assert _reduced(_LineTable(L, k - 1).partials(F, k)) == \
-        _LineTable(L101, k - 1).partials(F101_form, k)
-    Fk, Fk101 = _truncation(F, B, k), _truncation(F101_form, B101, k)
-    assert _reduced(Fk.terms) == Fk101.terms
-    assert _reduced(_canonical_partials(Fk, k)) == _canonical_partials(Fk101, k)
+    # an exception of the exact route fails the check as a wrong answer
+    # does, so that the test guards against faults that crash it
+    try:
+        F101_form = HyperForm(F.n, F.d, terms, F101)
+        monos, cond = _LineTable(L, k).conditioning_rows(F.d)
+        assert (monos, _reduced(cond)) == _LineTable(L101, k).conditioning_rows(F.d)
+        assert _reduced(_LineTable(L, k - 1).partials(F, k)) == \
+            _LineTable(L101, k - 1).partials(F101_form, k)
+        Fk, Fk101 = _truncation(F, B, k), _truncation(F101_form, B101, k)
+        assert _reduced(Fk.terms) == Fk101.terms
+        assert _reduced(_canonical_partials(Fk, k)) == _canonical_partials(Fk101, k)
+    except (AssertionError, HypothesisException):
+        raise
+    except Exception as ex:
+        raise AssertionError(f"the exact route raised {ex!r}") from ex
 
 
 # expand and kernel_basis reduced mod a prime p drawn from 5, 7 and 101:
@@ -1100,7 +1172,7 @@ def test_h0_commutes_with_reduction_mod_p(trial):
     if contact_order(Fp, Lp) != k:
         event(f"bad reduction: the contact order changes mod {p}")
         assume(False)
-    if all(field.is_zero(c) for c in Fp.gradient(Lp.marked_point())):
+    if all(field.is_zero(c) for c in gradient(Fp, Lp.marked_point())):
         event(f"bad reduction: the marked point is singular mod {p}")
         assume(False)
     qq = log_sections(F, L, k)

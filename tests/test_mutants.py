@@ -229,20 +229,23 @@ MUTANTS = {
     # no product of the walk cut at top
     "horner-cut-dropped": (forms, "_products",
                            {"cut = -1 if top is None else deg - top": "cut = -1"},
-                           (_one_entry_cases,)),
+                           (_one_entry_cases, _reduction_mod_101)),
     # a group's cofactor walked at the group's degree, not deg - a
     "cofactor-at-the-wrong-degree": (forms, "_walk",
                                      {"deg - a, new(group)": "deg, new(group)"},
-                                     (_one_entry_cases,) + STEPS_GUARD),
+                                     (_one_entry_cases, _reduction_mod_101) + STEPS_GUARD),
     # expand and its price share the walk, so a fault in it is seen both by
     # the expansions and by the price against the steps expand takes: a
     # group's product cut and priced at its cofactor's degree, and a term
     # alone in its group sent to its chain without its leading factor.  The
     # seeded commutation with reduction mod p sees both, and the seeded
-    # conditioning rows the second
+    # conditioning rows the second.  The seeded exact route mod 101 sees
+    # the first, the cut dropped and the cofactor at the wrong degree by
+    # the exceptions they raise in it
     "group-product-at-its-cofactor-degree": (forms, "_walk",
                                              {"(lead, deg))": "(lead, deg - a))"},
-                                             (_one_entry_cases, _expand_mod_p) + STEPS_GUARD),
+                                             (_one_entry_cases, _expand_mod_p,
+                                              _reduction_mod_101) + STEPS_GUARD),
     "chain-without-its-leading-factor": (forms, "_walk",
                                          {"chain(e, c, j, part)": "chain(e, c, j + 1, part)"},
                                          (_one_entry_cases, _expand_mod_p,
@@ -282,7 +285,7 @@ MUTANTS = {
                                   CELL_AXES_INT64),
     # 2n - k + 1 expected along a line of any contact >= k, not just exact k
     "expected-h0-past-exact-contact": (
-        deformation, "_sections", {"co == k and": "co >= k and"},
+        deformation, "_sections", {"elif co != k:": "elif co < k:"},
         (lambda: test_deformation.test_log_sections_expect_2n_minus_k_plus_1_only_at_exact_contact(
             QQ),)),
     # the float32/float64 choice made without the widest (top) order's sums
