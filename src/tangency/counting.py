@@ -36,16 +36,19 @@ C(e_i, alpha_i) x^(e - alpha).  A block of points holds as many as keep one
 table of those monomials near _TABLE entries; each matrix multiplies that
 table.
 
-The higher orders are pulled back per group of points sharing a chart:
-G_j(p, v) = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha!
-with alpha_pivot = a, is built by Horner's rule, P <- H_a + (w.r) P,
-vectorized over the group (_pullback).  A direction survives when every
-pulled-back form vanishes at it, which one contraction per order and
-tile decides: (grid monomials, R x C(nfree-1+j, j)) times (coefficients,
-C(nfree-1+j, j) x points).  Everything that depends only on the form, k
-and q (the derivative matrices, the charts' jet rows, the grid
-monomials) is built once per count_vk call; the only inverses taken are
-those of the pivot gradients the pullback divides by.
+The higher orders are pulled back per kind of point, smooth or singular:
+a block's points, sorted by chart, fall into runs sharing a chart, and
+the runs of one kind are pulled back together, each run's jets gathered
+through its chart's row of the kind's jet-row tables.  G_j(p, v) =
+sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha! with
+alpha_pivot = a, is built by Horner's rule, P <- H_a + (w.r) P,
+vectorized over the kind's runs (_Kind.pullback).  A direction survives
+when every pulled-back form vanishes at it, which one contraction per
+order and tile decides: (grid monomials, R x C(nfree-1+j, j)) times
+(coefficients, C(nfree-1+j, j) x points).  Everything that depends only
+on the form, k and q (the derivative matrices, the kinds' tables of jet
+rows, the grid monomials) is built once per count_vk call; the only
+inverses taken are those of the pivot gradients the pullback divides by.
 
 Exactness of a count.  Every stage sums products of two residues in
 [0, q), each stage in one dtype of the ladder float32 (precision p = 24
@@ -607,98 +610,91 @@ def _lookup(index: dict, keys: list) -> np.ndarray:
 
 
 class _Kind:
-    """The direction grid shared by the tangent charts of one kind of point.
+    """The tables of the tangent charts of one kind of point, smooth or
+    singular, one row per chart (lead, pivot).
 
     A smooth point has n-1 chart variables r (the pivot coordinate is solved
     from the gradient), a singular one has n.  All charts of a kind share
-    the grid projective_reps(nfree-1, q) of directions, the top power wtop
-    of v_pivot in a pullback (0 at a singular point, whose pivot is its
-    leading coordinate), and:
-    - grid: per order j, the grid's monomials of degree j,
+    the grid projective_reps(nfree-1, q) of directions and the top power
+    wtop of v_pivot in a pullback (0 at a singular point, whose pivot is its
+    leading coordinate).  free[c] and pivot[c] are chart c's nfree free
+    coordinates and its pivot, and:
+    - orders: (position among the kernel's orders, j, rows) for each order
+      j whose pullback is not identically zero on every chart, if the kind
+      has any directions; rows[a][c], a = 0..min(j, wtop), gives for each
+      monomial delta of degree j-a in r the jet row of the alpha with
+      alpha_free = delta, alpha_pivot = a on chart c, or -1 where that
+      divided derivative is zero;
+    - grid: per one of those orders j, the grid's monomials of degree j,
       R x C(nfree-1+j, j), in the count's dtype;
-    - exps[t]: the monomials of degree t, as rows of exponents;
     - shifts[t][i]: the position of mu + e_i among the monomials of degree
       t+1, for each monomial mu of degree t.
     """
 
-    def __init__(self, nfree: int, pivoted: bool, orders: list[int], q: int,
+    def __init__(self, n: int, charts: list[tuple[int, int]], jets: _Derivatives, q: int,
                  dtype: np.dtype):
-        self.size, self.dtype = pp_count(nfree - 1, q), dtype
-        top = max(orders, default=0)
+        nfree = n - 1 if charts[0][0] != charts[0][1] else n
+        self.size = pp_count(nfree - 1, q)
+        top = max(jets.orders[1:], default=0)
         self.mons = _Monomials(nfree, top, _exps(nfree, top))
-        self.exps = [np.array(es, dtype=np.int64).reshape(len(es), nfree) for es in self.mons.exps]
-        self.wtop = top if pivoted else 0
+        exps = [np.array(es, dtype=np.int64).reshape(len(es), nfree) for es in self.mons.exps]
+        self.wtop = top if nfree < n else 0
         self.shifts = [[_lookup(up, [mu[:i] + (mu[i] + 1,) + mu[i + 1:] for mu in es])
                         for i in range(nfree)]
                        for es, up in zip(self.mons.exps, self.mons.index[1:])]
-        if orders:   # a monomial step's sums, then the test's dtype
-            reps = projective_reps(nfree - 1, q).T.astype(stage_dtype((q - 1) ** 2, q))
-            grid = self.mons.values(reps, q, top)
-            self.grid = [np.ascontiguousarray(grid[j].T, dtype=dtype) for j in orders]
-        else:
-            self.grid = []
-
-
-class _Chart:
-    """v_lead = 0, v_free = r, v_pivot = w.r: the tangent directions at the
-    points with this leading index and gradient pivot (pivot == lead marks a
-    singular point, where every direction with v_lead = 0 is tangent).
-
-    `orders` lists (position among the kernel's orders, j, rows) for each
-    order j whose pullback is not identically zero, if the kind has any
-    directions; rows[a], a = 0..min(j, wtop), gives for each monomial delta
-    of degree j-a in r the jet row of the alpha with alpha_free = delta,
-    alpha_pivot = a, or -1 where that divided derivative is zero.
-    """
-
-    def __init__(self, n: int, lead: int, pivot: int, kind: _Kind, jets: _Derivatives):
-        self.pivot = pivot
-        self.free = np.array([c for c in range(n + 1) if c not in (lead, pivot)], dtype=np.intp)
-        self.kind = kind
-        self.orders = []
+        self.free = np.array([[c for c in range(n + 1) if c not in chart] for chart in charts],
+                             dtype=np.intp)
+        self.pivot = np.array([pivot for _, pivot in charts], dtype=np.intp)
         # each alpha's key in the radix of the jets' keys, looked up among
-        # the order's keys
+        # the order's keys: one search per order and a, for every chart
         place = (jets.d + 1) ** np.arange(n, -1, -1)
+        self.orders = []
         for pos, (j, keys) in enumerate(zip(jets.orders[1:], jets.keys[1:])):
             rows = []
-            for a in range(min(j, kind.wtop) + 1):
-                wanted = kind.exps[j - a] @ place[self.free] + a * place[pivot]
+            for a in range(min(j, self.wtop) + 1):
+                wanted = place[self.free] @ exps[j - a].T + a * place[self.pivot][:, None]
                 at = np.searchsorted(keys, wanted)
                 hit = at < len(keys)
                 hit[hit] = keys[at[hit]] == wanted[hit]
                 rows.append(np.where(hit, at, -1))
-            if kind.size and any((r >= 0).any() for r in rows):
+            if self.size and any((r >= 0).any() for r in rows):
                 self.orders.append((pos, j, rows))
+        self.grid = []
+        if self.orders:   # a monomial step's sums, then the test's dtype
+            reps = projective_reps(nfree - 1, q).T.astype(stage_dtype((q - 1) ** 2, q))
+            grid = self.mons.values(reps, q, top)
+            self.grid = [np.ascontiguousarray(grid[j].T, dtype=dtype) for _, j, _ in self.orders]
 
+    def pullback(self, runs: list[tuple[int, int, int]], jets: list[np.ndarray],
+                 q: int) -> list[np.ndarray]:
+        """For each of self.orders, j: C[beta, p], in the kind's dtype, the
+        coefficient mod q of r^beta in G_j(p, v) on p's chart (v_free = r,
+        v_pivot = w.r), at the points lo..hi-1 of the jets of each run (c,
+        lo, hi) on chart c, run after run; each jet ends in a zero row,
+        which a missing jet row (-1) reads (_Kernel.jets_at).
 
-def _pullback(chart: _Chart, jets: list[np.ndarray], q: int) -> list[np.ndarray]:
-    """For each of chart.orders, j: C[beta, p], in the kind's dtype, the
-    coefficient mod q of r^beta in G_j(p, v) on the chart (v_free = r,
-    v_pivot = w.r), at the points whose jets (gradient, then the kernel's
-    orders) are given.
+        G_j = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha!
+        with alpha_pivot = a: Horner's rule P <- H_a + (w.r) P, for a from
+        min(j, wtop) down to 0, reducing mod q after each step.  The jets
+        are in the kind's dtype, which holds a step's nfree products of two
+        residues plus a residue (see the module docstring).
+        """
+        def gather(J, table):   # rows table[c] of J at each run's points
+            return np.concatenate([J[table[c], lo:hi] for c, lo, hi in runs], axis=-1)
 
-    G_j = sum_a (w.r)^a H_a(r), H_a gathering the d^alpha F / alpha! with
-    alpha_pivot = a: Horner's rule P <- H_a + (w.r) P, for a from
-    min(j, wtop) down to 0, reducing mod q after each step.  The jets are
-    in the kind's dtype, which holds a step's nfree products of two
-    residues plus a residue (see the module docstring).
-    """
-    kind, grad = chart.kind, jets[0]
-    w = -grad[chart.free] * _inverse(grad[chart.pivot], q)
-    _reduce(w, q)
-    out = []
-    for pos, j, rows in chart.orders:
-        P = None
-        for a in range(len(rows) - 1, -1, -1):
-            H = jets[1 + pos][rows[a]]
-            H[rows[a] < 0] = 0
-            if P is not None:
-                for i, at in enumerate(kind.shifts[j - a - 1]):
-                    H[at] += w[i] * P
-                _reduce(H, q)
-            P = H
-        out.append(P)
-    return out
+        w = _reduce(-gather(jets[0], self.free) * _inverse(gather(jets[0], self.pivot), q), q)
+        out = []
+        for pos, j, rows in self.orders:
+            P = None
+            for a in range(len(rows) - 1, -1, -1):
+                H = gather(jets[1 + pos], rows[a])
+                if P is not None:
+                    for i, at in enumerate(self.shifts[j - a - 1]):
+                        H[at] += w[i] * P
+                    _reduce(H, q)
+                P = H
+            out.append(P)
+        return out
 
 
 class _Kernel:
@@ -707,8 +703,8 @@ class _Kernel:
     Built once per count_vk call and handed to forked pool workers: the
     divided derivatives of orders 1..k-1 (at most d), the dtype of the
     direction test and the pullback (stage_dtype of exactness_bound), and
-    the charts with their direction grids.  `count` does the per-point work
-    for a chunk of points sorted by chart key.
+    charts[key] = (kind, the chart's row in its tables).  `count` does the
+    per-point work for a chunk of points sorted by chart key.
     """
 
     def __init__(self, F: HyperForm, k: int):
@@ -717,7 +713,7 @@ class _Kernel:
         self.orders = list(range(2, min(k - 1, F.d) + 1))
         self.dtype = stage_dtype(exactness_bound(self.n, F.d, k, self.q))
         self.jets = _Derivatives(F, [1] + self.orders)
-        self.charts: dict[int, _Chart] = {}
+        self.charts: dict[int, tuple[_Kind, int]] = {}
 
     def chart_keys(self, pts: np.ndarray) -> np.ndarray:
         """lead * (n+1) + pivot for every point: the leading index and the first
@@ -731,35 +727,39 @@ class _Kernel:
         return lead * (self.n + 1) + pivot
 
     def add_charts(self, keys) -> None:
-        kinds: dict[bool, _Kind] = {}
-        for key in keys:
-            lead, pivot = divmod(int(key), self.n + 1)
-            pivoted = pivot != lead
-            if pivoted not in kinds:
-                nfree = self.n - 1 if pivoted else self.n
-                kinds[pivoted] = _Kind(nfree, pivoted, self.orders, self.q, self.dtype)
-            self.charts[int(key)] = _Chart(self.n, lead, pivot, kinds[pivoted], self.jets)
+        charts = [divmod(int(key), self.n + 1) for key in keys]
+        for mine in ([c for c in charts if c[0] != c[1]], [c for c in charts if c[0] == c[1]]):
+            if mine:   # the smooth kind, then the singular one
+                kind = _Kind(self.n, mine, self.jets, self.q, self.dtype)
+                self.charts.update((lead * (self.n + 1) + pivot, (kind, c))
+                                   for c, (lead, pivot) in enumerate(mine))
+
+    def jets_at(self, pts: np.ndarray) -> list[np.ndarray]:
+        """The gradient and the jets of the kernel's orders at pts, in the
+        direction test's dtype (residues, so exact in either), each with a
+        zero row last, which a kind's missing jet rows (-1) read."""
+        zero = np.zeros((1, len(pts)), dtype=self.dtype)
+        return [np.concatenate((J.astype(self.dtype, copy=False), zero)) for J in self.jets(pts)]
 
     def count(self, pts: np.ndarray, keys: np.ndarray) -> int:
         """Pairs (p, tangent direction) with G_2 = ... = G_{k-1} = 0 at p:
-        every G_j pulled back to each point's chart, then the kind's grid
-        tested; every direction of a chart with nothing to pull back."""
+        every G_j pulled back to each point's chart, a kind at a time, then
+        the kind's grid tested; every direction of a kind with no order."""
         total = 0
         for start in range(0, len(pts), _POINTS):
             part = keys[start:start + _POINTS]
-            # residues, so exact in either dtype (no copy where the two
-            # agree); with no order to test (k <= 2) no jet is needed
-            jets = [J.astype(self.dtype, copy=False)
-                    for J in self.jets(pts[start:start + _POINTS])] if self.orders else []
+            # with no order to test (k <= 2) no jet is needed
+            jets = self.jets_at(pts[start:start + _POINTS]) if self.orders else []
             cuts = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(part)]
+            runs: dict[_Kind, list[tuple[int, int, int]]] = {}
             for lo, hi in zip(cuts, cuts[1:]):
-                chart = self.charts[int(part[lo])]
-                if chart.orders:
-                    total += _grid_zeros([chart.kind.grid[pos] for pos, _, _ in chart.orders],
-                                         _pullback(chart, [h[:, lo:hi] for h in jets], self.q),
-                                         self.q)
+                kind, c = self.charts[int(part[lo])]
+                runs.setdefault(kind, []).append((c, lo, hi))
+            for kind, group in runs.items():
+                if kind.orders:
+                    total += _grid_zeros(kind.grid, kind.pullback(group, jets, self.q), self.q)
                 else:
-                    total += chart.kind.size * (hi - lo)
+                    total += kind.size * sum(hi - lo for _, lo, hi in group)
         return total
 
 
@@ -907,9 +907,14 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
         if workers == 1:
             count = kernel.count(pts, keys)
         else:
-            chunks = zip(np.array_split(pts, workers * 4), np.array_split(keys, workers * 4))
-            with multiprocessing.get_context("fork").Pool(workers, _adopt, (kernel,)) as pool:
-                count = sum(pool.starmap(_count_chunk, chunks))
+            # a worker that dies breaks the pool: the count raises
+            # BrokenProcessPool instead of waiting for its chunk
+            from concurrent.futures import ProcessPoolExecutor
+
+            chunks = np.array_split(pts, workers * 4), np.array_split(keys, workers * 4)
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
+                                     (kernel,)) as pool:
+                count = sum(pool.map(_count_chunk, *chunks))
     elapsed = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(q=q, k=k, count=count, n=F.n, d=F.d, elapsed_ms=elapsed)
 

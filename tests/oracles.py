@@ -49,11 +49,16 @@ def count_vk_bruteforce(F: HyperForm, k: int) -> int:
     Only sensible at very small q; kept as the independent correctness
     route for the chart-based counter.
     """
-    q = _prime_of(F)
     if k < 1:
         raise ValueError("contact order k must be >= 1")
+    return counts_vk_bruteforce(F, [k])[0]
+
+
+def counts_vk_bruteforce(F: HyperForm, ks) -> list:
+    """count_vk_bruteforce(F, k) for each k in ks, with one walk."""
+    q = _prime_of(F)
     f = F.field
-    count = 0
+    counts = [0] * len(ks)
     for r1, r2 in _rref_lines(F.n, q):
         # marked points of the line: canonical P^1 combinations
         marks = [([(r1[i] + lam * r2[i]) % q for i in range(F.n + 1)], r2)
@@ -61,9 +66,9 @@ def count_vk_bruteforce(F: HyperForm, k: int) -> int:
         marks.append((list(r2), r1))
         for p, u in marks:
             v = contact_order(F, LineParam.from_point_direction(p, u, f))
-            if v == CONTAINED or v >= k:
-                count += 1
-    return count
+            for i, k in enumerate(ks):
+                counts[i] += v == CONTAINED or v >= k
+    return counts
 
 
 def lines_in_hypersurface(F: HyperForm) -> int:

@@ -1,14 +1,18 @@
 """Finite-field contact-pair counts: chart enumeration against brute
 force, closed forms, determinism under chunking, and the slope report."""
 
+import contextlib
 import functools
 import hashlib
 import math
 import multiprocessing
 import os
 import random
+import signal
+import sys
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from itertools import product
 
 import numpy as np
@@ -20,10 +24,11 @@ from oracles import (
     _rref_lines,
     count_v3_second_form,
     count_vk_bruteforce,
+    counts_vk_bruteforce,
     gradient,
     lines_in_hypersurface,
 )
-from tangency import counting
+from tangency import cli, counting
 from tangency.counting import (
     CountRecord,
     check_exact,
@@ -318,29 +323,40 @@ def pullback_cases(draw):
 def test_pullback_is_the_expansion_along_the_chart(case):
     # oracle: F(y_0 p + sum_c r_c (e_c + w_c e_pivot)) over the free c, whose
     # y_0^(d-j) r^beta coefficient is that of r^beta in G_j on the chart
+    # every chart run of a kind is pulled back in one call, as count does
     F, k = case
     q, n, f = F.field.p, F.n, F.field
     kernel = counting._Kernel(F, k)
     pts = hypersurface_points(F)
     keys = kernel.chart_keys(pts)
+    order = np.argsort(keys, kind="stable")
+    pts, keys = pts[order], keys[order]
     kernel.add_charts(np.unique(keys))
+    jets, runs = kernel.jets_at(pts), {}
     for key in np.unique(keys).tolist():
-        lead, pivot = divmod(key, n + 1)
-        chart, group = kernel.charts[key], pts[keys == key]
-        pulled = counting._pullback(chart, kernel.jets(group), q)
-        by_order = {j: C for (_, j, _), C in zip(chart.orders, pulled)}
-        for i, p in enumerate(group[:4].tolist()):
-            grad = gradient(F, p)
-            w = [0 if pivot == lead else -grad[c] * pow(grad[pivot], -1, q) % q
-                 for c in chart.free]
-            cols = [p] + [[int(x == c) + wc * (x == pivot) for x in range(n + 1)]
-                          for c, wc in zip(chart.free, w)]
-            got = expand(F.terms, cols, f)
-            for j in kernel.orders:
-                betas = chart.kind.mons.exps[j]
-                want = [int(got.get((F.d - j,) + beta, 0)) for beta in betas]
-                have = by_order[j][:, i] if j in by_order else np.zeros(len(betas))
-                assert [int(x) for x in have] == want, (F, p, j)
+        kind, c = kernel.charts[key]
+        lo, hi = np.searchsorted(keys, [key, key + 1]).tolist()
+        runs.setdefault(kind, []).append((c, lo, hi))
+    for kind, group in runs.items():
+        by_order = {j: C for (_, j, _), C in zip(kind.orders, kind.pullback(group, jets, q))}
+        at = 0   # the run's first column among the kind's
+        for c, lo, hi in group:
+            lead, pivot = divmod(keys[lo].item(), n + 1)
+            assert pivot == kind.pivot[c] and sorted(kind.free[c]) == [
+                x for x in range(n + 1) if x not in (lead, pivot)]
+            for i, p in enumerate(pts[lo:hi][:4].tolist()):
+                grad = gradient(F, p)
+                w = [0 if pivot == lead else -grad[x] * pow(grad[pivot], -1, q) % q
+                     for x in kind.free[c]]
+                cols = [p] + [[int(y == x) + wx * (y == pivot) for y in range(n + 1)]
+                              for x, wx in zip(kind.free[c], w)]
+                got = expand(F.terms, cols, f)
+                for j in kernel.orders:
+                    betas = kind.mons.exps[j]
+                    want = [int(got.get((F.d - j,) + beta, 0)) for beta in betas]
+                    have = by_order[j][:, at + i] if j in by_order else np.zeros(len(betas))
+                    assert [int(x) for x in have] == want, (F, p, j)
+            at += hi - lo
 
 
 def test_enumeration_refuses_spaces_beyond_one_array():
@@ -565,6 +581,95 @@ def test_worker_determinism(monkeypatch):
         baseline = count_vk(F, 3).count
         for workers in (1, 2, 3, 5, len(os.sched_getaffinity(0))):
             assert count_vk(F, 3, workers=workers).count == baseline, F
+
+
+def boundary_forms() -> list[HyperForm]:
+    """Seeded forms with both smooth and singular rational points, at most
+    one block of them: x_0 occurs only to a power at most d-2, so
+    (1, 0, ..., 0) is singular."""
+    rng = random.Random("kind boundaries")
+    forms = []
+    for n, q in ((1, 7), (2, 5), (2, 7), (3, 5), (2, 13), (3, 7), (4, 5), (3, 11)):
+        while True:
+            d = rng.randint(2, min(q - 1, 5))
+            terms = {e: rng.randrange(1, q) for e in monomials(n, d)
+                     if e[0] <= d - 2 and rng.random() < 0.4}
+            F = HyperForm(n, d, terms, PrimeField(q))
+            if 0 < len(rational_singular_points(F)) < len(hypersurface_points(F)) <= 2048:
+                forms.append(F)
+                break
+    return forms
+
+
+def test_no_block_or_kind_boundary_changes_a_count(monkeypatch):
+    # runs of smooth and singular points share a block: blocks of one point,
+    # of seven and of the default size, in one worker and in two (the pool
+    # started whatever the size of the count), give the same counts, which
+    # the brute-force route confirms at q <= 7 in P^1..P^3
+    monkeypatch.setattr(counting, "worker_count", lambda requested, work: requested)
+    forms = boundary_forms()
+    assert len(forms) == 8
+    for F in forms:
+        counts = {}
+        for points, workers in product((1, 7, counting._POINTS), (1, 2)):
+            with monkeypatch.context() as mp:
+                mp.setattr(counting, "_POINTS", points)
+                counts[points, workers] = [count_vk(F, k, workers=workers).count
+                                           for k in range(1, F.d + 3)]
+        assert len(set(map(tuple, counts.values()))) == 1, (F, counts)
+        if F.field.p <= 7 and F.n <= 3:
+            assert counts[1, 1] == counts_vk_bruteforce(F, range(1, F.d + 3)), F
+
+
+# the point whose chunk kills its worker (die_with_the_first_point)
+DOOMED = None
+
+
+def die_with_the_first_point(pts: np.ndarray, keys: np.ndarray) -> int:
+    """_count_chunk, except in the worker handed the chunk that holds the
+    point DOOMED, which kills its own process."""
+    if (pts == DOOMED).all(axis=1).any():
+        os.kill(os.getpid(), signal.SIGKILL)
+    return counting._worker_kernel.count(pts, keys)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block after `seconds`, so that a count
+    that waits forever fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_a_worker_that_dies_ends_the_count(monkeypatch, tmp_path, capsys):
+    # one chunk's worker is killed: count_vk raises at once, and count-vk
+    # says so on one line and exits 2; no worker is left behind
+    F = HyperForm.fermat(3, 3, PrimeField(7))
+    pts = hypersurface_points(F)
+    monkeypatch.setattr(sys.modules[__name__], "DOOMED", pts[0])
+    monkeypatch.setattr(counting, "_count_chunk", die_with_the_first_point)
+    monkeypatch.setattr(counting, "worker_count", lambda requested, work: requested)
+    began = time.perf_counter()
+    with deadline(60), pytest.raises(BrokenProcessPool):
+        count_vk(F, 3, workers=2)
+    assert time.perf_counter() - began < 20
+    path = tmp_path / "fermat.hs"
+    path.write_text("".join(f"1 {' '.join(str(3 * (i == c)) for i in range(4))}\n"
+                            for c in range(4)))
+    with deadline(60):
+        code = cli.main(["count-vk", "--input", str(path), "--q", "7", "--k", "3",
+                         "--threads", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_count_clamps():
@@ -832,28 +937,28 @@ def test_cell_axes_are_exact_on_both_sides_of_each_edge(q, dtype):
         assert np.array_equal(divisible, want == 0)
 
 
-def horner_reference(chart, jets, q: int) -> list:
-    """_pullback's coefficients with Python ints: sum_a (w.r)^a H_a(r) at
-    each point, w = -grad_free / grad_pivot."""
-    kind, out = chart.kind, []
-    for pos, j, rows in chart.orders:
+def horner_reference(kind, c: int, jets, q: int) -> list:
+    """_Kind.pullback's coefficients on chart c with Python ints: sum_a
+    (w.r)^a H_a(r) at each point, w = -grad_free / grad_pivot."""
+    out = []
+    for pos, j, rows in kind.orders:
         cols = []
         for p in range(jets[0].shape[1]):
             grad = [int(g) for g in jets[0][:, p]]
-            w = [-grad[c] * pow(grad[chart.pivot], -1, q) for c in chart.free]
+            w = [-grad[x] * pow(grad[kind.pivot[c]], -1, q) for x in kind.free[c]]
             total = {}
             for a, at in enumerate(rows):
                 term = {delta: int(jets[1 + pos][r, p]) if r >= 0 else 0
-                        for delta, r in zip(kind.mons.exps[j - a], at.tolist())}
+                        for delta, r in zip(kind.mons.exps[j - a], at[c].tolist())}
                 for _ in range(a):   # times w.r
                     times = {}
-                    for mu, c in term.items():
+                    for mu, coef in term.items():
                         for i, wi in enumerate(w):
                             up = mu[:i] + (mu[i] + 1,) + mu[i + 1:]
-                            times[up] = times.get(up, 0) + c * wi
+                            times[up] = times.get(up, 0) + coef * wi
                     term = times
-                for beta, c in term.items():
-                    total[beta] = total.get(beta, 0) + c
+                for beta, coef in term.items():
+                    total[beta] = total.get(beta, 0) + coef
             cols.append([total.get(beta, 0) % q for beta in kind.mons.exps[j]])
         out.append(np.array(cols, dtype=object).T)
     return out
@@ -868,8 +973,9 @@ def test_horner_steps_are_exact_on_both_sides_of_each_edge(q, dtype, monkeypatch
     # the pullback runs in the direction test's dtype, whose edges carry no
     # headroom (past the float64 edge the count is refused); a pivoted chart
     # takes Horner steps of 2 products plus a residue, here on jets drawn in
-    # [7q/8, q), the pivot gradient a unit.  The chart's direction grid,
-    # q + 1 rows, is not needed: one row stands in for it
+    # [7q/8, q), the pivot gradient a unit, in two runs of the chart.  The
+    # chart's direction grid, q + 1 rows, is not needed: one row stands in
+    # for it
     monkeypatch.setattr(counting, "projective_reps", lambda m, q: np.ones((1, m + 1), np.int64))
     rng = random.Random(q)
     F = HyperForm(3, 3, {e: rng.randrange(1, q) for e in monomials(3, 3)}, PrimeField(q))
@@ -877,11 +983,13 @@ def test_horner_steps_are_exact_on_both_sides_of_each_edge(q, dtype, monkeypatch
     assert kernel.dtype == dtype == counting.stage_dtype(exactness_bound(3, 3, 4, q))
     key = 0 * 4 + 1   # lead 0, pivot 1
     kernel.add_charts([key])
-    chart = kernel.charts[key]
-    assert [j for _, j, _ in chart.orders] == [2, 3] and chart.kind.wtop == 3
+    kind, c = kernel.charts[key]
+    assert [j for _, j, _ in kind.orders] == [2, 3] and kind.wtop == 3
     jets = [large_residues(rng, q, (len(keys), 24)) for keys in kernel.jets.keys]
-    got = counting._pullback(chart, [J.astype(dtype) for J in jets], q)
-    for C, want in zip(got, horner_reference(chart, jets, q), strict=True):
+    # each jet with the zero row last that the missing rows read
+    padded = [np.concatenate((J, np.zeros((1, 24), dtype=object))).astype(dtype) for J in jets]
+    got = kind.pullback([(c, 0, 10), (c, 10, 24)], padded, q)
+    for C, want in zip(got, horner_reference(kind, c, jets, q), strict=True):
         assert C.dtype == dtype
         assert C.astype(np.int64).tolist() == want.tolist(), q
 
@@ -931,9 +1039,11 @@ def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
     and the pullback of a quartic's in P^7 to one chart; return this
     process's thread count."""
     rng = np.random.default_rng(66)
+    fermat = counting._Derivatives(HyperForm.fermat(5, 5, PrimeField(q)), [1] + orders)
     for dtype in (np.float32, np.float64):
-        for nfree, pivoted in ((4, True), (5, False)):
-            kind = counting._Kind(nfree, pivoted, orders, q, np.dtype(dtype))
+        for chart in ((0, 1), (0, 0)):   # a smooth chart, a singular one
+            kind = counting._Kind(5, [chart], fermat, q, np.dtype(dtype))
+            assert len(kind.grid) == len(orders)
             for m in (counting._TILE_POINTS + 1, 1):
                 coefs = [rng.integers(0, q, (M.shape[1], m)).astype(dtype) for M in kind.grid]
                 counting._grid_zeros(kind.grid, coefs, q)
@@ -950,7 +1060,8 @@ def threads_after_grid_zeros(q: int, orders: list[int]) -> int:
     kernel = counting._Kernel(dense_form(7, 4, 5, 5), 4)
     kernel.add_charts([0 * 8 + 1])
     pts = rng.integers(1, 5, (counting._POINTS, 8))
-    assert counting._pullback(kernel.charts[1], kernel.jets(pts), 5)
+    kind, c = kernel.charts[1]
+    assert kind.pullback([(c, 0, len(pts))], kernel.jets_at(pts), 5)
     return len(os.listdir("/proc/self/task"))
 
 

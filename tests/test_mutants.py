@@ -25,11 +25,12 @@ sampler's forms made without checks (zero coefficients kept); a trial's
 Euler membership taken from one route; PrimeField equality flipped; the
 two ways to get the rescale of a fraction-free elimination row wrong; the
 counter's pullback (a Horner sign flipped, the pivot solved with the
-wrong sign), each caught by oracle B, its float exactness bound without
-its top order, its reduction mod q without the step that makes a residue
-non-negative, a stage's dtype picked without the reduction's headroom,
-its GEMMs made in one tile, caught by the threads of a forked worker, and
-its int64 divisibility test read off the wrong side of the remainder;
+wrong sign, the zero row its missing jet rows read dropped), each caught
+by oracle B, its float exactness bound without its top order, its
+reduction mod q without the step that makes a residue non-negative, a
+stage's dtype picked without the reduction's headroom, its GEMMs made in
+one tile, caught by the threads of a forked worker, and its int64
+divisibility test read off the wrong side of the remainder;
 the expected h0 attached past exact contact; QQ's lowering without one
 column's denominator power, caught by reduction mod p; and the ring check
 Schubert and flag classes share without its class comparison.
@@ -258,12 +259,17 @@ MUTANTS = {
         RationalField, "lifted",
         {"zip(dens, a)": "zip(dens[1:], a[1:])"}, (_expand_mod_p,)),
     # the counter's Horner step P <- H_a - (w.r) P
-    "pullback-horner-sign-flipped": (counting, "_pullback",
+    "pullback-horner-sign-flipped": (counting._Kind, "pullback",
                                      {"H[at] += w[i] * P": "H[at] -= w[i] * P"}, ORACLE_B),
     # v_pivot = -w.r, w solved from grad.v = 0 with the wrong sign
-    "pivot-solved-with-the-wrong-sign": (counting, "_pullback",
-                                         {"w = -grad[chart.free]": "w = grad[chart.free]"},
+    "pivot-solved-with-the-wrong-sign": (counting._Kind, "pullback",
+                                         {"w = _reduce(-gather(": "w = _reduce(gather("},
                                          ORACLE_B),
+    # the jets without the zero row their missing rows (-1) read, so that
+    # a divided derivative that is zero reads the last jet row instead
+    "missing-jet-rows-unmasked": (counting._Kernel, "jets_at",
+                                  {"np.concatenate((J.astype(self.dtype, copy=False), zero))":
+                                   "J.astype(self.dtype, copy=False)"}, ORACLE_B),
     # the counter's reduction mod q left in (-q, q), without the step that
     # adds q to a negative residue
     "reduction-without-its-one-step-fix": (
@@ -416,7 +422,8 @@ def test_the_truncated_route_mutants_compile_back_to_themselves(monkeypatch):
 
 
 def test_the_counter_and_lowering_mutants_compile_back_to_themselves(monkeypatch):
-    for owner, name in ((counting, "_pullback"), (counting, "exactness_bound"),
+    for owner, name in ((counting._Kind, "pullback"), (counting._Kernel, "jets_at"),
+                        (counting, "exactness_bound"),
                         (counting, "_reduce"), (counting, "stage_dtype"),
                         (counting, "_gemm"), (counting, "_divisible"),
                         (deformation, "_sections"), (RationalField, "lifted")):
