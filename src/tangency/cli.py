@@ -4,9 +4,7 @@ One executable, `tangency`, dispatching to the symbolic Schubert engine,
 the enumerative bound pipelines, the deformation lab, and the
 finite-field counters.  Exit codes: 0 success, 2 validation, usage or
 file error (or a count whose worker process died), 3 internal assertion
-failure (a frozen identity or replication target no longer holds).  The
-argument parser is built once per process, on main's first call, and
-reused by every later call.
+failure (a frozen identity or replication target no longer holds).
 
 All JSON output conforms to the shipped schema
 (tangency/schemas/output.schema.json).  Polynomials print in canonical
@@ -20,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import BrokenExecutor
 from math import log2
 
 from . import schubert
@@ -537,23 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# The parser main reuses, built on its first call: building one took about
-# 3 ms on a 2-core Xeon, a third of a count-vk of a dense quintic at q = 11.
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as ex:
         code = ex.code
         return int(code) if code else 0
     try:
         return args.handler(args)
-    except (ValueError, ZeroDivisionError, OSError, BrokenExecutor) as ex:
+    except (ValueError, ZeroDivisionError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except MemoryError as ex:

@@ -882,7 +882,8 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
     """Exact |V_k(X)(F_q)|: pairs (p, line through p) with contact >= k.
 
     `workers` is an upper bound: worker_count caps it by the CPUs this
-    process may run on and by the size of the count.
+    process may run on and by the size of the count.  A worker process
+    that dies raises ChildProcessError.
     """
     q = _prime_of(F)
     if k < 1:
@@ -908,13 +909,17 @@ def count_vk(F: HyperForm, k: int, workers: int = 1) -> CountRecord:
             count = kernel.count(pts, keys)
         else:
             # a worker that dies breaks the pool: the count raises
-            # BrokenProcessPool instead of waiting for its chunk
+            # ChildProcessError (an OSError) instead of waiting for its chunk
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
             chunks = np.array_split(pts, workers * 4), np.array_split(keys, workers * 4)
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
-                                     (kernel,)) as pool:
-                count = sum(pool.map(_count_chunk, *chunks))
+            try:
+                with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                         _adopt, (kernel,)) as pool:
+                    count = sum(pool.map(_count_chunk, *chunks))
+            except BrokenProcessPool as ex:
+                raise ChildProcessError(f"a counting worker died: {ex}") from ex
     elapsed = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(q=q, k=k, count=count, n=F.n, d=F.d, elapsed_ms=elapsed)
 

@@ -535,18 +535,6 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
     assert h.hexdigest() == "3a95e44bdd3e5ae8ae4c330ff0cf883546decb9d2c8ac44adfb7891f02c26238"
 
 
-def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
-    # every call after the first reuses the parser, whatever it was asked:
-    # a result, a usage error and --help
-    built, build = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    monkeypatch.setattr(cli, "_parser", None, raising=False)
-    codes = [main(argv) for argv in (["bound", "planes"], ["schubert", "nope"], ["--help"],
-                                     ["bound", "z6"])]
-    capsys.readouterr()
-    assert codes == [0, 2, 0, 0] and len(built) == 1
-
-
 def test_huge_q_is_answered_or_refused_at_once(capsys, tmp_path):
     # primality of q is Miller-Rabin, not trial division up to sqrt(q)
     cubic = fermat_file(tmp_path, 2, 3)

@@ -12,7 +12,6 @@ import signal
 import sys
 import time
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 from itertools import product
 
 import numpy as np
@@ -658,7 +657,7 @@ def test_a_worker_that_dies_ends_the_count(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(counting, "_count_chunk", die_with_the_first_point)
     monkeypatch.setattr(counting, "worker_count", lambda requested, work: requested)
     began = time.perf_counter()
-    with deadline(60), pytest.raises(BrokenProcessPool):
+    with deadline(60), pytest.raises(ChildProcessError, match="a counting worker died"):
         count_vk(F, 3, workers=2)
     assert time.perf_counter() - began < 20
     path = tmp_path / "fermat.hs"
