@@ -16,182 +16,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from math import log2
 
 from . import schubert
-from .counting import CountRecord, count_vk, dimension_slope, magnitude
+from .counting import CountRecord, count_vk, dimension_slope
 from .deformation import congruence_check, contact_order, log_sections, truncate
-from .dpoly import DPoly
 from .enumerative import BOUND_INFO, fano_line_count
 from .fermat import fermat_planes
-from .fields import QQ, PrimeField
-from .flag import FlagElt, hclass, integrate
+from .fields import QQ, PrimeField, _quoted, read_int
+from .flag import FlagElt, integrate, parse_expression
 from .forms import _parse_scalar, parse_form, parse_line_param
 
 
 # ---------------------------------------------------------------------------
-# expression parsing: integers, d, s[a,b], H1, H2, + - * ^ ( )
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sig>s\[\s*\d+\s*(?:,\s*\d+\s*)?\])|(?P<h>H[12])"
-    r"|(?P<int>\d+)|(?P<var>d)|(?P<op>[-+*^()]))"
-)
-
-
-# parentheses and unary signs one expression may nest: each level is a few
-# frames of the recursive-descent parser, far below Python's recursion limit
-MAX_NESTING = 100
+# output and inputs
 
 # decimal digits a printed coefficient may have, below Python's limit of
 # 4300 on int-to-str conversion; any int of at most _MAX_BITS bits has at
 # most MAX_DIGITS digits, so bit_length decides before any str()
 MAX_DIGITS = 4000
 _MAX_BITS = int(MAX_DIGITS * log2(10))
-
-
-def _quoted(text: str) -> str:
-    """An expression as an error message names it, cut after 40 characters."""
-    return repr(text if len(text) <= 40 else text[:40] + "...")
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot read expression at: {text[pos:pos + 20]!r}")
-        out.append(m.group(0).strip())
-        pos = m.end()
-    out.append("")  # end marker
-    return out
-
-
-# Steps one expression may take, charged before each product: for every
-# pair of Schubert terms, one product of their coefficients and n^2 Pieri
-# strip steps that add it into the result, each priced at the _size of the
-# coefficients.  s[1]^118 on G(1,60) takes about 1e7, s[1]^100 on G(1,100)
-# 2e7; s[1]^400 on G(1,300) and (d+1)^4000 are refused.
-_SYMBOLIC_BUDGET = 1 << 28
-
-
-def _size(c: DPoly) -> int:
-    """c's coefficients times the 30-bit digits (Python's) of its largest."""
-    return len(c.coeffs) * (1 + max(map(int.bit_length, c.coeffs)) // 30)
-
-
-class _ExprParser:
-    """Recursive-descent parser producing a FlagElt of arity 2."""
-
-    def __init__(self, text: str, n: int):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.n = n
-        self.work = 0
-        self.depth = 0
-
-    def nested(self, parse) -> FlagElt:
-        """parse() one level deeper, refused past MAX_NESTING levels."""
-        if self.depth == MAX_NESTING:
-            raise ValueError(f"expression {_quoted(self.text)} nests parentheses and signs "
-                             f"deeper than the limit of {MAX_NESTING}")
-        self.depth += 1
-        value = parse()
-        self.depth -= 1
-        return value
-
-    def times(self, x: FlagElt, y: FlagElt) -> FlagElt:
-        """x * y, once its steps fit in what is left of the budget."""
-        sizes = [[_size(c) for s in z.terms.values() for c in s.terms.values()]
-                 for z in (x, y)]
-        (tx, sx), (ty, sy) = ((len(z), sum(z)) for z in sizes)
-        self.work += self.n ** 2 * (sx * ty + tx * sy) + sx * sy
-        if self.work > _SYMBOLIC_BUDGET:
-            raise ValueError(f"the products on G(1,{self.n}) would take about "
-                             f"{magnitude(self.work)} steps, over the work budget of "
-                             f"2^{_SYMBOLIC_BUDGET.bit_length() - 1} for one expression")
-        return x * y
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def take(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> FlagElt:
-        value = self.expr()
-        if self.peek() != "":
-            raise ValueError(f"unexpected token {self.peek()!r} in expression")
-        return value
-
-    def expr(self) -> FlagElt:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> FlagElt:
-        value = self.factor()
-        while self.peek() == "*":
-            self.take()
-            value = self.times(value, self.factor())
-        return value
-
-    def factor(self) -> FlagElt:
-        if self.peek() == "-":
-            self.take()
-            return self.nested(self.factor).scale(-1)
-        value = self.atom()
-        while self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise ValueError(f"exponent must be an integer, got {tok!r}")
-            # square and multiply with power * value^e fixed; once either
-            # factor is zero (every class past the dimension is), so is the rest
-            power, e = self._scalar(1), int(tok)
-            while e and not (power.is_zero() or value.is_zero()):
-                if e & 1:
-                    power = self.times(power, value)
-                e >>= 1
-                if e:
-                    value = self.times(value, value)
-            value = FlagElt.zero(self.n, 2) if e else power
-        return value
-
-    def _scalar(self, c) -> FlagElt:
-        return FlagElt.from_base(schubert.sigma(self.n, 0, 0, coeff=c), arity=2)
-
-    def atom(self) -> FlagElt:
-        tok = self.take()
-        if tok == "(":
-            value = self.nested(self.expr)
-            if self.take() != ")":
-                raise ValueError("unbalanced parentheses in expression")
-            return value
-        if tok.isdigit():
-            return self._scalar(int(tok))
-        if tok == "d":
-            return self._scalar(DPoly.var())
-        if tok in ("H1", "H2"):
-            return hclass(self.n, 2, int(tok[1]))
-        if tok.startswith("s["):
-            inner = tok[2:-1]
-            parts = [int(x) for x in inner.split(",")]
-            a, b = (parts[0], 0) if len(parts) == 1 else (parts[0], parts[1])
-            return FlagElt.from_base(schubert.sigma(self.n, a, b), arity=2)
-        raise ValueError(f"unexpected token {tok!r} in expression")
-
-
-def parse_expression(text: str, n: int) -> FlagElt:
-    return _ExprParser(text, n).parse()
 
 
 def _printable(expr: str, polys) -> None:
@@ -207,9 +52,6 @@ def _base_only(x: FlagElt):
         raise ValueError("H1/H2 are not allowed in a schubert expression")
     return x.terms.get((0, 0), schubert.SchubertElt.zero(x.n))
 
-
-# ---------------------------------------------------------------------------
-# output and inputs
 
 def _show(args, doc: dict, text, csv: str | None = None, warnings=()) -> int:
     """Print one result the way --format asks: doc as indented JSON, or
@@ -350,7 +192,7 @@ def _cmd_count_vk(args) -> int:
 
 def _cmd_slope(args) -> int:
     try:
-        data = json.loads(_read(args.series))
+        data = json.loads(_read(args.series), parse_int=lambda tok: read_int(tok, args.series))
     except json.JSONDecodeError as ex:
         raise ValueError(f"invalid JSON in {args.series}: {ex}") from ex
     if not isinstance(data, list):

@@ -129,7 +129,7 @@ from math import comb
 
 import numpy as np
 
-from .fields import PrimeField, is_prime
+from .fields import PrimeField, is_prime, magnitude
 from .forms import HyperForm, monomials
 
 
@@ -432,13 +432,6 @@ def check_exact(n: int, d: int, k: int, q: int) -> None:
             f"q = {q} is too large for exact counting at n = {n}, d = {d}, "
             f"k = {k}: sums reach {bound} >= 2^53"
         )
-
-
-def magnitude(work: int) -> str:
-    """A step count for an error message: 4.0e+11, or 2^1024 past the
-    float range (where |P^645(F_3)| lies), read off the bit length."""
-    bits = work.bit_length()
-    return f"{work:.1e}" if bits <= 1023 else f"2^{bits - 1}"
 
 
 def _check_budget(work: int, what: str) -> None:

@@ -18,6 +18,7 @@ Fermat root ring packs its elements by Kronecker substitution
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -286,3 +287,32 @@ def mat_vec(rows, v, field):
         cs, Dr = _cleared(r, p)
         out.append(_over(sum(map(mul, cs, nums)), Dr * Dv, p))
     return out
+
+
+def read_int(tok: str, where: str) -> int | None:
+    """The integer tok spells, as int reads it, or None if it spells none.
+    A decimal tok of more digits than Python converts (4300 unless set
+    otherwise) is refused by its digit count; `where` opens the error."""
+    try:
+        return int(tok)
+    except ValueError:
+        digits = tok.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if not digits.isdecimal():
+            return None
+        raise ValueError(f"{where}: {_quoted(tok)} has {len(digits)} digits, over Python's "
+                         f"limit of {sys.get_int_max_str_digits()} on integers read from "
+                         "text") from None
+
+
+def _quoted(text: str) -> str:
+    """An expression or a token as an error message names it, cut after 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
+def magnitude(work: int) -> str:
+    """A step count for an error message: 4.0e+11, or 2^1024 past the
+    float range (where |P^645(F_3)| lies), read off the bit length."""
+    bits = work.bit_length()
+    return f"{work:.1e}" if bits <= 1023 else f"2^{bits - 1}"

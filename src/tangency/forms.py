@@ -46,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .fields import matrix_rank
+from .fields import _quoted, matrix_rank, read_int
 
 # the (n, d) whose monomial lists stay memoized: deform-fp's trials ask
 # for 12 across its nine (n, d) pairs
@@ -479,10 +479,9 @@ def parse_form(text: str, field) -> HyperForm:
         if len(toks) < 3:
             raise ValueError(f"line {lineno}: need a coefficient and n+1 exponents")
         c = _parse_scalar(toks[0], field, f"line {lineno}")
-        try:
-            e = tuple(int(t) for t in toks[1:])
-        except ValueError:
-            raise ValueError(f"line {lineno}: exponents must be integers") from None
+        e = tuple(read_int(t, f"line {lineno}") for t in toks[1:])
+        if None in e:
+            raise ValueError(f"line {lineno}: exponents must be integers")
         if n is None:
             n = len(e) - 1
         elif len(e) != n + 1:
@@ -510,14 +509,13 @@ def parse_line_param(text: str, field) -> LineParam:
 
 def _parse_scalar(tok: str, field, where: str):
     """The field element "a" or "a/b"; `where` (option, line) opens an error."""
-    try:
-        parts = [int(x) for x in tok.split("/", 1)]
-    except ValueError:
-        raise ValueError(f"{where}: {tok!r} is not an integer or a fraction a/b") from None
+    parts = [read_int(x, where) for x in tok.split("/", 1)]
+    if None in parts:
+        raise ValueError(f"{where}: {_quoted(tok)} is not an integer or a fraction a/b")
     c = field.of(parts[0])
     if len(parts) == 1:
         return c
     den = field.of(parts[1])
     if field.is_zero(den):
-        raise ValueError(f"{where}: {tok!r} has a zero denominator in {field!r}")
+        raise ValueError(f"{where}: {_quoted(tok)} has a zero denominator in {field!r}")
     return field.mul(c, field.inv(den))

@@ -4,15 +4,17 @@ schema conformance."""
 import hashlib
 import json
 import re
+import sys
 import time
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from tangency import cli, counting
-from tangency.cli import main, parse_expression
+from tangency import cli, counting, flag
+from tangency.cli import main
 from tangency.deformation import CongruenceReport
+from tangency.flag import parse_expression
 
 
 @pytest.fixture(scope="module")
@@ -660,7 +662,7 @@ def test_count_vk_beyond_the_memory_budget_exit_2(capsys, tmp_path, monkeypatch)
 def test_expression_nesting_limit(capsys):
     # each level is a few frames of the recursive-descent parser: past the
     # limit the expression is refused, not the interpreter's stack
-    limit = cli.MAX_NESTING
+    limit = flag.MAX_NESTING
     # a sign and a parenthesis are one level each
     for opened, close, levels in (("(", ")", 1), ("-(", ")", 2), ("-", "", 1)):
         units = limit // levels
@@ -691,3 +693,51 @@ def test_printed_coefficients_are_priced_before_str(capsys, fmt):
     code, out, _ = run(capsys, "schubert", "mult", "99^2000", "--n", "2", "--format", fmt)
     text = json.loads(out)["schubert"] if fmt == "json" else out.rstrip("\n")
     assert code == 0 and text == f"{99 ** 2000}*s[0,0]"
+
+
+# 5000 digits, past Python's 4300 on int conversion: each integer reader
+# refuses the token by its digit count, cut at 40 characters, not whole
+DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("count-vk", "--input", "{t}/coefficient.hs", "--q", "7", "--k", "2"),
+     "{t}/coefficient.hs: line 1: "),
+    (("count-vk", "--input", "{t}/exponent.hs", "--q", "7", "--k", "2"),
+     "{t}/exponent.hs: line 2: "),
+    (("deform", "contact", "--form", "{t}/coefficient.hs", "--line", "{t}/tangent.txt"),
+     "{t}/coefficient.hs: line 1: "),
+    (("deform", "contact", "--form", "{t}/conic.hs", "--line", "{t}/digits.txt"),
+     "{t}/digits.txt: line 2: "),
+    (("deform", "truncate", "--form", "{t}/coefficient.hs", "--point", "1,0,0", "--k", "1"),
+     "{t}/coefficient.hs: line 1: "),
+    (("deform", "truncate", "--form", "{t}/conic.hs", "--point", f"1,{DIGITS},0", "--k", "1"),
+     "--point: "),
+    (("deform", "truncate", "--form", "{t}/conic.hs", "--point", f"1,1/{DIGITS},0",
+      "--k", "1"), "--point: "),
+    (("schubert", "mult", DIGITS, "--n", "2"), "expression: "),
+    (("schubert", "mult", f"s[1]^{DIGITS}", "--n", "2"), "expression: "),
+    (("schubert", "mult", f"s[{DIGITS}]", "--n", "2"), "expression: "),
+    (("flag", "integrate", f"{DIGITS}*s[1,1]*H1*H2", "--n", "2"), "expression: "),
+    (("slope", "--series", "{t}/digits.json"), "{t}/digits.json: "),
+])
+def test_integers_past_the_conversion_limit_exit_2(capsys, tmp_path, argv, where):
+    files = {"coefficient.hs": f"{DIGITS} 1 0 1\n-1 0 2 0\n",
+             "exponent.hs": f"1 1 0 1\n-1 0 {DIGITS} 0\n", "conic.hs": CONIC,
+             "tangent.txt": TANGENT, "digits.txt": f"0 1\n1 {DIGITS}\n0 0\n",
+             "digits.json": json.dumps(RECORDS).replace(str(7 ** 4), DIGITS)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(a.replace("{t}", str(tmp_path)) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {where.replace('{t}', str(tmp_path))}'{DIGITS[:40]}...' has 5000 "
+                   f"digits, over Python's limit of {sys.get_int_max_str_digits()} on integers "
+                   "read from text\n")
+
+
+def test_a_long_token_that_is_no_integer_is_cut(capsys, tmp_path):
+    (tmp_path / "conic.hs").write_text(CONIC)
+    code, out, err = run(capsys, "deform", "truncate", "--form", str(tmp_path / "conic.hs"),
+                         "--point", f"1,x{DIGITS},0", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: --point: 'x{DIGITS[:39]}...' is not an integer or a fraction a/b\n"

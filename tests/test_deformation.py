@@ -375,6 +375,27 @@ def test_sample_contact_form_linear():
         assert any(not f.is_zero(g) for g in gradient(F, L.marked_point()))
 
 
+def test_sample_contact_form_redraws_a_form_singular_at_the_marked_point(monkeypatch):
+    # over F_3 a conic of contact exactly 2 along L is often singular at
+    # p (a pair of lines through p); such a draw is drawn again, and what
+    # is returned is smooth at p with the same contact
+    f, drawn, real = PrimeField(3), [], deformation.random_kernel_vector
+    monkeypatch.setattr(deformation, "random_kernel_vector",
+                        lambda *args: drawn.append(real(*args)) or drawn[-1])
+    singular = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        L = sample_line(2, f, rng)
+        drawn.clear()
+        F = sample_contact_form(L, 2, 2, rng)
+        p = L.marked_point()
+        assert contact_order(F, L) == 2 and any(gradient(F, p))
+        for c in drawn[:-1]:
+            G = HyperForm(2, 2, dict(zip(monomials(2, 2), c)), f)
+            singular += contact_order(G, L) == 2 and not any(gradient(G, p))
+    assert singular > 0
+
+
 FIELDS = {"QQ": QQ, "F7": PrimeField(7), "F101": PrimeField(101)}
 
 

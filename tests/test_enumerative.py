@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tangency.cli import parse_expression
 from tangency.dpoly import DPoly
 from tangency.enumerative import (
     BOUND_INFO,
@@ -24,7 +23,7 @@ from tangency.enumerative import (
     symmetric_roots_to_schubert,
     z6_conditional_bound,
 )
-from tangency.flag import FlagElt, hclass, integrate
+from tangency.flag import FlagElt, hclass, integrate, parse_expression
 from tangency.schubert import sigma
 
 d = DPoly.var()

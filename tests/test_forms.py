@@ -602,6 +602,12 @@ def test_parse_line_param():
     assert line.marked_point() == [0, 1, 0]
     with pytest.raises(ValueError):
         parse_line_param("1 0\n2 0\n0 0\n", f)
+    # blank lines, comments and comment lines are skipped, and line
+    # numbers still count them
+    commented = parse_line_param("# u p\n1 0\n\n  \n0 1  # marked\n0 0\n", f)
+    assert commented.rows == line.rows
+    with pytest.raises(ValueError, match="^line 3: need exactly two entries"):
+        parse_line_param("# u p\n\n1\n0 1\n", f)
 
 
 QUADRIC = HyperForm(2, 2, {(2, 0, 0): 1, (0, 1, 1): 1}, QQ)

@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from tangency.cli import parse_expression
 from tangency.dpoly import DPoly
+from tangency.flag import parse_expression
 from tangency.schubert import (
     INHOMOGENEOUS,
     SchubertElt,
